@@ -30,6 +30,9 @@ __all__ = ["RunConfig", "build_parser", "main"]
 
 _ENV_PREFIX = "POOLGRAPH_"
 
+# Most points a start:stop:step delta grid may expand to.
+_GRID_LIMIT = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -64,12 +67,10 @@ def _parse_delta_grid(text: str) -> list[Fraction]:
             raise ValidationError("grid step must be positive")
         if start > stop:
             raise ValidationError("grid start must not exceed stop")
-        values = []
-        value = start
-        while value <= stop:
-            values.append(value)
-            value += step
-        return values
+        count = (stop - start) // step + 1
+        if count > _GRID_LIMIT:
+            raise SizeLimitError(f"delta grid has {count} points, over the limit of {_GRID_LIMIT}")
+        return [start + k * step for k in range(count)]
     return [_fraction(p) for p in text.split(",")]
 
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
             delta_group.add_argument(
                 "--delta-grid",
                 metavar="START:STOP:STEP",
-                help="inclusive rational grid, or comma-separated list",
+                help=f"inclusive rational grid (at most {_GRID_LIMIT:,} points), or comma-separated list",
             )
         if name == "simulate":
             cmd.add_argument("--graphs", type=int, default=100)
@@ -286,17 +287,10 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(list(argv) if argv is not None else sys.argv[1:])
+        return _COMMANDS[config.command](config)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; reserve 2 for size refusals.
         return 0 if exc.code == 0 else 1
-    except (ValidationError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        return _COMMANDS[config.command](config)
     except SizeLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

@@ -3,19 +3,36 @@
 A_{a,j} is the expected number of (defective set, outcome) pairs with a
 defectives and j decoding errors (false alarms for COMP, misdetections for
 DD), averaged over the uniform socket-matching ensemble. Each entry is
-recovered by coefficient extraction from truncated powers of small
-generating polynomials: one polynomial encodes how test sockets split
-across edge classes, one encodes how item sockets do, and a multinomial
-counts the socket pairings consistent with both. Everything is exact; the
-only floats anywhere are in the CSV decimal column.
+recovered by coefficient extraction from powers of small generating
+polynomials (the configuration-model generating-function method of Di,
+Proietti, Telatar, Richardson and Urbanke, IEEE T-IT 2002): one polynomial
+encodes how test sockets split across edge classes, one encodes how item
+sockets do, and a multinomial counts the socket pairings consistent with
+both. Everything is exact; the only floats anywhere are in the CSV decimal
+column.
 
 Row sums obey sum_j A_{a,j} = C(n, a): every defective set realizes exactly
 one error count per matching. This identity is the cheap self-check used
 by the CLI and the acceptance tests.
 
-Regular designs get dedicated fast paths (the general route reproduces
-them exactly; tests pin that down). Tables for the same spec are cached,
-so probability evaluations over a delta grid pay for enumeration once.
+General designs take truncated sparse powers (`polynomial`). Regular
+designs get dedicated fast paths that never multiply a polynomial out:
+every regular-route polynomial is a binomial bracket, so each coefficient
+of its powers is a short closed form. With the implicit slack variable set
+to 1 and S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w):
+
+    COMP g = (1+x+y)^r - (x+y)^r          [x^a1 y^a2] g^b = C(a1+a2, a1) S_r(b, b r - a1 - a2)
+    COMP f, DD f1 = (1+s)^l - s^l         [s^y] f^q = S_l(q, l q - y)
+    DD f2 = (1+s2+s3)^l - (s2+s3)^l       [s2^c2 s3^c3] f2^q = C(c2+c3, c2) S_l(q, l q - c2 - c3)
+    DD g = (1+y1+y2+y3)^r - (y1+y2)^r - r y1^(r-1) (1+y3)
+        [y1^a1 y2^a2 y3^a3] g^b
+            = C(U, a3) sum_p C(b, p) (-r)^p C(a1 - p(r-1) + a2, a2) S_r(b-p, U-p),
+        with U = b r - a1 - a2.
+
+The general route reproduces the fast paths exactly, and the closed forms
+equal sparse powers of the literal polynomials; tests pin down both.
+Tables for the same spec are cached, so probability evaluations over a
+delta grid pay for enumeration once.
 """
 
 from __future__ import annotations
@@ -97,187 +114,159 @@ def _as_exact(delta) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Regular designs: every item in l tests, every test pooling r items.
+#
+# A cell sums integer terms over the common denominator edges!: a term
+# num / multinomial(edges, parts) equals num * prod(part!) / edges!.
 # ---------------------------------------------------------------------------
 
 
-def _comp_polys(l: int, r: int, caps_g, caps_f):
-    # Test-side classes at a positive test: implicit slack = edges to
-    # defectives, x = edges to false-alarm items, y = edges to dismissed items.
-    full = SparsePoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}, caps_g)
-    no_defective = SparsePoly(2, {(1, 0): 1, (0, 1): 1}, caps_g)
-    g = poly_add(poly_pow(full, r), -poly_pow(no_defective, r))
-    # Item-side: a dismissed item splits its l sockets between negative tests
-    # (slack) and positive tests (s), needing at least one negative.
-    with_neg = SparsePoly(1, {(0,): 1, (1,): 1}, caps_f)
-    all_pos = SparsePoly(1, {(1,): 1}, caps_f)
-    f = poly_add(poly_pow(with_neg, l), -poly_pow(all_pos, l))
-    return g, f
+class _ClosedForms:
+    """Closed-form coefficients of the regular-route powers (see the module docstring).
+
+    Memoizes S_d(q, w) = [slack^w] ((slack + s)^d - s^d)^q per instance, so
+    build one instance per table. `fact` holds 0!, ..., edges!.
+    """
+
+    __slots__ = ("fact", "_alt")
+
+    def __init__(self, edges: int):
+        fact = [1]
+        for v in range(1, edges + 1):
+            fact.append(fact[-1] * v)
+        self.fact = fact
+        self._alt: dict[tuple[int, int, int], int] = {}
+
+    def alt(self, d: int, q: int, w: int) -> int:
+        """S_d(q, w); zero unless 0 <= w <= d q."""
+        key = (d, q, w)
+        value = self._alt.get(key)
+        if value is None:
+            value = 0
+            if 0 <= w <= d * q:
+                for t in range(-(-w // d), q + 1):
+                    term = binomial(q, t) * binomial(d * t, w)
+                    value += -term if (q - t) & 1 else term
+            self._alt[key] = value
+        return value
+
+    def at_least_one(self, d: int, q: int, a1: int, a2: int = 0) -> int:
+        """[x^a1 y^a2] ((1 + x + y)^d - (x + y)^d)^q: d sockets, at least one on the slack.
+
+        With a2 = 0 this is the one-variable bracket (1 + x)^d - x^d.
+        """
+        return binomial(a1 + a2, a1) * self.alt(d, q, d * q - a1 - a2)
+
+    def dd_g(self, r: int, b: int, a1: int, a2: int, a3: int) -> int:
+        """[y1^a1 y2^a2 y3^a3] g^b for g = (1 + y1 + y2 + y3)^r - (y1 + y2)^r - r y1^(r-1) (1 + y3).
+
+        With u = 1 + y3 and v = y1 + y2, g = ((u + v)^r - v^r) - r y1^(r-1) u.
+        Taking the sole term p times leaves u^p ((u + v)^r - v^r)^(b-p), whose
+        u^(U-p) coefficient is S_r(b - p, U - p); C(U, a3) picks y3 out of u^U.
+        """
+        u = b * r - a1 - a2
+        if u < a3:
+            return 0
+        top = min(b, u, a1 // (r - 1) if r > 1 else b)
+        total = 0
+        for p in range(top + 1):
+            total += (
+                binomial(b, p)
+                * (-r) ** p
+                * binomial(a1 - p * (r - 1) + a2, a2)
+                * self.alt(r, b - p, u - p)
+            )
+        return binomial(u, a3) * total
 
 
-def _comp_cell_terms(n, l, r, m, edges, i, j, b, g_pow_b, f_pow) -> Fraction:
-    y = b * r - l * (i + j)
-    if y < 0 or (m - b) < 0:
-        return Fraction(0)
-    gc = g_pow_b.coefficient((l * j, y))
-    if not gc:
-        return Fraction(0)
-    fc = f_pow.coefficient((y,))
-    if not fc:
-        return Fraction(0)
-    den = multinomial(edges, (l * i, l * j, y, (m - b) * r))
-    return Fraction(binomial(m, b) * gc * fc, den)
+def _comp_cell(forms: _ClosedForms, n: int, l: int, r: int, m: int, i: int, j: int) -> Fraction:
+    # b positive tests. Test-side classes at a positive test: slack = edges
+    # to defectives (at least one), x = edges to false-alarm items, y = edges
+    # to dismissed items. A dismissed item splits its l sockets between
+    # negative tests (slack, at least one) and positive tests (s).
+    fact = forms.fact
+    q = n - i - j
+    total = 0
+    for b in range(m + 1):
+        y = b * r - l * (i + j)
+        if y < 0:
+            continue
+        gc = forms.at_least_one(r, b, l * j, y)
+        fc = forms.at_least_one(l, q, y)
+        if gc and fc:
+            total += (
+                binomial(m, b) * gc * fc
+                * fact[l * i] * fact[l * j] * fact[y] * fact[(m - b) * r]
+            )
+    return Fraction(multinomial(n, (i, j, q)) * total, fact[m * r])
 
 
 def comp_regular(n: int, l: int, r: int, i: int, j: int) -> Fraction:
     """A_{i,j} for COMP on the (n, l, r)-regular ensemble: i defectives, j false alarms."""
     spec = regular_spec(n, l, r)
     _check_cell(n, i, j)
-    m, edges = spec.m, spec.edge_count
-    caps_g = (l * j, edges - l * (i + j)) if edges >= l * (i + j) else (0, 0)
-    if edges < l * (i + j):
-        return Fraction(0)
-    g, f = _comp_polys(l, r, caps_g, (edges - l * (i + j),))
-    f_pow = poly_pow(f, n - i - j)
-    total = Fraction(0)
-    g_pow = SparsePoly.constant(2, 1, caps_g)
-    for b in range(m + 1):
-        if b:
-            g_pow = poly_mul(g_pow, g)
-        total += _comp_cell_terms(n, l, r, m, edges, i, j, b, g_pow, f_pow)
-    return multinomial(n, (i, j, n - i - j)) * total
+    return _comp_cell(_ClosedForms(spec.edge_count), n, l, r, spec.m, i, j)
 
 
 def _comp_regular_table(n: int, l: int, r: int) -> dict[tuple[int, int], Fraction]:
     spec = regular_spec(n, l, r)
-    m, edges = spec.m, spec.edge_count
-    caps_g = (n * l, edges)
-    g, f = _comp_polys(l, r, caps_g, (edges,))
-    f_pows = [SparsePoly.constant(1, 1, (edges,))]
-    for _ in range(n):
-        f_pows.append(poly_mul(f_pows[-1], f))
-    values = {key: Fraction(0) for key in table_domain(n, Algorithm.COMP)}
-    g_pow = SparsePoly.constant(2, 1, caps_g)
-    for b in range(m + 1):
-        if b:
-            g_pow = poly_mul(g_pow, g)
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                term = _comp_cell_terms(n, l, r, m, edges, i, j, b, g_pow, f_pows[n - i - j])
-                if term:
-                    values[(i, j)] += multinomial(n, (i, j, n - i - j)) * term
-    return values
+    forms = _ClosedForms(spec.edge_count)
+    return {
+        (i, j): _comp_cell(forms, n, l, r, spec.m, i, j)
+        for i, j in table_domain(n, Algorithm.COMP)
+    }
 
 
-def _dd_polys(l: int, r: int, caps_g, caps_f1, caps_f2):
-    # Test-side classes at a positive, non-certifying test: implicit slack =
-    # edges to missed defectives, x1 = edges to dismissed items, x2 = edges
-    # to fully-covered non-defectives, x3 = edges to certified defectives.
-    full = SparsePoly(
-        3, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, caps_g
-    )
-    no_def = SparsePoly(3, {(1, 0, 0): 1, (0, 1, 0): 1}, caps_g)
-    g = poly_add(poly_pow(full, r), -poly_pow(no_def, r))
-    if r >= 1:
-        sole_missed = SparsePoly.monomial(3, (r - 1, 0, 0), r, caps_g)
-        sole_cert = SparsePoly(3, {(r - 1, 0, 1): r}, caps_g)
-        g = poly_add(g, -sole_missed)
-        g = poly_add(g, -sole_cert)
-    # Certified defectives split sockets between certifying tests (slack)
-    # and other positive tests (s1), needing at least one certifying.
-    with_cert = SparsePoly(1, {(0,): 1, (1,): 1}, caps_f1)
-    no_cert = SparsePoly(1, {(1,): 1}, caps_f1)
-    f1 = poly_add(poly_pow(with_cert, l), -poly_pow(no_cert, l))
-    # Dismissed items: negative tests (slack), non-certifying positives (s2),
-    # certifying positives (s3); at least one negative.
-    with_neg = SparsePoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}, caps_f2)
-    all_pos = SparsePoly(2, {(1, 0): 1, (0, 1): 1}, caps_f2)
-    f2 = poly_add(poly_pow(with_neg, l), -poly_pow(all_pos, l))
-    return g, f1, f2
-
-
-def _dd_cell_term(n, l, r, m, edges, i, j, k, b1, b2, g_pow_b2, f1c, f2_pow, r_pow_b1) -> Fraction:
-    e2 = b2 * r + b1 - (i + j + k) * l
-    if e2 < 0:
-        return Fraction(0)
-    x3e = i * l - b1
-    gc = g_pow_b2.coefficient((e2, k * l, x3e))
-    if not gc:
-        return Fraction(0)
-    f2c = f2_pow.coefficient((e2, b1 * (r - 1)))
-    if not f2c:
-        return Fraction(0)
-    den = multinomial(
-        edges, ((m - b1 - b2) * r, j * l, e2, b1 * (r - 1), k * l, x3e, b1)
-    )
-    num = (
-        multinomial(n, (i, j, k, n - i - j - k))
-        * multinomial(m, (b1, b2, m - b1 - b2))
-        * r_pow_b1
-        * f1c
-        * f2c
-        * gc
-    )
-    return Fraction(num, den)
+def _dd_cell(forms: _ClosedForms, n: int, l: int, r: int, m: int, i: int, j: int) -> Fraction:
+    # b1 certifying tests (one certified defective, r - 1 dismissed items;
+    # r choices of the defective's socket), b2 other positive tests, k
+    # fully-covered non-defectives. Test-side classes at another positive
+    # test (g): slack = edges to missed defectives, y1 = dismissed items,
+    # y2 = fully-covered non-defectives, y3 = certified defectives. Certified
+    # defectives split their sockets between certifying tests (slack, at
+    # least one) and other positives (f1). Dismissed items split theirs
+    # between negative tests (slack, at least one), other positives (s2) and
+    # certifying tests (s3) (f2).
+    fact = forms.fact
+    total = 0
+    for b2 in range(m + 1):
+        for b1 in range(i, min(i * l, m - b2) + 1):
+            x3e = i * l - b1
+            f1c = forms.at_least_one(l, i, x3e)
+            if not f1c:
+                continue
+            c3 = b1 * (r - 1)
+            outer = (
+                multinomial(m, (b1, b2, m - b1 - b2)) * r**b1 * f1c
+                * fact[(m - b1 - b2) * r] * fact[j * l] * fact[c3] * fact[x3e] * fact[b1]
+            )
+            for k in range(n - i - j + 1):
+                e2 = b2 * r + b1 - (i + j + k) * l
+                if e2 < 0:
+                    break
+                q = n - i - j - k
+                f2c = forms.at_least_one(l, q, e2, c3)
+                if not f2c:
+                    continue
+                gc = forms.dd_g(r, b2, e2, k * l, x3e)
+                if gc:
+                    total += outer * multinomial(n, (i, j, k, q)) * f2c * gc * fact[e2] * fact[k * l]
+    return Fraction(total, fact[m * r])
 
 
 def dd_regular(n: int, l: int, r: int, i: int, j: int) -> Fraction:
     """A_{i+j,j} for DD on the (n, l, r)-regular ensemble: i certified, j missed."""
     spec = regular_spec(n, l, r)
     _check_cell(n, i, j)
-    m, edges = spec.m, spec.edge_count
-    caps_g = (edges, (n - i - j) * l, i * max(l - 1, 0))
-    g, f1, f2 = _dd_polys(l, r, caps_g, (i * max(l - 1, 0),), (edges, edges))
-    f1_pow = poly_pow(f1, i)
-    f2_pows = [SparsePoly.constant(2, 1, (edges, edges))]
-    for _ in range(n):
-        f2_pows.append(poly_mul(f2_pows[-1], f2))
-    r_pows = [r**p for p in range(m + 1)]
-    total = Fraction(0)
-    g_pow = SparsePoly.constant(3, 1, caps_g)
-    for b2 in range(m + 1):
-        if b2:
-            g_pow = poly_mul(g_pow, g)
-        for k in range(n - i - j + 1):
-            for b1 in range(i, min(i * l, m - b2) + 1):
-                f1c = f1_pow.coefficient((i * l - b1,))
-                if not f1c:
-                    continue
-                total += _dd_cell_term(
-                    n, l, r, m, edges, i, j, k, b1, b2, g_pow, f1c, f2_pows[n - i - j - k], r_pows[b1]
-                )
-    return total
+    return _dd_cell(_ClosedForms(spec.edge_count), n, l, r, spec.m, i, j)
 
 
 def _dd_regular_table(n: int, l: int, r: int) -> dict[tuple[int, int], Fraction]:
     spec = regular_spec(n, l, r)
-    m, edges = spec.m, spec.edge_count
-    caps_g = (edges, n * l, n * max(l - 1, 0))
-    g, f1, f2 = _dd_polys(l, r, caps_g, (n * max(l - 1, 0),), (edges, edges))
-    f1_pows = [SparsePoly.constant(1, 1, (n * max(l - 1, 0),))]
-    f2_pows = [SparsePoly.constant(2, 1, (edges, edges))]
-    for _ in range(n):
-        f1_pows.append(poly_mul(f1_pows[-1], f1))
-        f2_pows.append(poly_mul(f2_pows[-1], f2))
-    r_pows = [r**p for p in range(m + 1)]
-    values = {key: Fraction(0) for key in table_domain(n, Algorithm.DD)}
-    g_pow = SparsePoly.constant(3, 1, caps_g)
-    for b2 in range(m + 1):
-        if b2:
-            g_pow = poly_mul(g_pow, g)
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                for b1 in range(i, min(i * l, m - b2) + 1):
-                    f1c = f1_pows[i].coefficient((i * l - b1,))
-                    if not f1c:
-                        continue
-                    for k in range(n - i - j + 1):
-                        term = _dd_cell_term(
-                            n, l, r, m, edges, i, j, k, b1, b2,
-                            g_pow, f1c, f2_pows[n - i - j - k], r_pows[b1],
-                        )
-                        if term:
-                            values[(i + j, j)] += term
-    return values
+    forms = _ClosedForms(spec.edge_count)
+    return {
+        (a, j): _dd_cell(forms, n, l, r, spec.m, a - j, j)
+        for a, j in table_domain(n, Algorithm.DD)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,6 +139,11 @@ def _mean_stderr(count: int, total: float, total_sq: float) -> tuple[float, floa
     return mean, math.sqrt(variance / count)
 
 
+def _pool_size(workers: int, graphs: int, cpus: Optional[int]) -> int:
+    """Worker processes to start: `workers`, capped at the graphs and the CPUs (None counts as 1)."""
+    return max(1, min(workers, graphs, cpus or 1))
+
+
 def simulate(
     spec: EnsembleSpec,
     algorithm: Algorithm,
@@ -149,7 +155,7 @@ def simulate(
     workers: int = 1,
     keep_per_graph: bool = False,
 ) -> TrialReport:
-    """Estimate FAR and MDR at one delta; bit-identical for a given seed."""
+    """Estimate FAR and MDR at one delta; bit-identical for a given seed and any `workers`."""
     validate(spec)
     d = _check_delta(delta)
     if graphs < 1 or patterns_per_graph < 1:
@@ -157,10 +163,11 @@ def simulate(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     args = [(spec, algorithm, d, patterns_per_graph, seed, g) for g in range(graphs)]
-    if workers == 1 or graphs == 1:
+    pool_size = _pool_size(workers, graphs, os.cpu_count())
+    if pool_size == 1:
         partials = [_graph_partial(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, graphs)) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             partials = list(pool.map(_graph_partial, *zip(*args)))
     count = 0
     far_sum = far_sq = mdr_sum = mdr_sq = 0.0

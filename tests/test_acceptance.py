@@ -6,6 +6,8 @@ four standard errors of the analytic value, and fixed seeds must give
 bit-identical output regardless of worker count.
 """
 
+import hashlib
+import io
 import math
 import random
 import time
@@ -27,6 +29,7 @@ from poolgraph.enumerator import (
     dd_regular,
     fa_probability,
     md_probability,
+    write_table_csv,
 )
 from poolgraph.montecarlo import derive_seed, simulate, write_trials_csv
 from poolgraph.oracle import exact_enumerators, exact_error_probability
@@ -35,6 +38,11 @@ CASE_STUDY = regular_spec(30, 3, 6)
 MC_GRID = [Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)]
 MC_SEED = 30
 MC_WORKERS = 8
+# sha256 of the (30,3,6) `enumerate` CSVs with the '#' comment lines left out.
+CASE_STUDY_DIGESTS = {
+    Algorithm.COMP: "53b8a40896924dd6f808920da414a6397525a88d5657c43afce6e6eaa1cffea3",
+    Algorithm.DD: "c83b6a97ba42287690b3dc7eabb994f4b75231f41201cb36e143fb586158386f",
+}
 
 
 def _stamp(index: int, label: str, ok: bool, elapsed: float = None) -> None:
@@ -92,32 +100,47 @@ def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
     assert elapsed < 5.0
 
 
+def _csv_digest(table) -> str:
+    buffer = io.StringIO()
+    write_table_csv(table, buffer)
+    kept = "".join(
+        line for line in buffer.getvalue().splitlines(keepends=True) if not line.startswith("#")
+    )
+    return hashlib.sha256(kept.encode("utf-8")).hexdigest()
+
+
 def test_row_sums_at_case_study_scale():
     t0 = time.monotonic()
     bad = []
     for algorithm in (Algorithm.COMP, Algorithm.DD):
-        sums = build_table(CASE_STUDY, algorithm).row_sums()
+        table = build_table(CASE_STUDY, algorithm)
+        sums = table.row_sums()
         bad += [(algorithm.value, a) for a in range(31) if sums[a] != binomial(30, a)]
+        if _csv_digest(table) != CASE_STUDY_DIGESTS[algorithm]:
+            bad.append((algorithm.value, "csv digest"))
     elapsed = time.monotonic() - t0
     ok = not bad and elapsed < 600.0
-    _stamp(4, "row sums hit C(30,a) exactly on (30,3,6), both decoders", ok, elapsed)
+    _stamp(4, "row sums hit C(30,a) and CSV digests match on (30,3,6), both decoders",
+           ok, elapsed)
     assert not bad, bad
     assert elapsed < 600.0
 
 
 def test_general_routes_reproduce_regular_routes():
-    spec = regular_spec(6, 2, 3)
     bad = []
-    for a in range(7):
-        for j in range(7 - a):
-            if comp_regular(6, 2, 3, a, j) != comp_irregular(spec, a, j):
-                bad.append(("comp", a, j))
-    for a in range(7):
-        for j in range(a + 1):
-            if dd_regular(6, 2, 3, a - j, j) != dd_irregular(spec, a - j, j):
-                bad.append(("dd", a, j))
+    for n, l, r in [(6, 2, 3), (6, 3, 6), (8, 2, 4)]:
+        spec = regular_spec(n, l, r)
+        for a in range(n + 1):
+            for j in range(n + 1 - a):
+                if comp_regular(n, l, r, a, j) != comp_irregular(spec, a, j):
+                    bad.append(((n, l, r), "comp", a, j))
+        for a in range(n + 1):
+            for j in range(a + 1):
+                if dd_regular(n, l, r, a - j, j) != dd_irregular(spec, a - j, j):
+                    bad.append(((n, l, r), "dd", a, j))
     ok = not bad
-    _stamp(5, "degree-polynomial routes match regular closed forms on (6,2,3)", ok)
+    _stamp(5, "degree-polynomial routes match regular closed forms on (6,2,3), (6,3,6), (8,2,4)",
+           ok)
     assert not bad, bad
 
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from poolgraph.cli import main
+from poolgraph.cli import _GRID_LIMIT, _parse_delta_grid, main
+from poolgraph.errors import SizeLimitError
 from poolgraph.ensemble import regular_spec, spec_hash
 
 
@@ -59,6 +61,28 @@ def test_analyze_grid_is_inclusive(capsys):
     assert code == 0
     deltas = [line.split(",")[0] for line in out.splitlines()[2:]]
     assert deltas == ["0", "1/4", "1/2"]
+
+
+def test_huge_delta_grid_is_refused_at_once(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(
+        ["analyze", "--regular", "4,1,2", "--algorithm", "comp",
+         "--delta-grid", "0:1:1/1000000000"],
+        capsys,
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "refused" in err and "1000000001 points" in err
+
+
+def test_delta_grid_limit_is_inclusive():
+    step = Fraction(1, _GRID_LIMIT - 1)
+    grid = _parse_delta_grid(f"0:1:{step}")
+    assert len(grid) == _GRID_LIMIT
+    assert grid[0] == 0 and grid[-1] == 1 and grid[1] == step
+    with pytest.raises(SizeLimitError):
+        _parse_delta_grid(f"0:1:1/{_GRID_LIMIT}")
 
 
 def test_analyze_comma_list_and_precision(capsys):

@@ -11,6 +11,7 @@ from poolgraph.detection import Algorithm
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
 from poolgraph.enumerator import (
     EnumeratorTable,
+    _ClosedForms,
     build_table,
     comp_irregular,
     comp_regular,
@@ -21,6 +22,7 @@ from poolgraph.enumerator import (
     table_domain,
     write_table_csv,
 )
+from poolgraph.polynomial import SparsePoly, poly_pow
 
 
 def mixed_spec():
@@ -116,6 +118,71 @@ def test_regular_and_general_routes_agree_comp(i, j):
 @pytest.mark.parametrize("i,j", [(i, j) for i in range(5) for j in range(5 - i)])
 def test_regular_and_general_routes_agree_dd(i, j):
     assert dd_irregular(regular_spec(4, 2, 2), i, j) == dd_regular(4, 2, 2, i, j)
+
+
+def _bracket(arity, d):
+    # (1 + x_0 + ... + x_{arity-1})^d - (x_0 + ... + x_{arity-1})^d
+    spread = SparsePoly.sum_of_variables(arity, range(arity))
+    return (SparsePoly.constant(arity, 1) + spread) ** d - spread**d
+
+
+def _dd_test_polynomial(r):
+    # (1 + y1 + y2 + y3)^r - (y1 + y2)^r - r y1^(r-1) (1 + y3)
+    y1, y2, y3 = (SparsePoly.sum_of_variables(3, [v]) for v in range(3))
+    one = SparsePoly.constant(3, 1)
+    sole = SparsePoly.monomial(3, (r - 1, 0, 0), r) * (one + y3)
+    return (one + y1 + y2 + y3) ** r - (y1 + y2) ** r - sole
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 5), st.integers(0, 6))
+def test_one_variable_bracket_powers_match_sparse_powers(l, q):
+    power = poly_pow(_bracket(1, l), q)
+    forms = _ClosedForms(0)
+    for y in range(l * q + 2):
+        assert forms.at_least_one(l, q, y) == power.coefficient((y,))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 6), st.integers(0, 6))
+def test_two_variable_bracket_powers_match_sparse_powers(d, b):
+    # COMP's test polynomial (d = r) and DD's dismissed-item polynomial (d = l).
+    power = poly_pow(_bracket(2, d), b)
+    forms = _ClosedForms(0)
+    top = d * b + 1
+    for a1 in range(top + 1):
+        for a2 in range(top + 1):
+            assert forms.at_least_one(d, b, a1, a2) == power.coefficient((a1, a2))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 6), st.integers(0, 6))
+def test_dd_test_polynomial_powers_match_sparse_powers(r, b):
+    power = poly_pow(_dd_test_polynomial(r), b)
+    forms = _ClosedForms(0)
+    top = r * b + 1
+    for a1 in range(top + 1):
+        for a2 in range(top + 1):
+            for a3 in range(top + 1):
+                assert forms.dd_g(r, b, a1, a2, a3) == power.coefficient((a1, a2, a3))
+
+
+def test_regular_route_builds_no_polynomial(monkeypatch):
+    import poolgraph.enumerator as enumerator
+
+    spec = regular_spec(6, 2, 3)
+    comp_expected = comp_irregular(spec, 2, 1)
+    dd_expected = dd_irregular(spec, 2, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("regular route touched the polynomial layer")
+
+    for name in ("SparsePoly", "poly_add", "poly_mul", "poly_pow", "poly_product_of_powers"):
+        monkeypatch.setattr(enumerator, name, refuse)
+    assert enumerator._comp_regular_table(6, 2, 3)[(2, 1)] == comp_expected
+    assert enumerator._dd_regular_table(6, 2, 3)[(3, 1)] == dd_expected
+    assert comp_regular(6, 2, 3, 2, 1) == comp_expected
+    assert dd_regular(6, 2, 3, 2, 1) == dd_expected
 
 
 def test_out_of_range_cells_rejected():

@@ -8,6 +8,7 @@ from poolgraph.detection import Algorithm
 from poolgraph.ensemble import regular_spec, spec_hash
 from poolgraph.montecarlo import (
     RNG_SCHEME,
+    _pool_size,
     derive_seed,
     simulate,
     sweep,
@@ -59,6 +60,15 @@ def test_worker_count_does_not_change_results():
     assert serial.mdr_mean == parallel.mdr_mean
     assert serial.mdr_stderr == parallel.mdr_stderr
     assert serial.per_graph_rates == parallel.per_graph_rates
+
+
+def test_pool_size_is_capped_by_cpus_and_graphs():
+    assert _pool_size(8, 100, 2) == 2
+    assert _pool_size(10**6, 100, 4) == 4
+    assert _pool_size(6, 3, 16) == 3
+    assert _pool_size(2, 10, 16) == 2
+    assert _pool_size(1, 10, 16) == 1
+    assert _pool_size(8, 10, None) == 1
 
 
 def test_no_defectives_no_errors():
