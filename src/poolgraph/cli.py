@@ -5,8 +5,8 @@ over a delta grid), simulate (Monte Carlo), verify (exhaustive oracle vs
 closed form, cell by cell). CSV goes to --out or stdout; status chatter
 goes to stderr so piped output stays parseable.
 
-Exit codes: 0 success, 1 bad input or failed verification, 2 size refusal,
-3 I/O failure.
+Exit codes: 0 success, 1 bad input, failed verification or failed row-sum
+self-check, 2 size refusal, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -184,6 +184,18 @@ def _open_out(config: RunConfig) -> tuple[TextIO, bool]:
     return open(config.out, "w", encoding="utf-8", newline=""), True
 
 
+def _row_sum_check(table) -> bool:
+    """sum_j A_{a,j} = C(n, a) for every a; reports one line on stderr."""
+    n = table.spec.n
+    sums = table.row_sums()
+    bad = [a for a in range(n + 1) if sums.get(a) != binomial(n, a)]
+    if bad:
+        print(f"row-sum self-check: FAIL at a={bad}", file=sys.stderr)
+        return False
+    print(f"row-sum self-check: PASS ({n + 1} rows)", file=sys.stderr)
+    return True
+
+
 def cmd_enumerate(config: RunConfig) -> int:
     table = build_table(config.spec, config.algorithm)
     out, close = _open_out(config)
@@ -192,18 +204,13 @@ def cmd_enumerate(config: RunConfig) -> int:
     finally:
         if close:
             out.close()
-    n = config.spec.n
-    sums = table.row_sums()
-    bad = [a for a in range(n + 1) if sums[a] != binomial(n, a)]
-    if bad:
-        print(f"row-sum self-check: FAIL at a={bad}", file=sys.stderr)
-        return 1
-    print(f"row-sum self-check: PASS ({n + 1} rows)", file=sys.stderr)
-    return 0
+    return 0 if _row_sum_check(table) else 1
 
 
 def cmd_analyze(config: RunConfig) -> int:
     table = build_table(config.spec, config.algorithm)
+    if not _row_sum_check(table):
+        return 1
     prob = fa_probability if config.algorithm is Algorithm.COMP else md_probability
     out, close = _open_out(config)
     try:
@@ -222,6 +229,13 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
+    analytic = None
+    if config.analytic:
+        table = build_table(config.spec, config.algorithm)
+        if not _row_sum_check(table):
+            return 1
+        prob = fa_probability if config.algorithm is Algorithm.COMP else md_probability
+        analytic = [prob(table, delta) for delta in config.deltas]
     if len(config.deltas) == 1:
         reports = [
             simulate(
@@ -244,11 +258,6 @@ def cmd_simulate(config: RunConfig) -> int:
             config.seed,
             workers=config.workers,
         )
-    analytic = None
-    if config.analytic:
-        table = build_table(config.spec, config.algorithm)
-        prob = fa_probability if config.algorithm is Algorithm.COMP else md_probability
-        analytic = [prob(table, delta) for delta in config.deltas]
     out, close = _open_out(config)
     try:
         write_trials_csv(reports, out, analytic, precision=config.precision)

@@ -63,3 +63,21 @@ def to_decimal(value: Rational, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
         ctx.prec = digits
         rendered = Decimal(value.numerator) / Decimal(value.denominator)
     return str(rendered)
+
+
+def exact_delta(delta) -> Fraction:
+    """A prevalence as an exact rational in [0, 1].
+
+    Accepts int, str ("1/20") or Fraction. A float raises TypeError: 0.05 is
+    not 1/20 in binary, and silently absorbing the difference would defeat
+    the exact tables.
+    """
+    if isinstance(delta, float):
+        raise TypeError(
+            "delta must be exact (int, str, or Fraction); floats silently misstate "
+            "values like 0.05 in binary"
+        )
+    value = Fraction(delta)
+    if not 0 <= value <= 1:
+        raise ValueError(f"delta must lie in [0, 1], got {value}")
+    return value

@@ -15,11 +15,10 @@ Row sums obey sum_j A_{a,j} = C(n, a): every defective set realizes exactly
 one error count per matching. This identity is the cheap self-check used
 by the CLI and the acceptance tests.
 
-General designs take truncated sparse powers (`polynomial`). Regular
-designs get dedicated fast paths that never multiply a polynomial out:
-every regular-route polynomial is a binomial bracket, so each coefficient
-of its powers is a short closed form. With the implicit slack variable set
-to 1 and S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w):
+No route multiplies a polynomial out. Every generating polynomial is a
+binomial bracket per node, so each coefficient of its powers is a short
+closed form. With the implicit slack variable set to 1 and
+S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w) = [x^w] ((1+x)^d - 1)^q:
 
     COMP g = (1+x+y)^r - (x+y)^r          [x^a1 y^a2] g^b = C(a1+a2, a1) S_r(b, b r - a1 - a2)
     COMP f, DD f1 = (1+s)^l - s^l         [s^y] f^q = S_l(q, l q - y)
@@ -29,26 +28,59 @@ to 1 and S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w):
             = C(U, a3) sum_p C(b, p) (-r)^p C(a1 - p(r-1) + a2, a2) S_r(b-p, U-p),
         with U = b r - a1 - a2.
 
-The general route reproduces the fast paths exactly, and the closed forms
-equal sparse powers of the literal polynomials; tests pin down both.
-Tables for the same spec are cached, so probability evaluations over a
-delta grid pay for enumeration once.
+Regular designs (one item degree l, one test degree r) sum these over the
+number of positive tests b per cell (`_comp_cell`, `_dd_cell`).
+
+Any other design goes by degree classes. L_d items and R_d tests have
+degree d; a cell sums over per-class role counts, and within a side the
+classes combine by convolving their coefficient lists (written *):
+
+    COMP, items: i_d defectives, j_d false alarms, q_d dismissed;
+          tests: b_d positive. With e1 = sum d i_d, e2 = sum d j_d and
+          D = sum d b_d positive-test sockets,
+        A_{i,j} = sum prod_d M(L_d; i_d, j_d, q_d) prod_d C(R_d, b_d)
+                  (*_d S_d(b_d, .))[e1] (*_d S_d(q_d, d q_d - .))[D - e1 - e2]
+                  e1! (D - e1)! (E - D)! / E!
+    DD, items: i_d certified, j_d missed, k_d covered, q_d dismissed;
+        tests: c_d certifying, o_d ordinary positive. With B = sum c_d,
+        W = sum d (i_d + j_d) - B defective sockets at ordinary tests,
+        K = sum d k_d, E2 = sum d o_d - W - K, s = E2 + sum (d-1) c_d and
+        E0 negative-test sockets,
+        A_{i+j,j} = sum prod_d M(L_d; i_d, j_d, k_d, q_d) prod_d M(R_d; c_d, o_d, .) d^(c_d)
+                    (*_d S_d(i_d, .))[B] (*_d S_d(q_d, d q_d - .))[s] H_o(W, E2)
+                    W! s! K! B! E0! / E!
+        where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d) with
+        O_d = (x1+x2+x4)^d - (x2+x4)^d - d x1 x2^(d-1): per class, DD g's sum
+        over p at y3 = 0; for several test degrees, their 2-D convolution.
+
+M is a multinomial and E the edge count. Variables that only appear summed
+collapse to one exponent and a binomial, as in the regular formulas: x2+x3
+for COMP, x1+x5 and s2+s3 for DD. A cell is an integer over the common
+denominator E!. The regular and degree-class routes give identical tables
+on regular specs; the tests check both against multiplied-out generating
+functions and the brute-force oracle. Tables for the same spec are cached,
+so probability evaluations over a delta grid pay for enumeration once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 from typing import Iterator, Mapping, Union
 
-from .combinatorics import binomial, multinomial, to_decimal
+from .combinatorics import binomial, exact_delta, multinomial, to_decimal
 from .detection import Algorithm
 from .ensemble import EnsembleSpec, regular_spec, spec_hash, validate
-from .polynomial import SparsePoly, poly_add, poly_mul, poly_pow, poly_product_of_powers
+from .errors import SizeLimitError
+# No table builder multiplies polynomials; these names stay importable here
+# because perfbench/layers.py rebinds them on this module to trace that layer.
+from .polynomial import poly_add, poly_mul, poly_pow, poly_product_of_powers  # noqa: F401
 
 __all__ = [
     "EnumeratorTable",
@@ -76,15 +108,25 @@ class EnumeratorTable:
     spec: EnsembleSpec
     values: Mapping[tuple[int, int], Fraction]
     source: str = field(default="enumerator")
+    # Which enumerator route filled the table: "regular" or "degree-class";
+    # empty for tables from elsewhere (the oracle).
+    route: str = field(default="")
 
     def row_sums(self) -> dict[int, Fraction]:
-        sums: dict[int, Fraction] = {}
+        # One sum per row over the row's common denominator; adding Fractions
+        # one by one would reduce every partial sum by a big gcd.
+        rows: dict[int, list[Fraction]] = {}
         for (a, _), value in self.values.items():
-            sums[a] = sums.get(a, Fraction(0)) + value
+            rows.setdefault(a, []).append(value)
+        sums = {}
+        for a, row in rows.items():
+            den = math.lcm(*(v.denominator for v in row))
+            sums[a] = Fraction(sum(v.numerator * (den // v.denominator) for v in row), den)
         return sums
 
     def check_row_sums(self) -> bool:
-        return all(self.row_sums()[a] == binomial(self.spec.n, a) for a in range(self.spec.n + 1))
+        sums = self.row_sums()
+        return all(sums.get(a) == binomial(self.spec.n, a) for a in range(self.spec.n + 1))
 
 
 def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
@@ -98,18 +140,6 @@ def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
 def _check_cell(n: int, i: int, j: int) -> None:
     if i < 0 or j < 0 or i + j > n:
         raise ValueError(f"cell out of range: i={i}, j={j}, n={n}")
-
-
-def _as_exact(delta) -> Fraction:
-    if isinstance(delta, float):
-        raise TypeError(
-            "delta must be exact (int, str, or Fraction); floats silently misstate "
-            "values like 0.05 in binary"
-        )
-    value = Fraction(delta)
-    if not 0 <= value <= 1:
-        raise ValueError(f"delta must lie in [0, 1], got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +185,28 @@ class _ClosedForms:
         With a2 = 0 this is the one-variable bracket (1 + x)^d - x^d.
         """
         return binomial(a1 + a2, a1) * self.alt(d, q, d * q - a1 - a2)
+
+    def powers(self, d: int, q: int) -> list[int]:
+        """[x^w] ((1 + x)^d - 1)^q = S_d(q, w) for w = 0, ..., d q."""
+        return [self.alt(d, q, w) for w in range(d * q + 1)]
+
+    def slack_powers(self, d: int, q: int) -> list[int]:
+        """[s^y] ((1 + s)^d - s^d)^q for y = 0, ..., (d - 1) q."""
+        return [self.at_least_one(d, q, y) for y in range((d - 1) * q + 1)]
+
+    def dd_ordinary(self, d: int, o: int) -> dict[tuple[int, int], int]:
+        """{(w, a): [x1^w x2^a x4^(d o - w - a)] O^o}, nonzero terms only.
+
+        O = (x1 + x2 + x4)^d - (x2 + x4)^d - d x1 x2^(d-1) is dd_g's bracket
+        with y3 = 0 and the slack written out as x1.
+        """
+        out = {}
+        for a in range(d * o + 1):
+            for c in range(d * o - a + 1):
+                value = self.dd_g(d, o, a, c, 0)
+                if value:
+                    out[(d * o - a - c, a)] = value
+        return out
 
     def dd_g(self, r: int, b: int, a1: int, a2: int, a3: int) -> int:
         """[y1^a1 y2^a2 y3^a3] g^b for g = (1 + y1 + y2 + y3)^r - (y1 + y2)^r - r y1^(r-1) (1 + y3).
@@ -270,141 +322,217 @@ def _dd_regular_table(n: int, l: int, r: int) -> dict[tuple[int, int], Fraction]
 
 
 # ---------------------------------------------------------------------------
-# General (possibly irregular) designs: one generating-function factor per
-# node degree, raised to the node count of that degree.
+# Degree classes (any degree distributions): the same counting, with role
+# counts per node degree. Each class contributes a binomial bracket whose
+# powers have the closed forms above; classes of one side combine by short
+# convolutions of coefficient lists.
 # ---------------------------------------------------------------------------
 
+# Most (compositions x test-class splits) a degree-class table may sum over:
+# an irregular n = 30 DD table (lambda = {2: 1/2, 4: 1/2}, rho = {6: 1})
+# takes about 9 * 10^7 and builds; n = 60 of the same family would take
+# 1.5 * 10^10 and is refused.
+_WORK_LIMIT = 10**8
 
-def _right_counts_checked(spec: EnsembleSpec) -> dict[int, int]:
-    validate(spec)
-    return spec.right_counts()
 
+def _degree_class_work(spec: EnsembleSpec, algorithm: Algorithm) -> int:
+    """Item-role compositions times test-class splits of the degree-class route.
 
-@lru_cache(maxsize=32)
-def _comp_general_parts(spec: EnsembleSpec):
-    """(edges, rows, item_gf) where rows = ((exponents, coefficient, pair count), ...).
-
-    Test-side variables: x1 edges to defectives, x2 to false alarms, x3 to
-    dismissed items. Item-side adds markers t1 (defective) and t2 (false
-    alarm) onto matching socket variables s1..s3.
+    COMP gives each item one of 3 roles and each test one of 2 states; DD
+    has 4 item roles and 3 test states. Per class of c nodes with k options
+    there are C(c + k - 1, k - 1) ways to count them.
     """
-    right_counts = _right_counts_checked(spec)
-    edges = spec.edge_count
-    caps_g = (edges, edges, edges)
-    g_factors = []
-    for d, count in sorted(right_counts.items()):
-        any_edge = SparsePoly.sum_of_variables(3, [0, 1, 2], caps_g)
-        no_def = SparsePoly.sum_of_variables(3, [1, 2], caps_g)
-        bracket = poly_add(
-            poly_add(SparsePoly.constant(3, 1, caps_g), poly_pow(any_edge, d)),
-            -poly_pow(no_def, d),
-        )
-        g_factors.append((bracket, count))
-    g = poly_product_of_powers(g_factors, caps_g)
-    n = spec.n
-    caps_f = (n, n, edges, edges, edges)
-    f_factors = []
-    for d, count in sorted(spec.left_counts().items()):
-        defective = SparsePoly.monomial(5, (1, 0, d, 0, 0), 1, caps_f)
-        false_alarm = SparsePoly.monomial(5, (0, 1, 0, d, 0), 1, caps_f)
-        with_neg = SparsePoly(5, {(0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 1}, caps_f)
-        all_pos = SparsePoly.monomial(5, (0, 0, 0, 0, 1), 1, caps_f)
-        dismissed = poly_add(poly_pow(with_neg, d), -poly_pow(all_pos, d))
-        bracket = poly_add(poly_add(defective, false_alarm), dismissed)
-        f_factors.append((bracket, count))
-    f = poly_product_of_powers(f_factors, caps_f)
-    rows = tuple(
-        (exps, gc, multinomial(edges, exps + (edges - sum(exps),)))
-        for exps, gc in sorted(g.items())
-    )
-    return edges, rows, f
+    roles, states = (3, 2) if algorithm is Algorithm.COMP else (4, 3)
+    work = 1
+    for count in spec.left_counts().values():
+        work *= binomial(count + roles - 1, roles - 1)
+    for count in spec.right_counts().values():
+        work *= binomial(count + states - 1, states - 1)
+    return work
 
 
-def comp_irregular(spec: EnsembleSpec, i: int, j: int) -> Fraction:
-    """A_{i,j} for COMP on an arbitrary-degree ensemble."""
-    _check_cell(spec.n, i, j)
-    _, rows, f = _comp_general_parts(spec)
-    f_terms = f.terms
-    total = Fraction(0)
-    for exps, gc, pairings in rows:
-        fc = f_terms.get((i, j) + exps)
-        if fc:
-            total += Fraction(gc * fc, pairings)
-    return total
+def _convolve(lists) -> list[int]:
+    """Coefficient list of the product of polynomials given as coefficient lists."""
+    out = [1]
+    for coeffs in lists:
+        prod = [0] * (len(out) + len(coeffs) - 1)
+        for s, x in enumerate(out):
+            if x:
+                for t, y in enumerate(coeffs):
+                    prod[s + t] += x * y
+        out = prod
+    return out
 
 
-def _comp_irregular_table(spec: EnsembleSpec) -> dict[tuple[int, int], Fraction]:
-    values = {key: Fraction(0) for key in table_domain(spec.n, Algorithm.COMP)}
-    for i in range(spec.n + 1):
-        for j in range(spec.n - i + 1):
-            values[(i, j)] = comp_irregular(spec, i, j)
+def _convolve2(tables) -> dict[tuple[int, int], int]:
+    """Product of two-variable polynomials given as {(e, f): coefficient} dicts."""
+    out = {(0, 0): 1}
+    for table in tables:
+        prod: dict[tuple[int, int], int] = {}
+        for (e1, f1), x in out.items():
+            for (e2, f2), y in table.items():
+                key = (e1 + e2, f1 + f2)
+                prod[key] = prod.get(key, 0) + x * y
+        out = prod
+    return out
+
+
+def _splits(counts) -> Iterator[tuple[int, ...]]:
+    """Every vector v with 0 <= v[c] <= counts[c]."""
+    return product(*(range(c + 1) for c in counts))
+
+
+def _dismissed_slack(forms: _ClosedForms, degrees, dismissed, memo: dict) -> list[int]:
+    """[s^y] prod ((1 + s)^d - s^d)^(q_d): q_d dismissed items of degree d, y sockets on positive tests."""
+    slack = memo.get(dismissed)
+    if slack is None:
+        slack = memo[dismissed] = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
+    return slack
+
+
+def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, int], int]:
+    # The COMP formula of the module docstring; returns numerators over edges!.
+    # D = sockets on positive tests; y = D - e1 - e2 of them hold dismissed items.
+    degrees, counts = zip(*sorted(spec.left_counts().items()))
+    test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
+    fact, edges = forms.fact, spec.edge_count
+    # by_e1[e1][D]: every split with D positive-test sockets, e1 of them on
+    # defectives: prod C(R_d, b_d) [x^e1] prod ((1 + x)^d - 1)^(b_d), times pairings.
+    by_e1: dict[int, dict[int, int]] = {}
+    for split in _splits(test_counts):
+        sockets = sum(d * b for d, b in zip(test_degrees, split))
+        weight = fact[edges - sockets]
+        for count, b in zip(test_counts, split):
+            weight *= binomial(count, b)
+        spread = _convolve(forms.powers(d, b) for d, b in zip(test_degrees, split))
+        for e1, t in enumerate(spread):
+            if t:
+                row = by_e1.setdefault(e1, {})
+                row[sockets] = row.get(sockets, 0) + weight * t * fact[e1] * fact[sockets - e1]
+    slack_memo: dict[tuple[int, ...], list[int]] = {}
+    values = dict.fromkeys(table_domain(spec.n, Algorithm.COMP), 0)
+    for defective in _splits(counts):
+        e1 = sum(d * c for d, c in zip(degrees, defective))
+        row = by_e1.get(e1)
+        if not row:
+            continue
+        i = sum(defective)
+        for dismissed in _splits([c - i_d for c, i_d in zip(counts, defective)]):
+            alarms = [c - i_d - q for c, i_d, q in zip(counts, defective, dismissed)]
+            e2 = sum(d * j for d, j in zip(degrees, alarms))
+            slack = _dismissed_slack(forms, degrees, dismissed, slack_memo)
+            total = 0
+            for sockets, weight in row.items():
+                y = sockets - e1 - e2
+                if 0 <= y < len(slack):
+                    total += weight * slack[y]
+            if total:
+                for c, i_d, j_d, q in zip(counts, defective, alarms, dismissed):
+                    total *= multinomial(c, (i_d, j_d, q))
+                values[(i, sum(alarms))] += total
+    return values
+
+
+def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, int], int]:
+    # The DD formula of the module docstring; returns numerators over edges!.
+    # A certifying test holds one certified defective (d choices of its
+    # socket) and d - 1 dismissed items. Each certified item has a socket on
+    # at least one; its others, I - B in all, join the missed items' J
+    # sockets as the W = I - B + J defective sockets at ordinary tests.
+    # Covered items (non-defective, in no negative test) have all K sockets
+    # there too. Missed and covered items enter only through J and K, so for
+    # each count r_d of the two per class the j-splits are tallied by J once.
+    degrees, counts = zip(*sorted(spec.left_counts().items()))
+    test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
+    fact, edges = forms.fact, spec.edge_count
+    ordinary: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    by_b: dict[int, list] = {}
+    for certifying in _splits(test_counts):
+        b = sum(certifying)
+        dismissed_edges = sum((d - 1) * c for d, c in zip(test_degrees, certifying))
+        for positive in _splits([count - c for count, c in zip(test_counts, certifying)]):
+            table = ordinary.get(positive)
+            if table is None:
+                table = ordinary[positive] = _convolve2(
+                    forms.dd_ordinary(d, o) for d, o in zip(test_degrees, positive)
+                )
+            sockets = sum(d * o for d, o in zip(test_degrees, positive))
+            weight = fact[b] * fact[edges - sockets - b - dismissed_edges]
+            for d, count, c, o in zip(test_degrees, test_counts, certifying, positive):
+                weight *= multinomial(count, (c, o, count - c - o)) * d**c
+            by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, table))
+    # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
+    missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
+    slack_memo: dict[tuple[int, ...], list[int]] = {}
+    values = dict.fromkeys(table_domain(spec.n, Algorithm.DD), 0)
+    for certified in _splits(counts):
+        spread = _convolve(forms.powers(d, i) for d, i in zip(degrees, certified))
+        tests = [(b, x, by_b[b]) for b, x in enumerate(spread) if x and b in by_b]
+        if not tests:
+            continue
+        i, i_deg = sum(certified), sum(d * c for d, c in zip(degrees, certified))
+        for dismissed in _splits([c - i_d for c, i_d in zip(counts, certified)]):
+            rest = tuple(c - i_d - q for c, i_d, q in zip(counts, certified, dismissed))
+            r_deg = sum(d * r for d, r in zip(degrees, rest))
+            slack = _dismissed_slack(forms, degrees, dismissed, slack_memo)
+            splits = missed_splits.get(rest)
+            if splits is None:
+                splits = missed_splits[rest] = {}
+                for missed in _splits(rest):
+                    weight = 1
+                    for r, j_d in zip(rest, missed):
+                        weight *= binomial(r, j_d)
+                    by_j = splits.setdefault(sum(d * j for d, j in zip(degrees, missed)), {})
+                    by_j[sum(missed)] = by_j.get(sum(missed), 0) + weight
+            acc = dict.fromkeys(splits, 0)
+            for b, x, entries in tests:
+                w0 = i_deg - b
+                for dismissed_edges, sockets, weight, table in entries:
+                    e2 = sockets - w0 - r_deg
+                    s = e2 + dismissed_edges
+                    if e2 < 0 or s >= len(slack) or not slack[s]:
+                        continue
+                    pre = x * weight * slack[s] * fact[s]
+                    for j_deg in acc:
+                        h = table.get((w0 + j_deg, e2))
+                        if h:
+                            acc[j_deg] += pre * h * fact[w0 + j_deg] * fact[r_deg - j_deg]
+            base = 1
+            for c, i_d, r, q in zip(counts, certified, rest, dismissed):
+                base *= multinomial(c, (i_d, r, q))
+            for j_deg, total in acc.items():
+                if total:
+                    for j, weight in splits[j_deg].items():
+                        values[(i + j, j)] += base * weight * total
     return values
 
 
 @lru_cache(maxsize=32)
-def _dd_general_parts(spec: EnsembleSpec):
-    """Test- and item-side generating functions for DD, six edge classes.
+def _class_table(spec: EnsembleSpec, algorithm: Algorithm) -> dict[tuple[int, int], Fraction]:
+    """Every cell of the degree-class route's table; refuses runaway specs before starting."""
+    validate(spec)
+    work = _degree_class_work(spec, algorithm)
+    if work > _WORK_LIMIT:
+        raise SizeLimitError(
+            f"degree-class {algorithm.value} table needs {work} compositions x splits, "
+            f"over the limit of {_WORK_LIMIT}"
+        )
+    forms = _ClosedForms(spec.edge_count)
+    build = _comp_class_table if algorithm is Algorithm.COMP else _dd_class_table
+    denominator = forms.fact[spec.edge_count]
+    return {key: Fraction(v, denominator) for key, v in build(spec, forms).items()}
 
-    x1/s1 missed-defective edges, x2/s2 dismissed items at ordinary positive
-    tests, x3/s3 dismissed items at certifying tests, x4/s4 fully-covered
-    non-defectives, x5/s5 certified defectives at ordinary positive tests,
-    x6/s6 certified defectives at their certifying tests.
-    """
-    right_counts = _right_counts_checked(spec)
-    edges = spec.edge_count
-    caps_g = (edges,) * 6
-    g_factors = []
-    for d, count in sorted(right_counts.items()):
-        pd_adjacent = SparsePoly.sum_of_variables(6, [0, 1, 3, 4], caps_g)
-        no_def = SparsePoly.sum_of_variables(6, [1, 3], caps_g)
-        bracket = poly_add(SparsePoly.constant(6, 1, caps_g), poly_pow(pd_adjacent, d))
-        bracket = poly_add(bracket, -poly_pow(no_def, d))
-        sole_missed = {(1, d - 1, 0, 0, 0, 0): d}
-        sole_cert = {(0, d - 1, 0, 0, 1, 0): d}
-        certifying = {(0, 0, d - 1, 0, 0, 1): d}
-        bracket = poly_add(bracket, SparsePoly(6, {k: -v for k, v in sole_missed.items()}, caps_g))
-        bracket = poly_add(bracket, SparsePoly(6, {k: -v for k, v in sole_cert.items()}, caps_g))
-        bracket = poly_add(bracket, SparsePoly(6, certifying, caps_g))
-        g_factors.append((bracket, count))
-    g = poly_product_of_powers(g_factors, caps_g)
-    n = spec.n
-    caps_f = (n, n) + (edges,) * 6
-    f_factors = []
-    for d, count in sorted(spec.left_counts().items()):
-        s5_plus_s6 = SparsePoly.sum_of_variables(8, [6, 7], caps_f)
-        s5_only = SparsePoly.monomial(8, (0, 0, 0, 0, 0, 0, 1, 0), 1, caps_f)
-        t1 = SparsePoly.monomial(8, (1, 0, 0, 0, 0, 0, 0, 0), 1, caps_f)
-        certified = poly_mul(t1, poly_add(poly_pow(s5_plus_s6, d), -poly_pow(s5_only, d)), caps_f)
-        missed = SparsePoly.monomial(8, (0, 1, d, 0, 0, 0, 0, 0), 1, caps_f)
-        covered = SparsePoly.monomial(8, (0, 0, 0, 0, 0, d, 0, 0), 1, caps_f)
-        with_neg = SparsePoly(
-            8, {(0,) * 8: 1, (0, 0, 0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0, 0, 0): 1}, caps_f
-        )
-        all_pos = SparsePoly(
-            8, {(0, 0, 0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0, 0, 0): 1}, caps_f
-        )
-        dismissed = poly_add(poly_pow(with_neg, d), -poly_pow(all_pos, d))
-        bracket = poly_add(poly_add(certified, missed), poly_add(covered, dismissed))
-        f_factors.append((bracket, count))
-    f = poly_product_of_powers(f_factors, caps_f)
-    rows = tuple(
-        (exps, gc, multinomial(edges, exps + (edges - sum(exps),)))
-        for exps, gc in sorted(g.items())
-    )
-    return edges, rows, f
+
+def comp_irregular(spec: EnsembleSpec, i: int, j: int) -> Fraction:
+    """A_{i,j} for COMP on an arbitrary-degree ensemble, by degree classes."""
+    _check_cell(spec.n, i, j)
+    return _class_table(spec, Algorithm.COMP)[(i, j)]
 
 
 def dd_irregular(spec: EnsembleSpec, i: int, j: int) -> Fraction:
-    """A_{i+j,j} for DD on an arbitrary-degree ensemble: i certified, j missed."""
+    """A_{i+j,j} for DD on an arbitrary-degree ensemble, by degree classes: i certified, j missed."""
     _check_cell(spec.n, i, j)
-    _, rows, f = _dd_general_parts(spec)
-    f_terms = f.terms
-    total = Fraction(0)
-    for exps, gc, pairings in rows:
-        fc = f_terms.get((i, j) + exps)
-        if fc:
-            total += Fraction(gc * fc, pairings)
-    return total
+    return _class_table(spec, Algorithm.DD)[(i + j, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +548,14 @@ def _regular_degrees(spec: EnsembleSpec) -> tuple[int, int]:
 def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     """Complete enumerator table for one ensemble, via the regular fast path when it applies."""
     validate(spec)
-    if spec.is_regular:
-        l, r = _regular_degrees(spec)
-        if algorithm is Algorithm.COMP:
-            values = _comp_regular_table(spec.n, l, r)
-        else:
-            values = _dd_regular_table(spec.n, l, r)
+    if not spec.is_regular:
+        return EnumeratorTable(algorithm, spec, _class_table(spec, algorithm), route="degree-class")
+    l, r = _regular_degrees(spec)
+    if algorithm is Algorithm.COMP:
+        values = _comp_regular_table(spec.n, l, r)
     else:
-        if algorithm is Algorithm.COMP:
-            values = _comp_irregular_table(spec)
-        else:
-            values = {key: Fraction(0) for key in table_domain(spec.n, Algorithm.DD)}
-            for a in range(spec.n + 1):
-                for j in range(a + 1):
-                    values[(a, j)] = dd_irregular(spec, a - j, j)
-    return EnumeratorTable(algorithm=algorithm, spec=spec, values=values)
+        values = _dd_regular_table(spec.n, l, r)
+    return EnumeratorTable(algorithm, spec, values, route="regular")
 
 
 def _require_complete(table: EnumeratorTable) -> None:
@@ -448,7 +569,7 @@ def fa_probability(table: EnumeratorTable, delta) -> Fraction:
     if table.algorithm is not Algorithm.COMP:
         raise ValueError("false-alarm probability is defined on COMP tables")
     _require_complete(table)
-    d = _as_exact(delta)
+    d = exact_delta(delta)
     n = table.spec.n
     total = Fraction(0)
     for i in range(1, n + 1):
@@ -467,7 +588,7 @@ def md_probability(table: EnumeratorTable, delta) -> Fraction:
     if table.algorithm is not Algorithm.DD:
         raise ValueError("misdetection probability is defined on DD tables")
     _require_complete(table)
-    d = _as_exact(delta)
+    d = exact_delta(delta)
     n = table.spec.n
     total = Fraction(0)
     for a in range(1, n + 1):
@@ -483,10 +604,12 @@ def write_table_csv(table: EnumeratorTable, out: Union[str, Path, io.TextIOBase]
     """CSV rows (a, j, numerator, denominator, decimal) with a spec-hash comment line."""
     _require_complete(table)
 
+    route = f" route={table.route}" if table.route else ""
+
     def _write(fh) -> None:
         fh.write(
             f"# spec_hash={spec_hash(table.spec)} algorithm={table.algorithm.value} "
-            f"source={table.source}\n"
+            f"source={table.source}{route}\n"
         )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a", "j", "numerator", "denominator", "decimal"])

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .combinatorics import to_decimal
+from .combinatorics import exact_delta, to_decimal
 from .detection import Algorithm, comp_pd_mask, dd_certified_mask
 from .ensemble import EnsembleSpec, sample_graph, spec_hash, validate
 
@@ -75,15 +75,6 @@ class TrialReport:
     mdr_stderr: float
     rng: str = RNG_SCHEME
     per_graph_rates: Optional[tuple[tuple[float, float], ...]] = None
-
-
-def _check_delta(delta) -> Fraction:
-    if isinstance(delta, float):
-        raise TypeError("delta must be exact (int, str, or Fraction)")
-    value = Fraction(delta)
-    if not 0 <= value <= 1:
-        raise ValueError(f"delta must lie in [0, 1], got {value}")
-    return value
 
 
 def _pattern_masks(rng: np.random.Generator, delta: Fraction, count: int, n: int) -> list[int]:
@@ -157,7 +148,7 @@ def simulate(
 ) -> TrialReport:
     """Estimate FAR and MDR at one delta; bit-identical for a given seed and any `workers`."""
     validate(spec)
-    d = _check_delta(delta)
+    d = exact_delta(delta)
     if graphs < 1 or patterns_per_graph < 1:
         raise ValueError("graphs and patterns_per_graph must be at least 1")
     if workers < 1:

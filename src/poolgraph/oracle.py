@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .combinatorics import exact_delta
 from .detection import SOCKET, Algorithm, comp_pd_mask, dd_certified_mask
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings, validate
 from .enumerator import EnumeratorTable, table_domain
@@ -103,11 +104,7 @@ def exact_error_probability(
     a table first. Patterns with a zero denominator contribute 0.
     """
     validate(spec)
-    if isinstance(delta, float):
-        raise TypeError("delta must be exact (int, str, or Fraction)")
-    d = Fraction(delta)
-    if not 0 <= d <= 1:
-        raise ValueError(f"delta must lie in [0, 1], got {d}")
+    d = exact_delta(delta)
     n = spec.n
     fact = math.factorial(spec.edge_count)
     if fact * (1 << n) > limit:

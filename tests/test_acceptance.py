@@ -45,6 +45,14 @@ CASE_STUDY_DIGESTS = {
 }
 
 
+# Same digests for the irregular family lambda = {2: 1/2, 4: 1/2}, rho = {6: 1}:
+# COMP at n = 30 and DD at n = 12.
+IRREGULAR_DIGESTS = {
+    (30, Algorithm.COMP): "e9d4e0c7bdb287279c31448c2aeaa0ebd06d4b4b7a9d595a6b89ab738e276091",
+    (12, Algorithm.DD): "c22d340f9e7804bd4606c76d714836b5792accb4393d0988fdb862405e15530f",
+}
+
+
 def _stamp(index: int, label: str, ok: bool, elapsed: float = None) -> None:
     timing = "" if elapsed is None else f" ({elapsed:.1f}s)"
     print(f"[{index:2d}/10] {label}: {'PASS' if ok else 'FAIL'}{timing}")
@@ -84,20 +92,45 @@ def test_dd_closed_form_equals_exhaustive_oracle():
     assert elapsed < 60.0
 
 
+def _two_by_two_spec() -> EnsembleSpec:
+    return EnsembleSpec(
+        n=4,
+        m=3,
+        left=DegreeDistribution.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}),
+        right=DegreeDistribution.from_dict({2: Fraction(2, 3), 4: Fraction(1, 3)}),
+    )
+
+
+def _irregular_spec(n: int) -> EnsembleSpec:
+    return EnsembleSpec(
+        n=n,
+        m=n // 2,
+        left=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
+        right=DegreeDistribution.regular(6),
+    )
+
+
 def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
-    t0 = time.monotonic()
-    spec = _mixed_spec()
     bad = []
-    for algorithm in (Algorithm.COMP, Algorithm.DD):
-        report = exact_enumerators(spec, algorithm)
-        table = build_table(spec, algorithm)
-        bad += [(algorithm.value, key) for key, exact in report.exact_table.items()
-                if table.values[key] != exact]
-    elapsed = time.monotonic() - t0
-    ok = not bad and elapsed < 5.0
-    _stamp(3, "mixed-degree closed forms equal the oracle (n=3, m=2)", ok, elapsed)
+    # (spec, seconds allowed): two item degrees at n=3 (4! matchings), then
+    # two degrees on each side at n=4 (8! matchings).
+    for spec, limit in ((_mixed_spec(), 5.0), (_two_by_two_spec(), 60.0)):
+        t0 = time.monotonic()
+        for algorithm in (Algorithm.COMP, Algorithm.DD):
+            report = exact_enumerators(spec, algorithm)
+            table = build_table(spec, algorithm)
+            bad += [(spec.n, algorithm.value, key) for key, exact in report.exact_table.items()
+                    if table.values[key] != exact]
+        elapsed = time.monotonic() - t0
+        if elapsed >= limit:
+            bad.append((spec.n, "slow", elapsed))
+    for (n, algorithm), pinned in IRREGULAR_DIGESTS.items():
+        if _csv_digest(build_table(_irregular_spec(n), algorithm)) != pinned:
+            bad.append((n, algorithm.value, "csv digest"))
+    ok = not bad
+    _stamp(3, "mixed-degree closed forms equal the oracle (n=3 and n=4, m=3) and "
+              "irregular CSV digests match", ok)
     assert not bad, bad
-    assert elapsed < 5.0
 
 
 def _csv_digest(table) -> str:
@@ -139,7 +172,7 @@ def test_general_routes_reproduce_regular_routes():
                 if dd_regular(n, l, r, a - j, j) != dd_irregular(spec, a - j, j):
                     bad.append(((n, l, r), "dd", a, j))
     ok = not bad
-    _stamp(5, "degree-polynomial routes match regular closed forms on (6,2,3), (6,3,6), (8,2,4)",
+    _stamp(5, "degree-class routes match regular closed forms on (6,2,3), (6,3,6), (8,2,4)",
            ok)
     assert not bad, bad
 

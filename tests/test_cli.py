@@ -237,3 +237,61 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "1/2,7,12," in result.stdout
+
+
+def test_enumerate_header_names_the_route(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({
+        "n": 3, "m": 2,
+        "lambda": [{"degree": 1, "num": 2, "den": 3}, {"degree": 2, "num": 1, "den": 3}],
+        "rho": [{"degree": 2, "num": 1, "den": 1}],
+    }))
+    _, out, _ = run(["enumerate", "--spec", str(path), "--algorithm", "dd"], capsys)
+    assert out.splitlines()[0].endswith(" route=degree-class")
+    _, out, _ = run(["enumerate", "--regular", "4,1,2", "--algorithm", "dd"], capsys)
+    assert out.splitlines()[0].endswith(" route=regular")
+
+
+def test_runaway_degree_class_table_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "n": 120, "m": 50,
+        "lambda": [{"degree": d, "num": 1, "den": 4} for d in (1, 2, 3, 4)],
+        "rho": [{"degree": 6, "num": 1, "den": 1}],
+    }))
+    t0 = time.monotonic()
+    code, out, err = run(["enumerate", "--spec", str(path), "--algorithm", "dd"], capsys)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "refused" in err
+
+
+def _broken_table(spec, algorithm):
+    from poolgraph.enumerator import EnumeratorTable, build_table
+
+    table = build_table(spec, algorithm)
+    values = dict(table.values)
+    values[(1, 0)] += 1
+    return EnumeratorTable(algorithm, spec, values)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2"],
+        ["simulate", "--regular", "4,1,2", "--algorithm", "dd", "--delta", "1/2",
+         "--graphs", "2", "--patterns", "10", "--analytic"],
+    ],
+)
+def test_row_sum_self_check_guards_analytic_output(argv, monkeypatch, tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    code, _, err = run(argv + ["--out", str(out_path)], capsys)
+    assert code == 0
+    assert "row-sum self-check: PASS (5 rows)" in err
+    out_path.unlink()
+    monkeypatch.setattr("poolgraph.cli.build_table", _broken_table)
+    code, out, err = run(argv + ["--out", str(out_path)], capsys)
+    assert code == 1
+    assert "row-sum self-check: FAIL at a=[1]" in err
+    assert not out_path.exists() and out == ""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poolgraph.combinatorics import Rational, binomial, multinomial, to_decimal
+from poolgraph.combinatorics import Rational, binomial, exact_delta, multinomial, to_decimal
 
 
 def pascal_rows(count):
@@ -118,3 +118,15 @@ def test_to_decimal_parses_back_close(value):
     assert abs(Decimal(rendered) - Decimal(value.numerator) / Decimal(value.denominator)) <= Decimal(
         "1e-10"
     )
+
+
+def test_exact_delta_accepts_exact_values_only():
+    assert exact_delta("1/20") == Fraction(1, 20)
+    assert exact_delta(0) == 0 and exact_delta(Fraction(1)) == 1
+    with pytest.raises(TypeError, match="exact"):
+        exact_delta(0.05)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        exact_delta(Fraction(-1, 3))
+    with pytest.raises(ValueError):
+        exact_delta("3/2")
+

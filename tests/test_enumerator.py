@@ -3,15 +3,19 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gf_reference import reference_cell, reference_table
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
 from poolgraph.enumerator import (
+    _WORK_LIMIT,
     EnumeratorTable,
+    _class_table,
     _ClosedForms,
+    _degree_class_work,
     build_table,
     comp_irregular,
     comp_regular,
@@ -22,6 +26,7 @@ from poolgraph.enumerator import (
     table_domain,
     write_table_csv,
 )
+from poolgraph.errors import SizeLimitError
 from poolgraph.polynomial import SparsePoly, poly_pow
 
 
@@ -167,22 +172,123 @@ def test_dd_test_polynomial_powers_match_sparse_powers(r, b):
                 assert forms.dd_g(r, b, a1, a2, a3) == power.coefficient((a1, a2, a3))
 
 
+def two_by_two_spec():
+    # Two degrees on each side: lambda = {1: 1/2, 3: 1/2}, rho = {2: 2/3, 4: 1/3}.
+    return EnsembleSpec(
+        n=4,
+        m=3,
+        left=DegreeDistribution.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}),
+        right=DegreeDistribution.from_dict({2: Fraction(2, 3), 4: Fraction(1, 3)}),
+    )
+
+
 def test_regular_route_builds_no_polynomial(monkeypatch):
     import poolgraph.enumerator as enumerator
+    import poolgraph.polynomial as polynomial
 
     spec = regular_spec(6, 2, 3)
-    comp_expected = comp_irregular(spec, 2, 1)
-    dd_expected = dd_irregular(spec, 2, 1)
+    comp_expected = reference_cell(spec, Algorithm.COMP, 2, 1)
+    dd_expected = reference_cell(spec, Algorithm.DD, 2, 1)
+    irregular = two_by_two_spec()
+    irregular_expected = {alg: reference_table(irregular, alg) for alg in Algorithm}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("regular route touched the polynomial layer")
+        raise AssertionError("an enumerator route touched the polynomial layer")
 
-    for name in ("SparsePoly", "poly_add", "poly_mul", "poly_pow", "poly_product_of_powers"):
-        monkeypatch.setattr(enumerator, name, refuse)
+    for module in (enumerator, polynomial):
+        for name in ("poly_add", "poly_mul", "poly_pow", "poly_product_of_powers"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(polynomial, "SparsePoly", refuse)
     assert enumerator._comp_regular_table(6, 2, 3)[(2, 1)] == comp_expected
     assert enumerator._dd_regular_table(6, 2, 3)[(3, 1)] == dd_expected
     assert comp_regular(6, 2, 3, 2, 1) == comp_expected
     assert dd_regular(6, 2, 3, 2, 1) == dd_expected
+    # The degree-class route, uncached, on a regular and an irregular spec.
+    assert _class_table.__wrapped__(spec, Algorithm.COMP)[(2, 1)] == comp_expected
+    assert _class_table.__wrapped__(spec, Algorithm.DD)[(3, 1)] == dd_expected
+    for alg in Algorithm:
+        assert _class_table.__wrapped__(irregular, alg) == irregular_expected[alg]
+
+
+@st.composite
+def small_irregular_specs(draw):
+    """n <= 6 items of degree 1..3 and tests of degree 1..3, not both sides regular."""
+    n = draw(st.integers(2, 6))
+    item_degrees = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    edges = sum(item_degrees)
+    threes = draw(st.integers(0, edges // 3))
+    twos = draw(st.integers(0, (edges - 3 * threes) // 2))
+    tests = {3: threes, 2: twos, 1: edges - 3 * threes - 2 * twos}
+    m = sum(tests.values())
+    assume(m <= n)
+    items = {d: item_degrees.count(d) for d in set(item_degrees)}
+    spec = EnsembleSpec(
+        n=n,
+        m=m,
+        left=DegreeDistribution.from_dict({d: Fraction(c, n) for d, c in items.items()}),
+        right=DegreeDistribution.from_dict({d: Fraction(c, m) for d, c in tests.items() if c}),
+    )
+    assume(not spec.is_regular)
+    return spec
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_irregular_specs(), st.sampled_from(list(Algorithm)))
+def test_degree_class_route_matches_multiplied_out_generating_functions(spec, algorithm):
+    assert build_table(spec, algorithm).values == reference_table(spec, algorithm)
+
+
+def test_degree_class_work_counts_compositions_times_splits():
+    n30 = EnsembleSpec(
+        n=30,
+        m=15,
+        left=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
+        right=DegreeDistribution.regular(6),
+    )
+    # COMP: C(15+2, 2) role splits per item class, 15+1 positive counts.
+    assert _degree_class_work(n30, Algorithm.COMP) == 136 * 136 * 16
+    # DD: C(15+3, 3) per item class, C(15+2, 2) per test class.
+    assert _degree_class_work(n30, Algorithm.DD) == 816 * 816 * 136
+    assert _degree_class_work(n30, Algorithm.DD) <= _WORK_LIMIT
+    # Two classes on each side: items 2 and 2, tests 2 and 1.
+    spec = two_by_two_spec()
+    assert _degree_class_work(spec, Algorithm.COMP) == 6 * 6 * 3 * 2
+    assert _degree_class_work(spec, Algorithm.DD) == 10 * 10 * 6 * 3
+
+
+def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
+    import poolgraph.enumerator as enumerator
+
+    # Four item classes of 30: well over 10^10 role compositions alone.
+    spec = EnsembleSpec(
+        n=120,
+        m=50,
+        left=DegreeDistribution.from_dict({d: Fraction(1, 4) for d in (1, 2, 3, 4)}),
+        right=DegreeDistribution.regular(6),
+    )
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refused build started")
+
+    monkeypatch.setattr(enumerator, "_comp_class_table", never)
+    monkeypatch.setattr(enumerator, "_dd_class_table", never)
+    monkeypatch.setattr(enumerator, "_ClosedForms", never)
+    for algorithm in Algorithm:
+        assert _degree_class_work(spec, algorithm) > _WORK_LIMIT
+        with pytest.raises(SizeLimitError, match="over the limit"):
+            build_table(spec, algorithm)
+    with pytest.raises(SizeLimitError):
+        dd_irregular(spec, 0, 0)
+
+
+def test_csv_header_names_the_route():
+    for spec, route in ((regular_spec(4, 1, 2), "regular"), (mixed_spec(), "degree-class")):
+        for algorithm in Algorithm:
+            table = build_table(spec, algorithm)
+            assert table.route == route
+            buffer = io.StringIO()
+            write_table_csv(table, buffer)
+            assert buffer.getvalue().splitlines()[0].endswith(f" route={route}")
 
 
 def test_out_of_range_cells_rejected():
