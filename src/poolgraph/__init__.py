@@ -7,17 +7,7 @@ tiny ensembles, and a seeded Monte Carlo harness.
 """
 
 from .combinatorics import Rational, binomial, multinomial, to_decimal
-from .detection import (
-    Algorithm,
-    DefectivityPattern,
-    DetectionResult,
-    Label,
-    comp_pd_mask,
-    count_errors,
-    dd_certified_mask,
-    run_comp,
-    run_dd,
-)
+from .detection import Algorithm, comp_pd_mask, dd_certified_mask
 from .ensemble import (
     DegreeDistribution,
     EnsembleSpec,
@@ -51,12 +41,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm",
-    "DefectivityPattern",
     "DegreeDistribution",
-    "DetectionResult",
     "EnsembleSpec",
     "EnumeratorTable",
-    "Label",
     "OracleReport",
     "PoolingGraph",
     "Rational",
@@ -68,7 +55,6 @@ __all__ = [
     "comp_irregular",
     "comp_pd_mask",
     "comp_regular",
-    "count_errors",
     "dd_certified_mask",
     "dd_irregular",
     "dd_regular",
@@ -82,8 +68,6 @@ __all__ = [
     "multinomial",
     "parse_spec",
     "regular_spec",
-    "run_comp",
-    "run_dd",
     "sample_graph",
     "save_spec",
     "simulate",

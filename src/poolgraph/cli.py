@@ -12,13 +12,11 @@ self-check, 2 size refusal, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
-from .combinatorics import binomial, to_decimal
+from .combinatorics import to_decimal
 from .detection import Algorithm
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, load_spec, regular_spec, spec_hash
 from .enumerator import build_table, fa_probability, md_probability, write_table_csv
@@ -26,28 +24,10 @@ from .errors import SizeLimitError, ValidationError
 from .montecarlo import simulate, sweep, write_trials_csv
 from .oracle import exact_enumerators
 
-__all__ = ["RunConfig", "build_parser", "main"]
-
-_ENV_PREFIX = "POOLGRAPH_"
+__all__ = ["build_parser", "main"]
 
 # Most points a start:stop:step delta grid may expand to.
 _GRID_LIMIT = 10_000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    spec: EnsembleSpec
-    algorithm: Algorithm
-    deltas: list[Fraction]
-    graphs: int
-    patterns: int
-    seed: int
-    out: Optional[str]
-    precision: int
-    oracle_limit: int
-    workers: int
-    analytic: bool
 
 
 def _fraction(text: str) -> Fraction:
@@ -85,16 +65,6 @@ def _parse_regular(text: str) -> EnsembleSpec:
     return regular_spec(n, l, r)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poolgraph",
@@ -115,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--algorithm", choices=[a.value for a in Algorithm], required=True
         )
         cmd.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-        cmd.add_argument("--precision", type=int, help="decimal digits (default 12)")
+        cmd.add_argument("--precision", type=int, default=12, help="decimal digits (default 12)")
         if name in ("analyze", "simulate"):
             delta_group = cmd.add_mutually_exclusive_group(required=True)
             delta_group.add_argument("--delta", metavar="RATIONAL", help="single prevalence")
@@ -127,100 +97,76 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             cmd.add_argument("--graphs", type=int, default=100)
             cmd.add_argument("--patterns", type=int, default=10_000)
-            cmd.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
-            cmd.add_argument("--workers", type=int, help="parallel graph workers (default 1)")
+            cmd.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
+            cmd.add_argument("--workers", type=int, default=1, help="parallel graph workers (default 1)")
             cmd.add_argument(
                 "--analytic",
                 action="store_true",
                 help="fill the analytic column from the exact enumerator",
             )
         if name == "verify":
-            cmd.add_argument("--oracle-limit", type=int, help="max matchings (default 10^6)")
+            cmd.add_argument(
+                "--oracle-limit", type=int, default=DEFAULT_MATCHING_LIMIT, help="max matchings (default 10^6)"
+            )
     return parser
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed command line, with --spec/--regular resolved to `spec` and the deltas to `deltas`."""
     args = build_parser().parse_args(argv)
-    spec = load_spec(args.spec) if args.spec else _parse_regular(args.regular)
-    deltas: list[Fraction] = []
-    if getattr(args, "delta", None):
-        deltas = [_fraction(args.delta)]
-    elif getattr(args, "delta_grid", None):
-        deltas = _parse_delta_grid(args.delta_grid)
-    precision = args.precision if args.precision is not None else _env_int("PRECISION", 12)
-    if precision < 1:
+    args.spec = load_spec(args.spec) if args.spec else _parse_regular(args.regular)
+    if args.command in ("analyze", "simulate"):
+        if args.delta:
+            args.deltas = [_fraction(args.delta)]
+        else:
+            args.deltas = _parse_delta_grid(args.delta_grid) if args.delta_grid else []
+    args.algorithm = Algorithm(args.algorithm)
+    if args.precision < 1:
         raise ValidationError("precision must be at least 1")
-    return RunConfig(
-        command=args.command,
-        spec=spec,
-        algorithm=Algorithm(args.algorithm),
-        deltas=deltas,
-        graphs=getattr(args, "graphs", 100),
-        patterns=getattr(args, "patterns", 10_000),
-        seed=(
-            args.seed
-            if getattr(args, "seed", None) is not None
-            else _env_int("SEED", 0)
-        ),
-        out=args.out,
-        precision=precision,
-        oracle_limit=(
-            args.oracle_limit
-            if getattr(args, "oracle_limit", None) is not None
-            else _env_int("ORACLE_LIMIT", DEFAULT_MATCHING_LIMIT)
-        ),
-        workers=(
-            args.workers
-            if getattr(args, "workers", None) is not None
-            else _env_int("WORKERS", 1)
-        ),
-        analytic=getattr(args, "analytic", False),
-    )
+    return args
 
 
-def _open_out(config: RunConfig) -> tuple[TextIO, bool]:
-    if config.out is None:
+def _open_out(args: argparse.Namespace) -> tuple[TextIO, bool]:
+    if args.out is None:
         return sys.stdout, False
-    return open(config.out, "w", encoding="utf-8", newline=""), True
+    return open(args.out, "w", encoding="utf-8", newline=""), True
 
 
 def _row_sum_check(table) -> bool:
     """sum_j A_{a,j} = C(n, a) for every a; reports one line on stderr."""
-    n = table.spec.n
-    sums = table.row_sums()
-    bad = [a for a in range(n + 1) if sums.get(a) != binomial(n, a)]
+    bad = table.bad_rows()
     if bad:
         print(f"row-sum self-check: FAIL at a={bad}", file=sys.stderr)
         return False
-    print(f"row-sum self-check: PASS ({n + 1} rows)", file=sys.stderr)
+    print(f"row-sum self-check: PASS ({table.spec.n + 1} rows)", file=sys.stderr)
     return True
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    table = build_table(config.spec, config.algorithm)
-    out, close = _open_out(config)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    table = build_table(args.spec, args.algorithm)
+    out, close = _open_out(args)
     try:
-        write_table_csv(table, out, precision=config.precision)
+        write_table_csv(table, out, precision=args.precision)
     finally:
         if close:
             out.close()
     return 0 if _row_sum_check(table) else 1
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    table = build_table(config.spec, config.algorithm)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    table = build_table(args.spec, args.algorithm)
     if not _row_sum_check(table):
         return 1
-    prob = fa_probability if config.algorithm is Algorithm.COMP else md_probability
-    out, close = _open_out(config)
+    prob = fa_probability if args.algorithm is Algorithm.COMP else md_probability
+    out, close = _open_out(args)
     try:
-        out.write(f"# spec_hash={spec_hash(config.spec)} algorithm={config.algorithm.value}\n")
+        out.write(f"# spec_hash={spec_hash(args.spec)} algorithm={args.algorithm.value}\n")
         out.write("delta,numerator,denominator,decimal\n")
-        for delta in config.deltas:
+        for delta in args.deltas:
             value = prob(table, delta)
             out.write(
                 f"{delta},{value.numerator},{value.denominator},"
-                f"{to_decimal(value, config.precision)}\n"
+                f"{to_decimal(value, args.precision)}\n"
             )
     finally:
         if close:
@@ -228,48 +174,48 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     analytic = None
-    if config.analytic:
-        table = build_table(config.spec, config.algorithm)
+    if args.analytic:
+        table = build_table(args.spec, args.algorithm)
         if not _row_sum_check(table):
             return 1
-        prob = fa_probability if config.algorithm is Algorithm.COMP else md_probability
-        analytic = [prob(table, delta) for delta in config.deltas]
-    if len(config.deltas) == 1:
+        prob = fa_probability if args.algorithm is Algorithm.COMP else md_probability
+        analytic = [prob(table, delta) for delta in args.deltas]
+    if len(args.deltas) == 1:
         reports = [
             simulate(
-                config.spec,
-                config.algorithm,
-                config.deltas[0],
-                config.graphs,
-                config.patterns,
-                config.seed,
-                workers=config.workers,
+                args.spec,
+                args.algorithm,
+                args.deltas[0],
+                args.graphs,
+                args.patterns,
+                args.seed,
+                workers=args.workers,
             )
         ]
     else:
         reports = sweep(
-            config.spec,
-            config.algorithm,
-            config.deltas,
-            config.graphs,
-            config.patterns,
-            config.seed,
-            workers=config.workers,
+            args.spec,
+            args.algorithm,
+            args.deltas,
+            args.graphs,
+            args.patterns,
+            args.seed,
+            workers=args.workers,
         )
-    out, close = _open_out(config)
+    out, close = _open_out(args)
     try:
-        write_trials_csv(reports, out, analytic, precision=config.precision)
+        write_trials_csv(reports, out, analytic, precision=args.precision)
     finally:
         if close:
             out.close()
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = exact_enumerators(config.spec, config.algorithm, limit=config.oracle_limit)
-    table = build_table(config.spec, config.algorithm)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = exact_enumerators(args.spec, args.algorithm, limit=args.oracle_limit)
+    table = build_table(args.spec, args.algorithm)
     failures = 0
     for key in sorted(table.values):
         expected = report.exact_table[key]
@@ -281,7 +227,7 @@ def cmd_verify(config: RunConfig) -> int:
         else:
             print(f"({key[0]},{key[1]}) PASS")
     summary = "all cells match" if not failures else f"{failures} mismatched cells"
-    print(f"verify {config.algorithm.value}: {summary} over {report.matchings_enumerated} matchings")
+    print(f"verify {args.algorithm.value}: {summary} over {report.matchings_enumerated} matchings")
     return 0 if not failures else 1
 
 
@@ -295,8 +241,8 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        config = parse_config(list(argv) if argv is not None else sys.argv[1:])
-        return _COMMANDS[config.command](config)
+        args = parse_args(list(argv) if argv is not None else sys.argv[1:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; reserve 2 for size refusals.
         return 0 if exc.code == 0 else 1

@@ -9,10 +9,9 @@ exactly one PD socket certifies that item as definitely defective. Only
 certified items are declared, so DD never raises a false alarm and its
 errors are misdetections only.
 
-The sole-PD rule is socket-level by default: a test whose two sockets both
-land on the same PD item does NOT certify it (the multi-edge counts twice).
-`uniqueness="node"` switches to the distinct-neighbor variant for
-sensitivity studies.
+The sole-PD rule is socket-level: a test whose two sockets both land on
+the same PD item does NOT certify it (the multi-edge counts twice). This is
+the rule every enumerator table computes.
 
 Items with degree 0 never appear in a test; they defensively stay PD
 (undetected under DD).
@@ -21,66 +20,13 @@ Items with degree 0 never appear in a test; they defensively stay PD
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
 
 from .ensemble import PoolingGraph
-
-SOCKET = "socket"
-NODE = "node"
 
 
 class Algorithm(enum.Enum):
     COMP = "comp"
     DD = "dd"
-
-
-class Label(enum.Enum):
-    DND = "dnd"  # definitely not defective
-    PD = "pd"    # possibly defective, not declared
-    DD = "dd"    # definitely defective
-
-
-@dataclass(frozen=True)
-class DefectivityPattern:
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("pattern bits must be 0 or 1")
-
-    @classmethod
-    def from_mask(cls, mask: int, n: int) -> "DefectivityPattern":
-        return cls(tuple((mask >> v) & 1 for v in range(n)))
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "DefectivityPattern":
-        return cls(tuple(int(b) for b in bits))
-
-    @property
-    def mask(self) -> int:
-        out = 0
-        for v, b in enumerate(self.bits):
-            out |= b << v
-        return out
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    labels: tuple[Label, ...]
-    estimate: tuple[int, ...]
-    positive_tests: tuple[bool, ...]
-
-    @property
-    def estimate_mask(self) -> int:
-        out = 0
-        for v, b in enumerate(self.estimate):
-            out |= b << v
-        return out
 
 
 def comp_pd_mask(graph: PoolingGraph, defective_mask: int) -> int:
@@ -92,72 +38,21 @@ def comp_pd_mask(graph: PoolingGraph, defective_mask: int) -> int:
     return ((1 << graph.n) - 1) & ~negative_union
 
 
-def dd_certified_mask(graph: PoolingGraph, defective_mask: int, uniqueness: str = SOCKET) -> int:
-    """Bitmask of items certified defective by the sole-PD rule."""
-    if uniqueness not in (SOCKET, NODE):
-        raise ValueError(f"uniqueness must be {SOCKET!r} or {NODE!r}, got {uniqueness!r}")
+def dd_certified_mask(graph: PoolingGraph, defective_mask: int) -> int:
+    """Bitmask of items certified defective by the socket-level sole-PD rule."""
     pd = comp_pd_mask(graph, defective_mask)
     certified = 0
-    if uniqueness == SOCKET:
-        for members, mask in zip(graph.adj, graph.test_masks):
-            if not (mask & defective_mask):
-                continue
-            count = 0
-            sole = -1
-            for v in members:
-                if (pd >> v) & 1:
-                    count += 1
-                    if count > 1:
-                        break
-                    sole = v
-            if count == 1:
-                certified |= 1 << sole
-    else:
-        for members, mask in zip(graph.adj, graph.test_masks):
-            if not (mask & defective_mask):
-                continue
-            pd_members = mask & pd
-            if pd_members and pd_members & (pd_members - 1) == 0:
-                certified |= pd_members
+    for members, mask in zip(graph.adj, graph.test_masks):
+        if not (mask & defective_mask):
+            continue
+        count = 0
+        sole = -1
+        for v in members:
+            if (pd >> v) & 1:
+                count += 1
+                if count > 1:
+                    break
+                sole = v
+        if count == 1:
+            certified |= 1 << sole
     return certified
-
-
-def _positive_tuple(graph: PoolingGraph, defective_mask: int) -> tuple[bool, ...]:
-    return tuple(bool(mask & defective_mask) for mask in graph.test_masks)
-
-
-def run_comp(graph: PoolingGraph, pattern: DefectivityPattern) -> DetectionResult:
-    if len(pattern.bits) != graph.n:
-        raise ValueError(f"pattern length {len(pattern.bits)} != n = {graph.n}")
-    x = pattern.mask
-    pd = comp_pd_mask(graph, x)
-    labels = tuple(Label.PD if (pd >> v) & 1 else Label.DND for v in range(graph.n))
-    estimate = tuple((pd >> v) & 1 for v in range(graph.n))
-    return DetectionResult(labels=labels, estimate=estimate, positive_tests=_positive_tuple(graph, x))
-
-
-def run_dd(graph: PoolingGraph, pattern: DefectivityPattern, uniqueness: str = SOCKET) -> DetectionResult:
-    if len(pattern.bits) != graph.n:
-        raise ValueError(f"pattern length {len(pattern.bits)} != n = {graph.n}")
-    x = pattern.mask
-    pd = comp_pd_mask(graph, x)
-    certified = dd_certified_mask(graph, x, uniqueness)
-    labels = []
-    for v in range(graph.n):
-        if (certified >> v) & 1:
-            labels.append(Label.DD)
-        elif (pd >> v) & 1:
-            labels.append(Label.PD)
-        else:
-            labels.append(Label.DND)
-    estimate = tuple((certified >> v) & 1 for v in range(graph.n))
-    return DetectionResult(labels=tuple(labels), estimate=estimate, positive_tests=_positive_tuple(graph, x))
-
-
-def count_errors(pattern: DefectivityPattern, result: DetectionResult) -> tuple[int, int]:
-    """(false alarms, misdetections) of an estimate against the truth."""
-    x = pattern.mask
-    est = result.estimate_mask
-    fa = (est & ~x).bit_count()
-    md = (x & ~est).bit_count()
-    return fa, md

@@ -64,18 +64,6 @@ class DegreeDistribution:
         return sum((d * f for d, f in self.entries), Fraction(0))
 
     @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.entries)
-
-    @property
-    def min_degree(self) -> int:
-        return self.entries[0][0]
-
-    @property
-    def max_degree(self) -> int:
-        return self.entries[-1][0]
-
-    @property
     def is_regular(self) -> bool:
         return len(self.entries) == 1
 

@@ -59,7 +59,8 @@ for COMP, x1+x5 and s2+s3 for DD. A cell is an integer over the common
 denominator E!. The regular and degree-class routes give identical tables
 on regular specs; the tests check both against multiplied-out generating
 functions and the brute-force oracle. Tables for the same spec are cached,
-so probability evaluations over a delta grid pay for enumeration once.
+and each table keeps its delta-independent row weights, so probability
+evaluations over a delta grid pay for enumeration and weights once.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Iterator, Mapping, Union
@@ -124,9 +125,35 @@ class EnumeratorTable:
             sums[a] = Fraction(sum(v.numerator * (den // v.denominator) for v in row), den)
         return sums
 
-    def check_row_sums(self) -> bool:
+    def bad_rows(self) -> list[int]:
+        """Every a whose row does not sum to C(n, a); empty for a sound table."""
         sums = self.row_sums()
-        return all(sums.get(a) == binomial(self.spec.n, a) for a in range(self.spec.n + 1))
+        return [a for a in range(self.spec.n + 1) if sums.get(a) != binomial(self.spec.n, a)]
+
+    def check_row_sums(self) -> bool:
+        return not self.bad_rows()
+
+    @cached_property
+    def error_weights(self) -> tuple[tuple[int, ...], int]:
+        """Row weights w_a = sum_j (j / e_a) A_{a,j} as numerators over one denominator.
+
+        e_a is the number of items that can err with a defectives: n - a
+        false-alarm candidates under COMP, a misdetection candidates under
+        DD. Rows with a = 0 or e_a = 0 weigh 0. The weights do not depend on
+        delta, so a grid of error probabilities pays for them once.
+        """
+        _require_complete(self)
+        n = self.spec.n
+        weights = [Fraction(0)] * (n + 1)
+        for a in range(1, n + 1):
+            errs = (n - a) if self.algorithm is Algorithm.COMP else a
+            if errs:
+                row = [self.values[(a, j)] for j in range(1, errs + 1)]
+                den = math.lcm(*(v.denominator for v in row))
+                num = sum(j * v.numerator * (den // v.denominator) for j, v in enumerate(row, 1))
+                weights[a] = Fraction(num, den * errs)
+        den = math.lcm(*(w.denominator for w in weights))
+        return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
 def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
@@ -329,20 +356,23 @@ def _dd_regular_table(n: int, l: int, r: int) -> dict[tuple[int, int], Fraction]
 # ---------------------------------------------------------------------------
 
 # Most (compositions x test-class splits) a degree-class table may sum over:
-# an irregular n = 30 DD table (lambda = {2: 1/2, 4: 1/2}, rho = {6: 1})
-# takes about 9 * 10^7 and builds; n = 60 of the same family would take
-# 1.5 * 10^10 and is refused.
+# an irregular n = 50 DD table (lambda = {2: 1/2, 4: 1/2}, rho = {6: 1})
+# takes about 4.3 * 10^7 and builds in seconds; n = 60 of the same family
+# would take 1.2 * 10^8 and is refused.
 _WORK_LIMIT = 10**8
 
 
 def _degree_class_work(spec: EnsembleSpec, algorithm: Algorithm) -> int:
-    """Item-role compositions times test-class splits of the degree-class route.
+    """Item-role compositions times test-class splits the degree-class route loops over.
 
-    COMP gives each item one of 3 roles and each test one of 2 states; DD
-    has 4 item roles and 3 test states. Per class of c nodes with k options
-    there are C(c + k - 1, k - 1) ways to count them.
+    COMP splits each item class into (defective, false alarm, dismissed) and
+    each test class into (positive, negative). DD's loops split each item
+    class into (certified, dismissed, rest) and each test class into
+    (certifying, ordinary, negative); the missed items among the rest are
+    tallied once per rest vector. Per class of c nodes with k options there
+    are C(c + k - 1, k - 1) ways to count them.
     """
-    roles, states = (3, 2) if algorithm is Algorithm.COMP else (4, 3)
+    roles, states = (3, 2) if algorithm is Algorithm.COMP else (3, 3)
     work = 1
     for count in spec.left_counts().values():
         work *= binomial(count + roles - 1, roles - 1)
@@ -564,40 +594,28 @@ def _require_complete(table: EnumeratorTable) -> None:
         raise ValueError(f"incomplete table: missing {len(missing)} cells, first {missing[0]}")
 
 
+def _error_probability(table: EnumeratorTable, delta) -> Fraction:
+    # sum_a w_a delta^a (1 - delta)^(n - a); with delta = p / q every term
+    # shares the denominator q^n, so the sum is reduced once.
+    numerators, den = table.error_weights
+    d = exact_delta(delta)
+    p, q, n = d.numerator, d.denominator, table.spec.n
+    total = sum(w * p**a * (q - p) ** (n - a) for a, w in enumerate(numerators) if w)
+    return Fraction(total, den * q**n)
+
+
 def fa_probability(table: EnumeratorTable, delta) -> Fraction:
     """Expected per-item false-alarm rate E[fa / (n - defectives)] under i.i.d. Bernoulli(delta)."""
     if table.algorithm is not Algorithm.COMP:
         raise ValueError("false-alarm probability is defined on COMP tables")
-    _require_complete(table)
-    d = exact_delta(delta)
-    n = table.spec.n
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        if i == n:
-            continue  # no non-defectives to falsely accuse
-        inner = Fraction(0)
-        for j in range(1, n - i + 1):
-            inner += Fraction(j, n - i) * table.values[(i, j)]
-        if inner:
-            total += inner * d**i * (1 - d) ** (n - i)
-    return total
+    return _error_probability(table, delta)
 
 
 def md_probability(table: EnumeratorTable, delta) -> Fraction:
     """Expected per-item misdetection rate E[md / defectives] under i.i.d. Bernoulli(delta)."""
     if table.algorithm is not Algorithm.DD:
         raise ValueError("misdetection probability is defined on DD tables")
-    _require_complete(table)
-    d = exact_delta(delta)
-    n = table.spec.n
-    total = Fraction(0)
-    for a in range(1, n + 1):
-        inner = Fraction(0)
-        for j in range(1, a + 1):
-            inner += Fraction(j, a) * table.values[(a, j)]
-        if inner:
-            total += inner * d**a * (1 - d) ** (n - a)
-    return total
+    return _error_probability(table, delta)
 
 
 def write_table_csv(table: EnumeratorTable, out: Union[str, Path, io.TextIOBase], precision: int = 12) -> None:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .combinatorics import exact_delta
-from .detection import SOCKET, Algorithm, comp_pd_mask, dd_certified_mask
+from .detection import Algorithm, comp_pd_mask, dd_certified_mask
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings, validate
 from .enumerator import EnumeratorTable, table_domain
 from .errors import SizeLimitError
@@ -34,7 +34,6 @@ class OracleReport:
     algorithm: Algorithm
     exact_table: Mapping[tuple[int, int], Fraction]
     matchings_enumerated: int
-    uniqueness: str = SOCKET
 
     def as_table(self) -> EnumeratorTable:
         return EnumeratorTable(
@@ -45,12 +44,12 @@ class OracleReport:
         )
 
 
-def _pattern_errors(graph, mask: int, algorithm: Algorithm, uniqueness: str) -> int:
+def _pattern_errors(graph, mask: int, algorithm: Algorithm) -> int:
     """False-alarm count under COMP, misdetection count under DD."""
     if algorithm is Algorithm.COMP:
         estimate = comp_pd_mask(graph, mask)
         return (estimate & ~mask).bit_count()
-    estimate = dd_certified_mask(graph, mask, uniqueness=uniqueness)
+    estimate = dd_certified_mask(graph, mask)
     return (mask & ~estimate).bit_count()
 
 
@@ -59,7 +58,6 @@ def exact_enumerators(
     algorithm: Algorithm,
     *,
     limit: int = DEFAULT_MATCHING_LIMIT,
-    uniqueness: str = SOCKET,
 ) -> OracleReport:
     """Average pattern counts over every matching, by brute force.
 
@@ -74,7 +72,7 @@ def exact_enumerators(
         matchings += 1
         for mask in range(1 << n):
             a = mask.bit_count()
-            err = _pattern_errors(graph, mask, algorithm, uniqueness)
+            err = _pattern_errors(graph, mask, algorithm)
             key = (a, err)
             counts[key] = counts.get(key, 0) + 1
     table = {key: Fraction(0) for key in table_domain(n, algorithm)}
@@ -85,7 +83,6 @@ def exact_enumerators(
         algorithm=algorithm,
         exact_table=table,
         matchings_enumerated=matchings,
-        uniqueness=uniqueness,
     )
 
 
@@ -95,7 +92,6 @@ def exact_error_probability(
     delta,
     *,
     limit: int = DEFAULT_MATCHING_LIMIT,
-    uniqueness: str = SOCKET,
 ) -> Fraction:
     """Exact expected per-item error rate by direct expectation.
 
@@ -116,7 +112,7 @@ def exact_error_probability(
     for graph in enumerate_matchings(spec, limit=limit):
         matchings += 1
         for mask in range(1 << n):
-            err_sums[mask] += _pattern_errors(graph, mask, algorithm, uniqueness)
+            err_sums[mask] += _pattern_errors(graph, mask, algorithm)
     total = Fraction(0)
     for mask in range(1 << n):
         if not err_sums[mask]:

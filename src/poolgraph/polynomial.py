@@ -27,7 +27,6 @@ __all__ = [
     "poly_add",
     "poly_mul",
     "poly_pow",
-    "coeff",
     "poly_product_of_powers",
 ]
 
@@ -331,11 +330,6 @@ def poly_pow(p: SparsePoly, k: int, caps: Optional[Sequence[int]] = None) -> Spa
         if not k:
             return result
         base = poly_mul(base, base, eff)
-
-
-def coeff(p: SparsePoly, exponents: Sequence[int]) -> int:
-    """Coefficient of the monomial with the given exponent vector."""
-    return p.coefficient(exponents)
 
 
 def poly_product_of_powers(

@@ -49,7 +49,8 @@ def test_analyze_single_delta(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[1] == "delta,numerator,denominator,decimal"
-    assert lines[2].startswith("1/2,7,12,0.58333333333")
+    # --precision defaults to 12 significant digits.
+    assert lines[2] == "1/2,7,12,0.583333333333"
 
 
 def test_analyze_grid_is_inclusive(capsys):
@@ -112,12 +113,13 @@ def test_simulate_is_deterministic(tmp_path, capsys):
 def test_simulate_analytic_column(capsys):
     code, out, _ = run(
         ["simulate", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2",
-         "--graphs", "2", "--patterns", "20", "--seed", "0", "--analytic"],
+         "--graphs", "2", "--patterns", "20", "--analytic"],
         capsys,
     )
     assert code == 0
     row = out.splitlines()[2].split(",")
     assert row[10] == "0.583333333333"
+    assert row[11] == "0"  # --seed defaults to 0
 
 
 def test_simulate_grid_uses_per_point_seeds(capsys):
@@ -204,28 +206,6 @@ def test_usage_errors_exit_one(capsys):
     assert main(["analyze", "--regular", "4,1,2", "--algorithm", "comp"]) == 1
     assert main(["enumerate", "--regular", "4,1,2", "--algorithm", "nope"]) == 1
     capsys.readouterr()
-
-
-def test_env_seed_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("POOLGRAPH_SEED", "99")
-    code, out, _ = run(
-        ["simulate", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2",
-         "--graphs", "2", "--patterns", "10"],
-        capsys,
-    )
-    assert code == 0
-    assert out.splitlines()[2].split(",")[11] == "99"
-
-
-def test_env_seed_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("POOLGRAPH_SEED", "lots")
-    code, _, err = run(
-        ["simulate", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2",
-         "--graphs", "2", "--patterns", "10"],
-        capsys,
-    )
-    assert code == 1
-    assert "POOLGRAPH_SEED" in err
 
 
 def test_module_entry_point():

@@ -1,18 +1,6 @@
 import numpy as np
-import pytest
 
-from poolgraph.detection import (
-    NODE,
-    SOCKET,
-    Algorithm,
-    DefectivityPattern,
-    Label,
-    comp_pd_mask,
-    count_errors,
-    dd_certified_mask,
-    run_comp,
-    run_dd,
-)
+from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
 from poolgraph.ensemble import PoolingGraph, regular_spec, sample_graph
 
 
@@ -24,87 +12,59 @@ def graph_of(n, *tests):
     return PoolingGraph(n=n, m=len(tests), adj=tuple(map(tuple, tests)), left_degrees=tuple(degrees))
 
 
+def errors(estimate, defective):
+    """(false alarms, misdetections) of an estimate mask against the true mask."""
+    return (estimate & ~defective).bit_count(), (defective & ~estimate).bit_count()
+
+
 def test_comp_all_zero_pattern():
     graph = graph_of(3, (0, 1, 2))
-    result = run_comp(graph, DefectivityPattern.from_bits([0, 0, 0]))
-    assert result.estimate == (0, 0, 0)
-    assert set(result.labels) == {Label.DND}
-    assert result.positive_tests == (False,)
+    assert comp_pd_mask(graph, 0b000) == 0b000
+    assert dd_certified_mask(graph, 0b000) == 0b000
 
 
 def test_comp_all_one_pattern():
     graph = graph_of(3, (0, 1, 2))
-    result = run_comp(graph, DefectivityPattern.from_bits([1, 1, 1]))
-    assert result.estimate == (1, 1, 1)
-    assert set(result.labels) == {Label.PD}
+    assert comp_pd_mask(graph, 0b111) == 0b111
 
 
 def test_comp_hand_trace_two_false_alarms():
     # One positive test over three items, one true defective.
     graph = graph_of(3, (0, 1, 2))
-    pattern = DefectivityPattern.from_bits([1, 0, 0])
-    result = run_comp(graph, pattern)
-    assert result.estimate == (1, 1, 1)
-    assert count_errors(pattern, result) == (2, 0)
+    estimate = comp_pd_mask(graph, 0b001)
+    assert estimate == 0b111
+    assert errors(estimate, 0b001) == (2, 0)
 
 
 def test_dd_hand_trace_exact_recovery():
     graph = graph_of(3, (0, 1), (1, 2))
-    pattern = DefectivityPattern.from_bits([1, 0, 0])
-    result = run_dd(graph, pattern)
-    assert result.positive_tests == (True, False)
-    assert result.estimate == (1, 0, 0)
-    assert result.labels[0] == Label.DD
-    assert count_errors(pattern, result) == (0, 0)
+    defective = 0b001
+    assert [bool(mask & defective) for mask in graph.test_masks] == [True, False]
+    assert comp_pd_mask(graph, defective) == 0b001
+    estimate = dd_certified_mask(graph, defective)
+    assert estimate == 0b001
+    assert errors(estimate, defective) == (0, 0)
 
 
 def test_dd_hand_trace_two_misdetections():
     graph = graph_of(2, (0, 1))
-    pattern = DefectivityPattern.from_bits([1, 1])
-    result = run_dd(graph, pattern)
-    assert result.estimate == (0, 0)
-    assert count_errors(pattern, result) == (0, 2)
+    estimate = dd_certified_mask(graph, 0b11)
+    assert estimate == 0b00
+    assert errors(estimate, 0b11) == (0, 2)
 
 
 def test_count_errors_identity():
     graph = graph_of(2, (0, 1))
-    pattern = DefectivityPattern.from_bits([0, 0])
-    assert count_errors(pattern, run_comp(graph, pattern)) == (0, 0)
+    assert errors(comp_pd_mask(graph, 0b00), 0b00) == (0, 0)
 
 
 def test_socket_vs_node_uniqueness():
-    # Item 0 holds both sockets of the only positive test's PD attachment:
-    # socket-level counting sees two PD sockets, node-level sees one PD item.
+    # Item 0 holds two sockets of the only positive test's PD attachment.
+    # It is the test's only PD item, but the socket-level rule sees two PD
+    # sockets and certifies nothing.
     graph = graph_of(3, (0, 0, 1), (1, 2))
-    defective = 0b001
-    assert dd_certified_mask(graph, defective, uniqueness=SOCKET) == 0
-    assert dd_certified_mask(graph, defective, uniqueness=NODE) == 0b001
-
-
-def test_dd_uniqueness_flag_validated():
-    graph = graph_of(2, (0, 1))
-    with pytest.raises(ValueError):
-        dd_certified_mask(graph, 0b01, uniqueness="edge")
-
-
-def test_dimension_mismatch_rejected():
-    graph = graph_of(2, (0, 1))
-    with pytest.raises(ValueError):
-        run_comp(graph, DefectivityPattern.from_bits([1, 0, 0]))
-    with pytest.raises(ValueError):
-        run_dd(graph, DefectivityPattern.from_bits([1]))
-
-
-def test_pattern_bits_validated():
-    with pytest.raises(ValueError):
-        DefectivityPattern.from_bits([0, 2])
-
-
-def test_pattern_mask_round_trip():
-    pattern = DefectivityPattern.from_mask(0b101, 3)
-    assert pattern.bits == (1, 0, 1)
-    assert pattern.mask == 0b101
-    assert pattern.weight == 2
+    assert comp_pd_mask(graph, 0b001) == 0b001
+    assert dd_certified_mask(graph, 0b001) == 0
 
 
 def random_cases(trials):
@@ -124,19 +84,6 @@ def test_comp_never_misdetects_and_dd_never_false_alarms():
         assert mask & ~comp == 0  # every defective stays possible
         assert dd & ~mask == 0  # certificates only on true defectives
         assert dd & ~comp == 0  # certified items are possible-defective
-
-
-def test_masks_agree_with_full_runs():
-    for graph, mask in random_cases(200):
-        pattern = DefectivityPattern.from_mask(mask, graph.n)
-        comp = run_comp(graph, pattern)
-        dd = run_dd(graph, pattern)
-        assert comp.estimate_mask == comp_pd_mask(graph, mask)
-        assert dd.estimate_mask == dd_certified_mask(graph, mask)
-        assert comp.positive_tests == dd.positive_tests
-        for label, bit in zip(dd.labels, pattern.bits):
-            if label is Label.DD:
-                assert bit == 1
 
 
 def test_detectors_are_permutation_equivariant():

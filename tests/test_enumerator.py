@@ -247,13 +247,16 @@ def test_degree_class_work_counts_compositions_times_splits():
     )
     # COMP: C(15+2, 2) role splits per item class, 15+1 positive counts.
     assert _degree_class_work(n30, Algorithm.COMP) == 136 * 136 * 16
-    # DD: C(15+3, 3) per item class, C(15+2, 2) per test class.
-    assert _degree_class_work(n30, Algorithm.DD) == 816 * 816 * 136
-    assert _degree_class_work(n30, Algorithm.DD) <= _WORK_LIMIT
+    # DD: (certified, dismissed, rest) per item class and (certifying,
+    # ordinary, negative) per test class, C(15+2, 2) ways each.
+    assert _degree_class_work(n30, Algorithm.DD) == 136 * 136 * 136
+    # n = 50 of the same family builds in seconds and stays under the limit.
+    n50 = EnsembleSpec(n=50, m=25, left=n30.left, right=n30.right)
+    assert _degree_class_work(n50, Algorithm.DD) == 351 * 351 * 351 <= _WORK_LIMIT
     # Two classes on each side: items 2 and 2, tests 2 and 1.
     spec = two_by_two_spec()
     assert _degree_class_work(spec, Algorithm.COMP) == 6 * 6 * 3 * 2
-    assert _degree_class_work(spec, Algorithm.DD) == 10 * 10 * 6 * 3
+    assert _degree_class_work(spec, Algorithm.DD) == 6 * 6 * 6 * 3
 
 
 def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
@@ -347,14 +350,15 @@ def test_probability_rejects_floats_and_out_of_range():
 
 def test_incomplete_table_rejected():
     spec = regular_spec(4, 1, 2)
-    full = build_table(spec, Algorithm.COMP)
-    partial = EnumeratorTable(
-        algorithm=Algorithm.COMP,
-        spec=spec,
-        values={k: v for k, v in full.values.items() if k != (2, 1)},
-    )
-    with pytest.raises(ValueError, match="incomplete"):
-        fa_probability(partial, Fraction(1, 2))
+    for algorithm, probability in ((Algorithm.COMP, fa_probability), (Algorithm.DD, md_probability)):
+        full = build_table(spec, algorithm)
+        partial = EnumeratorTable(
+            algorithm=algorithm,
+            spec=spec,
+            values={k: v for k, v in full.values.items() if k != (2, 1)},
+        )
+        with pytest.raises(ValueError, match="incomplete"):
+            probability(partial, Fraction(1, 2))
 
 
 def polynomial_coefficients(table, algorithm):
@@ -376,26 +380,29 @@ def polynomial_coefficients(table, algorithm):
     return coeffs
 
 
+def horner(coeffs, delta):
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * delta + c
+    return value
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.fractions(min_value=0, max_value=1))
 def test_fa_probability_matches_horner_form(delta):
-    table = build_table(regular_spec(4, 1, 2), Algorithm.COMP)
-    coeffs = polynomial_coefficients(table, Algorithm.COMP)
-    horner = Fraction(0)
-    for c in reversed(coeffs):
-        horner = horner * delta + c
-    assert fa_probability(table, delta) == horner
+    for spec in (regular_spec(4, 1, 2), two_by_two_spec()):
+        table = build_table(spec, Algorithm.COMP)
+        coeffs = polynomial_coefficients(table, Algorithm.COMP)
+        assert fa_probability(table, delta) == horner(coeffs, delta)
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.fractions(min_value=0, max_value=1))
 def test_md_probability_matches_horner_form(delta):
-    table = build_table(regular_spec(4, 2, 2), Algorithm.DD)
-    coeffs = polynomial_coefficients(table, Algorithm.DD)
-    horner = Fraction(0)
-    for c in reversed(coeffs):
-        horner = horner * delta + c
-    assert md_probability(table, delta) == horner
+    for spec in (regular_spec(4, 2, 2), two_by_two_spec()):
+        table = build_table(spec, Algorithm.DD)
+        coeffs = polynomial_coefficients(table, Algorithm.DD)
+        assert md_probability(table, delta) == horner(coeffs, delta)
 
 
 def test_table_domain_shapes():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from poolgraph.combinatorics import binomial
-from poolgraph.detection import NODE, SOCKET, Algorithm
+from poolgraph.detection import Algorithm
 from poolgraph.ensemble import regular_spec
 from poolgraph.enumerator import build_table, fa_probability, md_probability
 from poolgraph.errors import SizeLimitError
@@ -39,7 +39,7 @@ def test_oracle_table_rows_sum_to_pattern_counts():
     report = exact_enumerators(spec, Algorithm.COMP)
     table = report.as_table()
     assert table.source == "oracle"
-    table.check_row_sums()
+    assert table.check_row_sums()
     sums = table.row_sums()
     assert sums == {a: binomial(spec.n, a) for a in range(spec.n + 1)}
 
@@ -67,31 +67,17 @@ def test_frozen_error_probabilities():
 
 
 def test_socket_certification_counts_multi_edges():
-    # n=2, l=2, m=2, r=2 forces double edges often enough that the two
-    # certification rules genuinely disagree.
+    # n=2, l=2, m=2, r=2 forces double edges: every test holds two sockets
+    # of PD items, whether of one item or of two.
     spec = regular_spec(2, 2, 2)
-    socket = exact_enumerators(spec, Algorithm.DD, uniqueness=SOCKET)
-    node = exact_enumerators(spec, Algorithm.DD, uniqueness=NODE)
-    assert socket.uniqueness == SOCKET
-    assert node.uniqueness == NODE
+    socket = exact_enumerators(spec, Algorithm.DD)
 
     # A doubled edge fills both sockets of its test, so nothing is ever
     # certified: every defective set is missed wholesale.
     nonzero = {k: v for k, v in socket.exact_table.items() if v}
     assert nonzero == {(0, 0): Fraction(1), (1, 1): Fraction(2), (2, 2): Fraction(1)}
 
-    nonzero = {k: v for k, v in node.exact_table.items() if v}
-    assert nonzero == {
-        (0, 0): Fraction(1),
-        (1, 0): Fraction(2, 3),
-        (1, 1): Fraction(4, 3),
-        (2, 0): Fraction(1, 3),
-        (2, 2): Fraction(2, 3),
-    }
-
-    half = Fraction(1, 2)
-    assert exact_error_probability(spec, Algorithm.DD, half, uniqueness=SOCKET) == Fraction(3, 4)
-    assert exact_error_probability(spec, Algorithm.DD, half, uniqueness=NODE) == Fraction(1, 2)
+    assert exact_error_probability(spec, Algorithm.DD, Fraction(1, 2)) == Fraction(3, 4)
 
 
 def test_refuses_oversized_ensembles():
@@ -113,7 +99,3 @@ def test_delta_validation():
     with pytest.raises(ValueError):
         exact_error_probability(spec, Algorithm.DD, -1)
 
-
-def test_unknown_uniqueness_rejected():
-    with pytest.raises(ValueError, match="uniqueness"):
-        exact_enumerators(regular_spec(2, 1, 2), Algorithm.DD, uniqueness="edge")
