@@ -25,10 +25,6 @@ from .ensemble import (
 from .enumerator import (
     EnumeratorTable,
     build_table,
-    comp_irregular,
-    comp_regular,
-    dd_irregular,
-    dd_regular,
     fa_probability,
     md_probability,
     write_table_csv,
@@ -52,12 +48,8 @@ __all__ = [
     "ValidationError",
     "binomial",
     "build_table",
-    "comp_irregular",
     "comp_pd_mask",
-    "comp_regular",
     "dd_certified_mask",
-    "dd_irregular",
-    "dd_regular",
     "derive_seed",
     "enumerate_matchings",
     "exact_enumerators",

@@ -116,10 +116,10 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     args.spec = load_spec(args.spec) if args.spec else _parse_regular(args.regular)
     if args.command in ("analyze", "simulate"):
-        if args.delta:
+        if args.delta is not None:
             args.deltas = [_fraction(args.delta)]
         else:
-            args.deltas = _parse_delta_grid(args.delta_grid) if args.delta_grid else []
+            args.deltas = _parse_delta_grid(args.delta_grid)
     args.algorithm = Algorithm(args.algorithm)
     if args.precision < 1:
         raise ValidationError("precision must be at least 1")

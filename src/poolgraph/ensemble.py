@@ -63,10 +63,6 @@ class DegreeDistribution:
     def mean(self) -> Fraction:
         return sum((d * f for d, f in self.entries), Fraction(0))
 
-    @property
-    def is_regular(self) -> bool:
-        return len(self.entries) == 1
-
     def node_counts(self, total_nodes: int, side: str) -> dict[int, int]:
         """Number of nodes of each degree; every count must come out integral."""
         counts = {}
@@ -88,10 +84,6 @@ class EnsembleSpec:
     m: int
     left: DegreeDistribution
     right: DegreeDistribution
-
-    @property
-    def is_regular(self) -> bool:
-        return self.left.is_regular and self.right.is_regular
 
     @property
     def edge_count(self) -> int:

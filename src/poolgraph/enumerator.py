@@ -15,25 +15,20 @@ Row sums obey sum_j A_{a,j} = C(n, a): every defective set realizes exactly
 one error count per matching. This identity is the cheap self-check used
 by the CLI and the acceptance tests.
 
-No route multiplies a polynomial out. Every generating polynomial is a
-binomial bracket per node, so each coefficient of its powers is a short
-closed form. With the implicit slack variable set to 1 and
-S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w) = [x^w] ((1+x)^d - 1)^q:
+No table builder multiplies a polynomial out. Every generating polynomial
+is a binomial bracket per node, so each coefficient of its powers is a
+short closed form. With S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w):
 
-    COMP g = (1+x+y)^r - (x+y)^r          [x^a1 y^a2] g^b = C(a1+a2, a1) S_r(b, b r - a1 - a2)
-    COMP f, DD f1 = (1+s)^l - s^l         [s^y] f^q = S_l(q, l q - y)
-    DD f2 = (1+s2+s3)^l - (s2+s3)^l       [s2^c2 s3^c3] f2^q = C(c2+c3, c2) S_l(q, l q - c2 - c3)
-    DD g = (1+y1+y2+y3)^r - (y1+y2)^r - r y1^(r-1) (1+y3)
-        [y1^a1 y2^a2 y3^a3] g^b
-            = C(U, a3) sum_p C(b, p) (-r)^p C(a1 - p(r-1) + a2, a2) S_r(b-p, U-p),
-        with U = b r - a1 - a2.
+    [x^w] ((1+x)^d - 1)^q = S_d(q, w)
+    [s^y] ((1+s)^d - s^d)^q = S_d(q, d q - y)
+    O = (x1+x2+x4)^d - (x2+x4)^d - d x1 x2^(d-1)
+        [x1^W x2^a x4^c] O^o = sum_p C(o, p) (-d)^p C(a - p(d-1) + c, c) S_d(o-p, W-p),
+        with W = d o - a - c: the sole term d x1 x2^(d-1) taken p times.
 
-Regular designs (one item degree l, one test degree r) sum these over the
-number of positive tests b per cell (`_comp_cell`, `_dd_cell`).
-
-Any other design goes by degree classes. L_d items and R_d tests have
-degree d; a cell sums over per-class role counts, and within a side the
-classes combine by convolving their coefficient lists (written *):
+Every design goes by degree classes; a regular design has one class per
+side. L_d items and R_d tests have degree d; a cell sums over per-class role
+counts, and within a side the classes combine by convolving their
+coefficient lists (written *):
 
     COMP, items: i_d defectives, j_d false alarms, q_d dismissed;
           tests: b_d positive. With e1 = sum d i_d, e2 = sum d j_d and
@@ -49,18 +44,17 @@ classes combine by convolving their coefficient lists (written *):
         A_{i+j,j} = sum prod_d M(L_d; i_d, j_d, k_d, q_d) prod_d M(R_d; c_d, o_d, .) d^(c_d)
                     (*_d S_d(i_d, .))[B] (*_d S_d(q_d, d q_d - .))[s] H_o(W, E2)
                     W! s! K! B! E0! / E!
-        where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d) with
-        O_d = (x1+x2+x4)^d - (x2+x4)^d - d x1 x2^(d-1): per class, DD g's sum
-        over p at y3 = 0; for several test degrees, their 2-D convolution.
+        where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d): with one test
+        degree a single coefficient of O^o, computed when first read; with
+        several, the 2-D convolution of the per-class coefficient tables.
 
 M is a multinomial and E the edge count. Variables that only appear summed
-collapse to one exponent and a binomial, as in the regular formulas: x2+x3
-for COMP, x1+x5 and s2+s3 for DD. A cell is an integer over the common
-denominator E!. The regular and degree-class routes give identical tables
-on regular specs; the tests check both against multiplied-out generating
-functions and the brute-force oracle. Tables for the same spec are cached,
-and each table keeps its delta-independent row weights, so probability
-evaluations over a delta grid pay for enumeration and weights once.
+collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
+for DD. A cell is an integer over the common denominator E!. The tests check
+every cell against multiplied-out generating functions and the brute-force
+oracle. Tables for the same spec are cached, and each table keeps its
+delta-independent row weights, so probability evaluations over a delta grid
+pay for enumeration and weights once.
 """
 
 from __future__ import annotations
@@ -73,11 +67,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .combinatorics import binomial, exact_delta, multinomial, to_decimal
 from .detection import Algorithm
-from .ensemble import EnsembleSpec, regular_spec, spec_hash, validate
+from .ensemble import EnsembleSpec, spec_hash, validate
 from .errors import SizeLimitError
 # No table builder multiplies polynomials; these names stay importable here
 # because perfbench/layers.py rebinds them on this module to trace that layer.
@@ -85,10 +79,6 @@ from .polynomial import poly_add, poly_mul, poly_pow, poly_product_of_powers  # 
 
 __all__ = [
     "EnumeratorTable",
-    "comp_regular",
-    "comp_irregular",
-    "dd_regular",
-    "dd_irregular",
     "build_table",
     "fa_probability",
     "md_probability",
@@ -109,9 +99,6 @@ class EnumeratorTable:
     spec: EnsembleSpec
     values: Mapping[tuple[int, int], Fraction]
     source: str = field(default="enumerator")
-    # Which enumerator route filled the table: "regular" or "degree-class";
-    # empty for tables from elsewhere (the oracle).
-    route: str = field(default="")
 
     def row_sums(self) -> dict[int, Fraction]:
         # One sum per row over the row's common denominator; adding Fractions
@@ -164,27 +151,21 @@ def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
             yield (a, j)
 
 
-def _check_cell(n: int, i: int, j: int) -> None:
-    if i < 0 or j < 0 or i + j > n:
-        raise ValueError(f"cell out of range: i={i}, j={j}, n={n}")
-
-
 # ---------------------------------------------------------------------------
-# Regular designs: every item in l tests, every test pooling r items.
-#
-# A cell sums integer terms over the common denominator edges!: a term
-# num / multinomial(edges, parts) equals num * prod(part!) / edges!.
+# Closed forms of the bracket powers. A cell sums integer terms over the
+# common denominator edges!: a term num / multinomial(edges, parts) equals
+# num * prod(part!) / edges!.
 # ---------------------------------------------------------------------------
 
 
 class _ClosedForms:
-    """Closed-form coefficients of the regular-route powers (see the module docstring).
+    """Closed-form coefficients of the bracket powers (see the module docstring).
 
-    Memoizes S_d(q, w) = [slack^w] ((slack + s)^d - s^d)^q per instance, so
-    build one instance per table. `fact` holds 0!, ..., edges!.
+    Memoizes S_d(q, w) = [x^w] ((1 + x)^d - 1)^q and the O^o tables per
+    instance, so build one instance per table. `fact` holds 0!, ..., edges!.
     """
 
-    __slots__ = ("fact", "_alt")
+    __slots__ = ("fact", "_alt", "_ordinary")
 
     def __init__(self, edges: int):
         fact = [1]
@@ -192,6 +173,7 @@ class _ClosedForms:
             fact.append(fact[-1] * v)
         self.fact = fact
         self._alt: dict[tuple[int, int, int], int] = {}
+        self._ordinary: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
     def alt(self, d: int, q: int, w: int) -> int:
         """S_d(q, w); zero unless 0 <= w <= d q."""
@@ -206,156 +188,73 @@ class _ClosedForms:
             self._alt[key] = value
         return value
 
-    def at_least_one(self, d: int, q: int, a1: int, a2: int = 0) -> int:
-        """[x^a1 y^a2] ((1 + x + y)^d - (x + y)^d)^q: d sockets, at least one on the slack.
-
-        With a2 = 0 this is the one-variable bracket (1 + x)^d - x^d.
-        """
-        return binomial(a1 + a2, a1) * self.alt(d, q, d * q - a1 - a2)
-
     def powers(self, d: int, q: int) -> list[int]:
         """[x^w] ((1 + x)^d - 1)^q = S_d(q, w) for w = 0, ..., d q."""
         return [self.alt(d, q, w) for w in range(d * q + 1)]
 
     def slack_powers(self, d: int, q: int) -> list[int]:
-        """[s^y] ((1 + s)^d - s^d)^q for y = 0, ..., (d - 1) q."""
-        return [self.at_least_one(d, q, y) for y in range((d - 1) * q + 1)]
+        """[s^y] ((1 + s)^d - s^d)^q = S_d(q, d q - y) for y = 0, ..., (d - 1) q."""
+        return [self.alt(d, q, d * q - y) for y in range((d - 1) * q + 1)]
 
     def dd_ordinary(self, d: int, o: int) -> dict[tuple[int, int], int]:
-        """{(w, a): [x1^w x2^a x4^(d o - w - a)] O^o}, nonzero terms only.
+        """{(W, a): [x1^W x2^a x4^(d o - W - a)] O^o}, nonzero terms only."""
+        table = self._ordinary.get((d, o))
+        if table is None:
+            table = self._ordinary[(d, o)] = {}
+            for a in range(d * o + 1):
+                for c in range(d * o - a + 1):
+                    value = self.dd_g(d, o, a, c)
+                    if value:
+                        table[(d * o - a - c, a)] = value
+        return table
 
-        O = (x1 + x2 + x4)^d - (x2 + x4)^d - d x1 x2^(d-1) is dd_g's bracket
-        with y3 = 0 and the slack written out as x1.
+    def dd_g(self, d: int, o: int, a: int, c: int) -> int:
+        """[x1^W x2^a x4^c] O^o with W = d o - a - c.
+
+        O = (x1 + x2 + x4)^d - (x2 + x4)^d - d x1 x2^(d-1) is DD's bracket at
+        an ordinary positive test. With v = x2 + x4, taking the sole term
+        p times leaves x1^p ((x1 + v)^d - v^d)^(o-p), whose x1^(W-p) coefficient
+        is S_d(o - p, W - p) v^(a + c - p(d-1)); C(a - p(d-1) + c, c) picks
+        x2^(a - p(d-1)) x4^c out of that power of v.
         """
-        out = {}
-        for a in range(d * o + 1):
-            for c in range(d * o - a + 1):
-                value = self.dd_g(d, o, a, c, 0)
-                if value:
-                    out[(d * o - a - c, a)] = value
-        return out
-
-    def dd_g(self, r: int, b: int, a1: int, a2: int, a3: int) -> int:
-        """[y1^a1 y2^a2 y3^a3] g^b for g = (1 + y1 + y2 + y3)^r - (y1 + y2)^r - r y1^(r-1) (1 + y3).
-
-        With u = 1 + y3 and v = y1 + y2, g = ((u + v)^r - v^r) - r y1^(r-1) u.
-        Taking the sole term p times leaves u^p ((u + v)^r - v^r)^(b-p), whose
-        u^(U-p) coefficient is S_r(b - p, U - p); C(U, a3) picks y3 out of u^U.
-        """
-        u = b * r - a1 - a2
-        if u < a3:
+        w = d * o - a - c
+        if w < 0:
             return 0
-        top = min(b, u, a1 // (r - 1) if r > 1 else b)
+        top = min(o, w, a // (d - 1) if d > 1 else o)
         total = 0
         for p in range(top + 1):
             total += (
-                binomial(b, p)
-                * (-r) ** p
-                * binomial(a1 - p * (r - 1) + a2, a2)
-                * self.alt(r, b - p, u - p)
+                binomial(o, p)
+                * (-d) ** p
+                * binomial(a - p * (d - 1) + c, c)
+                * self.alt(d, o - p, w - p)
             )
-        return binomial(u, a3) * total
+        return total
 
 
-def _comp_cell(forms: _ClosedForms, n: int, l: int, r: int, m: int, i: int, j: int) -> Fraction:
-    # b positive tests. Test-side classes at a positive test: slack = edges
-    # to defectives (at least one), x = edges to false-alarm items, y = edges
-    # to dismissed items. A dismissed item splits its l sockets between
-    # negative tests (slack, at least one) and positive tests (s).
-    fact = forms.fact
-    q = n - i - j
-    total = 0
-    for b in range(m + 1):
-        y = b * r - l * (i + j)
-        if y < 0:
-            continue
-        gc = forms.at_least_one(r, b, l * j, y)
-        fc = forms.at_least_one(l, q, y)
-        if gc and fc:
-            total += (
-                binomial(m, b) * gc * fc
-                * fact[l * i] * fact[l * j] * fact[y] * fact[(m - b) * r]
-            )
-    return Fraction(multinomial(n, (i, j, q)) * total, fact[m * r])
+class _LazyOrdinary(dict):
+    """{(W, a): [x1^W x2^a x4^(d o - W - a)] O^o}, each coefficient computed when first read."""
 
+    __slots__ = ("forms", "d", "o")
 
-def comp_regular(n: int, l: int, r: int, i: int, j: int) -> Fraction:
-    """A_{i,j} for COMP on the (n, l, r)-regular ensemble: i defectives, j false alarms."""
-    spec = regular_spec(n, l, r)
-    _check_cell(n, i, j)
-    return _comp_cell(_ClosedForms(spec.edge_count), n, l, r, spec.m, i, j)
+    def __init__(self, forms: _ClosedForms, d: int, o: int):
+        super().__init__()
+        self.forms, self.d, self.o = forms, d, o
 
-
-def _comp_regular_table(n: int, l: int, r: int) -> dict[tuple[int, int], Fraction]:
-    spec = regular_spec(n, l, r)
-    forms = _ClosedForms(spec.edge_count)
-    return {
-        (i, j): _comp_cell(forms, n, l, r, spec.m, i, j)
-        for i, j in table_domain(n, Algorithm.COMP)
-    }
-
-
-def _dd_cell(forms: _ClosedForms, n: int, l: int, r: int, m: int, i: int, j: int) -> Fraction:
-    # b1 certifying tests (one certified defective, r - 1 dismissed items;
-    # r choices of the defective's socket), b2 other positive tests, k
-    # fully-covered non-defectives. Test-side classes at another positive
-    # test (g): slack = edges to missed defectives, y1 = dismissed items,
-    # y2 = fully-covered non-defectives, y3 = certified defectives. Certified
-    # defectives split their sockets between certifying tests (slack, at
-    # least one) and other positives (f1). Dismissed items split theirs
-    # between negative tests (slack, at least one), other positives (s2) and
-    # certifying tests (s3) (f2).
-    fact = forms.fact
-    total = 0
-    for b2 in range(m + 1):
-        for b1 in range(i, min(i * l, m - b2) + 1):
-            x3e = i * l - b1
-            f1c = forms.at_least_one(l, i, x3e)
-            if not f1c:
-                continue
-            c3 = b1 * (r - 1)
-            outer = (
-                multinomial(m, (b1, b2, m - b1 - b2)) * r**b1 * f1c
-                * fact[(m - b1 - b2) * r] * fact[j * l] * fact[c3] * fact[x3e] * fact[b1]
-            )
-            for k in range(n - i - j + 1):
-                e2 = b2 * r + b1 - (i + j + k) * l
-                if e2 < 0:
-                    break
-                q = n - i - j - k
-                f2c = forms.at_least_one(l, q, e2, c3)
-                if not f2c:
-                    continue
-                gc = forms.dd_g(r, b2, e2, k * l, x3e)
-                if gc:
-                    total += outer * multinomial(n, (i, j, k, q)) * f2c * gc * fact[e2] * fact[k * l]
-    return Fraction(total, fact[m * r])
-
-
-def dd_regular(n: int, l: int, r: int, i: int, j: int) -> Fraction:
-    """A_{i+j,j} for DD on the (n, l, r)-regular ensemble: i certified, j missed."""
-    spec = regular_spec(n, l, r)
-    _check_cell(n, i, j)
-    return _dd_cell(_ClosedForms(spec.edge_count), n, l, r, spec.m, i, j)
-
-
-def _dd_regular_table(n: int, l: int, r: int) -> dict[tuple[int, int], Fraction]:
-    spec = regular_spec(n, l, r)
-    forms = _ClosedForms(spec.edge_count)
-    return {
-        (a, j): _dd_cell(forms, n, l, r, spec.m, a - j, j)
-        for a, j in table_domain(n, Algorithm.DD)
-    }
+    def __missing__(self, key: tuple[int, int]) -> int:
+        w, a = key
+        c = self.d * self.o - w - a
+        value = self[key] = self.forms.dd_g(self.d, self.o, a, c) if c >= 0 else 0
+        return value
 
 
 # ---------------------------------------------------------------------------
-# Degree classes (any degree distributions): the same counting, with role
-# counts per node degree. Each class contributes a binomial bracket whose
-# powers have the closed forms above; classes of one side combine by short
-# convolutions of coefficient lists.
+# Degree classes: the counting with role counts per node degree. Each class
+# contributes a binomial bracket whose powers have the closed forms above;
+# classes of one side combine by short convolutions of coefficient lists.
 # ---------------------------------------------------------------------------
 
-# Most (compositions x test-class splits) a degree-class table may sum over:
+# Most work (see _degree_class_work) a degree-class table may take:
 # an irregular n = 50 DD table (lambda = {2: 1/2, 4: 1/2}, rho = {6: 1})
 # takes about 4.3 * 10^7 and builds in seconds; n = 60 of the same family
 # would take 1.2 * 10^8 and is refused.
@@ -370,14 +269,23 @@ def _degree_class_work(spec: EnsembleSpec, algorithm: Algorithm) -> int:
     class into (certified, dismissed, rest) and each test class into
     (certifying, ordinary, negative); the missed items among the rest are
     tallied once per rest vector. Per class of c nodes with k options there
-    are C(c + k - 1, k - 1) ways to count them.
+    are C(c + k - 1, k - 1) ways to count them. DD with several test degrees
+    adds the term pairs of its 2-D convolutions: o ordinary tests of degree
+    d give an O^o table of at most C(d o + 2, 2) terms, so all the ordinary
+    splits together pair at most prod_d sum_{o <= R_d} C(d o + 2, 2).
     """
     roles, states = (3, 2) if algorithm is Algorithm.COMP else (3, 3)
+    tests = spec.right_counts()
     work = 1
     for count in spec.left_counts().values():
         work *= binomial(count + roles - 1, roles - 1)
-    for count in spec.right_counts().values():
+    for count in tests.values():
         work *= binomial(count + states - 1, states - 1)
+    if algorithm is Algorithm.DD and len(tests) > 1:
+        pairs = 1
+        for d, count in tests.items():
+            pairs *= sum(binomial(d * o + 2, 2) for o in range(count + 1))
+        work += pairs
     return work
 
 
@@ -418,6 +326,18 @@ def _dismissed_slack(forms: _ClosedForms, degrees, dismissed, memo: dict) -> lis
     if slack is None:
         slack = memo[dismissed] = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
     return slack
+
+
+def _ordinary_lookup(forms: _ClosedForms, degrees, ordinary) -> Callable:
+    """(W, E2) -> H_o(W, E2), or a falsy value, for o_d ordinary tests of degree d.
+
+    With one test degree a table reads a few of the O^o coefficients, so
+    each is computed when first read; with several, the per-class tables
+    are built in full and convolved.
+    """
+    if len(degrees) == 1:
+        return _LazyOrdinary(forms, degrees[0], ordinary[0]).__getitem__
+    return _convolve2(forms.dd_ordinary(d, o) for d, o in zip(degrees, ordinary)).get
 
 
 def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, int], int]:
@@ -475,22 +395,20 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
     degrees, counts = zip(*sorted(spec.left_counts().items()))
     test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
     fact, edges = forms.fact, spec.edge_count
-    ordinary: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    ordinary: dict[tuple[int, ...], Callable] = {}
     by_b: dict[int, list] = {}
     for certifying in _splits(test_counts):
         b = sum(certifying)
         dismissed_edges = sum((d - 1) * c for d, c in zip(test_degrees, certifying))
         for positive in _splits([count - c for count, c in zip(test_counts, certifying)]):
-            table = ordinary.get(positive)
-            if table is None:
-                table = ordinary[positive] = _convolve2(
-                    forms.dd_ordinary(d, o) for d, o in zip(test_degrees, positive)
-                )
+            lookup = ordinary.get(positive)
+            if lookup is None:
+                lookup = ordinary[positive] = _ordinary_lookup(forms, test_degrees, positive)
             sockets = sum(d * o for d, o in zip(test_degrees, positive))
             weight = fact[b] * fact[edges - sockets - b - dismissed_edges]
             for d, count, c, o in zip(test_degrees, test_counts, certifying, positive):
                 weight *= multinomial(count, (c, o, count - c - o)) * d**c
-            by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, table))
+            by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, lookup))
     # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
     missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
     slack_memo: dict[tuple[int, ...], list[int]] = {}
@@ -517,14 +435,14 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
             acc = dict.fromkeys(splits, 0)
             for b, x, entries in tests:
                 w0 = i_deg - b
-                for dismissed_edges, sockets, weight, table in entries:
+                for dismissed_edges, sockets, weight, lookup in entries:
                     e2 = sockets - w0 - r_deg
                     s = e2 + dismissed_edges
                     if e2 < 0 or s >= len(slack) or not slack[s]:
                         continue
                     pre = x * weight * slack[s] * fact[s]
                     for j_deg in acc:
-                        h = table.get((w0 + j_deg, e2))
+                        h = lookup((w0 + j_deg, e2))
                         if h:
                             acc[j_deg] += pre * h * fact[w0 + j_deg] * fact[r_deg - j_deg]
             base = 1
@@ -537,9 +455,14 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
     return values
 
 
-@lru_cache(maxsize=32)
-def _class_table(spec: EnsembleSpec, algorithm: Algorithm) -> dict[tuple[int, int], Fraction]:
-    """Every cell of the degree-class route's table; refuses runaway specs before starting."""
+# ---------------------------------------------------------------------------
+# Tables and error probabilities.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
+    """Complete enumerator table for one ensemble; refuses runaway specs before starting."""
     validate(spec)
     work = _degree_class_work(spec, algorithm)
     if work > _WORK_LIMIT:
@@ -550,42 +473,8 @@ def _class_table(spec: EnsembleSpec, algorithm: Algorithm) -> dict[tuple[int, in
     forms = _ClosedForms(spec.edge_count)
     build = _comp_class_table if algorithm is Algorithm.COMP else _dd_class_table
     denominator = forms.fact[spec.edge_count]
-    return {key: Fraction(v, denominator) for key, v in build(spec, forms).items()}
-
-
-def comp_irregular(spec: EnsembleSpec, i: int, j: int) -> Fraction:
-    """A_{i,j} for COMP on an arbitrary-degree ensemble, by degree classes."""
-    _check_cell(spec.n, i, j)
-    return _class_table(spec, Algorithm.COMP)[(i, j)]
-
-
-def dd_irregular(spec: EnsembleSpec, i: int, j: int) -> Fraction:
-    """A_{i+j,j} for DD on an arbitrary-degree ensemble, by degree classes: i certified, j missed."""
-    _check_cell(spec.n, i, j)
-    return _class_table(spec, Algorithm.DD)[(i + j, j)]
-
-
-# ---------------------------------------------------------------------------
-# Tables and error probabilities.
-# ---------------------------------------------------------------------------
-
-
-def _regular_degrees(spec: EnsembleSpec) -> tuple[int, int]:
-    return spec.left.entries[0][0], spec.right.entries[0][0]
-
-
-@lru_cache(maxsize=16)
-def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
-    """Complete enumerator table for one ensemble, via the regular fast path when it applies."""
-    validate(spec)
-    if not spec.is_regular:
-        return EnumeratorTable(algorithm, spec, _class_table(spec, algorithm), route="degree-class")
-    l, r = _regular_degrees(spec)
-    if algorithm is Algorithm.COMP:
-        values = _comp_regular_table(spec.n, l, r)
-    else:
-        values = _dd_regular_table(spec.n, l, r)
-    return EnumeratorTable(algorithm, spec, values, route="regular")
+    values = {key: Fraction(v, denominator) for key, v in build(spec, forms).items()}
+    return EnumeratorTable(algorithm, spec, values)
 
 
 def _require_complete(table: EnumeratorTable) -> None:
@@ -622,12 +511,10 @@ def write_table_csv(table: EnumeratorTable, out: Union[str, Path, io.TextIOBase]
     """CSV rows (a, j, numerator, denominator, decimal) with a spec-hash comment line."""
     _require_complete(table)
 
-    route = f" route={table.route}" if table.route else ""
-
     def _write(fh) -> None:
         fh.write(
             f"# spec_hash={spec_hash(table.spec)} algorithm={table.algorithm.value} "
-            f"source={table.source}{route}\n"
+            f"source={table.source}\n"
         )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a", "j", "numerator", "denominator", "decimal"])

@@ -1,9 +1,9 @@
 """End-to-end acceptance suite.
 
 Ten checks, each printing a single PASS/FAIL line (visible with -s).
-Exact routes must agree to the rational, Monte Carlo must land within
-four standard errors of the analytic value, and fixed seeds must give
-bit-identical output regardless of worker count.
+Exact tables must agree with their references to the rational, Monte
+Carlo must land within four standard errors of the analytic value, and
+fixed seeds must give bit-identical output regardless of worker count.
 """
 
 import hashlib
@@ -21,16 +21,8 @@ from poolgraph.ensemble import (
     regular_spec,
     sample_graph,
 )
-from poolgraph.enumerator import (
-    build_table,
-    comp_irregular,
-    comp_regular,
-    dd_irregular,
-    dd_regular,
-    fa_probability,
-    md_probability,
-    write_table_csv,
-)
+from gf_reference import reference_table
+from poolgraph.enumerator import build_table, fa_probability, md_probability, write_table_csv
 from poolgraph.montecarlo import derive_seed, simulate, write_trials_csv
 from poolgraph.oracle import exact_enumerators, exact_error_probability
 
@@ -70,8 +62,8 @@ def _mixed_spec() -> EnsembleSpec:
 def test_comp_closed_form_equals_exhaustive_oracle():
     t0 = time.monotonic()
     report = exact_enumerators(regular_spec(4, 1, 2), Algorithm.COMP)
-    bad = [key for key, exact in report.exact_table.items()
-           if comp_regular(4, 1, 2, key[0], key[1]) != exact]
+    table = build_table(regular_spec(4, 1, 2), Algorithm.COMP)
+    bad = [key for key, exact in report.exact_table.items() if table.values[key] != exact]
     elapsed = time.monotonic() - t0
     ok = not bad and report.matchings_enumerated == 24 and elapsed < 1.0
     _stamp(1, "COMP closed form equals 24-matching oracle on (4,1,2)", ok, elapsed)
@@ -83,8 +75,8 @@ def test_comp_closed_form_equals_exhaustive_oracle():
 def test_dd_closed_form_equals_exhaustive_oracle():
     t0 = time.monotonic()
     report = exact_enumerators(regular_spec(4, 2, 2), Algorithm.DD)
-    bad = [key for key, exact in report.exact_table.items()
-           if dd_regular(4, 2, 2, key[0] - key[1], key[1]) != exact]
+    table = build_table(regular_spec(4, 2, 2), Algorithm.DD)
+    bad = [key for key, exact in report.exact_table.items() if table.values[key] != exact]
     elapsed = time.monotonic() - t0
     ok = not bad and report.matchings_enumerated == math.factorial(8) and elapsed < 60.0
     _stamp(2, "DD closed form equals 40320-matching oracle on (4,2,2)", ok, elapsed)
@@ -160,20 +152,36 @@ def test_row_sums_at_case_study_scale():
 
 
 def test_general_routes_reproduce_regular_routes():
+    # The multiplied-out generating functions (tests/gf_reference.py) share no
+    # code with the closed forms. The n=8 irregular specs take the O^o
+    # lookups (one test degree) and the 2-D convolution (two test degrees).
+    t0 = time.monotonic()
+    specs = [regular_spec(n, l, r) for n, l, r in [(6, 2, 3), (6, 3, 6), (8, 2, 4), (12, 2, 4)]]
+    specs += [
+        EnsembleSpec(
+            n=8,
+            m=4,
+            left=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
+            right=DegreeDistribution.regular(6),
+        ),
+        EnsembleSpec(
+            n=8,
+            m=4,
+            left=DegreeDistribution.from_dict({1: Fraction(1, 2), 2: Fraction(1, 2)}),
+            right=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
+        ),
+    ]
     bad = []
-    for n, l, r in [(6, 2, 3), (6, 3, 6), (8, 2, 4)]:
-        spec = regular_spec(n, l, r)
-        for a in range(n + 1):
-            for j in range(n + 1 - a):
-                if comp_regular(n, l, r, a, j) != comp_irregular(spec, a, j):
-                    bad.append(((n, l, r), "comp", a, j))
-        for a in range(n + 1):
-            for j in range(a + 1):
-                if dd_regular(n, l, r, a - j, j) != dd_irregular(spec, a - j, j):
-                    bad.append(((n, l, r), "dd", a, j))
+    for spec in specs:
+        for algorithm in (Algorithm.COMP, Algorithm.DD):
+            values = build_table(spec, algorithm).values
+            reference = reference_table(spec, algorithm)
+            bad += [(spec.n, spec.m, algorithm.value, key) for key in reference
+                    if values[key] != reference[key]]
+    elapsed = time.monotonic() - t0
     ok = not bad
-    _stamp(5, "degree-class routes match regular closed forms on (6,2,3), (6,3,6), (8,2,4)",
-           ok)
+    _stamp(5, "degree-class tables match multiplied-out generating functions on (6,2,3), "
+              "(6,3,6), (8,2,4), (12,2,4) and two irregular n=8 specs", ok, elapsed)
     assert not bad, bad
 
 
@@ -274,14 +282,6 @@ def test_boundary_values():
             bad.append((spec, "comp zero row"))
         if any(dd.values.get((0, j)) for j in range(1, spec.n + 1)):
             bad.append((spec, "dd zero row"))
-    mixed = _mixed_spec()
-    if not (comp_regular(4, 1, 2, 0, 0) == dd_regular(4, 1, 2, 0, 0)
-            == comp_irregular(mixed, 0, 0) == dd_irregular(mixed, 0, 0) == 1):
-        bad.append(("direct", "empty-set cell"))
-    if any(comp_regular(4, 1, 2, 0, j) for j in range(1, 5)):
-        bad.append(("direct", "comp zero row"))
-    if any(comp_irregular(mixed, 0, j) for j in range(1, 4)):
-        bad.append(("direct", "comp zero row irregular"))
     ok = not bad
     _stamp(9, "boundary probabilities and empty-set cells", ok)
     assert not bad, bad

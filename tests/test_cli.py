@@ -201,6 +201,15 @@ def test_bad_inputs_exit_one(argv, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("flag", ["--delta", "--delta-grid"])
+def test_empty_delta_exits_one(command, flag, capsys):
+    code, out, err = run([command, "--regular", "4,1,2", "--algorithm", "comp", flag, ""], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: not an exact rational: ''" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["enumerate", "--algorithm", "comp"]) == 1
     assert main(["analyze", "--regular", "4,1,2", "--algorithm", "comp"]) == 1
@@ -217,19 +226,6 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "1/2,7,12," in result.stdout
-
-
-def test_enumerate_header_names_the_route(tmp_path, capsys):
-    path = tmp_path / "mixed.json"
-    path.write_text(json.dumps({
-        "n": 3, "m": 2,
-        "lambda": [{"degree": 1, "num": 2, "den": 3}, {"degree": 2, "num": 1, "den": 3}],
-        "rho": [{"degree": 2, "num": 1, "den": 1}],
-    }))
-    _, out, _ = run(["enumerate", "--spec", str(path), "--algorithm", "dd"], capsys)
-    assert out.splitlines()[0].endswith(" route=degree-class")
-    _, out, _ = run(["enumerate", "--regular", "4,1,2", "--algorithm", "dd"], capsys)
-    assert out.splitlines()[0].endswith(" route=regular")
 
 
 def test_runaway_degree_class_table_exits_two(tmp_path, capsys):

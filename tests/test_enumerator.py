@@ -3,7 +3,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gf_reference import reference_cell, reference_table
@@ -13,14 +13,9 @@ from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, s
 from poolgraph.enumerator import (
     _WORK_LIMIT,
     EnumeratorTable,
-    _class_table,
     _ClosedForms,
     _degree_class_work,
     build_table,
-    comp_irregular,
-    comp_regular,
-    dd_irregular,
-    dd_regular,
     fa_probability,
     md_probability,
     table_domain,
@@ -39,16 +34,22 @@ def mixed_spec():
     )
 
 
+def cell(spec, algorithm, i, j):
+    """COMP: A_{i,j} (i defectives, j false alarms); DD: A_{i+j,j} (i certified, j missed)."""
+    a = i if algorithm is Algorithm.COMP else i + j
+    return build_table(spec, algorithm).values[(a, j)]
+
+
 @pytest.mark.parametrize("n,l,r", [(4, 1, 2), (4, 2, 2), (6, 2, 3), (6, 2, 4)])
 def test_empty_defective_set_single_pattern(n, l, r):
-    assert comp_regular(n, l, r, 0, 0) == 1
-    assert dd_regular(n, l, r, 0, 0) == 1
+    assert cell(regular_spec(n, l, r), Algorithm.COMP, 0, 0) == 1
+    assert cell(regular_spec(n, l, r), Algorithm.DD, 0, 0) == 1
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_no_defectives_means_no_false_alarms(j):
-    assert comp_regular(4, 1, 2, 0, j) == 0
-    assert comp_irregular(mixed_spec(), 0, j) == 0
+    assert cell(regular_spec(4, 1, 2), Algorithm.COMP, 0, j) == 0
+    assert cell(mixed_spec(), Algorithm.COMP, 0, j) == 0
 
 
 def test_no_defectives_row_carries_no_misdetection_mass():
@@ -61,37 +62,41 @@ def test_no_defectives_row_carries_no_misdetection_mass():
 def test_degree_one_items_are_never_certified():
     # (4,1,2): every positive test holds the defective plus a PD partner,
     # so certification is impossible and whole defective sets go missed.
-    assert dd_regular(4, 1, 2, 0, 1) == 4
-    assert dd_regular(4, 1, 2, 0, 2) == 6
-    assert dd_regular(4, 1, 2, 1, 0) == 0
-    assert dd_regular(4, 1, 2, 1, 1) == 0
+    spec = regular_spec(4, 1, 2)
+    assert cell(spec, Algorithm.DD, 0, 1) == 4
+    assert cell(spec, Algorithm.DD, 0, 2) == 6
+    assert cell(spec, Algorithm.DD, 1, 0) == 0
+    assert cell(spec, Algorithm.DD, 1, 1) == 0
 
 
 def test_irregular_trivial_cell():
-    assert comp_irregular(mixed_spec(), 0, 0) == 1
-    assert dd_irregular(mixed_spec(), 0, 0) == 1
+    assert cell(mixed_spec(), Algorithm.COMP, 0, 0) == 1
+    assert cell(mixed_spec(), Algorithm.DD, 0, 0) == 1
 
 
 def test_single_item_single_partner_anchor():
     # (4,1,2): a lone defective's test partner is always the one false alarm.
-    assert comp_regular(4, 1, 2, 1, 1) == 4
-    assert comp_regular(4, 1, 2, 1, 0) == 0
-    assert comp_regular(4, 1, 2, 1, 2) == 0
+    spec = regular_spec(4, 1, 2)
+    assert cell(spec, Algorithm.COMP, 1, 1) == 4
+    assert cell(spec, Algorithm.COMP, 1, 0) == 0
+    assert cell(spec, Algorithm.COMP, 1, 2) == 0
 
 
 def test_two_defective_anchor_cells():
     # (4,1,2) with two defectives: either they share a test (no false alarms,
     # 2 of 6 pairings... weighted over matchings) or they cover both tests.
-    assert comp_regular(4, 1, 2, 2, 0) == 2
-    assert comp_regular(4, 1, 2, 2, 1) == 0
-    assert comp_regular(4, 1, 2, 2, 2) == 4
+    spec = regular_spec(4, 1, 2)
+    assert cell(spec, Algorithm.COMP, 2, 0) == 2
+    assert cell(spec, Algorithm.COMP, 2, 1) == 0
+    assert cell(spec, Algorithm.COMP, 2, 2) == 4
 
 
 def test_pair_in_single_test_is_never_resolved():
     # (2,1,2): one test holding both items.
-    assert dd_regular(2, 1, 2, 1, 0) == 0
-    assert dd_regular(2, 1, 2, 0, 1) == 2
-    assert dd_regular(2, 1, 2, 0, 2) == 1
+    spec = regular_spec(2, 1, 2)
+    assert cell(spec, Algorithm.DD, 1, 0) == 0
+    assert cell(spec, Algorithm.DD, 0, 1) == 2
+    assert cell(spec, Algorithm.DD, 0, 2) == 1
 
 
 @pytest.mark.parametrize("n,l,r", [(4, 1, 2), (4, 2, 2), (6, 2, 3)])
@@ -115,61 +120,54 @@ def test_nonnegative_values():
             assert value >= 0
 
 
+# Each (4,2,2) cell against the multiplied-out generating functions of the
+# general ensemble (tests/gf_reference.py), which share no code with the
+# degree-class route's closed forms.
 @pytest.mark.parametrize("i,j", [(i, j) for i in range(5) for j in range(5 - i)])
 def test_regular_and_general_routes_agree_comp(i, j):
-    assert comp_irregular(regular_spec(4, 2, 2), i, j) == comp_regular(4, 2, 2, i, j)
+    spec = regular_spec(4, 2, 2)
+    assert cell(spec, Algorithm.COMP, i, j) == reference_cell(spec, Algorithm.COMP, i, j)
 
 
 @pytest.mark.parametrize("i,j", [(i, j) for i in range(5) for j in range(5 - i)])
 def test_regular_and_general_routes_agree_dd(i, j):
-    assert dd_irregular(regular_spec(4, 2, 2), i, j) == dd_regular(4, 2, 2, i, j)
+    spec = regular_spec(4, 2, 2)
+    assert cell(spec, Algorithm.DD, i, j) == reference_cell(spec, Algorithm.DD, i, j)
 
 
-def _bracket(arity, d):
-    # (1 + x_0 + ... + x_{arity-1})^d - (x_0 + ... + x_{arity-1})^d
-    spread = SparsePoly.sum_of_variables(arity, range(arity))
-    return (SparsePoly.constant(arity, 1) + spread) ** d - spread**d
-
-
-def _dd_test_polynomial(r):
-    # (1 + y1 + y2 + y3)^r - (y1 + y2)^r - r y1^(r-1) (1 + y3)
-    y1, y2, y3 = (SparsePoly.sum_of_variables(3, [v]) for v in range(3))
-    one = SparsePoly.constant(3, 1)
-    sole = SparsePoly.monomial(3, (r - 1, 0, 0), r) * (one + y3)
-    return (one + y1 + y2 + y3) ** r - (y1 + y2) ** r - sole
+def _dd_ordinary_polynomial(d):
+    # O = (x1 + x2 + x4)^d - (x2 + x4)^d - d x1 x2^(d-1), variables (x1, x2, x4).
+    x1, x2, x4 = (SparsePoly.sum_of_variables(3, [v]) for v in range(3))
+    sole = SparsePoly.monomial(3, (1, d - 1, 0), d)
+    return (x1 + x2 + x4) ** d - (x2 + x4) ** d - sole
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 5), st.integers(0, 6))
 def test_one_variable_bracket_powers_match_sparse_powers(l, q):
-    power = poly_pow(_bracket(1, l), q)
+    x = SparsePoly.sum_of_variables(1, [0])
+    one = SparsePoly.constant(1, 1)
+    spread = poly_pow((one + x) ** l - one, q)
+    slack = poly_pow((one + x) ** l - x**l, q)
     forms = _ClosedForms(0)
+    powers, slack_powers = forms.powers(l, q), forms.slack_powers(l, q)
     for y in range(l * q + 2):
-        assert forms.at_least_one(l, q, y) == power.coefficient((y,))
+        assert (powers[y] if y < len(powers) else 0) == spread.coefficient((y,))
+        assert (slack_powers[y] if y < len(slack_powers) else 0) == slack.coefficient((y,))
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 6), st.integers(0, 6))
-def test_two_variable_bracket_powers_match_sparse_powers(d, b):
-    # COMP's test polynomial (d = r) and DD's dismissed-item polynomial (d = l).
-    power = poly_pow(_bracket(2, d), b)
+def test_dd_test_polynomial_powers_match_sparse_powers(d, o):
+    power = poly_pow(_dd_ordinary_polynomial(d), o)
     forms = _ClosedForms(0)
-    top = d * b + 1
-    for a1 in range(top + 1):
-        for a2 in range(top + 1):
-            assert forms.at_least_one(d, b, a1, a2) == power.coefficient((a1, a2))
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(1, 6), st.integers(0, 6))
-def test_dd_test_polynomial_powers_match_sparse_powers(r, b):
-    power = poly_pow(_dd_test_polynomial(r), b)
-    forms = _ClosedForms(0)
-    top = r * b + 1
-    for a1 in range(top + 1):
-        for a2 in range(top + 1):
-            for a3 in range(top + 1):
-                assert forms.dd_g(r, b, a1, a2, a3) == power.coefficient((a1, a2, a3))
+    table = forms.dd_ordinary(d, o)
+    for a in range(d * o + 2):
+        for c in range(d * o + 2):
+            w = d * o - a - c
+            expected = power.coefficient((w, a, c)) if w >= 0 else 0
+            assert forms.dd_g(d, o, a, c) == expected
+            assert table.get((w, a), 0) == expected
 
 
 def two_by_two_spec():
@@ -182,15 +180,24 @@ def two_by_two_spec():
     )
 
 
+def one_test_degree_spec():
+    # Two item degrees, one test degree: lambda = {1: 1/2, 3: 1/2}, rho = {4: 1}.
+    return EnsembleSpec(
+        n=4,
+        m=2,
+        left=DegreeDistribution.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}),
+        right=DegreeDistribution.regular(4),
+    )
+
+
 def test_regular_route_builds_no_polynomial(monkeypatch):
     import poolgraph.enumerator as enumerator
     import poolgraph.polynomial as polynomial
 
-    spec = regular_spec(6, 2, 3)
-    comp_expected = reference_cell(spec, Algorithm.COMP, 2, 1)
-    dd_expected = reference_cell(spec, Algorithm.DD, 2, 1)
-    irregular = two_by_two_spec()
-    irregular_expected = {alg: reference_table(irregular, alg) for alg in Algorithm}
+    # A regular spec, one test degree (the O^o lookups), two test degrees
+    # (the 2-D convolution).
+    specs = (regular_spec(6, 2, 3), one_test_degree_spec(), two_by_two_spec())
+    expected = {(spec, alg): reference_table(spec, alg) for spec in specs for alg in Algorithm}
 
     def refuse(*args, **kwargs):
         raise AssertionError("an enumerator route touched the polynomial layer")
@@ -199,20 +206,13 @@ def test_regular_route_builds_no_polynomial(monkeypatch):
         for name in ("poly_add", "poly_mul", "poly_pow", "poly_product_of_powers"):
             monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(polynomial, "SparsePoly", refuse)
-    assert enumerator._comp_regular_table(6, 2, 3)[(2, 1)] == comp_expected
-    assert enumerator._dd_regular_table(6, 2, 3)[(3, 1)] == dd_expected
-    assert comp_regular(6, 2, 3, 2, 1) == comp_expected
-    assert dd_regular(6, 2, 3, 2, 1) == dd_expected
-    # The degree-class route, uncached, on a regular and an irregular spec.
-    assert _class_table.__wrapped__(spec, Algorithm.COMP)[(2, 1)] == comp_expected
-    assert _class_table.__wrapped__(spec, Algorithm.DD)[(3, 1)] == dd_expected
-    for alg in Algorithm:
-        assert _class_table.__wrapped__(irregular, alg) == irregular_expected[alg]
+    for (spec, alg), values in expected.items():
+        assert build_table.__wrapped__(spec, alg).values == values
 
 
 @st.composite
 def small_irregular_specs(draw):
-    """n <= 6 items of degree 1..3 and tests of degree 1..3, not both sides regular."""
+    """n <= 6 items of degree 1..3 and tests of degree 1..3."""
     n = draw(st.integers(2, 6))
     item_degrees = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     edges = sum(item_degrees)
@@ -228,12 +228,15 @@ def small_irregular_specs(draw):
         left=DegreeDistribution.from_dict({d: Fraction(c, n) for d, c in items.items()}),
         right=DegreeDistribution.from_dict({d: Fraction(c, m) for d, c in tests.items() if c}),
     )
-    assume(not spec.is_regular)
     return spec
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_irregular_specs(), st.sampled_from(list(Algorithm)))
+@example(regular_spec(6, 2, 3), Algorithm.COMP)
+@example(regular_spec(6, 2, 3), Algorithm.DD)
+@example(one_test_degree_spec(), Algorithm.COMP)
+@example(one_test_degree_spec(), Algorithm.DD)
 def test_degree_class_route_matches_multiplied_out_generating_functions(spec, algorithm):
     assert build_table(spec, algorithm).values == reference_table(spec, algorithm)
 
@@ -253,10 +256,25 @@ def test_degree_class_work_counts_compositions_times_splits():
     # n = 50 of the same family builds in seconds and stays under the limit.
     n50 = EnsembleSpec(n=50, m=25, left=n30.left, right=n30.right)
     assert _degree_class_work(n50, Algorithm.DD) == 351 * 351 * 351 <= _WORK_LIMIT
-    # Two classes on each side: items 2 and 2, tests 2 and 1.
+    # Two classes on each side: items 2 and 2, tests 2 and 1. Two test
+    # degrees add DD's convolution pairs, prod_d sum_{o <= R_d} C(d o + 2, 2):
+    # (1 + 6 + 15) for two tests of degree 2, (1 + 15) for one of degree 4.
     spec = two_by_two_spec()
     assert _degree_class_work(spec, Algorithm.COMP) == 6 * 6 * 3 * 2
-    assert _degree_class_work(spec, Algorithm.DD) == 6 * 6 * 6 * 3
+    assert _degree_class_work(spec, Algorithm.DD) == 6 * 6 * 6 * 3 + 22 * 16
+    # lambda = {3: 1}, rho = {4: 1/2, 8: 1/2} at n = 24: six tests of each
+    # degree, and the pairs dominate the count.
+    wide = EnsembleSpec(
+        n=24,
+        m=12,
+        left=DegreeDistribution.regular(3),
+        right=DegreeDistribution.from_dict({4: Fraction(1, 2), 8: Fraction(1, 2)}),
+    )
+    pairs = 1
+    for d in (4, 8):
+        pairs *= sum(binomial(d * o + 2, 2) for o in range(7))
+    assert pairs == 861 * 3171
+    assert _degree_class_work(wide, Algorithm.DD) == 325 * 28 * 28 + pairs
 
 
 def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
@@ -280,27 +298,6 @@ def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
         assert _degree_class_work(spec, algorithm) > _WORK_LIMIT
         with pytest.raises(SizeLimitError, match="over the limit"):
             build_table(spec, algorithm)
-    with pytest.raises(SizeLimitError):
-        dd_irregular(spec, 0, 0)
-
-
-def test_csv_header_names_the_route():
-    for spec, route in ((regular_spec(4, 1, 2), "regular"), (mixed_spec(), "degree-class")):
-        for algorithm in Algorithm:
-            table = build_table(spec, algorithm)
-            assert table.route == route
-            buffer = io.StringIO()
-            write_table_csv(table, buffer)
-            assert buffer.getvalue().splitlines()[0].endswith(f" route={route}")
-
-
-def test_out_of_range_cells_rejected():
-    with pytest.raises(ValueError):
-        comp_regular(4, 1, 2, 3, 2)
-    with pytest.raises(ValueError):
-        dd_regular(4, 1, 2, -1, 0)
-    with pytest.raises(ValueError):
-        comp_irregular(mixed_spec(), 2, 2)
 
 
 def test_build_table_is_cached():
