@@ -228,6 +228,19 @@ def test_module_entry_point():
     assert "1/2,7,12," in result.stdout
 
 
+def test_runaway_simulation_exits_two(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(
+        ["simulate", "--regular", "30,3,6", "--algorithm", "comp", "--delta", "1/10",
+         "--graphs", "1000000", "--patterns", "1000000000"],
+        capsys,
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "refused" in err and "item-patterns" in err
+
+
 def test_runaway_degree_class_table_exits_two(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({

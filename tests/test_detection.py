@@ -1,7 +1,17 @@
-import numpy as np
+from fractions import Fraction
 
-from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
-from poolgraph.ensemble import PoolingGraph, regular_spec, sample_graph
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask, decode_batch
+from poolgraph.ensemble import (
+    DegreeDistribution,
+    EnsembleSpec,
+    PoolingGraph,
+    regular_spec,
+    sample_graph,
+)
 
 
 def graph_of(n, *tests):
@@ -118,3 +128,78 @@ def test_detectors_are_permutation_equivariant():
 def test_algorithm_enum_values():
     assert Algorithm.COMP.value == "comp"
     assert Algorithm.DD.value == "dd"
+
+
+BITMASK_DECODERS = {Algorithm.COMP: comp_pd_mask, Algorithm.DD: dd_certified_mask}
+
+
+def assert_batch_matches_bitmask(graph, masks, algorithm):
+    """decode_batch on the n x P matrix of `masks` equals the bitmask decoder column by column."""
+    matrix = np.array([[mask >> i & 1 for mask in masks] for i in range(graph.n)], dtype=bool)
+    estimate = decode_batch(graph, matrix, algorithm)
+    assert estimate.shape == (graph.n, len(masks)) and estimate.dtype == bool
+    decode = BITMASK_DECODERS[algorithm]
+    for p, mask in enumerate(masks):
+        column = sum(1 << i for i in range(graph.n) if estimate[i, p])
+        assert column == decode(graph, mask), (graph.adj, mask)
+
+
+@st.composite
+def irregular_specs(draw):
+    """Items of degree 1..3 and tests of degree 1..4, usually several of each."""
+    n = draw(st.integers(1, 12))
+    item_degrees = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    test_degrees = []
+    remaining = sum(item_degrees)
+    while remaining:
+        test_degrees.append(draw(st.integers(1, min(4, remaining))))
+        remaining -= test_degrees[-1]
+    m = len(test_degrees)
+    assume(m <= n)
+    return EnsembleSpec(
+        n=n,
+        m=m,
+        left=DegreeDistribution.from_dict({d: Fraction(item_degrees.count(d), n) for d in set(item_degrees)}),
+        right=DegreeDistribution.from_dict({d: Fraction(test_degrees.count(d), m) for d in set(test_degrees)}),
+    )
+
+
+@st.composite
+def graphs_and_patterns(draw):
+    # (4,2,2) and (2,2,2) often put both sockets of an item on one test.
+    spec = draw(st.one_of(
+        irregular_specs(),
+        st.sampled_from([regular_spec(4, 2, 2), regular_spec(2, 2, 2), regular_spec(2, 1, 2)]),
+    ))
+    graph = sample_graph(spec, draw(st.integers(0, 2**63 - 1)))
+    full = (1 << spec.n) - 1
+    masks = draw(st.lists(st.integers(0, full), max_size=20))
+    return graph, [0, full] + masks
+
+
+@settings(deadline=None, max_examples=300)
+@given(graphs_and_patterns(), st.sampled_from(list(Algorithm)))
+def test_batch_decoder_matches_bitmask_decoders(case, algorithm):
+    graph, masks = case
+    assert_batch_matches_bitmask(graph, masks, algorithm)
+
+
+def test_batch_decoder_on_hand_built_graphs():
+    # A doubled PD item certifies nothing; item 3 is in no test and stays PD.
+    graph = graph_of(4, (0, 0, 1), (1, 2))
+    for algorithm in Algorithm:
+        assert_batch_matches_bitmask(graph, list(range(16)), algorithm)
+
+
+def test_batch_decoder_beyond_one_machine_word():
+    # n = 240: a pattern no longer fits in a 64-bit word.
+    graph = sample_graph(regular_spec(240, 3, 6), 2024)
+    rng = np.random.default_rng(240)
+    full = (1 << 240) - 1
+    masks = [0, full]
+    for density in (1 / 100, 1 / 20, 1 / 5, 1 / 2):
+        for _ in range(25):
+            bits = rng.random(240) < density
+            masks.append(sum(1 << i for i in np.flatnonzero(bits).tolist()))
+    for algorithm in Algorithm:
+        assert_batch_matches_bitmask(graph, masks, algorithm)

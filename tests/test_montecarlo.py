@@ -1,3 +1,4 @@
+import hashlib
 import io
 import statistics
 from fractions import Fraction
@@ -5,9 +6,13 @@ from fractions import Fraction
 import pytest
 
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import regular_spec, spec_hash
+from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
+from poolgraph.errors import SizeLimitError
 from poolgraph.montecarlo import (
+    _GRAPH_SETUP_PATTERNS,
+    _WORK_LIMIT,
     RNG_SCHEME,
+    _check_size,
     _pool_size,
     derive_seed,
     simulate,
@@ -16,6 +21,34 @@ from poolgraph.montecarlo import (
 )
 
 SMALL = regular_spec(4, 1, 2)
+# The spec in perfbench/specs/irregular-30.json.
+IRREGULAR_30 = EnsembleSpec(
+    n=30,
+    m=15,
+    left=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
+    right=DegreeDistribution.regular(6),
+)
+
+# sha256 of the trials CSV plus repr of every report's per-graph rates, for
+# sweep(spec, algorithm, [0, 1/7, 1/2, 1], 3 graphs, patterns, seed 2026,
+# keep_per_graph=True). Recorded with the per-pattern Python decoding loop
+# that the batch decoder replaced, so they pin the old bytes. Pattern counts
+# 1, 4097 and 10^4 decode in one chunk, in a full chunk plus one pattern, and
+# in several chunks.
+GOLDEN_SWEEPS = {
+    ("30,3,6", "comp", 1): "fbba05237f941211e903aa3a71e5220d0ce041286201d1fc00f648ddb4d43e3d",
+    ("30,3,6", "comp", 4097): "59e111f6cdfba6a9ce845c0054317286d66dba778aae3ae739938dec96e5ac61",
+    ("30,3,6", "comp", 10000): "ac9d601b8dfc043bdeb6fdd684bf08a533946a4c0d7605fe9a542beb5b13aab8",
+    ("30,3,6", "dd", 1): "f824454b63bd8db52c974f47436b18e5e26ee639fe0158e3501bcb72746cf3a9",
+    ("30,3,6", "dd", 4097): "385f10aa34e99f4396f667cafc42d1ca664d4fb15491c8c22fad9c57825058f6",
+    ("30,3,6", "dd", 10000): "11bc275d2c074a07341a287c13d0d82c21a74a1b193100399fa7fdd995468275",
+    ("irregular-30", "comp", 1): "5b49b2f8575859ceded628e86b6f2fe95dc819d19a123cfbd8155bfb740d028e",
+    ("irregular-30", "comp", 4097): "b7533c757da33d82b34663724a48082e87769a35369cc88cf433c5abf7ff55e9",
+    ("irregular-30", "comp", 10000): "0d8cbbaf039e875b9b348c0434536693745cfa93d510f821b2aec726edd26b12",
+    ("irregular-30", "dd", 1): "876cfd33fd338b5bd41904d4fea56f9dc82f71939fd303041e8569603c84ed65",
+    ("irregular-30", "dd", 4097): "f27728e0528f847ad1f52cc52e6e0177c4988b31f3c7a906282d6ec1fae3d478",
+    ("irregular-30", "dd", 10000): "b94265b3508be64bbf92026b9628c50efc01061226fa0d36bc68c7d0aa4c0fa3",
+}
 
 
 def test_derive_seed_is_deterministic():
@@ -175,3 +208,50 @@ def test_trials_csv_roundtrip_bytes(tmp_path):
     write_trials_csv(reports, p1)
     write_trials_csv(reports, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("spec_name,algorithm,patterns", sorted(GOLDEN_SWEEPS))
+def test_sweep_bytes_match_the_recorded_digests(spec_name, algorithm, patterns):
+    spec = regular_spec(30, 3, 6) if spec_name == "30,3,6" else IRREGULAR_30
+    grid = [Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(1)]
+    reports = sweep(spec, Algorithm(algorithm), grid, 3, patterns, 2026, keep_per_graph=True)
+    buf = io.StringIO()
+    write_trials_csv(reports, buf)
+    digest = hashlib.sha256(buf.getvalue().encode())
+    digest.update(repr([r.per_graph_rates for r in reports]).encode())
+    assert digest.hexdigest() == GOLDEN_SWEEPS[spec_name, algorithm, patterns]
+
+
+def test_simulation_work_limit_is_inclusive():
+    spec = regular_spec(25, 2, 5)
+    per_graph = (9_000 + _GRAPH_SETUP_PATTERNS) * spec.n
+    graphs = _WORK_LIMIT // per_graph
+    assert graphs * per_graph == _WORK_LIMIT
+    _check_size(spec, 1, graphs, 9_000)
+    with pytest.raises(SizeLimitError):
+        _check_size(spec, 1, graphs, 9_001)
+    with pytest.raises(SizeLimitError):
+        _check_size(spec, 2, graphs // 2 + 1, 9_000)
+    with pytest.raises(ValueError):
+        _check_size(spec, 1, 0, 10)
+
+
+def test_everyday_sizes_are_accepted():
+    case_study = regular_spec(30, 3, 6)
+    _check_size(case_study, 1, 100, 10_000)  # the CLI defaults
+    _check_size(case_study, 3, 40, 10_000)  # the benchmark's validate sweep
+    _check_size(regular_spec(240, 3, 6), 10, 100, 10_000)
+
+
+def test_runaway_simulation_is_refused_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was sampled")
+
+    monkeypatch.setattr("poolgraph.montecarlo.sample_graph", refuse)
+    with pytest.raises(SizeLimitError):
+        simulate(regular_spec(30, 3, 6), Algorithm.COMP, Fraction(1, 10), 10**6, 10**9, seed=0)
+    # The grid length counts: one point fits, a thousand do not.
+    spec = regular_spec(30, 3, 6)
+    _check_size(spec, 1, 1_000, 100_000)
+    with pytest.raises(SizeLimitError):
+        sweep(spec, Algorithm.DD, [Fraction(k, 1000) for k in range(1000)], 1_000, 100_000, seed=0)
