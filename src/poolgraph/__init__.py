@@ -20,7 +20,6 @@ from .ensemble import (
     save_spec,
     spec_hash,
     spec_to_jsonable,
-    validate,
 )
 from .enumerator import (
     EnumeratorTable,
@@ -67,7 +66,6 @@ __all__ = [
     "spec_to_jsonable",
     "sweep",
     "to_decimal",
-    "validate",
     "write_table_csv",
     "write_trials_csv",
 ]

@@ -12,9 +12,10 @@ self-check, 2 size refusal, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import ContextManager, Optional, Sequence, TextIO
 
 from .combinatorics import to_decimal
 from .detection import Algorithm
@@ -126,10 +127,11 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
-def _open_out(args: argparse.Namespace) -> tuple[TextIO, bool]:
+def _output(args: argparse.Namespace) -> ContextManager[TextIO]:
+    """The --out file opened for writing, or stdout, which the `with` leaves open."""
     if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(args.out, "w", encoding="utf-8", newline="")
 
 
 def _row_sum_check(table) -> bool:
@@ -144,12 +146,8 @@ def _row_sum_check(table) -> bool:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     table = build_table(args.spec, args.algorithm)
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         write_table_csv(table, out, precision=args.precision)
-    finally:
-        if close:
-            out.close()
     return 0 if _row_sum_check(table) else 1
 
 
@@ -158,8 +156,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not _row_sum_check(table):
         return 1
     prob = fa_probability if args.algorithm is Algorithm.COMP else md_probability
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write(f"# spec_hash={spec_hash(args.spec)} algorithm={args.algorithm.value}\n")
         out.write("delta,numerator,denominator,decimal\n")
         for delta in args.deltas:
@@ -168,9 +165,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"{delta},{value.numerator},{value.denominator},"
                 f"{to_decimal(value, args.precision)}\n"
             )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -204,12 +198,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             args.seed,
             workers=args.workers,
         )
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         write_trials_csv(reports, out, analytic, precision=args.precision)
-    finally:
-        if close:
-            out.close()
     return 0
 
 

@@ -7,6 +7,10 @@ sockets in a fixed order, then match them with a uniformly random
 bijection. Multi-edges are kept; they carry weight in the socket counting
 and the decoders are defined on multigraphs accordingly.
 
+A spec is checked once, when it is made: an EnsembleSpec with fractional
+node counts or unequal edge counts raises ValidationError, and the counts
+it computes are kept on the spec for everything downstream.
+
 Node degrees are assigned deterministically (ascending degree by node
 index), so a (spec, seed) pair pins down the sampled graph completely.
 """
@@ -17,7 +21,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -78,43 +82,41 @@ class DegreeDistribution:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """n items, m tests, and the two degree distributions."""
+    """n items, m tests, and the two degree distributions; raises ValidationError if invalid."""
 
     n: int
     m: int
     left: DegreeDistribution
     right: DegreeDistribution
+    # Kept from the checks and left out of ==, hash and repr, so equal specs stay equal
+    # whatever built them. Callers share the count dicts and only read them.
+    edge_count: int = field(init=False, compare=False, repr=False)
+    _left_counts: dict[int, int] = field(init=False, compare=False, repr=False)
+    _right_counts: dict[int, int] = field(init=False, compare=False, repr=False)
 
-    @property
-    def edge_count(self) -> int:
-        count = self.n * self.left.mean()
-        if count.denominator != 1:
-            raise ValidationError(f"edge count n*mean(left) = {count} is not an integer")
-        return int(count)
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValidationError(f"n must be >= 1, got {self.n}")
+        if self.m < 1:
+            raise ValidationError(f"m must be >= 1, got {self.m}")
+        if self.m > self.n:
+            raise ValidationError(f"more tests than items: m = {self.m} > n = {self.n}")
+        left_edges = self.n * self.left.mean()
+        right_edges = self.m * self.right.mean()
+        if left_edges != right_edges:
+            raise ValidationError(
+                f"edge-count mismatch: n*mean(left) = {left_edges} != m*mean(right) = {right_edges}"
+            )
+        # Integral node counts make the edge count integral too.
+        object.__setattr__(self, "_left_counts", self.left.node_counts(self.n, "left"))
+        object.__setattr__(self, "_right_counts", self.right.node_counts(self.m, "right"))
+        object.__setattr__(self, "edge_count", int(left_edges))
 
     def left_counts(self) -> dict[int, int]:
-        return self.left.node_counts(self.n, "left")
+        return self._left_counts
 
     def right_counts(self) -> dict[int, int]:
-        return self.right.node_counts(self.m, "right")
-
-
-def validate(spec: EnsembleSpec) -> None:
-    """Raise ValidationError naming the violated constraint, if any."""
-    if spec.n < 1:
-        raise ValidationError(f"n must be >= 1, got {spec.n}")
-    if spec.m < 1:
-        raise ValidationError(f"m must be >= 1, got {spec.m}")
-    if spec.m > spec.n:
-        raise ValidationError(f"more tests than items: m = {spec.m} > n = {spec.n}")
-    left_edges = spec.n * spec.left.mean()
-    right_edges = spec.m * spec.right.mean()
-    if left_edges != right_edges:
-        raise ValidationError(
-            f"edge-count mismatch: n*mean(left) = {left_edges} != m*mean(right) = {right_edges}"
-        )
-    spec.left_counts()
-    spec.right_counts()
+        return self._right_counts
 
 
 def regular_spec(n: int, l: int, r: int) -> EnsembleSpec:
@@ -123,9 +125,7 @@ def regular_spec(n: int, l: int, r: int) -> EnsembleSpec:
         raise ValidationError(f"degrees must be >= 1, got l={l}, r={r}")
     if (n * l) % r != 0:
         raise ValidationError(f"r = {r} does not divide n*l = {n * l}")
-    spec = EnsembleSpec(n=n, m=(n * l) // r, left=DegreeDistribution.regular(l), right=DegreeDistribution.regular(r))
-    validate(spec)
-    return spec
+    return EnsembleSpec(n=n, m=(n * l) // r, left=DegreeDistribution.regular(l), right=DegreeDistribution.regular(r))
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,6 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
 
     Uses numpy's PCG64 stream for the socket permutation.
     """
-    validate(spec)
     left_owner, left_degrees = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -201,7 +200,6 @@ def enumerate_matchings(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT)
     Repeated structures are intentional: the uniform-matching measure counts
     them with multiplicity. Refuses with SizeLimitError when E! > limit.
     """
-    validate(spec)
     edges = spec.edge_count
     total = math.factorial(edges)
     if total > limit:
@@ -220,14 +218,22 @@ def enumerate_matchings(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT)
 # ---------------------------------------------------------------------------
 
 
+def _json_int(obj, key: str) -> int:
+    """obj[key], which must be a JSON integer: a float, bool or string raises TypeError."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _distribution_from_json(items, side: str) -> DegreeDistribution:
     if not isinstance(items, list) or not items:
         raise ValidationError(f"spec field '{side}' must be a non-empty list")
     mapping: dict[int, Fraction] = {}
     for entry in items:
         try:
-            degree = int(entry["degree"])
-            fraction = Fraction(int(entry["num"]), int(entry["den"]))
+            degree = _json_int(entry, "degree")
+            fraction = Fraction(_json_int(entry, "num"), _json_int(entry, "den"))
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValidationError(f"spec field '{side}': bad entry {entry!r} ({exc})") from exc
         if degree in mapping:
@@ -237,7 +243,7 @@ def _distribution_from_json(items, side: str) -> DegreeDistribution:
 
 
 def parse_spec(obj: Mapping) -> EnsembleSpec:
-    """Build and validate an EnsembleSpec from a parsed JSON object."""
+    """EnsembleSpec from a parsed JSON object; every count must be a JSON integer."""
     if not isinstance(obj, Mapping):
         raise ValidationError(f"spec must be a JSON object, got {type(obj).__name__}")
     if "l" in obj or "r" in obj:
@@ -248,25 +254,23 @@ def parse_spec(obj: Mapping) -> EnsembleSpec:
         if unknown:
             raise ValidationError(f"unexpected spec fields with regular shorthand: {sorted(unknown)}")
         try:
-            return regular_spec(int(obj["n"]), int(obj["l"]), int(obj["r"]))
+            return regular_spec(_json_int(obj, "n"), _json_int(obj, "l"), _json_int(obj, "r"))
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"bad regular shorthand: {exc}") from exc
     for key in ("n", "m", "lambda", "rho"):
         if key not in obj:
             raise ValidationError(f"spec is missing field {key!r}")
     try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-    except (TypeError, ValueError) as exc:
+        n = _json_int(obj, "n")
+        m = _json_int(obj, "m")
+    except TypeError as exc:
         raise ValidationError(f"n and m must be integers: {exc}") from exc
-    spec = EnsembleSpec(
+    return EnsembleSpec(
         n=n,
         m=m,
         left=_distribution_from_json(obj["lambda"], "lambda"),
         right=_distribution_from_json(obj["rho"], "rho"),
     )
-    validate(spec)
-    return spec
 
 
 def spec_to_jsonable(spec: EnsembleSpec) -> dict:

@@ -71,7 +71,7 @@ from typing import Callable, Iterator, Mapping, Union
 
 from .combinatorics import binomial, exact_delta, multinomial, to_decimal
 from .detection import Algorithm
-from .ensemble import EnsembleSpec, spec_hash, validate
+from .ensemble import EnsembleSpec, spec_hash
 from .errors import SizeLimitError
 # No table builder multiplies polynomials; these names stay importable here
 # because perfbench/layers.py rebinds them on this module to trace that layer.
@@ -463,7 +463,6 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
 @lru_cache(maxsize=16)
 def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     """Complete enumerator table for one ensemble; refuses runaway specs before starting."""
-    validate(spec)
     work = _degree_class_work(spec, algorithm)
     if work > _WORK_LIMIT:
         raise SizeLimitError(

@@ -42,7 +42,7 @@ from .combinatorics import exact_delta, to_decimal
 from .detection import Algorithm, decode_batch
 # perfbench/layers.py rebinds these names here to trace them; only the oracle calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
-from .ensemble import EnsembleSpec, sample_graph, spec_hash, validate
+from .ensemble import EnsembleSpec, sample_graph, spec_hash
 from .errors import SizeLimitError
 
 __all__ = ["RNG_SCHEME", "TrialReport", "derive_seed", "simulate", "sweep", "write_trials_csv"]
@@ -187,7 +187,6 @@ def simulate(
     keep_per_graph: bool = False,
 ) -> TrialReport:
     """Estimate FAR and MDR at one delta; bit-identical for a given seed and any `workers`."""
-    validate(spec)
     d = exact_delta(delta)
     _check_size(spec, 1, graphs, patterns_per_graph)
     if workers < 1:

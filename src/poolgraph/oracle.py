@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .combinatorics import exact_delta
 from .detection import Algorithm, comp_pd_mask, dd_certified_mask
-from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings, validate
+from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings
 from .enumerator import EnumeratorTable, table_domain
 from .errors import SizeLimitError
 
@@ -64,7 +64,6 @@ def exact_enumerators(
     Tallies (defective count, error count) across all matchings and all
     defective sets, then divides by E!.
     """
-    validate(spec)
     n = spec.n
     counts: dict[tuple[int, int], int] = {}
     matchings = 0
@@ -99,7 +98,6 @@ def exact_error_probability(
     DD over matchings and Bernoulli(delta) patterns, without grouping into
     a table first. Patterns with a zero denominator contribute 0.
     """
-    validate(spec)
     d = exact_delta(delta)
     n = spec.n
     fact = math.factorial(spec.edge_count)

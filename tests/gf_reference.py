@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from poolgraph.combinatorics import multinomial
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import EnsembleSpec, validate
+from poolgraph.ensemble import EnsembleSpec
 from poolgraph.enumerator import table_domain
 from poolgraph.polynomial import SparsePoly, poly_add, poly_mul, poly_pow, poly_product_of_powers
 
@@ -34,7 +34,6 @@ def _comp_parts(spec: EnsembleSpec):
     dismissed items. Item-side adds markers t1 (defective) and t2 (false
     alarm) onto matching socket variables s1..s3.
     """
-    validate(spec)
     edges = spec.edge_count
     caps_g = (edges, edges, edges)
     g_factors = []
@@ -71,7 +70,6 @@ def _dd_parts(spec: EnsembleSpec):
     non-defectives, x5/s5 certified defectives at ordinary positive tests,
     x6/s6 certified defectives at their certifying tests.
     """
-    validate(spec)
     edges = spec.edge_count
     caps_g = (edges,) * 6
     g_factors = []

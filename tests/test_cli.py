@@ -173,6 +173,15 @@ def test_spec_file_loading(tmp_path, capsys):
     assert out.splitlines()[2].split(",")[1:3] == ["7", "12"]
 
 
+def test_spec_file_with_float_field_exits_one(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 30.5, "l": 3, "r": 6}))
+    code, out, err = run(["enumerate", "--spec", str(path), "--algorithm", "comp"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad regular shorthand: 'n' must be a JSON integer, got 30.5\n"
+
+
 def test_missing_spec_file_is_io_error(tmp_path, capsys):
     code, _, err = run(
         ["analyze", "--spec", str(tmp_path / "nope.json"), "--algorithm", "comp",

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,12 @@ from poolgraph.ensemble import (
     save_spec,
     spec_hash,
     spec_to_jsonable,
-    validate,
 )
+from poolgraph.detection import Algorithm
+from poolgraph.enumerator import build_table
 from poolgraph.errors import SizeLimitError, ValidationError
+from poolgraph.montecarlo import simulate
+from poolgraph.oracle import exact_enumerators, exact_error_probability
 
 
 def mixed_spec():
@@ -30,48 +34,84 @@ def mixed_spec():
 
 
 def test_validate_accepts_case_study_shape():
-    validate(
-        EnsembleSpec(
-            n=30, m=15, left=DegreeDistribution.regular(3), right=DegreeDistribution.regular(6)
-        )
+    spec = EnsembleSpec(
+        n=30, m=15, left=DegreeDistribution.regular(3), right=DegreeDistribution.regular(6)
     )
+    assert (spec.left_counts(), spec.right_counts(), spec.edge_count) == ({3: 30}, {6: 15}, 90)
 
 
 def test_validate_accepts_tiny_regular():
-    validate(
-        EnsembleSpec(
-            n=4, m=2, left=DegreeDistribution.regular(1), right=DegreeDistribution.regular(2)
-        )
+    spec = EnsembleSpec(
+        n=4, m=2, left=DegreeDistribution.regular(1), right=DegreeDistribution.regular(2)
     )
+    assert (spec.left_counts(), spec.right_counts(), spec.edge_count) == ({1: 4}, {2: 2}, 4)
 
 
 def test_validate_rejects_edge_count_mismatch():
-    spec = EnsembleSpec(
-        n=4, m=3, left=DegreeDistribution.regular(1), right=DegreeDistribution.regular(2)
-    )
     with pytest.raises(ValidationError, match="edge"):
-        validate(spec)
+        EnsembleSpec(
+            n=4, m=3, left=DegreeDistribution.regular(1), right=DegreeDistribution.regular(2)
+        )
 
 
 def test_validate_rejects_more_tests_than_items():
-    spec = EnsembleSpec(
-        n=4, m=8, left=DegreeDistribution.regular(2), right=DegreeDistribution.regular(1)
-    )
     with pytest.raises(ValidationError, match="more tests than items"):
-        validate(spec)
+        EnsembleSpec(
+            n=4, m=8, left=DegreeDistribution.regular(2), right=DegreeDistribution.regular(1)
+        )
 
 
 def test_validate_allows_equal_counts():
     # (4,2,2) has m = n = 4 and must be usable.
-    validate(regular_spec(4, 2, 2))
+    assert regular_spec(4, 2, 2).right_counts() == {2: 4}
 
 
 def test_validate_rejects_fractional_node_counts():
     half_and_half = DegreeDistribution.from_dict({1: Fraction(1, 2), 2: Fraction(1, 2)})
-    spec = EnsembleSpec(n=3, m=3, left=half_and_half, right=half_and_half)
     # Edge counts agree (9/2 both sides) but 3 * 1/2 nodes of degree 1 is not an integer.
     with pytest.raises(ValidationError, match="degree"):
-        validate(spec)
+        EnsembleSpec(n=3, m=3, left=half_and_half, right=half_and_half)
+
+
+def test_spec_is_checked_only_when_made(monkeypatch):
+    specs = [regular_spec(4, 2, 2), mixed_spec()]
+
+    def refuse(*args):
+        raise AssertionError("spec re-checked after construction")
+
+    monkeypatch.setattr(DegreeDistribution, "node_counts", refuse)
+    monkeypatch.setattr(DegreeDistribution, "mean", refuse)
+    for spec in specs:
+        for algorithm in Algorithm:
+            build_table.__wrapped__(spec, algorithm)
+            simulate(spec, algorithm, Fraction(1, 4), 2, 8, seed=1)
+        # The oracle reads the spec the same way for both decoders; COMP is the quicker one.
+        exact_enumerators(spec, Algorithm.COMP)
+        exact_error_probability(spec, Algorithm.COMP, Fraction(1, 2))
+        sample_graph(spec, 0)
+        next(enumerate_matchings(spec))
+
+
+def test_kept_counts_stay_out_of_identity():
+    built = [
+        regular_spec(4, 2, 2),
+        parse_spec(spec_to_jsonable(regular_spec(4, 2, 2))),
+        EnsembleSpec(n=4, m=4, left=DegreeDistribution.regular(2), right=DegreeDistribution.regular(2)),
+    ]
+    assert all(spec == built[0] for spec in built)
+    assert len({hash(spec) for spec in built}) == 1
+    assert len({spec_hash(spec) for spec in built}) == 1
+    assert repr(built[0]) == repr(built[2])
+    table = build_table(built[0], Algorithm.COMP)
+    hits = build_table.cache_info().hits
+    assert all(build_table(spec, Algorithm.COMP) is table for spec in built[1:])
+    assert build_table.cache_info().hits == hits + 2
+    for spec in (built[0], mixed_spec()):
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert (copy.left_counts(), copy.right_counts(), copy.edge_count) == (
+            spec.left_counts(), spec.right_counts(), spec.edge_count
+        )
 
 
 def test_degree_distribution_must_sum_to_one():
@@ -174,14 +214,24 @@ def test_shorthand_rejects_extra_fields():
 
 
 def test_parse_spec_rejects_float_fractions():
-    obj = {
-        "n": 3,
+    # Refused for their JSON type, before any range check: int() would turn 2.0, 1.9 or True into a count.
+    for bad in (0.5, 1.9, 2.0, True, "3"):
+        for key in ("n", "m", "degree", "num", "den"):
+            obj = spec_to_jsonable(mixed_spec())
+            (obj if key in ("n", "m") else obj["lambda"][0])[key] = bad
+            with pytest.raises(ValidationError, match="must be a JSON integer"):
+                parse_spec(obj)
+    for key, bad in [("n", 30.5), ("n", "30"), ("l", 3.0), ("r", True)]:
+        with pytest.raises(ValidationError, match="must be a JSON integer"):
+            parse_spec({"n": 30, "l": 3, "r": 6, key: bad})
+    full = {
+        "n": 4.9,
         "m": 2,
-        "lambda": [{"degree": 1, "num": 0.5, "den": 1}, {"degree": 2, "num": 1, "den": 2}],
+        "lambda": [{"degree": 1.5, "num": 1.9, "den": 1}],
         "rho": [{"degree": 2, "num": 1, "den": 1}],
     }
-    with pytest.raises(ValidationError):
-        parse_spec(obj)
+    with pytest.raises(ValidationError, match="must be a JSON integer"):
+        parse_spec(full)
 
 
 def test_parse_spec_rejects_duplicate_degrees():
