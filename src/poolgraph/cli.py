@@ -2,8 +2,8 @@
 
 Four subcommands: enumerate (exact tables), analyze (error probabilities
 over a delta grid), simulate (Monte Carlo), verify (exhaustive oracle vs
-closed form, cell by cell). CSV goes to --out or stdout; status chatter
-goes to stderr so piped output stays parseable.
+closed form, cell by cell). CSV, or verify's report, goes to --out or
+stdout; status chatter goes to stderr so piped output stays parseable.
 
 Exit codes: 0 success, 1 bad input, failed verification or failed row-sum
 self-check, 2 size refusal, 3 I/O failure.
@@ -207,17 +207,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = exact_enumerators(args.spec, args.algorithm, limit=args.oracle_limit)
     table = build_table(args.spec, args.algorithm)
     failures = 0
-    for key in sorted(table.values):
-        expected = report.exact_table[key]
-        actual = table.values[key]
-        status = "PASS" if expected == actual else "FAIL"
-        if status == "FAIL":
-            failures += 1
-            print(f"({key[0]},{key[1]}) FAIL closed-form={actual} oracle={expected}")
-        else:
-            print(f"({key[0]},{key[1]}) PASS")
-    summary = "all cells match" if not failures else f"{failures} mismatched cells"
-    print(f"verify {args.algorithm.value}: {summary} over {report.matchings_enumerated} matchings")
+    with _output(args) as out:
+        for key in sorted(table.values):
+            expected = report.exact_table[key]
+            actual = table.values[key]
+            if expected != actual:
+                failures += 1
+                print(f"({key[0]},{key[1]}) FAIL closed-form={actual} oracle={expected}", file=out)
+            else:
+                print(f"({key[0]},{key[1]}) PASS", file=out)
+        summary = "all cells match" if not failures else f"{failures} mismatched cells"
+        print(f"verify {args.algorithm.value}: {summary} over {report.matchings_enumerated} matchings", file=out)
     return 0 if not failures else 1
 
 

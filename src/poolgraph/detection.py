@@ -18,10 +18,14 @@ Items with degree 0 never appear in a test; they defensively stay PD
 
 The rule has two implementations. The bitmask decoders (`comp_pd_mask`,
 `dd_certified_mask`) take one pattern as a Python int and loop over the
-tests; the oracle uses them as its literal reference. `decode_batch` takes
-an n x P boolean matrix, one column per pattern, and decodes every column
-at once with numpy gathers; the Monte Carlo simulator uses it. The property
-tests hold the two equal pattern by pattern.
+tests; they are the literal reference the tests hold the batch decoder and
+the oracle to, and no package path calls them. `decode_batch` takes an
+n x P boolean matrix, one column per pattern, and decodes every column at
+once with numpy gathers over two padded index tables; the Monte Carlo
+simulator uses it. `decode_tables` is its core, taking the index tables
+themselves: the oracle builds them for the disjoint union of many matchings
+at once. The property tests hold the batch and bitmask decoders equal
+pattern by pattern.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ import enum
 import numpy as np
 
 from .ensemble import PoolingGraph
+
+
+# Most (graph, pattern) pairs decoded in one call, so a call's memory is
+# O(CHUNK_PATTERNS x (n + m)) whatever the caller's total.
+CHUNK_PATTERNS = 4096
 
 
 class Algorithm(enum.Enum):
@@ -97,13 +106,23 @@ def _with_dummy(flags: np.ndarray) -> np.ndarray:
 def decode_batch(graph: PoolingGraph, defective: np.ndarray, algorithm: Algorithm) -> np.ndarray:
     """n x P estimate of an n x P bool pattern matrix: PD items (COMP) or certified items (DD).
 
-    Column p is comp_pd_mask / dd_certified_mask of pattern p. A test is
-    positive if any socket holds a defective; an item is PD if it is in no
-    negative test; under DD a PD item is certified if some positive test
-    has exactly one PD socket, which must then be its own. Items run down
-    the rows so that every reduction ORs or adds whole rows of P patterns.
+    Column p is comp_pd_mask / dd_certified_mask of pattern p.
     """
-    sockets, tests = _index_tables(graph)
+    return decode_tables(*_index_tables(graph), defective, algorithm)
+
+
+def decode_tables(
+    sockets: np.ndarray, tests: np.ndarray, defective: np.ndarray, algorithm: Algorithm
+) -> np.ndarray:
+    """decode_batch given the graph's two index tables, as _index_tables lays them out.
+
+    The dummy item is row len(defective) and the dummy test is the number of
+    tests. A test is positive if any socket holds a defective; an item is PD
+    if it is in no negative test; under DD a PD item is certified if some
+    positive test has exactly one PD socket, which must then be its own.
+    Items run down the rows so that every reduction ORs or adds whole rows
+    of P patterns.
+    """
     positive = _with_dummy(defective)[sockets].any(axis=0)
     pd = ~_with_dummy(~positive)[tests].any(axis=0)
     if algorithm is Algorithm.COMP:

@@ -42,9 +42,11 @@ class DegreeDistribution:
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, Union[Fraction, int, str]]) -> "DegreeDistribution":
+        for degree in mapping:
+            if type(degree) is not int:
+                raise ValidationError(f"degree must be an int, got {degree!r}")
         entries = []
         for degree, fraction in sorted(mapping.items()):
-            degree = int(degree)
             fraction = Fraction(fraction)
             if degree < 1:
                 raise ValidationError(f"degree {degree} < 1")
@@ -95,6 +97,10 @@ class EnsembleSpec:
     _right_counts: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.m < 1:
@@ -121,6 +127,9 @@ class EnsembleSpec:
 
 def regular_spec(n: int, l: int, r: int) -> EnsembleSpec:
     """Spec where every item is in l tests and every test pools r items."""
+    for name, value in (("n", n), ("l", l), ("r", r)):
+        if type(value) is not int:
+            raise ValidationError(f"{name} must be an int, got {value!r}")
     if l < 1 or r < 1:
         raise ValidationError(f"degrees must be >= 1, got l={l}, r={r}")
     if (n * l) % r != 0:
@@ -194,21 +203,27 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
     return _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
 
 
-def enumerate_matchings(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT) -> Iterator[PoolingGraph]:
-    """Yield the graph of every one of the E! socket matchings, in a fixed order.
-
-    Repeated structures are intentional: the uniform-matching measure counts
-    them with multiplicity. Refuses with SizeLimitError when E! > limit.
-    """
+def matching_count(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT) -> int:
+    """E!, the number of socket matchings; SizeLimitError when it exceeds limit."""
     edges = spec.edge_count
     total = math.factorial(edges)
     if total > limit:
         raise SizeLimitError(
             f"{edges}! = {total} socket matchings exceed the limit {limit}"
         )
+    return total
+
+
+def enumerate_matchings(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT) -> Iterator[PoolingGraph]:
+    """Yield the graph of every one of the E! socket matchings, in a fixed order.
+
+    Repeated structures are intentional: the uniform-matching measure counts
+    them with multiplicity. Refuses with SizeLimitError when E! > limit.
+    """
+    matching_count(spec, limit)
     left_owner, left_degrees = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
-    for assignment in itertools.permutations(range(edges)):
+    for assignment in itertools.permutations(range(spec.edge_count)):
         yield _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
 
 

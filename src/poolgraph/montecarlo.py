@@ -8,7 +8,7 @@ computes in closed form, so means land within a few standard errors of the
 analytic values and the comparison is apples to apples.
 
 Decoding is batched: each graph's patterns are drawn as an n x P boolean
-matrix, at most _CHUNK_PATTERNS patterns at a time so memory stays
+matrix, at most CHUNK_PATTERNS patterns at a time so memory stays
 bounded, and detection.decode_batch decodes a whole chunk in a few numpy
 gathers. Per-pattern error counts are integer arrays; the four float sums
 are added pattern by pattern in draw order (a cumulative sum seeded with
@@ -39,8 +39,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .combinatorics import exact_delta, to_decimal
-from .detection import Algorithm, decode_batch
-# perfbench/layers.py rebinds these names here to trace them; only the oracle calls them.
+from .detection import CHUNK_PATTERNS, Algorithm, decode_batch
+# perfbench/layers.py rebinds these names here to trace them; no package path calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, spec_hash
 from .errors import SizeLimitError
@@ -52,9 +52,6 @@ RNG_SCHEME = "pcg64-sha256split"
 _SEED_SPAN = 1 << 64
 _GRAPH_KEY = 0
 _PATTERN_KEY = 1
-# Most patterns decoded at once, so per-graph memory is O(_CHUNK_PATTERNS x (n + m))
-# whatever patterns_per_graph is.
-_CHUNK_PATTERNS = 4096
 # Sampling a graph and setting up its decoding costs about as much as decoding
 # this many patterns (measured: 300-3,700 from n=1000 down to n=4).
 _GRAPH_SETUP_PATTERNS = 1000
@@ -132,8 +129,8 @@ def _graph_partial(
     n = spec.n
     count_type = np.min_scalar_type(n)
     far_sum = far_sq = mdr_sum = mdr_sq = 0.0
-    for start in range(0, patterns, _CHUNK_PATTERNS):
-        defective = _draw_patterns(rng, delta, min(_CHUNK_PATTERNS, patterns - start), n)
+    for start in range(0, patterns, CHUNK_PATTERNS):
+        defective = _draw_patterns(rng, delta, min(CHUNK_PATTERNS, patterns - start), n)
         estimate = decode_batch(graph, defective, algorithm)
         a = defective.sum(axis=0, dtype=count_type)
         fa = (estimate & ~defective).sum(axis=0, dtype=count_type)

@@ -1,27 +1,45 @@
 """Exhaustive ground truth for tiny ensembles.
 
 Walks every socket matching (all E! permutations) and every defective set
-(all 2^n bit patterns), runs the actual decoder on each, and tallies
-outcomes in exact rationals. No generating functions anywhere: this is the
-independent yardstick the enumerator module is measured against, so it
-must stay brutally literal. Anything clever belongs in the other module.
+(all 2^n bit patterns), decodes each pair, and tallies outcomes in exact
+rationals. No generating functions anywhere: this is the independent
+yardstick the enumerator module is measured against, so every matching
+and every pattern is counted once, with no weighting and no merging of
+matchings that give the same graph.
+
+Decoding is batched. The matchings are taken in itertools.permutations
+order, max(1, CHUNK_PATTERNS // 2^n) of them at a time, and a block is
+decoded as one graph: the disjoint union of its K matchings, with matching
+k's items at k*n + v and its tests at k*m + c. Its two index tables are
+built with numpy straight from the socket layouts, and one call of
+detection.decode_tables decodes all K * 2^n (matching, pattern) pairs.
+COMP and DD look only within a connected component, so each matching of
+the union decodes exactly as it would alone. The per-pattern bitmask
+decoders stay the literal reference in the tests (tests/oracle_reference.py).
 
 Costs explode factorially; both entry points refuse work past a size
-limit instead of grinding forever.
+limit, before anything is allocated, instead of grinding forever.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
+
+import numpy as np
 
 from .combinatorics import exact_delta
-from .detection import Algorithm, comp_pd_mask, dd_certified_mask
-from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings
+from .detection import CHUNK_PATTERNS, Algorithm, decode_tables
+from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, _socket_layout, matching_count
 from .enumerator import EnumeratorTable, table_domain
 from .errors import SizeLimitError
+
+# perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
+from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
+from .ensemble import enumerate_matchings  # noqa: F401
 
 __all__ = ["OracleReport", "exact_enumerators", "exact_error_probability"]
 
@@ -44,13 +62,57 @@ class OracleReport:
         )
 
 
-def _pattern_errors(graph, mask: int, algorithm: Algorithm) -> int:
-    """False-alarm count under COMP, misdetection count under DD."""
-    if algorithm is Algorithm.COMP:
-        estimate = comp_pd_mask(graph, mask)
-        return (estimate & ~mask).bit_count()
-    estimate = dd_certified_mask(graph, mask)
-    return (mask & ~estimate).bit_count()
+def _slot_table(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner per socket, socket index per (slot, node), padding mask of that table).
+
+    Column v lists node v's sockets in order; a node of less than the
+    largest degree is padded (with socket 0, masked out).
+    """
+    owners, degrees = _socket_layout(counts)
+    degrees = np.array(degrees, dtype=np.intp)
+    slot = np.arange(degrees.max())[:, None]
+    pad = slot >= degrees
+    first = np.cumsum(degrees) - degrees
+    return np.array(owners, dtype=np.intp), np.where(pad, 0, first + slot), pad
+
+
+def _union(table: np.ndarray) -> np.ndarray:
+    """K x slots x nodes per-copy index tables as one slots x (K * nodes) table."""
+    k, width, nodes = table.shape
+    return table.transpose(1, 0, 2).reshape(width, k * nodes)
+
+
+def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarray]:
+    """Errors of every (matching, pattern) pair, as K x 2^n blocks in permutation order.
+
+    Entry [k, mask] is the false-alarm count (COMP) or misdetection count
+    (DD) of pattern mask on the block's k-th matching. Callers size the
+    work first.
+    """
+    n, m = spec.n, spec.m
+    left_owner, left_slots, left_pad = _slot_table(spec.left_counts())
+    right_owner, right_slots, right_pad = _slot_table(spec.right_counts())
+    masks = np.arange(1 << n)
+    patterns = ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
+    size = max(1, CHUNK_PATTERNS // (1 << n))
+    matchings = itertools.permutations(range(spec.edge_count))
+    while block := list(itertools.islice(matchings, size)):
+        # assignment[k, q] is the item socket matched to test socket q; inverse maps back.
+        assignment = np.array(block, dtype=np.intp)
+        inverse = np.argsort(assignment, axis=1)
+        k = len(block)
+        copy = np.arange(k)[:, None, None]
+        sockets = left_owner[assignment[:, right_slots]] + copy * n
+        sockets[:, right_pad] = k * n
+        tests = right_owner[inverse[:, left_slots]] + copy * m
+        tests[:, left_pad] = k * m
+        defective = np.tile(patterns, (k, 1))
+        estimate = decode_tables(_union(sockets), _union(tests), defective, algorithm)
+        if algorithm is Algorithm.COMP:
+            wrong = estimate & ~defective
+        else:
+            wrong = defective & ~estimate
+        yield wrong.reshape(k, n, -1).sum(axis=1)
 
 
 def exact_enumerators(
@@ -64,19 +126,17 @@ def exact_enumerators(
     Tallies (defective count, error count) across all matchings and all
     defective sets, then divides by E!.
     """
+    matching_count(spec, limit)
     n = spec.n
-    counts: dict[tuple[int, int], int] = {}
+    a = np.bitwise_count(np.arange(1 << n)).astype(np.intp)
+    counts = np.zeros((n + 1) ** 2, dtype=np.int64)
     matchings = 0
-    for graph in enumerate_matchings(spec, limit=limit):
-        matchings += 1
-        for mask in range(1 << n):
-            a = mask.bit_count()
-            err = _pattern_errors(graph, mask, algorithm)
-            key = (a, err)
-            counts[key] = counts.get(key, 0) + 1
+    for errors in _error_blocks(spec, algorithm):
+        matchings += len(errors)
+        counts += np.bincount((a * (n + 1) + errors).ravel(), minlength=len(counts))
     table = {key: Fraction(0) for key in table_domain(n, algorithm)}
-    for key, count in counts.items():
-        table[key] = Fraction(count, matchings)
+    for key in np.flatnonzero(counts):
+        table[divmod(int(key), n + 1)] = Fraction(int(counts[key]), matchings)
     return OracleReport(
         spec=spec,
         algorithm=algorithm,
@@ -105,12 +165,11 @@ def exact_error_probability(
         raise SizeLimitError(
             f"{fact} matchings x {1 << n} patterns exceeds the oracle limit {limit}"
         )
-    err_sums = [0] * (1 << n)
+    err_sums = np.zeros(1 << n, dtype=np.int64)
     matchings = 0
-    for graph in enumerate_matchings(spec, limit=limit):
-        matchings += 1
-        for mask in range(1 << n):
-            err_sums[mask] += _pattern_errors(graph, mask, algorithm)
+    for errors in _error_blocks(spec, algorithm):
+        matchings += len(errors)
+        err_sums += errors.sum(axis=0)
     total = Fraction(0)
     for mask in range(1 << n):
         if not err_sums[mask]:
@@ -120,5 +179,5 @@ def exact_error_probability(
         if denom == 0:
             continue
         weight = d**a * (1 - d) ** (n - a)
-        total += weight * Fraction(err_sums[mask], denom * matchings)
+        total += weight * Fraction(int(err_sums[mask]), denom * matchings)
     return total

@@ -93,6 +93,15 @@ def _two_by_two_spec() -> EnsembleSpec:
     )
 
 
+def _nine_edge_spec() -> EnsembleSpec:
+    return EnsembleSpec(
+        n=6,
+        m=3,
+        left=DegreeDistribution.from_dict({1: Fraction(1, 2), 2: Fraction(1, 2)}),
+        right=DegreeDistribution.from_dict({2: Fraction(1, 3), 3: Fraction(1, 3), 4: Fraction(1, 3)}),
+    )
+
+
 def _irregular_spec(n: int) -> EnsembleSpec:
     return EnsembleSpec(
         n=n,
@@ -104,9 +113,10 @@ def _irregular_spec(n: int) -> EnsembleSpec:
 
 def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
     bad = []
-    # (spec, seconds allowed): two item degrees at n=3 (4! matchings), then
-    # two degrees on each side at n=4 (8! matchings).
-    for spec, limit in ((_mixed_spec(), 5.0), (_two_by_two_spec(), 60.0)):
+    # (spec, seconds allowed): two item degrees at n=3 (4! matchings), two
+    # degrees on each side at n=4 (8! matchings), then two item degrees and
+    # three test degrees at n=6 (9! matchings).
+    for spec, limit in ((_mixed_spec(), 5.0), (_two_by_two_spec(), 60.0), (_nine_edge_spec(), 60.0)):
         t0 = time.monotonic()
         for algorithm in (Algorithm.COMP, Algorithm.DD):
             report = exact_enumerators(spec, algorithm)
@@ -120,7 +130,7 @@ def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
         if _csv_digest(build_table(_irregular_spec(n), algorithm)) != pinned:
             bad.append((n, algorithm.value, "csv digest"))
     ok = not bad
-    _stamp(3, "mixed-degree closed forms equal the oracle (n=3 and n=4, m=3) and "
+    _stamp(3, "mixed-degree closed forms equal the oracle (n=3, n=4 and n=6) and "
               "irregular CSV digests match", ok)
     assert not bad, bad
 

@@ -162,6 +162,38 @@ def test_verify_oracle_limit_flag(capsys):
     assert code == 2
 
 
+def test_verify_oracle_limit_is_inclusive(capsys):
+    argv = ["verify", "--regular", "4,1,2", "--algorithm", "comp", "--oracle-limit"]
+    code, _, err = run(argv + ["23"], capsys)
+    assert code == 2
+    assert err == "refused: 4! = 24 socket matchings exceed the limit 23\n"
+    code, out, _ = run(argv + ["24"], capsys)
+    assert code == 0
+    assert "all cells match over 24 matchings" in out
+
+
+def test_verify_writes_report_to_out(tmp_path, capsys):
+    argv = ["verify", "--regular", "4,1,2", "--algorithm", "comp"]
+    code, stdout_report, _ = run(argv, capsys)
+    assert code == 0
+    out_path = tmp_path / "report.txt"
+    code, out, _ = run(argv + ["--out", str(out_path)], capsys)
+    assert code == 0
+    assert out == ""
+    assert out_path.read_text(encoding="utf-8") == stdout_report
+
+
+def test_verify_unwritable_out_exits_three(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.txt"
+    code, out, err = run(
+        ["verify", "--regular", "4,1,2", "--algorithm", "comp", "--out", str(out_path)], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error:")
+    assert not out_path.exists()
+
+
 def test_spec_file_loading(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"n": 4, "l": 1, "r": 2}))

@@ -114,6 +114,26 @@ def test_kept_counts_stay_out_of_identity():
         )
 
 
+@pytest.mark.parametrize("degree", [2.7, 2.0, True, "3"])
+def test_degree_must_be_an_int(degree):
+    with pytest.raises(ValidationError, match="degree must be an int"):
+        DegreeDistribution.from_dict({degree: 1})
+    with pytest.raises(ValidationError, match="degree must be an int"):
+        DegreeDistribution.from_dict({3: Fraction(1, 2), degree: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("n, m", [(4.0, 2), (4, 2.0), (True, 1), (4, True), ("4", 2)])
+def test_node_counts_must_be_ints(n, m):
+    with pytest.raises(ValidationError, match="must be an int"):
+        EnsembleSpec(n=n, m=m, left=DegreeDistribution.regular(1), right=DegreeDistribution.regular(2))
+
+
+@pytest.mark.parametrize("n, l, r", [(4.0, 1, 2), (True, 1, 1), (4, 1.0, 2), (4, 1, 2.0), (4, True, 2)])
+def test_regular_spec_arguments_must_be_ints(n, l, r):
+    with pytest.raises(ValidationError, match="must be an int"):
+        regular_spec(n, l, r)
+
+
 def test_degree_distribution_must_sum_to_one():
     with pytest.raises(ValidationError):
         DegreeDistribution.from_dict({1: Fraction(1, 2)})

@@ -1,14 +1,67 @@
+import functools
 import math
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oracle_reference
+from poolgraph import oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import regular_spec
+from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, load_spec, regular_spec
 from poolgraph.enumerator import build_table, fa_probability, md_probability
 from poolgraph.errors import SizeLimitError
 from poolgraph.oracle import exact_enumerators, exact_error_probability
+
+DELTAS = (0, Fraction(1, 3), Fraction(1, 2), 1)
+
+# Small enough for the literal reference. The last spec has two degrees on
+# each side, so both index tables are padded, and its degree-2 items can
+# fill both sockets of a degree-2 test.
+EQUALITY_SPECS = {
+    "1,1,1": regular_spec(1, 1, 1),
+    "2,1,2": regular_spec(2, 1, 2),
+    "2,2,2": regular_spec(2, 2, 2),
+    "4,1,2": regular_spec(4, 1, 2),
+    "3,2,3": regular_spec(3, 2, 3),
+    "6,1,2": regular_spec(6, 1, 2),
+    "mixed-3": load_spec(Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "mixed-3.json"),
+    "two-by-two": EnsembleSpec(
+        n=4,
+        m=2,
+        left=DegreeDistribution.from_dict({1: Fraction(1, 2), 2: Fraction(1, 2)}),
+        right=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
+    ),
+}
+
+
+@functools.cache
+def _reference(name: str, algorithm: Algorithm):
+    spec = EQUALITY_SPECS[name]
+    report = oracle_reference.exact_enumerators(spec, algorithm)
+    probabilities = [oracle_reference.exact_error_probability(spec, algorithm, d) for d in DELTAS]
+    return list(report.exact_table.items()), report.matchings_enumerated, probabilities
+
+
+# Block bounds in (matching, pattern) pairs, by n: below one matching (so
+# one matching per block), and 11 matchings, which divides no E! here.
+BLOCK_BOUNDS = {"default": None, "1 pair": lambda n: 1, "11 matchings": lambda n: 11 << n}
+
+
+@pytest.mark.parametrize("bound", list(BLOCK_BOUNDS))
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+@pytest.mark.parametrize("name", list(EQUALITY_SPECS))
+def test_batched_oracle_equals_literal_reference(name, algorithm, bound, monkeypatch):
+    spec = EQUALITY_SPECS[name]
+    if BLOCK_BOUNDS[bound]:
+        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](spec.n))
+    table, matchings, probabilities = _reference(name, algorithm)
+    report = exact_enumerators(spec, algorithm)
+    assert list(report.exact_table.items()) == table
+    assert report.matchings_enumerated == matchings == math.factorial(spec.edge_count)
+    assert [exact_error_probability(spec, algorithm, d) for d in DELTAS] == probabilities
 
 
 def test_comp_oracle_matches_closed_form_per_cell():
@@ -81,12 +134,17 @@ def test_socket_certification_counts_multi_edges():
 
 
 def test_refuses_oversized_ensembles():
-    with pytest.raises(SizeLimitError):
+    # 90! matchings: refused before the 2^30 patterns are sized.
+    t0 = time.monotonic()
+    with pytest.raises(SizeLimitError, match=r"^90! = \d+ socket matchings exceed the limit 1000000$"):
         exact_enumerators(regular_spec(30, 3, 6), Algorithm.COMP)
+    with pytest.raises(SizeLimitError, match=r"^\d+ matchings x 1073741824 patterns exceeds the oracle limit 1000000$"):
+        exact_error_probability(regular_spec(30, 3, 6), Algorithm.DD, Fraction(1, 2))
+    assert time.monotonic() - t0 < 1.0
     # 8! matchings alone fit in 10^5; crossed with 2^4 patterns they do not.
-    with pytest.raises(SizeLimitError, match="100000"):
+    with pytest.raises(SizeLimitError, match="^40320 matchings x 16 patterns exceeds the oracle limit 100000$"):
         exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=10**5)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^8! = 40320 socket matchings exceed the limit 1000$"):
         exact_enumerators(regular_spec(4, 2, 2), Algorithm.DD, limit=10**3)
 
 
