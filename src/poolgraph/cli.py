@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import ContextManager, Optional, Sequence, TextIO
 
-from .combinatorics import to_decimal
+from .combinatorics import exact_delta, to_decimal
 from .detection import Algorithm
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, load_spec, regular_spec, spec_hash
 from .enumerator import build_table, fa_probability, md_probability, write_table_csv
@@ -29,6 +29,8 @@ __all__ = ["build_parser", "main"]
 
 # Most points a start:stop:step delta grid may expand to.
 _GRID_LIMIT = 10_000
+# Most decimal digits --precision may ask for; every value written carries that many.
+_PRECISION_LIMIT = 10_000
 
 
 def _fraction(text: str) -> Fraction:
@@ -86,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--algorithm", choices=[a.value for a in Algorithm], required=True
         )
         cmd.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-        cmd.add_argument("--precision", type=int, default=12, help="decimal digits (default 12)")
+        cmd.add_argument(
+            "--precision", type=int, default=12, help=f"decimal digits, at most {_PRECISION_LIMIT:,} (default 12)"
+        )
         if name in ("analyze", "simulate"):
             delta_group = cmd.add_mutually_exclusive_group(required=True)
             delta_group.add_argument("--delta", metavar="RATIONAL", help="single prevalence")
@@ -113,17 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The parsed command line, with --spec/--regular resolved to `spec` and the deltas to `deltas`."""
+    """The checked command line, with --spec/--regular resolved to `spec` and the deltas to `deltas`."""
     args = build_parser().parse_args(argv)
     args.spec = load_spec(args.spec) if args.spec else _parse_regular(args.regular)
     if args.command in ("analyze", "simulate"):
-        if args.delta is not None:
-            args.deltas = [_fraction(args.delta)]
-        else:
-            args.deltas = _parse_delta_grid(args.delta_grid)
+        deltas = [_fraction(args.delta)] if args.delta is not None else _parse_delta_grid(args.delta_grid)
+        args.deltas = [exact_delta(delta) for delta in deltas]
     args.algorithm = Algorithm(args.algorithm)
     if args.precision < 1:
         raise ValidationError("precision must be at least 1")
+    if args.precision > _PRECISION_LIMIT:
+        raise SizeLimitError(f"precision {args.precision} is over the limit of {_PRECISION_LIMIT} digits")
     return args
 
 
@@ -151,16 +155,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0 if _row_sum_check(table) else 1
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _exact_values(args: argparse.Namespace) -> Optional[list[Fraction]]:
+    """The exact FAR (COMP) or MDR (DD) at each of args.deltas; None if the row-sum check fails."""
     table = build_table(args.spec, args.algorithm)
     if not _row_sum_check(table):
-        return 1
+        return None
     prob = fa_probability if args.algorithm is Algorithm.COMP else md_probability
+    return [prob(table, delta) for delta in args.deltas]
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    values = _exact_values(args)
+    if values is None:
+        return 1
     with _output(args) as out:
         out.write(f"# spec_hash={spec_hash(args.spec)} algorithm={args.algorithm.value}\n")
         out.write("delta,numerator,denominator,decimal\n")
-        for delta in args.deltas:
-            value = prob(table, delta)
+        for delta, value in zip(args.deltas, values):
             out.write(
                 f"{delta},{value.numerator},{value.denominator},"
                 f"{to_decimal(value, args.precision)}\n"
@@ -171,11 +182,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     analytic = None
     if args.analytic:
-        table = build_table(args.spec, args.algorithm)
-        if not _row_sum_check(table):
+        analytic = _exact_values(args)
+        if analytic is None:
             return 1
-        prob = fa_probability if args.algorithm is Algorithm.COMP else md_probability
-        analytic = [prob(table, delta) for delta in args.deltas]
     if len(args.deltas) == 1:
         reports = [
             simulate(

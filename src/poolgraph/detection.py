@@ -19,13 +19,12 @@ Items with degree 0 never appear in a test; they defensively stay PD
 The rule has two implementations. The bitmask decoders (`comp_pd_mask`,
 `dd_certified_mask`) take one pattern as a Python int and loop over the
 tests; they are the literal reference the tests hold the batch decoder and
-the oracle to, and no package path calls them. `decode_batch` takes an
-n x P boolean matrix, one column per pattern, and decodes every column at
-once with numpy gathers over two padded index tables; the Monte Carlo
-simulator uses it. `decode_tables` is its core, taking the index tables
-themselves: the oracle builds them for the disjoint union of many matchings
-at once. The property tests hold the batch and bitmask decoders equal
-pattern by pattern.
+the oracle to, and no package path calls them. `decode_tables` decodes an
+n x P boolean matrix, one column per pattern, at once with numpy gathers
+over two padded index tables, which only `index_tables` lays out: for one
+sampled graph via `decode_batch` (Monte Carlo) or for the disjoint union of
+a block of matchings (the oracle). The property tests hold the batch and
+bitmask decoders equal pattern by pattern.
 """
 
 from __future__ import annotations
@@ -76,24 +75,34 @@ def dd_certified_mask(graph: PoolingGraph, defective_mask: int) -> int:
     return certified
 
 
-def _index_tables(graph: PoolingGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(socket slot x test -> item, item slot x item -> test), padded with dummies.
+def index_tables(items: np.ndarray, n: int, test_degrees) -> tuple[np.ndarray, np.ndarray]:
+    """(socket slot x test -> item, item slot x item -> test) of K graphs' disjoint union.
 
-    Tests with fewer sockets than the largest are padded with the dummy
-    item n, items with fewer sockets with the dummy test m. An item on two
-    sockets of one test lists that test twice.
+    items[k, q] is the item on test socket q of graph k; the sockets run
+    test by test, test_degrees[c] of them for test c, and all K graphs have
+    the same item degrees. The union's graph k has items k n + v and tests
+    k m + c. Shorter rows are padded with the dummy item K n or test K m.
+    An item on two sockets of one test lists that test twice.
     """
-    item_tests: list[list[int]] = [[] for _ in range(graph.n)]
-    for c, members in enumerate(graph.adj):
-        for v in members:
-            item_tests[v].append(c)
-    return _padded_columns(graph.adj, graph.n), _padded_columns(item_tests, graph.m)
+    test_degrees = np.asarray(test_degrees, dtype=np.intp)
+    owner = np.repeat(np.arange(len(test_degrees)), test_degrees)
+    # Each item's sockets in socket order: a stable sort of the sockets by item.
+    item_tests = owner[np.argsort(items, axis=1, kind="stable")]
+    return (
+        _padded_union(items, test_degrees, n),
+        _padded_union(item_tests, np.bincount(items[0], minlength=n), len(test_degrees)),
+    )
 
 
-def _padded_columns(rows, dummy: int) -> np.ndarray:
-    width = max(map(len, rows), default=0)
-    padded = [list(row) + [dummy] * (width - len(row)) for row in rows]
-    return np.array(padded, dtype=np.intp).T.copy()
+def _padded_union(values: np.ndarray, degrees: np.ndarray, size: int) -> np.ndarray:
+    """values[k] holds degrees[v] entries per node v in turn, offset by k size; padded with K size."""
+    k = len(values)
+    slot = np.arange(degrees.max(initial=0))[:, None]
+    pad = slot >= degrees
+    first = np.cumsum(degrees) - degrees
+    table = values[:, np.where(pad, 0, first + slot)] + np.arange(k)[:, None, None] * size
+    table[:, pad] = k * size
+    return table.transpose(1, 0, 2).reshape(len(slot), k * len(degrees))
 
 
 def _with_dummy(flags: np.ndarray) -> np.ndarray:
@@ -108,13 +117,15 @@ def decode_batch(graph: PoolingGraph, defective: np.ndarray, algorithm: Algorith
 
     Column p is comp_pd_mask / dd_certified_mask of pattern p.
     """
-    return decode_tables(*_index_tables(graph), defective, algorithm)
+    items = np.array([v for members in graph.adj for v in members], dtype=np.intp)
+    tables = index_tables(items[None], graph.n, [len(members) for members in graph.adj])
+    return decode_tables(*tables, defective, algorithm)
 
 
 def decode_tables(
     sockets: np.ndarray, tests: np.ndarray, defective: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
-    """decode_batch given the graph's two index tables, as _index_tables lays them out.
+    """decode_batch given the graph's two index tables, as index_tables lays them out.
 
     The dummy item is row len(defective) and the dummy test is the number of
     tests. A test is positive if any socket holds a defective; an item is PD
@@ -129,3 +140,10 @@ def decode_tables(
         return pd
     pd_sockets = _with_dummy(pd)[sockets].sum(axis=0, dtype=np.min_scalar_type(len(sockets)))
     return pd & _with_dummy(positive & (pd_sockets == 1))[tests].any(axis=0)
+
+
+def wrong_items(estimate: np.ndarray, defective: np.ndarray, algorithm: Algorithm) -> np.ndarray:
+    """The decoder's errors: false alarms under COMP, misdetections under DD, its only kind."""
+    if algorithm is Algorithm.COMP:
+        return estimate & ~defective
+    return defective & ~estimate

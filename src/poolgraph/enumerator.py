@@ -44,9 +44,9 @@ coefficient lists (written *):
         A_{i+j,j} = sum prod_d M(L_d; i_d, j_d, k_d, q_d) prod_d M(R_d; c_d, o_d, .) d^(c_d)
                     (*_d S_d(i_d, .))[B] (*_d S_d(q_d, d q_d - .))[s] H_o(W, E2)
                     W! s! K! B! E0! / E!
-        where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d): with one test
-        degree a single coefficient of O^o, computed when first read; with
-        several, the 2-D convolution of the per-class coefficient tables.
+        where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d) is computed when
+        first read: one coefficient of O^o for one test degree, else the first
+        class's O^o terms folded against the lazy product of the others.
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
@@ -67,7 +67,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .combinatorics import binomial, exact_delta, multinomial, to_decimal
 from .detection import Algorithm
@@ -161,11 +161,11 @@ def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
 class _ClosedForms:
     """Closed-form coefficients of the bracket powers (see the module docstring).
 
-    Memoizes S_d(q, w) = [x^w] ((1 + x)^d - 1)^q and the O^o tables per
-    instance, so build one instance per table. `fact` holds 0!, ..., edges!.
+    Memoizes S_d(q, w), the O^o tables and their lazy products per instance,
+    so build one instance per table. `fact` holds 0!, ..., edges!.
     """
 
-    __slots__ = ("fact", "_alt", "_ordinary")
+    __slots__ = ("fact", "_alt", "_ordinary", "_products")
 
     def __init__(self, edges: int):
         fact = [1]
@@ -174,6 +174,7 @@ class _ClosedForms:
         self.fact = fact
         self._alt: dict[tuple[int, int, int], int] = {}
         self._ordinary: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+        self._products: dict[tuple[tuple[int, int], ...], _LazyOrdinary] = {}
 
     def alt(self, d: int, q: int, w: int) -> int:
         """S_d(q, w); zero unless 0 <= w <= d q."""
@@ -208,6 +209,14 @@ class _ClosedForms:
                         table[(d * o - a - c, a)] = value
         return table
 
+    def ordinary(self, classes) -> _LazyOrdinary:
+        """H_o: the lazy coefficients of prod O_d^(o_d) over the (d, o_d) in `classes`."""
+        key = tuple((d, o) for d, o in classes if o)
+        product = self._products.get(key)
+        if product is None:
+            product = self._products[key] = _LazyOrdinary(self, key)
+        return product
+
     def dd_g(self, d: int, o: int, a: int, c: int) -> int:
         """[x1^W x2^a x4^c] O^o with W = d o - a - c.
 
@@ -233,25 +242,44 @@ class _ClosedForms:
 
 
 class _LazyOrdinary(dict):
-    """{(W, a): [x1^W x2^a x4^(d o - W - a)] O^o}, each coefficient computed when first read."""
+    """{(W, a): [x1^W x2^a x4^(D - W - a)] prod O_d^(o_d)}, each coefficient computed when first read.
 
-    __slots__ = ("forms", "d", "o")
+    `classes` holds the (d, o_d) with o_d > 0, and D = sum d o_d. Several
+    classes fold the first one's O^o terms against the product of the rest.
+    """
 
-    def __init__(self, forms: _ClosedForms, d: int, o: int):
+    __slots__ = ("forms", "classes", "sockets")
+
+    def __init__(self, forms: _ClosedForms, classes: tuple[tuple[int, int], ...]):
         super().__init__()
-        self.forms, self.d, self.o = forms, d, o
+        self.forms, self.classes = forms, classes
+        self.sockets = sum(d * o for d, o in classes)
 
     def __missing__(self, key: tuple[int, int]) -> int:
         w, a = key
-        c = self.d * self.o - w - a
-        value = self[key] = self.forms.dd_g(self.d, self.o, a, c) if c >= 0 else 0
+        c = self.sockets - w - a
+        if w < 0 or a < 0 or c < 0:
+            value = 0
+        elif not self.classes:
+            value = 1  # the empty product at (0, 0), the one key the guard lets through
+        elif len(self.classes) == 1:
+            (d, o), = self.classes
+            value = self.forms.dd_g(d, o, a, c)
+        else:
+            (d, o), rest = self.classes[0], self.forms.ordinary(self.classes[1:])
+            low = w + a - rest.sockets
+            value = 0
+            for (w1, a1), t in self.forms.dd_ordinary(d, o).items():
+                if w1 <= w and a1 <= a and w1 + a1 >= low:
+                    value += t * rest[(w - w1, a - a1)]
+        self[key] = value
         return value
 
 
 # ---------------------------------------------------------------------------
 # Degree classes: the counting with role counts per node degree. Each class
 # contributes a binomial bracket whose powers have the closed forms above;
-# classes of one side combine by short convolutions of coefficient lists.
+# classes of one side combine by short convolutions, or by lazy folds.
 # ---------------------------------------------------------------------------
 
 # Most work (see _degree_class_work) a degree-class table may take:
@@ -270,9 +298,9 @@ def _degree_class_work(spec: EnsembleSpec, algorithm: Algorithm) -> int:
     (certifying, ordinary, negative); the missed items among the rest are
     tallied once per rest vector. Per class of c nodes with k options there
     are C(c + k - 1, k - 1) ways to count them. DD with several test degrees
-    adds the term pairs of its 2-D convolutions: o ordinary tests of degree
-    d give an O^o table of at most C(d o + 2, 2) terms, so all the ordinary
-    splits together pair at most prod_d sum_{o <= R_d} C(d o + 2, 2).
+    adds a bound on its lazy folds: o ordinary tests of degree d have at
+    most C(d o + 2, 2) O^o terms, so the folds do at most
+    prod_d sum_{o <= R_d} C(d o + 2, 2) term pairs, fewer if fewer are read.
     """
     roles, states = (3, 2) if algorithm is Algorithm.COMP else (3, 3)
     tests = spec.right_counts()
@@ -302,19 +330,6 @@ def _convolve(lists) -> list[int]:
     return out
 
 
-def _convolve2(tables) -> dict[tuple[int, int], int]:
-    """Product of two-variable polynomials given as {(e, f): coefficient} dicts."""
-    out = {(0, 0): 1}
-    for table in tables:
-        prod: dict[tuple[int, int], int] = {}
-        for (e1, f1), x in out.items():
-            for (e2, f2), y in table.items():
-                key = (e1 + e2, f1 + f2)
-                prod[key] = prod.get(key, 0) + x * y
-        out = prod
-    return out
-
-
 def _splits(counts) -> Iterator[tuple[int, ...]]:
     """Every vector v with 0 <= v[c] <= counts[c]."""
     return product(*(range(c + 1) for c in counts))
@@ -326,18 +341,6 @@ def _dismissed_slack(forms: _ClosedForms, degrees, dismissed, memo: dict) -> lis
     if slack is None:
         slack = memo[dismissed] = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
     return slack
-
-
-def _ordinary_lookup(forms: _ClosedForms, degrees, ordinary) -> Callable:
-    """(W, E2) -> H_o(W, E2), or a falsy value, for o_d ordinary tests of degree d.
-
-    With one test degree a table reads a few of the O^o coefficients, so
-    each is computed when first read; with several, the per-class tables
-    are built in full and convolved.
-    """
-    if len(degrees) == 1:
-        return _LazyOrdinary(forms, degrees[0], ordinary[0]).__getitem__
-    return _convolve2(forms.dd_ordinary(d, o) for d, o in zip(degrees, ordinary)).get
 
 
 def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, int], int]:
@@ -395,20 +398,17 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
     degrees, counts = zip(*sorted(spec.left_counts().items()))
     test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
     fact, edges = forms.fact, spec.edge_count
-    ordinary: dict[tuple[int, ...], Callable] = {}
     by_b: dict[int, list] = {}
     for certifying in _splits(test_counts):
         b = sum(certifying)
         dismissed_edges = sum((d - 1) * c for d, c in zip(test_degrees, certifying))
         for positive in _splits([count - c for count, c in zip(test_counts, certifying)]):
-            lookup = ordinary.get(positive)
-            if lookup is None:
-                lookup = ordinary[positive] = _ordinary_lookup(forms, test_degrees, positive)
+            ordinary = forms.ordinary(zip(test_degrees, positive))
             sockets = sum(d * o for d, o in zip(test_degrees, positive))
             weight = fact[b] * fact[edges - sockets - b - dismissed_edges]
             for d, count, c, o in zip(test_degrees, test_counts, certifying, positive):
                 weight *= multinomial(count, (c, o, count - c - o)) * d**c
-            by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, lookup))
+            by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, ordinary))
     # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
     missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
     slack_memo: dict[tuple[int, ...], list[int]] = {}
@@ -435,14 +435,14 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
             acc = dict.fromkeys(splits, 0)
             for b, x, entries in tests:
                 w0 = i_deg - b
-                for dismissed_edges, sockets, weight, lookup in entries:
+                for dismissed_edges, sockets, weight, ordinary in entries:
                     e2 = sockets - w0 - r_deg
                     s = e2 + dismissed_edges
                     if e2 < 0 or s >= len(slack) or not slack[s]:
                         continue
                     pre = x * weight * slack[s] * fact[s]
                     for j_deg in acc:
-                        h = lookup((w0 + j_deg, e2))
+                        h = ordinary[(w0 + j_deg, e2)]
                         if h:
                             acc[j_deg] += pre * h * fact[w0 + j_deg] * fact[r_deg - j_deg]
             base = 1

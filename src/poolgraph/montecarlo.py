@@ -10,9 +10,11 @@ analytic values and the comparison is apples to apples.
 Decoding is batched: each graph's patterns are drawn as an n x P boolean
 matrix, at most CHUNK_PATTERNS patterns at a time so memory stays
 bounded, and detection.decode_batch decodes a whole chunk in a few numpy
-gathers. Per-pattern error counts are integer arrays; the four float sums
-are added pattern by pattern in draw order (a cumulative sum seeded with
-the running total), so they carry the same bits as a scalar loop would.
+gathers. Only the decoder's own errors (detection.wrong_items) are
+counted, as integer arrays; the other rate's sums stay exactly 0.0. The
+float sums are added pattern by pattern in draw order (a cumulative sum
+seeded with the running total), so they carry the same bits as a scalar
+loop would.
 
 Reproducibility contract: every random draw descends from one 64-bit master
 seed through sha256-based splitting (scheme name "pcg64-sha256split", see
@@ -39,7 +41,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .combinatorics import exact_delta, to_decimal
-from .detection import CHUNK_PATTERNS, Algorithm, decode_batch
+from .detection import CHUNK_PATTERNS, Algorithm, decode_batch, wrong_items
 # perfbench/layers.py rebinds these names here to trace them; no package path calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, spec_hash
@@ -128,23 +130,21 @@ def _graph_partial(
     rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY)))
     n = spec.n
     count_type = np.min_scalar_type(n)
-    far_sum = far_sq = mdr_sum = mdr_sq = 0.0
+    err_sum = err_sq = 0.0
     for start in range(0, patterns, CHUNK_PATTERNS):
         defective = _draw_patterns(rng, delta, min(CHUNK_PATTERNS, patterns - start), n)
         estimate = decode_batch(graph, defective, algorithm)
         a = defective.sum(axis=0, dtype=count_type)
-        fa = (estimate & ~defective).sum(axis=0, dtype=count_type)
-        md = (defective & ~estimate).sum(axis=0, dtype=count_type)
+        candidates = n - a if algorithm is Algorithm.COMP else a
+        wrong = wrong_items(estimate, defective, algorithm).sum(axis=0, dtype=count_type)
         # Patterns without errors add 0.0, which leaves a sum unchanged.
-        hit = fa > 0
-        rate = fa[hit] / (n - a[hit])
-        far_sum = _add_in_order(far_sum, rate)
-        far_sq = _add_in_order(far_sq, rate * rate)
-        hit = md > 0
-        rate = md[hit] / a[hit]
-        mdr_sum = _add_in_order(mdr_sum, rate)
-        mdr_sq = _add_in_order(mdr_sq, rate * rate)
-    return patterns, far_sum, far_sq, mdr_sum, mdr_sq
+        hit = wrong > 0
+        rate = wrong[hit] / candidates[hit]
+        err_sum = _add_in_order(err_sum, rate)
+        err_sq = _add_in_order(err_sq, rate * rate)
+    if algorithm is Algorithm.COMP:
+        return patterns, err_sum, err_sq, 0.0, 0.0
+    return patterns, 0.0, 0.0, err_sum, err_sq
 
 
 def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> None:
@@ -233,12 +233,13 @@ def sweep(
     workers: int = 1,
     keep_per_graph: bool = False,
 ) -> list[TrialReport]:
-    """One report per grid point, each on an independent seed stream."""
+    """One report per grid point, each on an independent seed stream; every delta is checked first."""
     if not delta_grid:
         raise ValueError("delta grid must be non-empty")
-    _check_size(spec, len(delta_grid), graphs, patterns_per_graph)
+    deltas = [exact_delta(delta) for delta in delta_grid]
+    _check_size(spec, len(deltas), graphs, patterns_per_graph)
     reports = []
-    for index, delta in enumerate(delta_grid):
+    for index, delta in enumerate(deltas):
         reports.append(
             simulate(
                 spec,

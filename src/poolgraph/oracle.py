@@ -10,12 +10,12 @@ matchings that give the same graph.
 Decoding is batched. The matchings are taken in itertools.permutations
 order, max(1, CHUNK_PATTERNS // 2^n) of them at a time, and a block is
 decoded as one graph: the disjoint union of its K matchings, with matching
-k's items at k*n + v and its tests at k*m + c. Its two index tables are
-built with numpy straight from the socket layouts, and one call of
-detection.decode_tables decodes all K * 2^n (matching, pattern) pairs.
-COMP and DD look only within a connected component, so each matching of
-the union decodes exactly as it would alone. The per-pattern bitmask
-decoders stay the literal reference in the tests (tests/oracle_reference.py).
+k's items at k*n + v and its tests at k*m + c: detection.index_tables
+lays out its index tables, and one detection.decode_tables call decodes
+all K * 2^n (matching, pattern) pairs. COMP and DD look only within a
+connected component, so each matching of the union decodes exactly as it
+would alone. The per-pattern bitmask decoders stay the literal reference
+in the tests (tests/oracle_reference.py).
 
 Costs explode factorially; both entry points refuse work past a size
 limit, before anything is allocated, instead of grinding forever.
@@ -32,7 +32,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .combinatorics import exact_delta
-from .detection import CHUNK_PATTERNS, Algorithm, decode_tables
+from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, _socket_layout, matching_count
 from .enumerator import EnumeratorTable, table_domain
 from .errors import SizeLimitError
@@ -62,26 +62,6 @@ class OracleReport:
         )
 
 
-def _slot_table(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner per socket, socket index per (slot, node), padding mask of that table).
-
-    Column v lists node v's sockets in order; a node of less than the
-    largest degree is padded (with socket 0, masked out).
-    """
-    owners, degrees = _socket_layout(counts)
-    degrees = np.array(degrees, dtype=np.intp)
-    slot = np.arange(degrees.max())[:, None]
-    pad = slot >= degrees
-    first = np.cumsum(degrees) - degrees
-    return np.array(owners, dtype=np.intp), np.where(pad, 0, first + slot), pad
-
-
-def _union(table: np.ndarray) -> np.ndarray:
-    """K x slots x nodes per-copy index tables as one slots x (K * nodes) table."""
-    k, width, nodes = table.shape
-    return table.transpose(1, 0, 2).reshape(width, k * nodes)
-
-
 def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarray]:
     """Errors of every (matching, pattern) pair, as K x 2^n blocks in permutation order.
 
@@ -89,30 +69,19 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
     (DD) of pattern mask on the block's k-th matching. Callers size the
     work first.
     """
-    n, m = spec.n, spec.m
-    left_owner, left_slots, left_pad = _slot_table(spec.left_counts())
-    right_owner, right_slots, right_pad = _slot_table(spec.right_counts())
+    n = spec.n
+    left_owner = np.array(_socket_layout(spec.left_counts())[0], dtype=np.intp)
+    test_degrees = _socket_layout(spec.right_counts())[1]
     masks = np.arange(1 << n)
     patterns = ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
     size = max(1, CHUNK_PATTERNS // (1 << n))
     matchings = itertools.permutations(range(spec.edge_count))
     while block := list(itertools.islice(matchings, size)):
-        # assignment[k, q] is the item socket matched to test socket q; inverse maps back.
-        assignment = np.array(block, dtype=np.intp)
-        inverse = np.argsort(assignment, axis=1)
-        k = len(block)
-        copy = np.arange(k)[:, None, None]
-        sockets = left_owner[assignment[:, right_slots]] + copy * n
-        sockets[:, right_pad] = k * n
-        tests = right_owner[inverse[:, left_slots]] + copy * m
-        tests[:, left_pad] = k * m
-        defective = np.tile(patterns, (k, 1))
-        estimate = decode_tables(_union(sockets), _union(tests), defective, algorithm)
-        if algorithm is Algorithm.COMP:
-            wrong = estimate & ~defective
-        else:
-            wrong = defective & ~estimate
-        yield wrong.reshape(k, n, -1).sum(axis=1)
+        # Matching k puts item socket block[k][q] on test socket q.
+        tables = index_tables(left_owner[np.array(block, dtype=np.intp)], n, test_degrees)
+        defective = np.tile(patterns, (len(block), 1))
+        wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
+        yield wrong.reshape(len(block), n, -1).sum(axis=1)
 
 
 def exact_enumerators(

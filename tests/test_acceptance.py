@@ -164,7 +164,7 @@ def test_row_sums_at_case_study_scale():
 def test_general_routes_reproduce_regular_routes():
     # The multiplied-out generating functions (tests/gf_reference.py) share no
     # code with the closed forms. The n=8 irregular specs take the O^o
-    # lookups (one test degree) and the 2-D convolution (two test degrees).
+    # lookups (one test degree) and the lazy fold (two test degrees).
     t0 = time.monotonic()
     specs = [regular_spec(n, l, r) for n, l, r in [(6, 2, 3), (6, 3, 6), (8, 2, 4), (12, 2, 4)]]
     specs += [

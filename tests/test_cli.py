@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from poolgraph.cli import _GRID_LIMIT, _parse_delta_grid, main
+from poolgraph.cli import _GRID_LIMIT, _PRECISION_LIMIT, _parse_delta_grid, main
 from poolgraph.errors import SizeLimitError
 from poolgraph.ensemble import regular_spec, spec_hash
 
@@ -325,3 +325,40 @@ def test_row_sum_self_check_guards_analytic_output(argv, monkeypatch, tmp_path, 
     assert code == 1
     assert "row-sum self-check: FAIL at a=[1]" in err
     assert not out_path.exists() and out == ""
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--regular", "4,1,2", "--algorithm", "comp", "--delta-grid", "1/2,3/2"],
+        ["simulate", "--regular", "4,1,2", "--algorithm", "dd", "--delta-grid", "1/20,1/10,2",
+         "--graphs", "2", "--patterns", "10"],
+        ["simulate", "--regular", "4,1,2", "--algorithm", "comp", "--delta-grid", "1/20,1/10,2",
+         "--graphs", "2", "--patterns", "10", "--analytic"],
+    ],
+)
+def test_every_delta_is_checked_before_any_work(argv, monkeypatch, capsys):
+    monkeypatch.setattr("poolgraph.cli.build_table", _refuse)
+    monkeypatch.setattr("poolgraph.montecarlo.sample_graph", _refuse)
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: delta must lie in [0, 1], got ")
+
+
+def test_precision_limit_is_inclusive(monkeypatch, capsys):
+    argv = ["enumerate", "--regular", "4,1,2", "--algorithm", "comp", "--precision"]
+    code, out, err = run(argv + [str(_PRECISION_LIMIT)], capsys)
+    assert _PRECISION_LIMIT == 10_000
+    assert code == 0
+    assert "row-sum self-check: PASS" in err
+    monkeypatch.setattr("poolgraph.cli.build_table", _refuse)
+    for command in (argv, ["analyze", "--regular", "4,1,2", "--algorithm", "dd", "--delta", "1/2", "--precision"]):
+        code, out, err = run(command + [str(_PRECISION_LIMIT + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "refused: precision 10001 is over the limit of 10000 digits\n"

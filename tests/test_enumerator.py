@@ -162,12 +162,29 @@ def test_dd_test_polynomial_powers_match_sparse_powers(d, o):
     power = poly_pow(_dd_ordinary_polynomial(d), o)
     forms = _ClosedForms(0)
     table = forms.dd_ordinary(d, o)
+    lazy = forms.ordinary([(d, o)])
     for a in range(d * o + 2):
         for c in range(d * o + 2):
             w = d * o - a - c
             expected = power.coefficient((w, a, c)) if w >= 0 else 0
             assert forms.dd_g(d, o, a, c) == expected
             assert table.get((w, a), 0) == expected
+            assert lazy[(w, a)] == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(1, 5), st.integers(0, 4))
+def test_dd_two_class_products_match_sparse_powers(d1, o1, d2, o2):
+    # The lazy fold of several ordinary-test classes against the
+    # multiplied-out product O_d1^o1 O_d2^o2, over every (W, a) in the box.
+    power = poly_pow(_dd_ordinary_polynomial(d1), o1) * poly_pow(_dd_ordinary_polynomial(d2), o2)
+    lazy = _ClosedForms(0).ordinary([(d1, o1), (d2, o2)])
+    sockets = d1 * o1 + d2 * o2
+    for w in range(-1, sockets + 2):
+        for a in range(-1, sockets + 2):
+            c = sockets - w - a
+            expected = power.coefficient((w, a, c)) if min(w, a, c) >= 0 else 0
+            assert lazy[(w, a)] == expected
 
 
 def two_by_two_spec():
@@ -195,7 +212,7 @@ def test_regular_route_builds_no_polynomial(monkeypatch):
     import poolgraph.polynomial as polynomial
 
     # A regular spec, one test degree (the O^o lookups), two test degrees
-    # (the 2-D convolution).
+    # (the lazy fold).
     specs = (regular_spec(6, 2, 3), one_test_degree_spec(), two_by_two_spec())
     expected = {(spec, alg): reference_table(spec, alg) for spec in specs for alg in Algorithm}
 
@@ -257,7 +274,7 @@ def test_degree_class_work_counts_compositions_times_splits():
     n50 = EnsembleSpec(n=50, m=25, left=n30.left, right=n30.right)
     assert _degree_class_work(n50, Algorithm.DD) == 351 * 351 * 351 <= _WORK_LIMIT
     # Two classes on each side: items 2 and 2, tests 2 and 1. Two test
-    # degrees add DD's convolution pairs, prod_d sum_{o <= R_d} C(d o + 2, 2):
+    # degrees add DD's fold pairs, prod_d sum_{o <= R_d} C(d o + 2, 2):
     # (1 + 6 + 15) for two tests of degree 2, (1 + 15) for one of degree 4.
     spec = two_by_two_spec()
     assert _degree_class_work(spec, Algorithm.COMP) == 6 * 6 * 3 * 2

@@ -255,3 +255,14 @@ def test_runaway_simulation_is_refused_before_sampling(monkeypatch):
     _check_size(spec, 1, 1_000, 100_000)
     with pytest.raises(SizeLimitError):
         sweep(spec, Algorithm.DD, [Fraction(k, 1000) for k in range(1000)], 1_000, 100_000, seed=0)
+
+
+def test_sweep_checks_every_delta_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was sampled")
+
+    monkeypatch.setattr("poolgraph.montecarlo.sample_graph", refuse)
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\], got 3/2"):
+        sweep(SMALL, Algorithm.COMP, [Fraction(1, 2), Fraction(3, 2)], 2, 10, seed=0)
+    with pytest.raises(TypeError):
+        sweep(SMALL, Algorithm.DD, [Fraction(1, 2), 0.5], 2, 10, seed=0)
