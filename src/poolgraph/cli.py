@@ -6,7 +6,8 @@ closed form, cell by cell). CSV, or verify's report, goes to --out or
 stdout; status chatter goes to stderr so piped output stays parseable.
 
 Exit codes: 0 success, 1 bad input, failed verification or failed row-sum
-self-check, 2 size refusal, 3 I/O failure.
+self-check, 2 size refusal, 3 I/O failure. The oracle decides its refusal
+without computing E!, so a spec of any size is refused at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import ContextManager, Optional, Sequence, TextIO
 
-from .combinatorics import exact_delta, to_decimal
+from .combinatorics import DEFAULT_DECIMAL_DIGITS, exact_delta, to_decimal
 from .detection import Algorithm
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, load_spec, regular_spec, spec_hash
 from .enumerator import build_table, fa_probability, md_probability, write_table_csv
@@ -89,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
         cmd.add_argument(
-            "--precision", type=int, default=12, help=f"decimal digits, at most {_PRECISION_LIMIT:,} (default 12)"
+            "--precision", type=int, default=DEFAULT_DECIMAL_DIGITS,
+            help=f"decimal digits, at most {_PRECISION_LIMIT:,} (default {DEFAULT_DECIMAL_DIGITS})",
         )
         if name in ("analyze", "simulate"):
             delta_group = cmd.add_mutually_exclusive_group(required=True)

@@ -48,6 +48,16 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
+def factorial_exceeds(k: int, limit: int) -> bool:
+    """k! > limit, by a running product that stops as soon as it passes limit."""
+    product = 1
+    for factor in range(2, k + 1):
+        product *= factor
+        if product > limit:
+            return True
+    return product > limit
+
+
 def to_decimal(value: Rational, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     """Render an exact rational as a decimal string with `digits` significant digits.
 

@@ -22,9 +22,10 @@ tests; they are the literal reference the tests hold the batch decoder and
 the oracle to, and no package path calls them. `decode_tables` decodes an
 n x P boolean matrix, one column per pattern, at once with numpy gathers
 over two padded index tables, which only `index_tables` lays out: for one
-sampled graph via `decode_batch` (Monte Carlo) or for the disjoint union of
-a block of matchings (the oracle). The property tests hold the batch and
-bitmask decoders equal pattern by pattern.
+sampled graph via `graph_tables`, once per graph for all its patterns
+(Monte Carlo), or for the disjoint union of a block of matchings (the
+oracle). The property tests hold the batch and bitmask decoders equal
+pattern by pattern.
 """
 
 from __future__ import annotations
@@ -112,27 +113,25 @@ def _with_dummy(flags: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_batch(graph: PoolingGraph, defective: np.ndarray, algorithm: Algorithm) -> np.ndarray:
-    """n x P estimate of an n x P bool pattern matrix: PD items (COMP) or certified items (DD).
-
-    Column p is comp_pd_mask / dd_certified_mask of pattern p.
-    """
+def graph_tables(graph: PoolingGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The two index tables of one sampled graph, for decode_tables."""
     items = np.array([v for members in graph.adj for v in members], dtype=np.intp)
-    tables = index_tables(items[None], graph.n, [len(members) for members in graph.adj])
-    return decode_tables(*tables, defective, algorithm)
+    return index_tables(items[None], graph.n, [len(members) for members in graph.adj])
 
 
 def decode_tables(
     sockets: np.ndarray, tests: np.ndarray, defective: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
-    """decode_batch given the graph's two index tables, as index_tables lays them out.
+    """n x P estimate of an n x P bool pattern matrix: PD items (COMP) or certified items (DD).
 
-    The dummy item is row len(defective) and the dummy test is the number of
-    tests. A test is positive if any socket holds a defective; an item is PD
-    if it is in no negative test; under DD a PD item is certified if some
-    positive test has exactly one PD socket, which must then be its own.
-    Items run down the rows so that every reduction ORs or adds whole rows
-    of P patterns.
+    sockets and tests are the graph's two index tables, as index_tables
+    lays them out; column p is comp_pd_mask / dd_certified_mask of pattern
+    p. The dummy item is row len(defective) and the dummy test is the
+    number of tests. A test is positive if any socket holds a defective; an
+    item is PD if it is in no negative test; under DD a PD item is certified
+    if some positive test has exactly one PD socket, which must then be its
+    own. Items run down the rows so that every reduction ORs or adds whole
+    rows of P patterns.
     """
     positive = _with_dummy(defective)[sockets].any(axis=0)
     pd = ~_with_dummy(~positive)[tests].any(axis=0)

@@ -29,6 +29,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
+from .combinatorics import factorial_exceeds
 from .errors import SizeLimitError, ValidationError
 
 DEFAULT_MATCHING_LIMIT = 10**6
@@ -204,14 +205,11 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
 
 
 def matching_count(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT) -> int:
-    """E!, the number of socket matchings; SizeLimitError when it exceeds limit."""
+    """E!, the number of socket matchings; SizeLimitError, before E! is computed, when it exceeds limit."""
     edges = spec.edge_count
-    total = math.factorial(edges)
-    if total > limit:
-        raise SizeLimitError(
-            f"{edges}! = {total} socket matchings exceed the limit {limit}"
-        )
-    return total
+    if factorial_exceeds(edges, limit):
+        raise SizeLimitError(f"{edges}! socket matchings exceed the limit {limit}")
+    return math.factorial(edges)
 
 
 def enumerate_matchings(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT) -> Iterator[PoolingGraph]:

@@ -69,7 +69,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterator, Mapping, Union
 
-from .combinatorics import binomial, exact_delta, multinomial, to_decimal
+from .combinatorics import DEFAULT_DECIMAL_DIGITS, binomial, exact_delta, multinomial, to_decimal
 from .detection import Algorithm
 from .ensemble import EnsembleSpec, spec_hash
 from .errors import SizeLimitError
@@ -506,7 +506,9 @@ def md_probability(table: EnumeratorTable, delta) -> Fraction:
     return _error_probability(table, delta)
 
 
-def write_table_csv(table: EnumeratorTable, out: Union[str, Path, io.TextIOBase], precision: int = 12) -> None:
+def write_table_csv(
+    table: EnumeratorTable, out: Union[str, Path, io.TextIOBase], precision: int = DEFAULT_DECIMAL_DIGITS
+) -> None:
     """CSV rows (a, j, numerator, denominator, decimal) with a spec-hash comment line."""
     _require_complete(table)
 

@@ -9,12 +9,13 @@ analytic values and the comparison is apples to apples.
 
 Decoding is batched: each graph's patterns are drawn as an n x P boolean
 matrix, at most CHUNK_PATTERNS patterns at a time so memory stays
-bounded, and detection.decode_batch decodes a whole chunk in a few numpy
-gathers. Only the decoder's own errors (detection.wrong_items) are
-counted, as integer arrays; the other rate's sums stay exactly 0.0. The
-float sums are added pattern by pattern in draw order (a cumulative sum
-seeded with the running total), so they carry the same bits as a scalar
-loop would.
+bounded. A graph's two index tables (detection.graph_tables) are built
+once, before its first chunk, and detection.decode_tables decodes each
+chunk with a few numpy gathers over them. Only the decoder's own errors
+(detection.wrong_items) are tallied, as one sum and one sum of squares;
+the other rate is reported as exactly 0.0. The float sums are added
+pattern by pattern in draw order (a cumulative sum seeded with the
+running total), so they carry the same bits as a scalar loop would.
 
 Reproducibility contract: every random draw descends from one 64-bit master
 seed through sha256-based splitting (scheme name "pcg64-sha256split", see
@@ -40,8 +41,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .combinatorics import exact_delta, to_decimal
-from .detection import CHUNK_PATTERNS, Algorithm, decode_batch, wrong_items
+from .combinatorics import DEFAULT_DECIMAL_DIGITS, exact_delta, to_decimal
+from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, wrong_items
 # perfbench/layers.py rebinds these names here to trace them; no package path calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, spec_hash
@@ -124,16 +125,16 @@ def _graph_partial(
     patterns: int,
     master_seed: int,
     graph_index: int,
-) -> tuple[int, float, float, float, float]:
-    """(count, far sum, far sum of squares, mdr sum, mdr sum of squares) for one graph."""
-    graph = sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY))
+) -> tuple[int, float, float]:
+    """(patterns, sum, sum of squares) of the decoder's error rate (FAR or MDR) on one graph."""
+    tables = graph_tables(sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY)))
     rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY)))
     n = spec.n
     count_type = np.min_scalar_type(n)
     err_sum = err_sq = 0.0
     for start in range(0, patterns, CHUNK_PATTERNS):
         defective = _draw_patterns(rng, delta, min(CHUNK_PATTERNS, patterns - start), n)
-        estimate = decode_batch(graph, defective, algorithm)
+        estimate = decode_tables(*tables, defective, algorithm)
         a = defective.sum(axis=0, dtype=count_type)
         candidates = n - a if algorithm is Algorithm.COMP else a
         wrong = wrong_items(estimate, defective, algorithm).sum(axis=0, dtype=count_type)
@@ -142,9 +143,7 @@ def _graph_partial(
         rate = wrong[hit] / candidates[hit]
         err_sum = _add_in_order(err_sum, rate)
         err_sq = _add_in_order(err_sq, rate * rate)
-    if algorithm is Algorithm.COMP:
-        return patterns, err_sum, err_sq, 0.0, 0.0
-    return patterns, 0.0, 0.0, err_sum, err_sq
+    return patterns, err_sum, err_sq
 
 
 def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> None:
@@ -195,18 +194,18 @@ def simulate(
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             partials = list(pool.map(_graph_partial, *zip(*args)))
+    comp = algorithm is Algorithm.COMP
     count = 0
-    far_sum = far_sq = mdr_sum = mdr_sq = 0.0
+    err_sum = err_sq = 0.0
     per_graph: list[tuple[float, float]] = []
-    for c, fs, fq, ms, mq in partials:
+    for c, s, q in partials:
         count += c
-        far_sum += fs
-        far_sq += fq
-        mdr_sum += ms
-        mdr_sq += mq
-        per_graph.append((fs / c, ms / c))
-    far_mean, far_stderr = _mean_stderr(count, far_sum, far_sq)
-    mdr_mean, mdr_stderr = _mean_stderr(count, mdr_sum, mdr_sq)
+        err_sum += s
+        err_sq += q
+        # COMP never misses and DD never raises a false alarm: the other rate is exactly 0.
+        per_graph.append((s / c, 0.0) if comp else (0.0, s / c))
+    rate = _mean_stderr(count, err_sum, err_sq)
+    (far_mean, far_stderr), (mdr_mean, mdr_stderr) = (rate, (0.0, 0.0)) if comp else ((0.0, 0.0), rate)
     return TrialReport(
         spec=spec,
         algorithm=algorithm,
@@ -259,7 +258,7 @@ def write_trials_csv(
     reports: Iterable[TrialReport],
     out,
     analytic: Optional[Sequence[Optional[Fraction]]] = None,
-    precision: int = 12,
+    precision: int = DEFAULT_DECIMAL_DIGITS,
 ) -> None:
     """One CSV row per report; analytic column filled when exact values are supplied."""
     rows = list(reports)

@@ -24,14 +24,13 @@ limit, before anything is allocated, instead of grinding forever.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .combinatorics import exact_delta
+from .combinatorics import exact_delta, factorial_exceeds
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, _socket_layout, matching_count
 from .enumerator import EnumeratorTable, table_domain
@@ -129,11 +128,9 @@ def exact_error_probability(
     """
     d = exact_delta(delta)
     n = spec.n
-    fact = math.factorial(spec.edge_count)
-    if fact * (1 << n) > limit:
-        raise SizeLimitError(
-            f"{fact} matchings x {1 << n} patterns exceeds the oracle limit {limit}"
-        )
+    # E! 2^n > limit exactly when E! > floor(limit / 2^n), as E! is an integer.
+    if factorial_exceeds(spec.edge_count, limit >> n):
+        raise SizeLimitError(f"{spec.edge_count}! matchings x 2^{n} patterns exceed the oracle limit {limit}")
     err_sums = np.zeros(1 << n, dtype=np.int64)
     matchings = 0
     for errors in _error_blocks(spec, algorithm):

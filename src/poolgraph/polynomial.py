@@ -1,12 +1,18 @@
-"""Sparse multivariate polynomials over arbitrary-precision integers.
+"""Sparse multivariate polynomials over arbitrary-precision integers: the literal reference.
 
-The enumerator formulas only ever need a handful of coefficients from huge
-powers of small generating polynomials, so everything here is organized
-around truncated arithmetic: a polynomial may carry per-variable exponent
-caps, and every product drops monomials exceeding them. Because all
-exponents are non-negative, a monomial above the caps can never contribute
-to a kept coefficient later, so truncation is exact for the retained terms
-(this is asserted by property tests, not just assumed).
+No table builder multiplies a polynomial out. The tests do:
+tests/gf_reference.py multiplies the configuration-model generating
+functions out with these functions, one factor per node degree, and reads
+each table cell off as a coefficient, so the closed forms in
+poolgraph.enumerator are held to a computation that shares no code with
+them. The module stays importable at this path, and poolgraph.enumerator
+keeps importing its names, because perfbench/layers.py rebinds them there.
+
+A polynomial may carry per-variable exponent caps, and every product keeps
+only the monomials within them. Because all exponents are non-negative, a
+monomial above the caps can never contribute to a kept coefficient later,
+so truncation is exact for the retained terms (property tests hold it to a
+naive product trimmed afterwards).
 
 Polynomials are immutable values: every operation returns a new instance.
 
@@ -16,7 +22,7 @@ evaluation.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from operator import add, le
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
@@ -40,101 +46,17 @@ def _merged_caps(a: Optional[Caps], b: Optional[Caps]) -> Optional[Caps]:
 
 
 def _within(exps: Exponents, caps: Caps) -> bool:
-    for e, c in zip(exps, caps):
-        if e > c:
-            return False
-    return True
+    return all(map(le, exps, caps))
 
 
-class _Packer:
-    """Packs exponent tuples into single integers for the hot multiply loop.
-
-    Field widths are sized so that the sum of two in-cap exponent vectors
-    never overflows a field, and so the guard-bit trick below decides
-    "component-wise <= caps" with one subtraction and one mask: field v gets
-    width w_v with 2^(w_v - 1) > 2 * cap_v, guard bit at the top of the
-    field. For e with all fields <= 2*cap_v, (packed_caps + guards) - e
-    keeps every guard bit set iff every field of e is <= its cap; no borrow
-    ever crosses a field boundary because fields cannot go negative.
-    """
-
-    __slots__ = ("offsets", "widths", "caps_plus_guard", "guard_mask")
-
-    def __init__(self, caps: Caps):
-        offsets = []
-        widths = []
-        off = 0
-        for cap in caps:
-            w = max((2 * cap).bit_length() + 1, 2)
-            offsets.append(off)
-            widths.append(w)
-            off += w
-        self.offsets = tuple(offsets)
-        self.widths = tuple(widths)
-        guard = 0
-        packed_caps = 0
-        for cap, o, w in zip(caps, offsets, widths):
-            guard |= 1 << (o + w - 1)
-            packed_caps |= cap << o
-        self.guard_mask = guard
-        self.caps_plus_guard = packed_caps | guard
-
-    def pack(self, exps: Exponents) -> int:
-        out = 0
-        for e, o in zip(exps, self.offsets):
-            out |= e << o
-        return out
-
-    def unpack(self, packed: int) -> Exponents:
-        out = []
-        for o, w in zip(self.offsets, self.widths):
-            out.append((packed >> o) & ((1 << w) - 1))
-        return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def _packer_for(caps: Caps) -> _Packer:
-    return _Packer(caps)
-
-
-def _mul_capped(at: Mapping[Exponents, int], bt: Mapping[Exponents, int], caps: Caps) -> dict:
-    packer = _packer_for(caps)
-    pack = packer.pack
-    ap = {}
-    for e, c in at.items():
-        if _within(e, caps):
-            ap[pack(e)] = c
-    bp = {}
-    for e, c in bt.items():
-        if _within(e, caps):
-            bp[pack(e)] = c
-    if len(ap) < len(bp):
-        ap, bp = bp, ap
+def _mul(at: Mapping[Exponents, int], bt: Mapping[Exponents, int], caps: Optional[Caps]) -> dict:
+    """Every pairwise product of terms, kept only where the exponent sum is within caps."""
     out: dict = {}
-    get = out.get
-    cg = packer.caps_plus_guard
-    guard = packer.guard_mask
-    for eb, cb in bp.items():
-        lim = cg - eb
-        for ea, ca in ap.items():
-            e = ea + eb
-            if (lim - ea) & guard == guard:
-                v = get(e)
-                out[e] = ca * cb if v is None else v + ca * cb
-    unpack = packer.unpack
-    return {unpack(e): c for e, c in out.items() if c}
-
-
-def _mul_plain(at: Mapping[Exponents, int], bt: Mapping[Exponents, int]) -> dict:
-    if len(at) < len(bt):
-        at, bt = bt, at
-    out: dict = {}
-    get = out.get
-    for eb, cb in bt.items():
-        for ea, ca in at.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = get(e)
-            out[e] = ca * cb if v is None else v + ca * cb
+    for ea, ca in at.items():
+        for eb, cb in bt.items():
+            e = tuple(map(add, ea, eb))
+            if caps is None or _within(e, caps):
+                out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
 
@@ -235,19 +157,10 @@ class SparsePoly:
     def items(self) -> Iterator[Tuple[Exponents, int]]:
         return iter(self.terms.items())
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly._raw(self.arity, {e: -c for e, c in self.terms.items()}, self.caps)
@@ -301,13 +214,7 @@ def poly_mul(a: SparsePoly, b: SparsePoly, caps: Optional[Sequence[int]] = None)
             raise ValueError(f"caps length {len(eff)} != arity {a.arity}")
     else:
         eff = _merged_caps(a.caps, b.caps)
-    if not a.terms or not b.terms:
-        return SparsePoly._raw(a.arity, {}, eff)
-    if eff is None:
-        terms = _mul_plain(a.terms, b.terms)
-    else:
-        terms = _mul_capped(a.terms, b.terms, eff)
-    return SparsePoly._raw(a.arity, terms, eff)
+    return SparsePoly._raw(a.arity, _mul(a.terms, b.terms, eff), eff)
 
 
 def poly_pow(p: SparsePoly, k: int, caps: Optional[Sequence[int]] = None) -> SparsePoly:

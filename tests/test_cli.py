@@ -166,10 +166,20 @@ def test_verify_oracle_limit_is_inclusive(capsys):
     argv = ["verify", "--regular", "4,1,2", "--algorithm", "comp", "--oracle-limit"]
     code, _, err = run(argv + ["23"], capsys)
     assert code == 2
-    assert err == "refused: 4! = 24 socket matchings exceed the limit 23\n"
+    assert err == "refused: 4! socket matchings exceed the limit 23\n"
     code, out, _ = run(argv + ["24"], capsys)
     assert code == 0
     assert "all cells match over 24 matchings" in out
+
+
+def test_verify_refuses_without_writing_out_the_matching_count(capsys):
+    # 1800! has more digits than Python turns into a string; 3,000,000! takes most of a minute to compute.
+    t0 = time.monotonic()
+    for n in (600, 10**6):
+        code, out, err = run(["verify", "--regular", f"{n},3,6", "--algorithm", "comp"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"refused: {3 * n}! socket matchings exceed the limit 1000000\n"
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_verify_writes_report_to_out(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poolgraph.combinatorics import Rational, binomial, exact_delta, multinomial, to_decimal
+from poolgraph.combinatorics import Rational, binomial, exact_delta, factorial_exceeds, multinomial, to_decimal
 
 
 def pascal_rows(count):
@@ -89,6 +89,12 @@ def test_multinomial_matches_iterated_factorials(parts):
 def test_multinomial_two_parts_is_binomial(n, k):
     if k <= n:
         assert multinomial(n, [k, n - k]) == binomial(n, k)
+
+
+def test_factorial_exceeds_is_exact_at_every_boundary():
+    for k in range(13):
+        assert factorial_exceeds(k, math.factorial(k) - 1)
+        assert not factorial_exceeds(k, math.factorial(k))
 
 
 def test_rational_is_exact():

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask, decode_batch
+from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask, decode_tables, graph_tables
 from poolgraph.ensemble import (
     DegreeDistribution,
     EnsembleSpec,
@@ -134,9 +134,9 @@ BITMASK_DECODERS = {Algorithm.COMP: comp_pd_mask, Algorithm.DD: dd_certified_mas
 
 
 def assert_batch_matches_bitmask(graph, masks, algorithm):
-    """decode_batch on the n x P matrix of `masks` equals the bitmask decoder column by column."""
+    """decode_tables on the n x P matrix of `masks` equals the bitmask decoder column by column."""
     matrix = np.array([[mask >> i & 1 for mask in masks] for i in range(graph.n)], dtype=bool)
-    estimate = decode_batch(graph, matrix, algorithm)
+    estimate = decode_tables(*graph_tables(graph), matrix, algorithm)
     assert estimate.shape == (graph.n, len(masks)) and estimate.dtype == bool
     decode = BITMASK_DECODERS[algorithm]
     for p, mask in enumerate(masks):

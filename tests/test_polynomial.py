@@ -187,6 +187,22 @@ def test_mul_distributes_over_add(a, b, c):
     assert left == right
 
 
+cap_vectors = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
+
+
+@given(sparse_terms(), sparse_terms(), cap_vectors, cap_vectors, st.data())
+def test_mul_of_differently_capped_operands_is_trimmed_naive_product(a, b, caps_a, caps_b, data):
+    # Without explicit caps the product keeps the operands' merged caps;
+    # explicit caps narrower than both replace them.
+    merged = tuple(map(min, caps_a, caps_b))
+    narrower = data.draw(st.tuples(*(st.integers(0, c) for c in merged)))
+    pa, pb = as_poly(3, a, caps_a), as_poly(3, b, caps_b)
+    for caps, effective in ((None, merged), (narrower, narrower)):
+        product = poly_mul(pa, pb, caps)
+        assert product.caps == effective
+        assert dict(product.items()) == trim(naive_mul(a, b), effective)
+
+
 @given(
     st.dictionaries(exponent_vectors, st.integers(-6, 6).filter(bool), min_size=1, max_size=4),
     st.integers(0, 5),
