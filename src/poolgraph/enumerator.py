@@ -25,6 +25,9 @@ short closed form. With S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w):
         [x1^W x2^a x4^c] O^o = sum_p C(o, p) (-d)^p C(a - p(d-1) + c, c) S_d(o-p, W-p),
         with W = d o - a - c: the sole term d x1 x2^(d-1) taken p times.
 
+The S_d(q, .) rows come from row_q = row_(q-1) ((1+x)^d - 1), one short
+convolution each, and binomials from Pascal rows; both grow on demand.
+
 Every design goes by degree classes; a regular design has one class per
 side. L_d items and R_d tests have degree d; a cell sums over per-class role
 counts, and within a side the classes combine by convolving their
@@ -36,6 +39,9 @@ coefficient lists (written *):
         A_{i,j} = sum prod_d M(L_d; i_d, j_d, q_d) prod_d C(R_d, b_d)
                   (*_d S_d(b_d, .))[e1] (*_d S_d(q_d, d q_d - .))[D - e1 - e2]
                   e1! (D - e1)! (E - D)! / E!
+        e1 + e2 = E - Q for Q = sum d q_d dismissed sockets, so the slack
+        index D - e1 - e2 = D - E + Q does not depend on the defective
+        split: one dot product serves every split with the same (q, e1).
     DD, items: i_d certified, j_d missed, k_d covered, q_d dismissed;
         tests: c_d certifying, o_d ordinary positive. With B = sum c_d,
         W = sum d (i_d + j_d) - B defective sockets at ordinary tests,
@@ -44,9 +50,12 @@ coefficient lists (written *):
         A_{i+j,j} = sum prod_d M(L_d; i_d, j_d, k_d, q_d) prod_d M(R_d; c_d, o_d, .) d^(c_d)
                     (*_d S_d(i_d, .))[B] (*_d S_d(q_d, d q_d - .))[s] H_o(W, E2)
                     W! s! K! B! E0! / E!
-        where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d) is computed when
-        first read: one coefficient of O^o for one test degree, else the first
-        class's O^o terms folded against the lazy product of the others.
+        where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d). W + K = E - Q - B
+        and E2 = sum d o_d - (E - Q - B), so given q and B a term depends on the
+        certified items only through [x^B] and K: the tests are summed once per
+        (q, B) into a row over K. H_o is read a row over K at a time: computed
+        whole for one test degree, else folding the first class's O^o terms
+        against the lazy product of the others.
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
@@ -65,7 +74,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, islice, product
+from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping, Union
 
@@ -161,41 +171,37 @@ def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
 class _ClosedForms:
     """Closed-form coefficients of the bracket powers (see the module docstring).
 
-    Memoizes S_d(q, w), the O^o tables and their lazy products per instance,
-    so build one instance per table. `fact` holds 0!, ..., edges!.
+    Memoizes Pascal rows, the S_d(q, .) rows, the O^o tables and their lazy
+    products per instance, so build one instance per table. `fact` holds
+    0!, ..., edges!; the rows grow on demand, whatever `edges` is.
     """
 
-    __slots__ = ("fact", "_alt", "_ordinary", "_products")
+    __slots__ = ("fact", "_pascal", "_powers", "_ordinary", "_products")
 
     def __init__(self, edges: int):
-        fact = [1]
-        for v in range(1, edges + 1):
-            fact.append(fact[-1] * v)
-        self.fact = fact
-        self._alt: dict[tuple[int, int, int], int] = {}
+        self.fact = list(accumulate(range(1, edges + 1), mul, initial=1))
+        self._pascal: list[list[int]] = [[1]]
+        self._powers: dict[int, list[list[int]]] = {}
         self._ordinary: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         self._products: dict[tuple[tuple[int, int], ...], _LazyOrdinary] = {}
 
-    def alt(self, d: int, q: int, w: int) -> int:
-        """S_d(q, w); zero unless 0 <= w <= d q."""
-        key = (d, q, w)
-        value = self._alt.get(key)
-        if value is None:
-            value = 0
-            if 0 <= w <= d * q:
-                for t in range(-(-w // d), q + 1):
-                    term = binomial(q, t) * binomial(d * t, w)
-                    value += -term if (q - t) & 1 else term
-            self._alt[key] = value
-        return value
+    def choose(self, k: int) -> list[int]:
+        """[C(k, 0), ..., C(k, k)]."""
+        rows = self._pascal
+        while len(rows) <= k:
+            rows.append(_convolve([rows[-1], [1, 1]]))
+        return rows[k]
 
     def powers(self, d: int, q: int) -> list[int]:
-        """[x^w] ((1 + x)^d - 1)^q = S_d(q, w) for w = 0, ..., d q."""
-        return [self.alt(d, q, w) for w in range(d * q + 1)]
+        """[x^w] ((1 + x)^d - 1)^q = S_d(q, w) for w = 0, ..., d q; row q is row q - 1 times the bracket."""
+        rows, bracket = self._powers.setdefault(d, [[1]]), [0, *self.choose(d)[1:]]
+        while len(rows) <= q:
+            rows.append(_convolve([rows[-1], bracket]))
+        return rows[q]
 
     def slack_powers(self, d: int, q: int) -> list[int]:
         """[s^y] ((1 + s)^d - s^d)^q = S_d(q, d q - y) for y = 0, ..., (d - 1) q."""
-        return [self.alt(d, q, d * q - y) for y in range((d - 1) * q + 1)]
+        return self.powers(d, q)[::-1][: (d - 1) * q + 1]
 
     def dd_ordinary(self, d: int, o: int) -> dict[tuple[int, int], int]:
         """{(W, a): [x1^W x2^a x4^(d o - W - a)] O^o}, nonzero terms only."""
@@ -203,8 +209,7 @@ class _ClosedForms:
         if table is None:
             table = self._ordinary[(d, o)] = {}
             for a in range(d * o + 1):
-                for c in range(d * o - a + 1):
-                    value = self.dd_g(d, o, a, c)
+                for c, value in enumerate(self.dd_row(d, o, a, range(d * o - a + 1))):
                     if value:
                         table[(d * o - a - c, a)] = value
         return table
@@ -226,19 +231,22 @@ class _ClosedForms:
         is S_d(o - p, W - p) v^(a + c - p(d-1)); C(a - p(d-1) + c, c) picks
         x2^(a - p(d-1)) x4^c out of that power of v.
         """
-        w = d * o - a - c
-        if w < 0:
-            return 0
-        top = min(o, w, a // (d - 1) if d > 1 else o)
-        total = 0
-        for p in range(top + 1):
-            total += (
-                binomial(o, p)
-                * (-d) ** p
-                * binomial(a - p * (d - 1) + c, c)
-                * self.alt(d, o - p, w - p)
-            )
-        return total
+        return self.dd_row(d, o, a, range(c, c + 1))[0]
+
+    def dd_row(self, d: int, o: int, a: int, cs: range) -> list[int]:
+        """[dd_g(d, o, a, c) for c in cs], for a range of c >= 0 with a positive step."""
+        row, w0 = [0] * len(cs), d * o - a
+        live = range(cs.start, min(cs.stop, w0 - o + 1), cs.step)  # W >= o: every factor holds x1
+        if live:
+            self.powers(d, o)  # grow the S_d and Pascal rows the sum reads
+            self.choose(max(o, a + live[-1]))
+            s_rows, pascal, sign = self._powers[d], self._pascal, 1
+            for p in range(min(o, a // (d - 1) if d > 1 else o) + 1):
+                coef, s, n = sign * pascal[o][p], s_rows[o - p], a - p * (d - 1)
+                for k, c in enumerate(live):
+                    row[k] += coef * pascal[n + c][c] * s[w0 - p - c]
+                sign *= -d
+        return row
 
 
 class _LazyOrdinary(dict):
@@ -248,12 +256,25 @@ class _LazyOrdinary(dict):
     classes fold the first one's O^o terms against the product of the rest.
     """
 
-    __slots__ = ("forms", "classes", "sockets")
+    __slots__ = ("forms", "classes", "sockets", "_rows")
 
     def __init__(self, forms: _ClosedForms, classes: tuple[tuple[int, int], ...]):
         super().__init__()
         self.forms, self.classes = forms, classes
         self.sockets = sum(d * o for d, o in classes)
+        self._rows: dict[tuple[int, int], list[int]] = {}
+
+    def row(self, a: int, step: int) -> list[int]:
+        """[x1^(D - a - K) x2^a x4^K] for K = 0, step, 2 step, ..., D - a; memoized."""
+        row = self._rows.get((a, step))
+        if row is None:
+            top, classes = self.sockets - a, self.classes
+            if len(classes) == 1:
+                row = self.forms.dd_row(*classes[0], a, range(0, top + 1, step))
+            else:
+                row = [self[(top - k, a)] for k in range(0, top + 1, step)]
+            self._rows[(a, step)] = row
+        return row
 
     def __missing__(self, key: tuple[int, int]) -> int:
         w, a = key
@@ -335,54 +356,44 @@ def _splits(counts) -> Iterator[tuple[int, ...]]:
     return product(*(range(c + 1) for c in counts))
 
 
-def _dismissed_slack(forms: _ClosedForms, degrees, dismissed, memo: dict) -> list[int]:
-    """[s^y] prod ((1 + s)^d - s^d)^(q_d): q_d dismissed items of degree d, y sockets on positive tests."""
-    slack = memo.get(dismissed)
-    if slack is None:
-        slack = memo[dismissed] = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
-    return slack
-
-
 def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, int], int]:
     # The COMP formula of the module docstring; returns numerators over edges!.
-    # D = sockets on positive tests; y = D - e1 - e2 of them hold dismissed items.
+    # D = sockets on positive tests; y = D - E + Q of them hold dismissed items.
     degrees, counts = zip(*sorted(spec.left_counts().items()))
     test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
-    fact, edges = forms.fact, spec.edge_count
-    # by_e1[e1][D]: every split with D positive-test sockets, e1 of them on
+    fact, edges, choose = forms.fact, spec.edge_count, forms.choose
+    step = math.gcd(*test_degrees)  # D is a multiple of it
+    # by_e1[e1][D / step]: every split with D positive-test sockets, e1 of them on
     # defectives: prod C(R_d, b_d) [x^e1] prod ((1 + x)^d - 1)^(b_d), times pairings.
-    by_e1: dict[int, dict[int, int]] = {}
+    by_e1: dict[int, list[int]] = {}
     for split in _splits(test_counts):
         sockets = sum(d * b for d, b in zip(test_degrees, split))
         weight = fact[edges - sockets]
         for count, b in zip(test_counts, split):
-            weight *= binomial(count, b)
+            weight *= choose(count)[b]
         spread = _convolve(forms.powers(d, b) for d, b in zip(test_degrees, split))
         for e1, t in enumerate(spread):
             if t:
-                row = by_e1.setdefault(e1, {})
-                row[sockets] = row.get(sockets, 0) + weight * t * fact[e1] * fact[sockets - e1]
-    slack_memo: dict[tuple[int, ...], list[int]] = {}
+                row = by_e1.setdefault(e1, [0] * (edges // step + 1))
+                row[sockets // step] += weight * t * fact[e1] * fact[sockets - e1]
     values = dict.fromkeys(table_domain(spec.n, Algorithm.COMP), 0)
-    for defective in _splits(counts):
-        e1 = sum(d * c for d, c in zip(degrees, defective))
-        row = by_e1.get(e1)
-        if not row:
-            continue
-        i = sum(defective)
-        for dismissed in _splits([c - i_d for c, i_d in zip(counts, defective)]):
-            alarms = [c - i_d - q for c, i_d, q in zip(counts, defective, dismissed)]
-            e2 = sum(d * j for d, j in zip(degrees, alarms))
-            slack = _dismissed_slack(forms, degrees, dismissed, slack_memo)
-            total = 0
-            for sockets, weight in row.items():
-                y = sockets - e1 - e2
-                if 0 <= y < len(slack):
-                    total += weight * slack[y]
-            if total:
-                for c, i_d, j_d, q in zip(counts, defective, alarms, dismissed):
-                    total *= multinomial(c, (i_d, j_d, q))
-                values[(i, sum(alarms))] += total
+    for dismissed in _splits(counts):
+        shift = edges - sum(d * q for d, q in zip(degrees, dismissed))
+        first = -(-shift // step)  # the least D / step with y = D - shift >= 0
+        slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
+        slack = slack[first * step - shift :: step]
+        dots: dict[int, int] = {}
+        for defective in _splits([c - q for c, q in zip(counts, dismissed)]):
+            e1 = sum(d * c for d, c in zip(degrees, defective))
+            dot = dots.get(e1)
+            if dot is None:
+                row = by_e1.get(e1)
+                dot = dots[e1] = sum(map(mul, islice(row, first, None), slack)) if row else 0
+            if dot:
+                for c, q, i_d in zip(counts, dismissed, defective):
+                    dot *= choose(c)[q] * choose(c - q)[i_d]
+                i = sum(defective)
+                values[(i, spec.n - sum(dismissed) - i)] += dot
     return values
 
 
@@ -398,6 +409,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
     degrees, counts = zip(*sorted(spec.left_counts().items()))
     test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
     fact, edges = forms.fact, spec.edge_count
+    step = math.gcd(*degrees)  # K and J are multiples of it
     by_b: dict[int, list] = {}
     for certifying in _splits(test_counts):
         b = sum(certifying)
@@ -411,43 +423,54 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
             by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, ordinary))
     # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
     missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
-    slack_memo: dict[tuple[int, ...], list[int]] = {}
+    spreads: dict[tuple[int, ...], list[int]] = {}
     values = dict.fromkeys(table_domain(spec.n, Algorithm.DD), 0)
-    for certified in _splits(counts):
-        spread = _convolve(forms.powers(d, i) for d, i in zip(degrees, certified))
-        tests = [(b, x, by_b[b]) for b, x in enumerate(spread) if x and b in by_b]
-        if not tests:
-            continue
-        i, i_deg = sum(certified), sum(d * c for d, c in zip(degrees, certified))
-        for dismissed in _splits([c - i_d for c, i_d in zip(counts, certified)]):
+    for dismissed in _splits(counts):
+        free = edges - sum(d * q for d, q in zip(degrees, dismissed))
+        slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
+        # by_k[B][K / step] = W! K! sum pre H(W, E2) over the tests with B certifying.
+        by_k: dict[int, list[int]] = {}
+        for b, entries in by_b.items():
+            top = free - b
+            sums = [0] * (top // step + 1)
+            for dismissed_edges, sockets, weight, ordinary in entries:
+                e2 = sockets - top
+                s = e2 + dismissed_edges
+                if e2 < 0 or s >= len(slack) or not slack[s]:
+                    continue
+                pre = weight * slack[s] * fact[s]
+                for k, h in enumerate(ordinary.row(e2, step)):
+                    if h:
+                        sums[k] += pre * h
+            if any(sums):
+                covers = range(0, top + 1, step)
+                by_k[b] = [t * fact[top - cover] * fact[cover] for cover, t in zip(covers, sums)]
+        for certified in _splits([c - q for c, q in zip(counts, dismissed)]):
+            spread = spreads.get(certified)
+            if spread is None:
+                spread = _convolve(forms.powers(d, i) for d, i in zip(degrees, certified))
+                spreads[certified] = spread
             rest = tuple(c - i_d - q for c, i_d, q in zip(counts, certified, dismissed))
             r_deg = sum(d * r for d, r in zip(degrees, rest))
-            slack = _dismissed_slack(forms, degrees, dismissed, slack_memo)
             splits = missed_splits.get(rest)
             if splits is None:
                 splits = missed_splits[rest] = {}
                 for missed in _splits(rest):
                     weight = 1
                     for r, j_d in zip(rest, missed):
-                        weight *= binomial(r, j_d)
+                        weight *= forms.choose(r)[j_d]
                     by_j = splits.setdefault(sum(d * j for d, j in zip(degrees, missed)), {})
                     by_j[sum(missed)] = by_j.get(sum(missed), 0) + weight
             acc = dict.fromkeys(splits, 0)
-            for b, x, entries in tests:
-                w0 = i_deg - b
-                for dismissed_edges, sockets, weight, ordinary in entries:
-                    e2 = sockets - w0 - r_deg
-                    s = e2 + dismissed_edges
-                    if e2 < 0 or s >= len(slack) or not slack[s]:
-                        continue
-                    pre = x * weight * slack[s] * fact[s]
+            for b, row in by_k.items():
+                x = spread[b] if b < len(spread) else 0
+                if x:
                     for j_deg in acc:
-                        h = ordinary[(w0 + j_deg, e2)]
-                        if h:
-                            acc[j_deg] += pre * h * fact[w0 + j_deg] * fact[r_deg - j_deg]
+                        acc[j_deg] += x * row[(r_deg - j_deg) // step]
             base = 1
             for c, i_d, r, q in zip(counts, certified, rest, dismissed):
                 base *= multinomial(c, (i_d, r, q))
+            i = sum(certified)
             for j_deg, total in acc.items():
                 if total:
                     for j, weight in splits[j_deg].items():

@@ -101,15 +101,17 @@ class TrialReport:
     per_graph_rates: Optional[tuple[tuple[float, float], ...]] = None
 
 
-def _draw_patterns(rng: np.random.Generator, delta: Fraction, count: int, n: int) -> np.ndarray:
+def _draw_patterns(bits: np.random.PCG64, delta: Fraction, count: int, n: int) -> np.ndarray:
     """n x count Bernoulli(delta) bool matrix, one column per pattern.
 
-    Exact threshold on 64-bit draws, taken pattern by pattern from the stream.
+    Exact threshold on raw 64-bit PCG64 words, taken pattern by pattern from
+    the stream. Raw words are stable across numpy releases; Generator methods
+    need not be.
     """
     if delta == 1:
         return np.ones((n, count), dtype=bool)
     threshold = (delta.numerator << 64) // delta.denominator
-    draws = rng.integers(0, _SEED_SPAN - 1, size=(count, n), dtype=np.uint64, endpoint=True)
+    draws = bits.random_raw(count * n).reshape(count, n)
     return np.ascontiguousarray((draws < np.uint64(threshold)).T)
 
 
@@ -128,12 +130,12 @@ def _graph_partial(
 ) -> tuple[int, float, float]:
     """(patterns, sum, sum of squares) of the decoder's error rate (FAR or MDR) on one graph."""
     tables = graph_tables(sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY)))
-    rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY)))
+    bits = np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY))
     n = spec.n
     count_type = np.min_scalar_type(n)
     err_sum = err_sq = 0.0
     for start in range(0, patterns, CHUNK_PATTERNS):
-        defective = _draw_patterns(rng, delta, min(CHUNK_PATTERNS, patterns - start), n)
+        defective = _draw_patterns(bits, delta, min(CHUNK_PATTERNS, patterns - start), n)
         estimate = decode_tables(*tables, defective, algorithm)
         a = defective.sum(axis=0, dtype=count_type)
         candidates = n - a if algorithm is Algorithm.COMP else a

@@ -10,10 +10,9 @@ which the tests hold equal to it. Slow: one (4,2,2) table, 8! matchings x
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from poolgraph.combinatorics import exact_delta
+from poolgraph.combinatorics import exact_delta, factorial_exceeds
 from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
 from poolgraph.ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings
 from poolgraph.enumerator import table_domain
@@ -77,11 +76,9 @@ def exact_error_probability(
     """
     d = exact_delta(delta)
     n = spec.n
-    fact = math.factorial(spec.edge_count)
-    if fact * (1 << n) > limit:
-        raise SizeLimitError(
-            f"{fact} matchings x {1 << n} patterns exceeds the oracle limit {limit}"
-        )
+    # E! 2^n > limit exactly when E! > floor(limit / 2^n); E! itself is never computed.
+    if factorial_exceeds(spec.edge_count, limit >> n):
+        raise SizeLimitError(f"{spec.edge_count}! matchings x 2^{n} patterns exceed the oracle limit {limit}")
     err_sums = [0] * (1 << n)
     matchings = 0
     for graph in enumerate_matchings(spec, limit=limit):

@@ -43,6 +43,17 @@ IRREGULAR_DIGESTS = {
     (30, Algorithm.COMP): "e9d4e0c7bdb287279c31448c2aeaa0ebd06d4b4b7a9d595a6b89ab738e276091",
     (12, Algorithm.DD): "c22d340f9e7804bd4606c76d714836b5792accb4393d0988fdb862405e15530f",
 }
+# Same digests for (60,3,6), twice the case study.
+DOUBLED_DIGESTS = {
+    Algorithm.COMP: "f7dd7547eec181301f39a57bb6a6dcc71a2d6e6717d495e4002b8d356bc37535",
+    Algorithm.DD: "c653eac172e66b925e0bc2d4dddfd9a8dc85e4fc3f1ae5be5f51443f205c4b48",
+}
+# And for lambda = {2: 1/3, 3: 1/3, 4: 1/3}, rho = {4: 1/2, 8: 1/2} at n = 12:
+# three item classes, and DD folds two ordinary-test classes.
+THREE_DEGREE_DIGESTS = {
+    Algorithm.COMP: "52227dd93cac1a82e1c3be0db9a62089814b143a0a838e3feb54e6a0fa6d6dfb",
+    Algorithm.DD: "fdafe72f313d80f1aed71967cbebfd08511345617e5074ca2b2cb14b0b78ce5b",
+}
 
 
 def _stamp(index: int, label: str, ok: bool, elapsed: float = None) -> None:
@@ -111,6 +122,15 @@ def _irregular_spec(n: int) -> EnsembleSpec:
     )
 
 
+def _three_degree_spec() -> EnsembleSpec:
+    return EnsembleSpec(
+        n=12,
+        m=6,
+        left=DegreeDistribution.from_dict({2: Fraction(1, 3), 3: Fraction(1, 3), 4: Fraction(1, 3)}),
+        right=DegreeDistribution.from_dict({4: Fraction(1, 2), 8: Fraction(1, 2)}),
+    )
+
+
 def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
     bad = []
     # (spec, seconds allowed): two item degrees at n=3 (4! matchings), two
@@ -129,6 +149,9 @@ def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
     for (n, algorithm), pinned in IRREGULAR_DIGESTS.items():
         if _csv_digest(build_table(_irregular_spec(n), algorithm)) != pinned:
             bad.append((n, algorithm.value, "csv digest"))
+    for algorithm, pinned in THREE_DEGREE_DIGESTS.items():
+        if _csv_digest(build_table(_three_degree_spec(), algorithm)) != pinned:
+            bad.append((12, algorithm.value, "three-degree csv digest"))
     ok = not bad
     _stamp(3, "mixed-degree closed forms equal the oracle (n=3, n=4 and n=6) and "
               "irregular CSV digests match", ok)
@@ -147,15 +170,16 @@ def _csv_digest(table) -> str:
 def test_row_sums_at_case_study_scale():
     t0 = time.monotonic()
     bad = []
-    for algorithm in (Algorithm.COMP, Algorithm.DD):
-        table = build_table(CASE_STUDY, algorithm)
-        sums = table.row_sums()
-        bad += [(algorithm.value, a) for a in range(31) if sums[a] != binomial(30, a)]
-        if _csv_digest(table) != CASE_STUDY_DIGESTS[algorithm]:
-            bad.append((algorithm.value, "csv digest"))
+    for spec, digests in ((CASE_STUDY, CASE_STUDY_DIGESTS), (regular_spec(60, 3, 6), DOUBLED_DIGESTS)):
+        for algorithm in (Algorithm.COMP, Algorithm.DD):
+            table = build_table(spec, algorithm)
+            sums = table.row_sums()
+            bad += [(spec.n, algorithm.value, a) for a in range(spec.n + 1) if sums[a] != binomial(spec.n, a)]
+            if _csv_digest(table) != digests[algorithm]:
+                bad.append((spec.n, algorithm.value, "csv digest"))
     elapsed = time.monotonic() - t0
     ok = not bad and elapsed < 600.0
-    _stamp(4, "row sums hit C(30,a) and CSV digests match on (30,3,6), both decoders",
+    _stamp(4, "row sums hit C(n,a) and CSV digests match on (30,3,6) and (60,3,6), both decoders",
            ok, elapsed)
     assert not bad, bad
     assert elapsed < 600.0

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,50 @@ def test_one_variable_bracket_powers_match_sparse_powers(l, q):
     for y in range(l * q + 2):
         assert (powers[y] if y < len(powers) else 0) == spread.coefficient((y,))
         assert (slack_powers[y] if y < len(slack_powers) else 0) == slack.coefficient((y,))
+
+
+def _literal_alt(d, q, w):
+    # S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w), term by term.
+    if w < 0:
+        return 0
+    return sum((-1) ** (q - t) * math.comb(q, t) * math.comb(d * t, w) for t in range(q + 1))
+
+
+def _literal_dd_g(d, o, a, c):
+    # sum_p C(o, p) (-d)^p C(a - p(d-1) + c, c) S_d(o - p, W - p) with W = d o - a - c.
+    w = d * o - a - c
+    return sum(
+        math.comb(o, p) * (-d) ** p * math.comb(a - p * (d - 1) + c, c) * _literal_alt(d, o - p, w - p)
+        for p in range(o + 1)
+        if a >= p * (d - 1)
+    )
+
+
+def test_bracket_rows_equal_the_literal_signed_sum():
+    # An instance sized for no edges still serves every row: Pascal and
+    # S_d rows grow on demand.
+    forms = _ClosedForms(0)
+    assert forms.fact == [1]
+    for d in range(1, 7):
+        for q in range(21):
+            row, slack = forms.powers(d, q), forms.slack_powers(d, q)
+            assert (len(row), len(slack)) == (d * q + 1, (d - 1) * q + 1)
+            for w in range(-1, d * q + 2):
+                expected = _literal_alt(d, q, w)
+                assert (row[w] if 0 <= w < len(row) else 0) == expected
+                y = d * q - w
+                assert (slack[y] if 0 <= y < len(slack) else 0) == expected
+
+
+@pytest.mark.parametrize("d,o", [(1, 3), (2, 9), (3, 12), (6, 10)])
+def test_dd_rows_equal_the_literal_sum(d, o):
+    forms = _ClosedForms(0)
+    for a in range(d * o + 2):
+        for c in range(d * o + 2 - a):
+            assert forms.dd_g(d, o, a, c) == _literal_dd_g(d, o, a, c)
+        for step in (1, 2, 3):
+            cs = range(0, d * o - a + 1, step)
+            assert forms.dd_row(d, o, a, cs) == [_literal_dd_g(d, o, a, c) for c in cs]
 
 
 @settings(deadline=None, max_examples=30)

@@ -154,6 +154,15 @@ def test_refuses_oversized_ensembles():
         exact_enumerators(regular_spec(4, 2, 2), Algorithm.DD, limit=10**3)
 
 
+def test_literal_reference_refuses_like_the_library():
+    # 1800! has over 5,000 digits; the reference decides without computing it.
+    message = r"^1800! matchings x 2\^600 patterns exceed the oracle limit 1000000$"
+    with pytest.raises(SizeLimitError, match=message):
+        oracle_reference.exact_error_probability(regular_spec(600, 3, 6), Algorithm.DD, Fraction(1, 2))
+    with pytest.raises(SizeLimitError, match=r"^8! matchings x 2\^4 patterns exceed the oracle limit 100000$"):
+        oracle_reference.exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=10**5)
+
+
 def test_delta_validation():
     spec = regular_spec(2, 1, 2)
     with pytest.raises(TypeError):
