@@ -4,10 +4,15 @@ Core objects: ensemble specs (degree distributions over items and tests),
 the COMP and DD decoders, exact ensemble-average pattern enumerators with
 their false-alarm and misdetection probabilities, an exhaustive oracle for
 tiny ensembles, and a seeded Monte Carlo harness.
+
+Importing the package loads no numpy (`Algorithm` lives in `enumerator`):
+the Monte Carlo, oracle and bitmask-decoder exports, which need it, are
+imported on first access by the module `__getattr__` below.
 """
 
+import importlib
+
 from .combinatorics import Rational, binomial, multinomial, to_decimal
-from .detection import Algorithm, comp_pd_mask, dd_certified_mask
 from .ensemble import (
     DegreeDistribution,
     EnsembleSpec,
@@ -22,6 +27,7 @@ from .ensemble import (
     spec_to_jsonable,
 )
 from .enumerator import (
+    Algorithm,
     EnumeratorTable,
     build_table,
     fa_probability,
@@ -29,10 +35,21 @@ from .enumerator import (
     write_table_csv,
 )
 from .errors import SizeLimitError, ValidationError
-from .montecarlo import TrialReport, derive_seed, simulate, sweep, write_trials_csv
-from .oracle import OracleReport, exact_enumerators, exact_error_probability
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    **dict.fromkeys(["comp_pd_mask", "dd_certified_mask"], "detection"),
+    **dict.fromkeys(["TrialReport", "derive_seed", "simulate", "sweep", "write_trials_csv"], "montecarlo"),
+    **dict.fromkeys(["OracleReport", "exact_enumerators", "exact_error_probability"], "oracle"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "Algorithm",

@@ -8,6 +8,9 @@ stdout; status chatter goes to stderr so piped output stays parseable.
 Exit codes: 0 success, 1 bad input, failed verification or failed row-sum
 self-check, 2 size refusal, 3 I/O failure. The oracle decides its refusal
 without computing E!, so a spec of any size is refused at once.
+
+enumerate, analyze, --help and --version import no numpy (`Algorithm` lives
+in `enumerator`); simulate and verify import montecarlo and oracle on use.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ import sys
 from fractions import Fraction
 from typing import ContextManager, Optional, Sequence, TextIO
 
+from . import __version__
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, exact_delta, to_decimal
-from .detection import Algorithm
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, load_spec, regular_spec, spec_hash
-from .enumerator import build_table, fa_probability, md_probability, write_table_csv
+from .enumerator import Algorithm, build_table, fa_probability, md_probability, write_table_csv
 from .errors import SizeLimitError, ValidationError
-from .montecarlo import simulate, sweep, write_trials_csv
-from .oracle import exact_enumerators
 
 __all__ = ["build_parser", "main"]
 
@@ -74,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poolgraph",
         description="Exact and sampled group-testing error rates over pooling-graph ensembles.",
     )
+    parser.add_argument("--version", action="version", version=f"poolgraph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("enumerate", "write the exact pattern-count table as CSV"),
@@ -182,6 +184,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import simulate, sweep, write_trials_csv
+
     analytic = None
     if args.analytic:
         analytic = _exact_values(args)
@@ -212,6 +216,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with _output(args) as out:
         write_trials_csv(reports, out, analytic, precision=args.precision)
     return 0
+
+
+def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm, *, limit: int):
+    """oracle.exact_enumerators, imported on use; a module-level name, so the traced benchmark can rebind it."""
+    from . import oracle
+
+    return oracle.exact_enumerators(spec, algorithm, limit=limit)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

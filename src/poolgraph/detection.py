@@ -26,25 +26,21 @@ sampled graph via `graph_tables`, once per graph for all its patterns
 (Monte Carlo), or for the disjoint union of a block of matchings (the
 oracle). The property tests hold the batch and bitmask decoders equal
 pattern by pattern.
+
+`Algorithm` is defined in the numpy-free `enumerator` and imported here.
 """
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .ensemble import PoolingGraph
+from .enumerator import Algorithm
 
 
 # Most (graph, pattern) pairs decoded in one call, so a call's memory is
 # O(CHUNK_PATTERNS x (n + m)) whatever the caller's total.
 CHUNK_PATTERNS = 4096
-
-
-class Algorithm(enum.Enum):
-    COMP = "comp"
-    DD = "dd"
 
 
 def comp_pd_mask(graph: PoolingGraph, defective_mask: int) -> int:

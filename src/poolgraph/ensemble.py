@@ -27,8 +27,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Union
 
-import numpy as np
-
 from .combinatorics import factorial_exceeds
 from .errors import SizeLimitError, ValidationError
 
@@ -197,6 +195,7 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
 
     Uses numpy's PCG64 stream for the socket permutation.
     """
+    import numpy as np  # this module's only numpy use; loading a spec loads none
     left_owner, left_degrees = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
     rng = np.random.Generator(np.random.PCG64(seed))

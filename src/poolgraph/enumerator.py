@@ -69,6 +69,7 @@ pay for enumeration and weights once.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import math
 from dataclasses import dataclass, field
@@ -80,7 +81,6 @@ from pathlib import Path
 from typing import Iterator, Mapping, Union
 
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, binomial, exact_delta, multinomial, to_decimal
-from .detection import Algorithm
 from .ensemble import EnsembleSpec, spec_hash
 from .errors import SizeLimitError
 # No table builder multiplies polynomials; these names stay importable here
@@ -88,6 +88,7 @@ from .errors import SizeLimitError
 from .polynomial import poly_add, poly_mul, poly_pow, poly_product_of_powers  # noqa: F401
 
 __all__ = [
+    "Algorithm",
     "EnumeratorTable",
     "build_table",
     "fa_probability",
@@ -95,6 +96,11 @@ __all__ = [
     "write_table_csv",
     "table_domain",
 ]
+
+
+class Algorithm(enum.Enum):
+    COMP = "comp"
+    DD = "dd"
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,7 +77,8 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
     matchings = itertools.permutations(range(spec.edge_count))
     while block := list(itertools.islice(matchings, size)):
         # Matching k puts item socket block[k][q] on test socket q.
-        tables = index_tables(left_owner[np.array(block, dtype=np.intp)], n, test_degrees)
+        sockets = np.fromiter(itertools.chain.from_iterable(block), np.intp, count=len(block) * spec.edge_count)
+        tables = index_tables(left_owner[sockets.reshape(len(block), -1)], n, test_degrees)
         defective = np.tile(patterns, (len(block), 1))
         wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
         yield wrong.reshape(len(block), n, -1).sum(axis=1)

@@ -372,3 +372,25 @@ def test_precision_limit_is_inclusive(monkeypatch, capsys):
         assert code == 2
         assert out == ""
         assert err == "refused: precision 10001 is over the limit of 10000 digits\n"
+
+
+def test_version_flag(capsys):
+    import poolgraph
+
+    code, out, err = run(["--version"], capsys)
+    assert code == 0
+    assert out == f"poolgraph {poolgraph.__version__}\n"
+    assert err == ""
+
+
+def test_pyproject_version_is_the_package_version():
+    import re
+    from pathlib import Path
+
+    import poolgraph
+
+    # A regex, not tomllib, which Python 3.10 lacks.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == poolgraph.__version__
