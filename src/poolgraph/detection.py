@@ -19,13 +19,14 @@ Items with degree 0 never appear in a test; they defensively stay PD
 The rule has two implementations. The bitmask decoders (`comp_pd_mask`,
 `dd_certified_mask`) take one pattern as a Python int and loop over the
 tests; they are the literal reference the tests hold the batch decoder and
-the oracle to, and no package path calls them. `decode_tables` decodes an
-n x P boolean matrix, one column per pattern, at once with numpy gathers
-over two padded index tables, which only `index_tables` lays out: for one
-sampled graph via `graph_tables`, once per graph for all its patterns
-(Monte Carlo), or for the disjoint union of a block of matchings (the
-oracle). The property tests hold the batch and bitmask decoders equal
-pattern by pattern.
+the oracle to, and no package path calls them. `decode_tables` decodes a
+whole pattern matrix at once with numpy gathers over two padded index
+tables, which only `index_tables` lays out, and uses only OR, AND and NOT,
+so one code serves two layouts: bool, one column per pattern (the oracle,
+over the disjoint union of a block of matchings), and uint64 words, 64
+patterns bit-sliced per word (Monte Carlo, over one sampled graph's
+`graph_tables`). The property tests hold both layouts and the bitmask
+decoders equal pattern by pattern.
 
 `Algorithm` is defined in the numpy-free `enumerator` and imported here.
 """
@@ -103,8 +104,8 @@ def _padded_union(values: np.ndarray, degrees: np.ndarray, size: int) -> np.ndar
 
 
 def _with_dummy(flags: np.ndarray) -> np.ndarray:
-    """flags with one all-False row appended: the dummy item or test."""
-    out = np.zeros((flags.shape[0] + 1, flags.shape[1]), dtype=bool)
+    """flags with one all-zero row appended: the dummy item or test."""
+    out = np.zeros((flags.shape[0] + 1, flags.shape[1]), dtype=flags.dtype)
     out[:-1] = flags
     return out
 
@@ -118,23 +119,28 @@ def graph_tables(graph: PoolingGraph) -> tuple[np.ndarray, np.ndarray]:
 def decode_tables(
     sockets: np.ndarray, tests: np.ndarray, defective: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
-    """n x P estimate of an n x P bool pattern matrix: PD items (COMP) or certified items (DD).
+    """Estimate of an n x W pattern matrix: PD items (COMP) or certified items (DD).
 
     sockets and tests are the graph's two index tables, as index_tables
-    lays them out; column p is comp_pd_mask / dd_certified_mask of pattern
-    p. The dummy item is row len(defective) and the dummy test is the
-    number of tests. A test is positive if any socket holds a defective; an
-    item is PD if it is in no negative test; under DD a PD item is certified
-    if some positive test has exactly one PD socket, which must then be its
-    own. Items run down the rows so that every reduction ORs or adds whole
-    rows of P patterns.
+    lays them out. defective is bool, one pattern per column, or unsigned
+    words, one pattern per bit; bit b of estimate[v, w] is comp_pd_mask /
+    dd_certified_mask of the pattern in bit b of column w. The dummy item
+    is row len(defective) and the dummy test is the number of tests. A test
+    is positive if any socket holds a defective; an item is PD if it is in
+    no negative test; under DD a PD item is certified if some positive test
+    has exactly one PD socket, which must then be its own. Only OR, AND and
+    NOT are used, so every reduction ORs whole rows of patterns.
     """
-    positive = _with_dummy(defective)[sockets].any(axis=0)
-    pd = ~_with_dummy(~positive)[tests].any(axis=0)
+    positive = np.bitwise_or.reduce(_with_dummy(defective)[sockets], axis=0)
+    pd = ~np.bitwise_or.reduce(_with_dummy(~positive)[tests], axis=0)
     if algorithm is Algorithm.COMP:
         return pd
-    pd_sockets = _with_dummy(pd)[sockets].sum(axis=0, dtype=np.min_scalar_type(len(sockets)))
-    return pd & _with_dummy(positive & (pd_sockets == 1))[tests].any(axis=0)
+    # Patterns with at least one / at least two PD sockets, slot by slot.
+    once, twice = np.zeros((2, *positive.shape), dtype=positive.dtype)
+    for slot in _with_dummy(pd)[sockets]:
+        twice |= once & slot
+        once |= slot
+    return pd & np.bitwise_or.reduce(_with_dummy(positive & once & ~twice)[tests], axis=0)
 
 
 def wrong_items(estimate: np.ndarray, defective: np.ndarray, algorithm: Algorithm) -> np.ndarray:

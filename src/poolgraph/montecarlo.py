@@ -7,22 +7,24 @@ contributes 0). Those are exactly the quantities the enumerator module
 computes in closed form, so means land within a few standard errors of the
 analytic values and the comparison is apples to apples.
 
-Decoding is batched: each graph's patterns are drawn as an n x P boolean
-matrix, at most CHUNK_PATTERNS patterns at a time so memory stays
-bounded. A graph's two index tables (detection.graph_tables) are built
-once, before its first chunk, and detection.decode_tables decodes each
-chunk with a few numpy gathers over them. Only the decoder's own errors
-(detection.wrong_items) are tallied, as one sum and one sum of squares;
-the other rate is reported as exactly 0.0. The float sums are added
-pattern by pattern in draw order (a cumulative sum seeded with the
-running total), so they carry the same bits as a scalar loop would.
+Decoding is batched and bit-sliced: each graph's patterns are drawn as an
+n x P boolean matrix, at most CHUNK_PATTERNS at a time so memory stays
+bounded, and packed 64 to a uint64 word. A graph's two index tables
+(detection.graph_tables) are built once, before its first chunk, and
+detection.decode_tables decodes each chunk's words with a few numpy
+gathers over them. Only the decoder's own errors (detection.wrong_items)
+are unpacked and tallied, as one sum and one sum of squares; the other
+rate is reported as exactly 0.0. The float sums are added pattern by
+pattern in draw order (a cumulative sum seeded with the running total),
+so they carry the same bits as a scalar loop would.
 
 Reproducibility contract: every random draw descends from one 64-bit master
 seed through sha256-based splitting (scheme name "pcg64-sha256split", see
 derive_seed). Graph construction and pattern streams use disjoint subkeys,
 pattern bits come from the stream pattern by pattern whatever the chunk
 size, and per-graph partial sums are merged in graph order, so results are
-bit-identical for a given seed regardless of worker count.
+bit-identical for a given seed regardless of worker count. A sweep maps
+every (delta, graph) partial through one process pool.
 
 Work is sized before any graph is sampled; a call over _WORK_LIMIT raises
 SizeLimitError.
@@ -56,11 +58,11 @@ _SEED_SPAN = 1 << 64
 _GRAPH_KEY = 0
 _PATTERN_KEY = 1
 # Sampling a graph and setting up its decoding costs about as much as decoding
-# this many patterns (measured: 300-3,700 from n=1000 down to n=4).
+# this many patterns (measured: 240-1,600 from n=1000 down to n=4).
 _GRAPH_SETUP_PATTERNS = 1000
 # Most item-patterns, deltas x graphs x (patterns + _GRAPH_SETUP_PATTERNS) x n,
 # one simulate or sweep call may decode: about ten minutes at the slowest
-# measured rate, 4.3e7 item-patterns/s on (4,2,2) on a 2-vCPU x86_64 host.
+# measured rate, 4-5e7 item-patterns/s on (4,2,2) on a 2-vCPU x86_64 host.
 _WORK_LIMIT = 25 * 10**9
 
 
@@ -135,11 +137,15 @@ def _graph_partial(
     count_type = np.min_scalar_type(n)
     err_sum = err_sq = 0.0
     for start in range(0, patterns, CHUNK_PATTERNS):
-        defective = _draw_patterns(bits, delta, min(CHUNK_PATTERNS, patterns - start), n)
-        estimate = decode_tables(*tables, defective, algorithm)
+        count = min(CHUNK_PATTERNS, patterns - start)
+        defective = _draw_patterns(bits, delta, count, n)
+        # Pattern p is bit p % 8 of byte p // 8 in a row of words; unpacking drops the zero padding.
+        words = np.zeros((n, -(-count // 64)), dtype=np.uint64)
+        words.view(np.uint8)[:, : -(-count // 8)] = np.packbits(defective, axis=1, bitorder="little")
+        wrong = wrong_items(decode_tables(*tables, words, algorithm), words, algorithm).view(np.uint8)
+        wrong = np.unpackbits(wrong, axis=1, count=count, bitorder="little").sum(axis=0, dtype=count_type)
         a = defective.sum(axis=0, dtype=count_type)
         candidates = n - a if algorithm is Algorithm.COMP else a
-        wrong = wrong_items(estimate, defective, algorithm).sum(axis=0, dtype=count_type)
         # Patterns without errors add 0.0, which leaves a sum unchanged.
         hit = wrong > 0
         rate = wrong[hit] / candidates[hit]
@@ -168,9 +174,58 @@ def _mean_stderr(count: int, total: float, total_sq: float) -> tuple[float, floa
     return mean, math.sqrt(variance / count)
 
 
-def _pool_size(workers: int, graphs: int, cpus: Optional[int]) -> int:
-    """Worker processes to start: `workers`, capped at the graphs and the CPUs (None counts as 1)."""
-    return max(1, min(workers, graphs, cpus or 1))
+def _pool_size(workers: int, jobs: int, cpus: Optional[int]) -> int:
+    """Worker processes to start: `workers`, capped at the jobs and the CPUs (None counts as 1)."""
+    return max(1, min(workers, jobs, cpus or 1))
+
+
+def _reports(
+    spec: EnsembleSpec,
+    algorithm: Algorithm,
+    points: Sequence[tuple[Fraction, int]],
+    graphs: int,
+    patterns_per_graph: int,
+    workers: int,
+    keep_per_graph: bool,
+) -> list[TrialReport]:
+    """One report per (delta, seed) point; every (point, graph) partial goes through one pool."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    args = [(spec, algorithm, d, patterns_per_graph, s, g) for d, s in points for g in range(graphs)]
+    pool_size = _pool_size(workers, len(args), os.cpu_count())
+    if pool_size == 1:
+        partials = [_graph_partial(*a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            partials = list(pool.map(_graph_partial, *zip(*args)))
+    comp = algorithm is Algorithm.COMP
+    reports = []
+    for index, (d, seed) in enumerate(points):
+        count = 0
+        err_sum = err_sq = 0.0
+        per_graph: list[tuple[float, float]] = []
+        for c, s, q in partials[index * graphs : (index + 1) * graphs]:
+            count += c
+            err_sum += s
+            err_sq += q
+            # COMP never misses and DD never raises a false alarm: the other rate is exactly 0.
+            per_graph.append((s / c, 0.0) if comp else (0.0, s / c))
+        rate = _mean_stderr(count, err_sum, err_sq)
+        (far_mean, far_stderr), (mdr_mean, mdr_stderr) = (rate, (0.0, 0.0)) if comp else ((0.0, 0.0), rate)
+        reports.append(TrialReport(
+            spec=spec,
+            algorithm=algorithm,
+            delta=d,
+            graphs=graphs,
+            patterns_per_graph=patterns_per_graph,
+            seed=seed,
+            far_mean=far_mean,
+            far_stderr=far_stderr,
+            mdr_mean=mdr_mean,
+            mdr_stderr=mdr_stderr,
+            per_graph_rates=tuple(per_graph) if keep_per_graph else None,
+        ))
+    return reports
 
 
 def simulate(
@@ -187,40 +242,7 @@ def simulate(
     """Estimate FAR and MDR at one delta; bit-identical for a given seed and any `workers`."""
     d = exact_delta(delta)
     _check_size(spec, 1, graphs, patterns_per_graph)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    args = [(spec, algorithm, d, patterns_per_graph, seed, g) for g in range(graphs)]
-    pool_size = _pool_size(workers, graphs, os.cpu_count())
-    if pool_size == 1:
-        partials = [_graph_partial(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            partials = list(pool.map(_graph_partial, *zip(*args)))
-    comp = algorithm is Algorithm.COMP
-    count = 0
-    err_sum = err_sq = 0.0
-    per_graph: list[tuple[float, float]] = []
-    for c, s, q in partials:
-        count += c
-        err_sum += s
-        err_sq += q
-        # COMP never misses and DD never raises a false alarm: the other rate is exactly 0.
-        per_graph.append((s / c, 0.0) if comp else (0.0, s / c))
-    rate = _mean_stderr(count, err_sum, err_sq)
-    (far_mean, far_stderr), (mdr_mean, mdr_stderr) = (rate, (0.0, 0.0)) if comp else ((0.0, 0.0), rate)
-    return TrialReport(
-        spec=spec,
-        algorithm=algorithm,
-        delta=d,
-        graphs=graphs,
-        patterns_per_graph=patterns_per_graph,
-        seed=seed,
-        far_mean=far_mean,
-        far_stderr=far_stderr,
-        mdr_mean=mdr_mean,
-        mdr_stderr=mdr_stderr,
-        per_graph_rates=tuple(per_graph) if keep_per_graph else None,
-    )
+    return _reports(spec, algorithm, [(d, seed)], graphs, patterns_per_graph, workers, keep_per_graph)[0]
 
 
 def sweep(
@@ -239,21 +261,8 @@ def sweep(
         raise ValueError("delta grid must be non-empty")
     deltas = [exact_delta(delta) for delta in delta_grid]
     _check_size(spec, len(deltas), graphs, patterns_per_graph)
-    reports = []
-    for index, delta in enumerate(deltas):
-        reports.append(
-            simulate(
-                spec,
-                algorithm,
-                delta,
-                graphs,
-                patterns_per_graph,
-                derive_seed(seed, index),
-                workers=workers,
-                keep_per_graph=keep_per_graph,
-            )
-        )
-    return reports
+    points = [(d, derive_seed(seed, index)) for index, d in enumerate(deltas)]
+    return _reports(spec, algorithm, points, graphs, patterns_per_graph, workers, keep_per_graph)
 
 
 def write_trials_csv(

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -203,3 +204,60 @@ def test_batch_decoder_beyond_one_machine_word():
             masks.append(sum(1 << i for i in np.flatnonzero(bits).tolist()))
     for algorithm in Algorithm:
         assert_batch_matches_bitmask(graph, masks, algorithm)
+
+
+# Pattern counts on both sides of the 64-bit word edges, so that the zero
+# padding bits of a partial last word are exercised.
+WORD_EDGE_COUNTS = [1, 63, 64, 65, 130]
+
+
+def packed_words(n, masks):
+    """n x ceil(P/64) uint64 words: bit p % 64 of word p // 64 in row v is item v of masks[p]."""
+    words = [[0] * -(-len(masks) // 64) for _ in range(n)]
+    for p, mask in enumerate(masks):
+        for v in range(n):
+            words[v][p // 64] |= (mask >> v & 1) << (p % 64)
+    return np.array(words, dtype=np.uint64)
+
+
+def assert_packed_matches_bool_and_bitmask(graph, masks, algorithm):
+    """decode_tables on packed words equals the bitmask decoder, and so the bool path, pattern by pattern."""
+    assert_batch_matches_bitmask(graph, masks, algorithm)
+    estimate = decode_tables(*graph_tables(graph), packed_words(graph.n, masks), algorithm)
+    assert estimate.shape == (graph.n, -(-len(masks) // 64)) and estimate.dtype == np.uint64
+    decode = BITMASK_DECODERS[algorithm]
+    for p in range(estimate.shape[1] * 64):
+        column = sum(1 << i for i in range(graph.n) if int(estimate[i, p // 64]) >> (p % 64) & 1)
+        # A padding bit decodes as the empty pattern; Monte Carlo drops it on unpacking.
+        assert column == decode(graph, masks[p] if p < len(masks) else 0), (graph.adj, p)
+
+
+@pytest.mark.parametrize("count", WORD_EDGE_COUNTS)
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_packed_decoder_across_word_edges(count, algorithm):
+    rng = np.random.default_rng(count)
+    graph = sample_graph(regular_spec(30, 3, 6), count)
+    masks = [sum(1 << i for i in np.flatnonzero(rng.random(30) < 0.15).tolist()) for _ in range(count)]
+    assert_packed_matches_bool_and_bitmask(graph, masks, algorithm)
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs_and_patterns(), st.sampled_from(WORD_EDGE_COUNTS), st.sampled_from(list(Algorithm)))
+def test_packed_decoder_matches_bool_and_bitmask_decoders(case, count, algorithm):
+    graph, masks = case
+    assert_packed_matches_bool_and_bitmask(graph, (masks * count)[:count], algorithm)
+
+
+@pytest.mark.parametrize("count", WORD_EDGE_COUNTS)
+def test_packed_decoder_counts_sockets_not_items(count):
+    # Item 0 fills two sockets of the only positive test: `twice` is set, so
+    # the sole-PD rule certifies nothing, in every bit of every word.
+    graph = graph_of(3, (0, 0, 1), (1, 2))
+    words = packed_words(3, [0b001] * count)
+    assert not decode_tables(*graph_tables(graph), words, Algorithm.DD).any()
+    # COMP leaves exactly item 0 PD.
+    assert (decode_tables(*graph_tables(graph), words, Algorithm.COMP) == words).all()
+    # Every pattern of the hand-built graph, each at several bit positions.
+    graph = graph_of(4, (0, 0, 1), (1, 2))
+    for algorithm in Algorithm:
+        assert_packed_matches_bool_and_bitmask(graph, [p % 16 for p in range(count)], algorithm)

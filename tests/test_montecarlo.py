@@ -164,6 +164,56 @@ def test_sweep_uses_independent_seed_streams():
     assert [r.far_mean for r in again] == [r.far_mean for r in reports]
 
 
+def test_sweep_points_equal_simulate_on_their_seeds():
+    grid = [Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]
+    reports = sweep(SMALL, Algorithm.DD, grid, 3, 70, seed=5, keep_per_graph=True)
+    for index, (delta, report) in enumerate(zip(grid, reports)):
+        alone = simulate(SMALL, Algorithm.DD, delta, 3, 70, derive_seed(5, index), keep_per_graph=True)
+        assert vars(report) == vars(alone)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records each pool made and maps in this process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_starts_one_pool_for_every_point(monkeypatch):
+    monkeypatch.setattr("poolgraph.montecarlo.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("poolgraph.montecarlo.os.cpu_count", lambda: 4)
+    monkeypatch.setattr(_SerialPool, "made", [])
+    grid = [Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]
+    pooled = sweep(SMALL, Algorithm.COMP, grid, 2, 30, seed=8, workers=3, keep_per_graph=True)
+    assert _SerialPool.made == [3]
+    serial = sweep(SMALL, Algorithm.COMP, grid, 2, 30, seed=8, keep_per_graph=True)
+    assert _SerialPool.made == [3]
+    assert [vars(r) for r in pooled] == [vars(r) for r in serial]
+
+
+def test_sweep_worker_count_does_not_change_bytes():
+    grid = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]
+    outputs = []
+    for workers in (1, 2):
+        reports = sweep(regular_spec(30, 3, 6), Algorithm.DD, grid, 3, 130, seed=11, workers=workers,
+                        keep_per_graph=True)
+        buf = io.StringIO()
+        write_trials_csv(reports, buf)
+        outputs.append((buf.getvalue(), [r.per_graph_rates for r in reports]))
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep(SMALL, Algorithm.COMP, [], 2, 10, seed=0)
