@@ -22,11 +22,12 @@ tests; they are the literal reference the tests hold the batch decoder and
 the oracle to, and no package path calls them. `decode_tables` decodes a
 whole pattern matrix at once with numpy gathers over two padded index
 tables, which only `index_tables` lays out, and uses only OR, AND and NOT,
-so one code serves two layouts: bool, one column per pattern (the oracle,
-over the disjoint union of a block of matchings), and uint64 words, 64
-patterns bit-sliced per word (Monte Carlo, over one sampled graph's
-`graph_tables`). The property tests hold both layouts and the bitmask
-decoders equal pattern by pattern.
+so one code serves two layouts. Both package callers pass uint64 words,
+64 patterns bit-sliced per word: Monte Carlo over one sampled graph's
+`graph_tables`, and the oracle over the disjoint union of a block of
+matchings. Bool, one column per pattern, stays only as a cross-check in
+the tests, which hold both layouts and the bitmask decoders equal pattern
+by pattern.
 
 `Algorithm` is defined in the numpy-free `enumerator` and imported here.
 """
@@ -39,8 +40,10 @@ from .ensemble import PoolingGraph
 from .enumerator import Algorithm
 
 
-# Most (graph, pattern) pairs decoded in one call, so a call's memory is
-# O(CHUNK_PATTERNS x (n + m)) whatever the caller's total.
+# The one bound on a decode_tables call: Monte Carlo decodes at most
+# CHUNK_PATTERNS patterns of one graph, the oracle at most CHUNK_PATTERNS
+# (matching, word) pairs. Both pass uint64 words, so a call's memory is
+# O(CHUNK_PATTERNS x (n + m)) words whatever the caller's total.
 CHUNK_PATTERNS = 4096
 
 

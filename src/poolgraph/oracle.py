@@ -7,15 +7,23 @@ yardstick the enumerator module is measured against, so every matching
 and every pattern is counted once, with no weighting and no merging of
 matchings that give the same graph.
 
-Decoding is batched. The matchings are taken in itertools.permutations
-order, max(1, CHUNK_PATTERNS // 2^n) of them at a time, and a block is
-decoded as one graph: the disjoint union of its K matchings, with matching
-k's items at k*n + v and its tests at k*m + c: detection.index_tables
-lays out its index tables, and one detection.decode_tables call decodes
-all K * 2^n (matching, pattern) pairs. COMP and DD look only within a
-connected component, so each matching of the union decodes exactly as it
-would alone. The per-pattern bitmask decoders stay the literal reference
-in the tests (tests/oracle_reference.py).
+Decoding is batched. The 2^n patterns are packed once as an n x W uint64
+matrix, W = ceil(2^n / 64): bit p % 64 of word p // 64 in row v is item v
+of pattern p, and the padding bits are zero. The matchings come as numpy
+blocks of k! rows, in exactly itertools.permutations order: one
+(E - k)-prefix, then the sockets it leaves, in sorted order, permuted by
+a precomputed k! x k table of tail permutations. k is the largest value
+with k! * W <= CHUNK_PATTERNS, so no block is partial and no matching is
+built as a Python tuple; if even one matching's words exceed the bound, a
+block is one matching. A block is decoded as one graph: the disjoint
+union of its K matchings, with matching k's items at k*n + v and its tests
+at k*m + c. detection.index_tables lays out its index tables, the pattern
+words are tiled once per matching, and one detection.decode_tables call
+decodes all K * 2^n (matching, pattern) pairs; the wrong items are
+unpacked once, dropping the padding, and summed per matching. COMP and DD
+look only within a connected component, so each matching of the union
+decodes exactly as it would alone. The per-pattern bitmask decoders stay
+the literal reference in the tests (tests/oracle_reference.py).
 
 Costs explode factorially; both entry points refuse work past a size
 limit, before anything is allocated, instead of grinding forever.
@@ -61,6 +69,26 @@ class OracleReport:
         )
 
 
+def _matching_blocks(edges: int, words: int) -> Iterator[np.ndarray]:
+    """Every permutation of range(edges), in itertools.permutations order, in blocks of k! rows.
+
+    k is the largest value with k! * words <= CHUNK_PATTERNS; if even one
+    matching's words exceed the bound, a block is one row.
+    """
+    k, size = 0, 1
+    while k < edges and size * (k + 1) * words <= CHUNK_PATTERNS:
+        k += 1
+        size *= k
+    tails = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    for prefix in itertools.permutations(range(edges), edges - k):
+        free = np.ones(edges, dtype=bool)
+        free[list(prefix)] = False
+        block = np.empty((size, edges), dtype=np.intp)
+        block[:, : edges - k] = prefix
+        block[:, edges - k :] = np.flatnonzero(free)[tails]
+        yield block
+
+
 def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarray]:
     """Errors of every (matching, pattern) pair, as K x 2^n blocks in permutation order.
 
@@ -72,16 +100,18 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
     left_owner = np.array(_socket_layout(spec.left_counts())[0], dtype=np.intp)
     test_degrees = _socket_layout(spec.right_counts())[1]
     masks = np.arange(1 << n)
-    patterns = ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
-    size = max(1, CHUNK_PATTERNS // (1 << n))
-    matchings = itertools.permutations(range(spec.edge_count))
-    while block := list(itertools.islice(matchings, size)):
-        # Matching k puts item socket block[k][q] on test socket q.
-        sockets = np.fromiter(itertools.chain.from_iterable(block), np.intp, count=len(block) * spec.edge_count)
-        tables = index_tables(left_owner[sockets.reshape(len(block), -1)], n, test_degrees)
+    # Bit p % 64 of word p // 64 in row v is item v of pattern p; the padding is zero.
+    patterns = np.zeros((n, -(-len(masks) // 64)), dtype=np.uint64)
+    patterns.view(np.uint8)[:, : -(-len(masks) // 8)] = np.packbits(
+        (masks >> np.arange(n)[:, None]) & 1, axis=1, bitorder="little"
+    )
+    for block in _matching_blocks(spec.edge_count, patterns.shape[1]):
+        # Matching k puts item socket block[k, q] on test socket q.
+        tables = index_tables(left_owner[block], n, test_degrees)
         defective = np.tile(patterns, (len(block), 1))
         wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
-        yield wrong.reshape(len(block), n, -1).sum(axis=1)
+        wrong = np.unpackbits(wrong.view(np.uint8), axis=1, count=len(masks), bitorder="little")
+        yield wrong.reshape(len(block), n, -1).sum(axis=1, dtype=np.intp)
 
 
 def exact_enumerators(

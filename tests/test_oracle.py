@@ -1,9 +1,11 @@
 import functools
+import itertools
 import math
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracle_reference
@@ -45,8 +47,10 @@ def _reference(name: str, algorithm: Algorithm):
     return list(report.exact_table.items()), report.matchings_enumerated, probabilities
 
 
-# Block bounds in (matching, pattern) pairs, by n: below one matching (so
-# one matching per block), and 11 matchings, which divides no E! here.
+# Block bounds, by n. A block is k! matchings with k! x W within the bound,
+# W = ceil(2^n / 64) words per item row, so it is never partial. "1 pair"
+# fits at most one matching's words, so each block is a single matching.
+# "11 matchings" (11 x 2^n) gives blocks of 6 to 120 matchings: 120 at n=4.
 BLOCK_BOUNDS = {"default": None, "1 pair": lambda n: 1, "11 matchings": lambda n: 11 << n}
 
 
@@ -62,6 +66,72 @@ def test_batched_oracle_equals_literal_reference(name, algorithm, bound, monkeyp
     assert list(report.exact_table.items()) == table
     assert report.matchings_enumerated == matchings == math.factorial(spec.edge_count)
     assert [exact_error_probability(spec, algorithm, d) for d in DELTAS] == probabilities
+
+
+def _block_rows(edges: int, words: int, bound: int) -> int:
+    """k! for the largest k <= edges with k! * words <= bound, or 1 if there is none."""
+    fitting = [math.factorial(k) for k in range(edges + 1) if math.factorial(k) * words <= bound]
+    return max(fitting, default=1)
+
+
+@pytest.mark.parametrize("words", [1, 4])
+@pytest.mark.parametrize("edges", range(1, 9))
+def test_matching_blocks_are_whole_and_in_permutation_order(edges, words, monkeypatch):
+    permutations = [list(p) for p in itertools.permutations(range(edges))]
+    for bound in (1, 2, 5, 11, 176, 720, 4096):
+        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", bound)
+        blocks = list(oracle._matching_blocks(edges, words))
+        rows = _block_rows(edges, words, bound)
+        assert {len(block) for block in blocks} == {rows}, bound
+        assert np.concatenate(blocks).tolist() == permutations, bound
+
+
+def test_matching_blocks_at_the_default_bound():
+    # 6! = 720 one-word matchings fit in 4,096; 7! = 5,040 do not.
+    blocks = list(oracle._matching_blocks(9, 1))
+    assert {len(block) for block in blocks} == {_block_rows(9, 1, oracle.CHUNK_PATTERNS)} == {720}
+    assert np.concatenate(blocks).tolist() == [list(p) for p in itertools.permutations(range(9))]
+
+
+@functools.cache
+def _two_word_reference(algorithm: Algorithm):
+    report = oracle_reference.exact_enumerators(regular_spec(7, 1, 7), algorithm)
+    return list(report.exact_table.items()), report.matchings_enumerated
+
+
+def _closed_form_probability(table, delta):
+    probability = fa_probability if table.algorithm is Algorithm.COMP else md_probability
+    return probability(table, delta)
+
+
+@pytest.mark.parametrize("bound", list(BLOCK_BOUNDS))
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_two_word_oracle_equals_literal_reference(algorithm, bound, monkeypatch):
+    # 2^7 = 128 patterns: every item row spans two words.
+    spec = regular_spec(7, 1, 7)
+    if BLOCK_BOUNDS[bound]:
+        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](spec.n))
+    report = exact_enumerators(spec, algorithm)
+    assert (list(report.exact_table.items()), report.matchings_enumerated) == _two_word_reference(algorithm)
+    closed = build_table(spec, algorithm)
+    for delta in (Fraction(1, 3), Fraction(1, 2)):
+        assert exact_error_probability(spec, algorithm, delta) == _closed_form_probability(closed, delta)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+@pytest.mark.parametrize("r", [2, 4])
+def test_four_word_oracle_matches_closed_form_per_cell(r, algorithm):
+    # 2^8 = 256 patterns: every item row spans four words. 8! x 2^8 pairs
+    # exceed the default limit of exact_error_probability.
+    spec = regular_spec(8, 1, r)
+    report = exact_enumerators(spec, algorithm)
+    closed = build_table(spec, algorithm)
+    assert report.exact_table.keys() == closed.values.keys()
+    for key, value in report.exact_table.items():
+        assert value == closed.values[key], key
+    for delta in (Fraction(1, 3), Fraction(1, 2)):
+        direct = exact_error_probability(spec, algorithm, delta, limit=10**8)
+        assert direct == _closed_form_probability(closed, delta)
 
 
 def test_comp_oracle_matches_closed_form_per_cell():
