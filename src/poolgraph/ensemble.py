@@ -182,24 +182,54 @@ def _graph_from_assignment(
     assignment,
 ) -> PoolingGraph:
     # assignment[q] = left socket matched to right socket q
+    owners = [left_owner[socket] for socket in assignment]
     adj = []
     q = 0
     for degree in right_degrees:
-        adj.append(tuple(left_owner[assignment[q + s]] for s in range(degree)))
+        adj.append(tuple(owners[q : q + degree]))
         q += degree
     return PoolingGraph(n=spec.n, m=spec.m, adj=tuple(adj), left_degrees=left_degrees)
+
+
+def _permutation(bits, size: int) -> list[int]:
+    """Fisher-Yates shuffle of range(size) over Lemire's bounded integers from raw 64-bit words.
+
+    Swap i = size - 1, ..., 1 reads the next raw word x and swaps i with
+    j = floor(x (i + 1) / 2^64), unless the low 64 bits of x (i + 1) fall
+    below 2^64 mod (i + 1): then it rejects x and reads the next word.
+    """
+    import numpy as np  # sample_graph's numpy use; loading a spec loads none
+    bounds = np.arange(size, 1, -1, dtype=np.uint64)
+    raw = bits.random_raw(size - 1)
+    if (raw * bounds < bounds).any():
+        # A word Lemire may reject: redo the draws one by one, in stream order.
+        words = itertools.chain(raw.tolist(), iter(lambda: int(bits.random_raw()), None))
+        picks = []
+        for bound in range(size, 1, -1):
+            product = next(words) * bound
+            while product % 2**64 < 2**64 % bound:
+                product = next(words) * bound
+            picks.append(product >> 64)
+    else:
+        # The high word of x (i + 1) < 2^96, from the two 32-bit halves of x.
+        low = (raw & 0xFFFFFFFF) * bounds
+        picks = (((raw >> 32) * bounds + (low >> 32)) >> 32).tolist()
+    order = list(range(size))
+    for i, j in zip(range(size - 1, 0, -1), picks):
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
     """One configuration-model draw, deterministic in (spec, seed).
 
-    Uses numpy's PCG64 stream for the socket permutation.
+    The socket matching is a Fisher-Yates shuffle read from PCG64(seed)'s
+    raw words, which numpy keeps stable across releases.
     """
-    import numpy as np  # this module's only numpy use; loading a spec loads none
+    import numpy as np
     left_owner, left_degrees = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
-    rng = np.random.Generator(np.random.PCG64(seed))
-    assignment = rng.permutation(spec.edge_count)
+    assignment = _permutation(np.random.PCG64(seed), spec.edge_count)
     return _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
 
 

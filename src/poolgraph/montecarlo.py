@@ -1,45 +1,49 @@
 """Monte Carlo estimation of false-alarm and misdetection rates.
 
 Samples pooling graphs from the configuration ensemble, draws i.i.d.
-Bernoulli(delta) defectivity patterns on each, runs the decoders, and pools
-per-pattern rates fa/(n-defectives) and md/defectives (zero denominator
-contributes 0). Those are exactly the quantities the enumerator module
-computes in closed form, so means land within a few standard errors of the
-analytic values and the comparison is apples to apples.
+Bernoulli(delta) defectivity patterns on each, runs the decoders, and
+reports per-pattern rates fa/(n-defectives) and md/defectives (zero
+denominator contributes 0): exactly the quantities the enumerator module
+computes in closed form.
 
-Decoding is batched and bit-sliced: each graph's patterns are drawn as an
-n x P boolean matrix, at most CHUNK_PATTERNS at a time so memory stays
-bounded, and packed 64 to a uint64 word. A graph's two index tables
-(detection.graph_tables) are built once, before its first chunk, and
-detection.decode_tables decodes each chunk's words with a few numpy
-gathers over them. Only the decoder's own errors (detection.wrong_items)
-are unpacked and tallied, as one sum and one sum of squares; the other
-rate is reported as exactly 0.0. The float sums are added pattern by
-pattern in draw order (a cumulative sum seeded with the running total),
-so they carry the same bits as a scalar loop would.
+A graph's patterns come in chunks of at most CHUNK_PATTERNS, drawn straight
+into the decoder's n x ceil(P/64) uint64 words (bit p % 64 of word p // 64
+in row v is item v of pattern p). Each lane is exactly Bernoulli(delta)
+for every rational delta: a uniform binary fraction, read from raw PCG64
+words, is compared with delta's binary expansion digit by digit (Knuth &
+Yao 1976). detection.decode_tables decodes the words, and the words and
+the decoder's errors (detection.wrong_items) are unpacked together into
+each pattern's defective count a and error count j. One np.bincount per
+chunk tallies the graph's integer counts N[a, j]. Only the decoder's own
+error kind is counted; the other rate is reported as exactly 0.0. With
+L = lcm(1..n) every rate j/c(a) is an integer over L, so each reported
+mean, pooled stderr and graph-clustered stderr is one correctly rounded
+quotient of exact integers, whatever order the tallies are merged in.
 
-Reproducibility contract: every random draw descends from one 64-bit master
-seed through sha256-based splitting (scheme name "pcg64-sha256split", see
-derive_seed). Graph construction and pattern streams use disjoint subkeys,
-pattern bits come from the stream pattern by pattern whatever the chunk
-size, and per-graph partial sums are merged in graph order, so results are
-bit-identical for a given seed regardless of worker count. A sweep maps
-every (delta, graph) partial through one process pool.
+Reproducibility contract (scheme RNG_SCHEME): every random draw descends
+from one 64-bit master seed through sha256-based splitting (derive_seed).
+Graphs and patterns use disjoint subkeys and read only raw PCG64 words,
+which numpy keeps stable across releases. The words a chunk reads depend
+on its size, so CHUNK_PATTERNS is part of the scheme. Results are
+bit-identical for a given seed whatever the worker count; a sweep maps
+every (delta, graph) tally through one process pool.
 
-Work is sized before any graph is sampled; a call over _WORK_LIMIT raises
-SizeLimitError.
+A call over _WORK_LIMIT raises SizeLimitError before any graph is sampled.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +56,7 @@ from .errors import SizeLimitError
 
 __all__ = ["RNG_SCHEME", "TrialReport", "derive_seed", "simulate", "sweep", "write_trials_csv"]
 
-RNG_SCHEME = "pcg64-sha256split"
+RNG_SCHEME = "pcg64raw-sha256split-v2"
 
 _SEED_SPAN = 1 << 64
 _GRAPH_KEY = 0
@@ -62,7 +66,7 @@ _PATTERN_KEY = 1
 _GRAPH_SETUP_PATTERNS = 1000
 # Most item-patterns, deltas x graphs x (patterns + _GRAPH_SETUP_PATTERNS) x n,
 # one simulate or sweep call may decode: about ten minutes at the slowest
-# measured rate, 4-5e7 item-patterns/s on (4,2,2) on a 2-vCPU x86_64 host.
+# measured rate, about 4e7 item-patterns/s on (4,2,2) on a 2-vCPU x86_64 host.
 _WORK_LIMIT = 25 * 10**9
 
 
@@ -87,7 +91,7 @@ def derive_seed(master: int, *path: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TrialReport:
-    """Pooled sample statistics for one (spec, algorithm, delta) operating point."""
+    """Sample statistics for one operating point; *_graph_stderr clusters the patterns by graph."""
 
     spec: EnsembleSpec
     algorithm: Algorithm
@@ -99,59 +103,74 @@ class TrialReport:
     far_stderr: float
     mdr_mean: float
     mdr_stderr: float
+    far_graph_stderr: float
+    mdr_graph_stderr: float
     rng: str = RNG_SCHEME
     per_graph_rates: Optional[tuple[tuple[float, float], ...]] = None
 
 
-def _draw_patterns(bits: np.random.PCG64, delta: Fraction, count: int, n: int) -> np.ndarray:
-    """n x count Bernoulli(delta) bool matrix, one column per pattern.
+def _binary_digits(delta: Fraction) -> Iterator[int]:
+    """Digits of delta in [0, 1) after the binary point, by long division; ends after a dyadic's last 1."""
+    remainder, denominator = delta.numerator, delta.denominator
+    while remainder:
+        remainder <<= 1
+        digit = remainder >= denominator
+        remainder -= digit * denominator
+        yield digit
 
-    Exact threshold on raw 64-bit PCG64 words, taken pattern by pattern from
-    the stream. Raw words are stable across numpy releases; Generator methods
-    need not be.
+
+def _draw_words(bits: np.random.PCG64, delta: Fraction, n: int, count: int) -> np.ndarray:
+    """n x ceil(count/64) uint64 words of exact Bernoulli(delta) lanes; padding lanes are 0.
+
+    For each digit of delta's expansion, every word still holding an
+    undecided lane reads one raw word, in row-major order. A lane whose raw
+    bit differs from the digit is decided: defective if the digit is 1.
+    Lanes still undecided when a dyadic delta's expansion ends are not.
     """
-    if delta == 1:
-        return np.ones((n, count), dtype=bool)
-    threshold = (delta.numerator << 64) // delta.denominator
-    draws = bits.random_raw(count * n).reshape(count, n)
-    return np.ascontiguousarray((draws < np.uint64(threshold)).T)
+    width = -(-count // 64)
+    lanes = np.full((n, width), ~np.uint64(0))
+    if count % 64:
+        lanes[:, -1] = np.uint64((1 << count % 64) - 1)
+    if delta in (0, 1):
+        return lanes if delta else np.zeros_like(lanes)
+    out = np.zeros(n * width, dtype=np.uint64)
+    undecided, defective, live = lanes.ravel(), np.zeros_like(out), np.arange(len(out))
+    for digit in _binary_digits(delta):
+        raw = bits.random_raw(len(live))
+        if digit:
+            # Undecided lanes hold 0 in `defective`; those with raw bit 0 turn 1.
+            defective |= undecided
+            undecided &= raw
+            defective ^= undecided
+        else:
+            undecided &= np.invert(raw, out=raw)
+        if np.count_nonzero(undecided) < len(live):
+            out[live] = defective
+            keep = undecided.nonzero()[0]
+            live, undecided, defective = live[keep], undecided[keep], defective[keep]
+            if not len(live):
+                break
+    out[live] = defective
+    return out.reshape(n, width)
 
 
-def _add_in_order(total: float, terms: np.ndarray) -> float:
-    """total + terms[0] + terms[1] + ..., left to right; np.sum would pair terms up."""
-    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
-
-
-def _graph_partial(
-    spec: EnsembleSpec,
-    algorithm: Algorithm,
-    delta: Fraction,
-    patterns: int,
-    master_seed: int,
-    graph_index: int,
-) -> tuple[int, float, float]:
-    """(patterns, sum, sum of squares) of the decoder's error rate (FAR or MDR) on one graph."""
+def _graph_tally(spec: EnsembleSpec, algorithm: Algorithm, delta: Fraction, patterns: int, master_seed: int,
+                 graph_index: int) -> np.ndarray:
+    """Counts N[a, j] on one graph, flattened: patterns with a defectives and j decoder errors."""
     tables = graph_tables(sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY)))
     bits = np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY))
     n = spec.n
     count_type = np.min_scalar_type(n)
-    err_sum = err_sq = 0.0
+    tally = np.zeros((n + 1) ** 2, dtype=np.int64)
     for start in range(0, patterns, CHUNK_PATTERNS):
         count = min(CHUNK_PATTERNS, patterns - start)
-        defective = _draw_patterns(bits, delta, count, n)
-        # Pattern p is bit p % 8 of byte p // 8 in a row of words; unpacking drops the zero padding.
-        words = np.zeros((n, -(-count // 64)), dtype=np.uint64)
-        words.view(np.uint8)[:, : -(-count // 8)] = np.packbits(defective, axis=1, bitorder="little")
-        wrong = wrong_items(decode_tables(*tables, words, algorithm), words, algorithm).view(np.uint8)
-        wrong = np.unpackbits(wrong, axis=1, count=count, bitorder="little").sum(axis=0, dtype=count_type)
-        a = defective.sum(axis=0, dtype=count_type)
-        candidates = n - a if algorithm is Algorithm.COMP else a
-        # Patterns without errors add 0.0, which leaves a sum unchanged.
-        hit = wrong > 0
-        rate = wrong[hit] / candidates[hit]
-        err_sum = _add_in_order(err_sum, rate)
-        err_sq = _add_in_order(err_sq, rate * rate)
-    return patterns, err_sum, err_sq
+        words = _draw_words(bits, delta, n, count)
+        wrong = wrong_items(decode_tables(*tables, words, algorithm), words, algorithm)
+        # Rows 0..n-1 are the patterns' items, rows n..2n-1 their wrong items; unpacking drops the padding.
+        lanes = np.unpackbits(np.concatenate((words, wrong)).view(np.uint8), axis=1, count=count, bitorder="little")
+        a, j = lanes.reshape(2, n, count).sum(axis=1, dtype=count_type)
+        tally += np.bincount(a.astype(np.intp) * (n + 1) + j, minlength=len(tally))
+    return tally
 
 
 def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> None:
@@ -166,12 +185,29 @@ def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph
         )
 
 
-def _mean_stderr(count: int, total: float, total_sq: float) -> tuple[float, float]:
-    mean = total / count
-    if count < 2:
-        return mean, 0.0
-    variance = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-    return mean, math.sqrt(variance / count)
+def _rate_statistics(algorithm: Algorithm, n: int, patterns: int,
+                     tallies: Iterable[np.ndarray]) -> tuple[float, float, float, list[float]]:
+    """Mean, pooled stderr, graph-clustered stderr and per-graph means of the error rate j / c(a).
+
+    c(a) is n - a under COMP and a under DD; rows with c(a) = 0 hold no
+    errors. With L = lcm(1..n) every rate sum is an exact integer over L, so
+    each float returned is one correctly rounded quotient of integers.
+    """
+    scale = math.lcm(*range(1, n + 1))
+    units = [scale // c if c else 0 for c in (n - a if algorithm is Algorithm.COMP else a for a in range(n + 1))]
+    j = np.arange(n + 1)
+    squares = np.zeros(n + 1, dtype=np.int64)
+    sums = []
+    for tally in tallies:
+        cells = tally.reshape(n + 1, n + 1)
+        sums.append(sum(map(operator.mul, (cells @ j).tolist(), units)))
+        squares += cells @ (j * j)
+    graphs, count, total = len(sums), len(sums) * patterns, sum(sums)
+    total_sq = sum(u * u * q for u, q in zip(units, squares.tolist()))
+    pooled = (count * total_sq - total**2) / ((scale * count) ** 2 * (count - 1)) if count > 1 else 0.0
+    spread = graphs * sum(s * s for s in sums) - total**2
+    clustered = spread / ((scale * patterns * graphs) ** 2 * (graphs - 1)) if graphs > 1 else 0.0
+    return total / (scale * count), math.sqrt(pooled), math.sqrt(clustered), [s / (scale * patterns) for s in sums]
 
 
 def _pool_size(workers: int, jobs: int, cpus: Optional[int]) -> int:
@@ -179,52 +215,28 @@ def _pool_size(workers: int, jobs: int, cpus: Optional[int]) -> int:
     return max(1, min(workers, jobs, cpus or 1))
 
 
-def _reports(
-    spec: EnsembleSpec,
-    algorithm: Algorithm,
-    points: Sequence[tuple[Fraction, int]],
-    graphs: int,
-    patterns_per_graph: int,
-    workers: int,
-    keep_per_graph: bool,
-) -> list[TrialReport]:
-    """One report per (delta, seed) point; every (point, graph) partial goes through one pool."""
+def _reports(spec: EnsembleSpec, algorithm: Algorithm, points: Sequence[tuple[Fraction, int]], graphs: int,
+             patterns_per_graph: int, workers: int, keep_per_graph: bool) -> list[TrialReport]:
+    """One report per (delta, seed) point; every (point, graph) tally goes through one pool."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     args = [(spec, algorithm, d, patterns_per_graph, s, g) for d, s in points for g in range(graphs)]
     pool_size = _pool_size(workers, len(args), os.cpu_count())
-    if pool_size == 1:
-        partials = [_graph_partial(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            partials = list(pool.map(_graph_partial, *zip(*args)))
     comp = algorithm is Algorithm.COMP
     reports = []
-    for index, (d, seed) in enumerate(points):
-        count = 0
-        err_sum = err_sq = 0.0
-        per_graph: list[tuple[float, float]] = []
-        for c, s, q in partials[index * graphs : (index + 1) * graphs]:
-            count += c
-            err_sum += s
-            err_sq += q
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else contextlib.nullcontext() as pool:
+        # Each tally is reduced as it arrives and then dropped.
+        tallies = (pool.map if pool else map)(_graph_tally, *zip(*args))
+        for d, seed in points:
+            *rate, per_graph = _rate_statistics(algorithm, spec.n, patterns_per_graph, itertools.islice(tallies, graphs))
             # COMP never misses and DD never raises a false alarm: the other rate is exactly 0.
-            per_graph.append((s / c, 0.0) if comp else (0.0, s / c))
-        rate = _mean_stderr(count, err_sum, err_sq)
-        (far_mean, far_stderr), (mdr_mean, mdr_stderr) = (rate, (0.0, 0.0)) if comp else ((0.0, 0.0), rate)
-        reports.append(TrialReport(
-            spec=spec,
-            algorithm=algorithm,
-            delta=d,
-            graphs=graphs,
-            patterns_per_graph=patterns_per_graph,
-            seed=seed,
-            far_mean=far_mean,
-            far_stderr=far_stderr,
-            mdr_mean=mdr_mean,
-            mdr_stderr=mdr_stderr,
-            per_graph_rates=tuple(per_graph) if keep_per_graph else None,
-        ))
+            far, mdr = (rate, (0.0, 0.0, 0.0)) if comp else ((0.0, 0.0, 0.0), rate)
+            reports.append(TrialReport(
+                spec, algorithm, d, graphs, patterns_per_graph, seed,
+                far_mean=far[0], far_stderr=far[1], mdr_mean=mdr[0], mdr_stderr=mdr[1],
+                far_graph_stderr=far[2], mdr_graph_stderr=mdr[2],
+                per_graph_rates=tuple((r, 0.0) if comp else (0.0, r) for r in per_graph) if keep_per_graph else None,
+            ))
     return reports
 
 
@@ -281,29 +293,17 @@ def write_trials_csv(
             fh.write(f"# spec_hash={spec_hash(rows[0].spec)} rng={rows[0].rng}\n")
         fh.write(
             "delta,algorithm,n,m,graphs,patterns,far_mean,far_stderr,"
-            "mdr_mean,mdr_stderr,analytic_value,seed\n"
+            "mdr_mean,mdr_stderr,analytic_value,seed,far_graph_stderr,mdr_graph_stderr\n"
         )
-        for index, report in enumerate(rows):
-            exact = analytic[index] if analytic is not None else None
-            fh.write(
-                ",".join(
-                    [
-                        str(report.delta),
-                        report.algorithm.value,
-                        str(report.spec.n),
-                        str(report.spec.m),
-                        str(report.graphs),
-                        str(report.patterns_per_graph),
-                        repr(report.far_mean),
-                        repr(report.far_stderr),
-                        repr(report.mdr_mean),
-                        repr(report.mdr_stderr),
-                        "" if exact is None else to_decimal(exact, precision),
-                        str(report.seed),
-                    ]
-                )
-                + "\n"
-            )
+        for index, r in enumerate(rows):
+            exact = "" if analytic is None or analytic[index] is None else to_decimal(analytic[index], precision)
+            fields = [
+                r.delta, r.algorithm.value, r.spec.n, r.spec.m, r.graphs, r.patterns_per_graph,
+                r.far_mean, r.far_stderr, r.mdr_mean, r.mdr_stderr, exact, r.seed,
+                r.far_graph_stderr, r.mdr_graph_stderr,
+            ]
+            # str of a float is its shortest round-trip repr.
+            fh.write(",".join(map(str, fields)) + "\n")
 
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -25,8 +25,9 @@ look only within a connected component, so each matching of the union
 decodes exactly as it would alone. The per-pattern bitmask decoders stay
 the literal reference in the tests (tests/oracle_reference.py).
 
-Costs explode factorially; both entry points refuse work past a size
-limit, before anything is allocated, instead of grinding forever.
+Costs explode factorially. Both entry points decode the same blocks, so
+both size them the same way: more than `limit` matchings are refused
+(ensemble.matching_count), before anything is allocated.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .combinatorics import exact_delta, factorial_exceeds
+from .combinatorics import exact_delta
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
 from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, _socket_layout, matching_count
 from .enumerator import EnumeratorTable, table_domain
-from .errors import SizeLimitError
 
 # perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
@@ -159,9 +159,7 @@ def exact_error_probability(
     """
     d = exact_delta(delta)
     n = spec.n
-    # E! 2^n > limit exactly when E! > floor(limit / 2^n), as E! is an integer.
-    if factorial_exceeds(spec.edge_count, limit >> n):
-        raise SizeLimitError(f"{spec.edge_count}! matchings x 2^{n} patterns exceed the oracle limit {limit}")
+    matching_count(spec, limit)
     err_sums = np.zeros(1 << n, dtype=np.int64)
     matchings = 0
     for errors in _error_blocks(spec, algorithm):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from poolgraph.combinatorics import exact_delta, factorial_exceeds
+from poolgraph.combinatorics import exact_delta
 from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
-from poolgraph.ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings
+from poolgraph.ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings, matching_count
 from poolgraph.enumerator import table_domain
-from poolgraph.errors import SizeLimitError
 from poolgraph.oracle import OracleReport
 
 
@@ -76,9 +75,8 @@ def exact_error_probability(
     """
     d = exact_delta(delta)
     n = spec.n
-    # E! 2^n > limit exactly when E! > floor(limit / 2^n); E! itself is never computed.
-    if factorial_exceeds(spec.edge_count, limit >> n):
-        raise SizeLimitError(f"{spec.edge_count}! matchings x 2^{n} patterns exceed the oracle limit {limit}")
+    # Refused like the library, before the 2^n sums are allocated.
+    matching_count(spec, limit)
     err_sums = [0] * (1 << n)
     matchings = 0
     for graph in enumerate_matchings(spec, limit=limit):

@@ -3,11 +3,15 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from poolgraph.ensemble import (
     DegreeDistribution,
     EnsembleSpec,
+    _graph_from_assignment,
+    _permutation,
+    _socket_layout,
     enumerate_matchings,
     load_spec,
     parse_spec,
@@ -182,6 +186,72 @@ def test_sample_graph_mixed_degrees():
         graph = sample_graph(spec, seed)
         assert sorted(graph.left_degrees) == [1, 1, 2]
         assert all(len(members) == 2 for members in graph.adj)
+
+
+class _RawWords:
+    """A bit generator stand-in: the given raw words first, then PCG64(seed)'s."""
+
+    def __init__(self, words, seed=0):
+        self.words = list(words)
+        self.rest = np.random.PCG64(seed)
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.words.pop(0) if self.words else int(self.rest.random_raw())
+        return np.array([self.random_raw() for _ in range(size)], dtype=np.uint64)
+
+
+def _reference_permutation(bits, size):
+    """Textbook Fisher-Yates; Lemire's bounded draw one Python int at a time."""
+    order = list(range(size))
+    for i in range(size - 1, 0, -1):
+        bound = i + 1
+        product = int(bits.random_raw()) * bound
+        while product % 2**64 < 2**64 % bound:
+            product = int(bits.random_raw()) * bound
+        j = product // 2**64
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 90, 1000])
+def test_permutation_matches_reference_on_the_same_raw_words(size):
+    for seed in range(20):
+        fast, slow = np.random.PCG64(seed), np.random.PCG64(seed)
+        order = _permutation(fast, size)
+        assert order == _reference_permutation(slow, size)
+        assert sorted(order) == list(range(size))
+        # Both read exactly size - 1 words.
+        assert fast.random_raw() == slow.random_raw()
+
+
+def test_permutation_redraws_rejected_words_in_stream_order():
+    # Word 0 times a bound b that is not a power of two has low word 0 < 2^64 mod b,
+    # so Lemire rejects it and reads the next word.
+    words = [0, 0, 2**64 - 1, 123456789 << 30, 0, 1, 2**63]
+    for size in (3, 7, 12):
+        order = _permutation(_RawWords(words, seed=5), size)
+        assert order == _reference_permutation(_RawWords(words, seed=5), size)
+        assert sorted(order) == list(range(size))
+
+
+def test_permutation_carries_the_low_half_of_each_product():
+    # For odd b, the word with high half -1/b mod 2^32 and low half 2^32 - 1 makes the
+    # low half of x b carry into floor(x b / 2^64); even bounds take arbitrary words.
+    size = 11
+    words = [(-pow(b, -1, 2**32) % 2**32) << 32 | 0xFFFFFFFF if b % 2 else 12345 << 40 for b in range(size, 1, -1)]
+    order = _permutation(_RawWords(words), size)
+    assert order == _reference_permutation(_RawWords(words), size)
+
+
+def test_sample_graph_is_a_shuffle_of_raw_words():
+    spec = mixed_spec()
+    left_owner, left_degrees = _socket_layout(spec.left_counts())
+    _, right_degrees = _socket_layout(spec.right_counts())
+    for seed in range(50):
+        assignment = _reference_permutation(np.random.PCG64(seed), spec.edge_count)
+        expected = _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
+        assert sample_graph(spec, seed) == expected
 
 
 def test_single_test_matchings_all_identical():

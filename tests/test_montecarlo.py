@@ -1,18 +1,25 @@
 import hashlib
 import io
+import math
 import statistics
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from poolgraph.detection import Algorithm
-from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
+from poolgraph.detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, wrong_items
+from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, sample_graph, spec_hash
 from poolgraph.errors import SizeLimitError
 from poolgraph.montecarlo import (
+    _GRAPH_KEY,
     _GRAPH_SETUP_PATTERNS,
+    _PATTERN_KEY,
     _WORK_LIMIT,
     RNG_SCHEME,
     _check_size,
+    _draw_words,
+    _graph_tally,
     _pool_size,
     derive_seed,
     simulate,
@@ -31,24 +38,93 @@ IRREGULAR_30 = EnsembleSpec(
 
 # sha256 of the trials CSV plus repr of every report's per-graph rates, for
 # sweep(spec, algorithm, [0, 1/7, 1/2, 1], 3 graphs, patterns, seed 2026,
-# keep_per_graph=True). Recorded with the per-pattern Python decoding loop
-# that the batch decoder replaced, so they pin the old bytes. Pattern counts
-# 1, 4097 and 10^4 decode in one chunk, in a full chunk plus one pattern, and
-# in several chunks.
+# keep_per_graph=True). Recorded under RNG scheme pcg64raw-sha256split-v2,
+# when patterns came to be drawn exactly as words and graphs as Fisher-Yates
+# shuffles of raw words. Pattern counts 1, 4097 and 10^4 decode in one
+# chunk, in a full chunk plus one pattern, and in several chunks.
 GOLDEN_SWEEPS = {
-    ("30,3,6", "comp", 1): "fbba05237f941211e903aa3a71e5220d0ce041286201d1fc00f648ddb4d43e3d",
-    ("30,3,6", "comp", 4097): "59e111f6cdfba6a9ce845c0054317286d66dba778aae3ae739938dec96e5ac61",
-    ("30,3,6", "comp", 10000): "ac9d601b8dfc043bdeb6fdd684bf08a533946a4c0d7605fe9a542beb5b13aab8",
-    ("30,3,6", "dd", 1): "f824454b63bd8db52c974f47436b18e5e26ee639fe0158e3501bcb72746cf3a9",
-    ("30,3,6", "dd", 4097): "385f10aa34e99f4396f667cafc42d1ca664d4fb15491c8c22fad9c57825058f6",
-    ("30,3,6", "dd", 10000): "11bc275d2c074a07341a287c13d0d82c21a74a1b193100399fa7fdd995468275",
-    ("irregular-30", "comp", 1): "5b49b2f8575859ceded628e86b6f2fe95dc819d19a123cfbd8155bfb740d028e",
-    ("irregular-30", "comp", 4097): "b7533c757da33d82b34663724a48082e87769a35369cc88cf433c5abf7ff55e9",
-    ("irregular-30", "comp", 10000): "0d8cbbaf039e875b9b348c0434536693745cfa93d510f821b2aec726edd26b12",
-    ("irregular-30", "dd", 1): "876cfd33fd338b5bd41904d4fea56f9dc82f71939fd303041e8569603c84ed65",
-    ("irregular-30", "dd", 4097): "f27728e0528f847ad1f52cc52e6e0177c4988b31f3c7a906282d6ec1fae3d478",
-    ("irregular-30", "dd", 10000): "b94265b3508be64bbf92026b9628c50efc01061226fa0d36bc68c7d0aa4c0fa3",
+    ("30,3,6", "comp", 1): "2dec688d798985c17f11a49dd9640c65f1db5077b2ea167a7d1e41184524f753",
+    ("30,3,6", "comp", 4097): "6d8c7e24087cb706675d28a2636e17b0feac354718030ed175a7260731121ca8",
+    ("30,3,6", "comp", 10000): "326523411d85c88b9c9a1c9987099277f19d96d379391e8676b1fb60a02f2b90",
+    ("30,3,6", "dd", 1): "6d6cb5556997ae0c79404f4d6046e19dbd21831f47fdb04f01da47c8360ca095",
+    ("30,3,6", "dd", 4097): "4fb2a6f8785746d69b493ac9303d5550ed68b02c82505ab3d9c9518d53f1b068",
+    ("30,3,6", "dd", 10000): "59f0f36613693b875bcaedbc6c9d1ca56a5838ad77607b0575a705f3fc2252fe",
+    ("irregular-30", "comp", 1): "9edd990618558b40566a9c040447668b053343b11ed4a1ba416543637bba6e68",
+    ("irregular-30", "comp", 4097): "a7d6e4a3334060f68e12101d33c3662cef205d203a68985206fe905e93ed5021",
+    ("irregular-30", "comp", 10000): "957491840f1b366f3c04c3b26556966728563e62dd73526d547c119a5a35c4d6",
+    ("irregular-30", "dd", 1): "a810c6cac5604a103dd886839cd5c5972f071b605c27a7ee5e48fe9990a987ac",
+    ("irregular-30", "dd", 4097): "efab145a4a4fb3af9a8ac21585c9acd1d8c10404eee4d40c9024365196d14a70",
+    ("irregular-30", "dd", 10000): "3a7424a6dd6f6f667ebb75c4fbe119e13b1b41822aa7c991606b26da968769c5",
 }
+
+
+WORD_DRAW_DELTAS = [Fraction(0), Fraction(1, 2), Fraction(3, 8), Fraction(1, 3), Fraction(1, 20), Fraction(1)]
+
+
+def _reference_draw(bits, delta, n, count):
+    """Lane by lane in Python ints: a lazily read uniform binary fraction against delta's digits.
+
+    Lane b of word w in row v is item v of pattern 64 w + b. For each digit,
+    every word with an undecided lane, in row-major order, reads one raw
+    word; a lane whose raw bit differs from the digit is decided, defective
+    when the digit is 1. Lanes left when a dyadic delta runs out of digits
+    equal its expansion so far, so they are at or above delta: not defective.
+    """
+    width = -(-count // 64)
+    state = [[[None] * min(64, count - 64 * w) for w in range(width)] for _ in range(n)]
+    if delta in (0, 1):
+        state = [[[bool(delta)] * len(word) for word in row] for row in state]
+    rest = Fraction(delta)
+    while any(None in word for row in state for word in row):
+        if rest == 0:
+            state = [[[bool(lane) for lane in word] for word in row] for row in state]
+            break
+        rest *= 2
+        digit = int(rest >= 1)
+        rest -= digit
+        for row in state:
+            for word in row:
+                if None in word:
+                    raw = int(bits.random_raw())
+                    for b, lane in enumerate(word):
+                        if lane is None and (raw >> b) & 1 != digit:
+                            word[b] = digit == 1
+    return np.array([[sum(1 << b for b, lane in enumerate(word) if lane) for word in row] for row in state],
+                    dtype=np.uint64)
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 4097])
+@pytest.mark.parametrize("delta", WORD_DRAW_DELTAS, ids=str)
+def test_word_draw_equals_per_lane_reference(delta, count):
+    fast, slow = np.random.PCG64(41), np.random.PCG64(41)
+    # Two chunks in a row: the second starts where the first stopped reading.
+    for n in (3, 2):
+        assert np.array_equal(_draw_words(fast, delta, n, count), _reference_draw(slow, delta, n, count))
+    assert fast.random_raw() == slow.random_raw()
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 3), Fraction(1, 10), Fraction(3, 8), Fraction(1)], ids=str)
+def test_word_draw_rate_is_delta(delta):
+    n, count = 2442, 4096  # 10,002,432 item-patterns
+    hits = int(np.bitwise_count(_draw_words(np.random.PCG64(2026), delta, n, count)).sum())
+    total = n * count
+    assert abs(hits / total - delta) <= 4 * math.sqrt(delta * (1 - delta) / total)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_graph_tally_equals_bool_layout_count(algorithm):
+    spec, delta, patterns, seed, graph = regular_spec(6, 2, 3), Fraction(1, 3), CHUNK_PATTERNS + 130, 9, 2
+    tables = graph_tables(sample_graph(spec, derive_seed(seed, graph, _GRAPH_KEY)))
+    bits = np.random.PCG64(derive_seed(seed, graph, _PATTERN_KEY))
+    expected = Counter()
+    for start in range(0, patterns, CHUNK_PATTERNS):
+        count = min(CHUNK_PATTERNS, patterns - start)
+        words = _draw_words(bits, delta, spec.n, count).tolist()
+        defective = np.array([[(row[p // 64] >> p % 64) & 1 for p in range(count)] for row in words], dtype=bool)
+        wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
+        expected.update(zip(defective.sum(axis=0).tolist(), wrong.sum(axis=0).tolist()))
+    tally = _graph_tally(spec, algorithm, delta, patterns, seed, graph)
+    assert {divmod(cell, spec.n + 1): count for cell, count in enumerate(tally.tolist()) if count} == expected
 
 
 def test_derive_seed_is_deterministic():
@@ -138,6 +214,22 @@ def test_stderr_matches_two_pass_computation():
     assert report.far_stderr == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_graph_stderr_is_the_spread_of_per_graph_rates(algorithm):
+    report = simulate(regular_spec(12, 3, 6), algorithm, Fraction(1, 5), 12, 300, seed=4, keep_per_graph=True)
+    column = 0 if algorithm is Algorithm.COMP else 1
+    rates = [pair[column] for pair in report.per_graph_rates]
+    mean, graph_se, pooled = (
+        (report.far_mean, report.far_graph_stderr, report.far_stderr)
+        if column == 0 else (report.mdr_mean, report.mdr_graph_stderr, report.mdr_stderr)
+    )
+    assert mean == pytest.approx(statistics.fmean(rates), rel=1e-12)
+    assert graph_se == pytest.approx(statistics.stdev(rates) / math.sqrt(len(rates)), rel=1e-12)
+    assert graph_se > pooled > 0
+    other = (report.mdr_graph_stderr, report.mdr_mean) if column == 0 else (report.far_graph_stderr, report.far_mean)
+    assert other == (0.0, 0.0)
+
+
 def test_per_graph_rates_default_off():
     report = simulate(SMALL, Algorithm.COMP, Fraction(1, 2), 3, 10, seed=2)
     assert report.per_graph_rates is None
@@ -149,7 +241,7 @@ def test_per_graph_rates_default_off():
 
 def test_report_metadata():
     report = simulate(SMALL, Algorithm.COMP, "1/3", 2, 5, seed=0)
-    assert report.rng == RNG_SCHEME == "pcg64-sha256split"
+    assert report.rng == RNG_SCHEME == "pcg64raw-sha256split-v2"
     assert report.delta == Fraction(1, 3)
     assert report.graphs == 2 and report.patterns_per_graph == 5
 

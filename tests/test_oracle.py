@@ -12,7 +12,7 @@ import oracle_reference
 from poolgraph import oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, load_spec, regular_spec
+from poolgraph.ensemble import DEFAULT_MATCHING_LIMIT, DegreeDistribution, EnsembleSpec, load_spec, regular_spec
 from poolgraph.enumerator import build_table, fa_probability, md_probability
 from poolgraph.errors import SizeLimitError
 from poolgraph.oracle import exact_enumerators, exact_error_probability
@@ -121,8 +121,7 @@ def test_two_word_oracle_equals_literal_reference(algorithm, bound, monkeypatch)
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
 @pytest.mark.parametrize("r", [2, 4])
 def test_four_word_oracle_matches_closed_form_per_cell(r, algorithm):
-    # 2^8 = 256 patterns: every item row spans four words. 8! x 2^8 pairs
-    # exceed the default limit of exact_error_probability.
+    # 2^8 = 256 patterns: every item row spans four words.
     spec = regular_spec(8, 1, r)
     report = exact_enumerators(spec, algorithm)
     closed = build_table(spec, algorithm)
@@ -130,7 +129,7 @@ def test_four_word_oracle_matches_closed_form_per_cell(r, algorithm):
     for key, value in report.exact_table.items():
         assert value == closed.values[key], key
     for delta in (Fraction(1, 3), Fraction(1, 2)):
-        direct = exact_error_probability(spec, algorithm, delta, limit=10**8)
+        direct = exact_error_probability(spec, algorithm, delta)
         assert direct == _closed_form_probability(closed, delta)
 
 
@@ -208,29 +207,57 @@ def test_refuses_oversized_ensembles():
     t0 = time.monotonic()
     with pytest.raises(SizeLimitError, match=r"^90! socket matchings exceed the limit 1000000$"):
         exact_enumerators(regular_spec(30, 3, 6), Algorithm.COMP)
-    with pytest.raises(SizeLimitError, match=r"^90! matchings x 2\^30 patterns exceed the oracle limit 1000000$"):
+    with pytest.raises(SizeLimitError, match=r"^90! socket matchings exceed the limit 1000000$"):
         exact_error_probability(regular_spec(30, 3, 6), Algorithm.DD, Fraction(1, 2))
     # 3,000,000! has some 1.8*10^7 digits: refused without being computed.
     huge = regular_spec(10**6, 3, 6)
     with pytest.raises(SizeLimitError, match=r"^3000000! socket matchings exceed the limit 1000000$"):
         exact_enumerators(huge, Algorithm.DD)
-    with pytest.raises(SizeLimitError, match=r"^3000000! matchings x 2\^1000000 patterns exceed the oracle limit 1000000$"):
+    with pytest.raises(SizeLimitError, match=r"^3000000! socket matchings exceed the limit 1000000$"):
         exact_error_probability(huge, Algorithm.COMP, Fraction(1, 2))
     assert time.monotonic() - t0 < 1.0
-    # 8! matchings alone fit in 10^5; crossed with 2^4 patterns they do not.
-    with pytest.raises(SizeLimitError, match=r"^8! matchings x 2\^4 patterns exceed the oracle limit 100000$"):
-        exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=10**5)
+    with pytest.raises(SizeLimitError, match=r"^8! socket matchings exceed the limit 40319$"):
+        exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=40319)
     with pytest.raises(SizeLimitError, match="^8! socket matchings exceed the limit 1000$"):
         exact_enumerators(regular_spec(4, 2, 2), Algorithm.DD, limit=10**3)
 
 
+@pytest.mark.parametrize(
+    "spec, limit",
+    [
+        (regular_spec(8, 1, 2), DEFAULT_MATCHING_LIMIT),  # 8! x 2^8 (matching, pattern) pairs
+        (regular_spec(4, 2, 2), math.factorial(8)),  # exactly at the limit
+        (regular_spec(4, 2, 2), math.factorial(8) - 1),
+        (regular_spec(9, 1, 3), math.factorial(9) - 1),
+        (regular_spec(10, 1, 2), DEFAULT_MATCHING_LIMIT),  # 10! matchings
+    ],
+    ids=["8,1,2", "4,2,2-at", "4,2,2-over", "9,1,3-over", "10,1,2"],
+)
+def test_entry_points_accept_and_refuse_the_same_specs(spec, limit, monkeypatch):
+    # Both entry points decode the same blocks, so they size them alike. Blocks
+    # are swapped for one empty block: only the size checks run.
+    monkeypatch.setattr(oracle, "_error_blocks", lambda *args: iter([np.zeros((1, 1 << spec.n), dtype=np.intp)]))
+    outcomes = []
+    for call in (
+        lambda: exact_enumerators(spec, Algorithm.DD, limit=limit),
+        lambda: exact_error_probability(spec, Algorithm.DD, Fraction(1, 3), limit=limit),
+    ):
+        try:
+            call()
+            outcomes.append("accepted")
+        except SizeLimitError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] == "accepted") == (math.factorial(spec.edge_count) <= limit)
+
+
 def test_literal_reference_refuses_like_the_library():
     # 1800! has over 5,000 digits; the reference decides without computing it.
-    message = r"^1800! matchings x 2\^600 patterns exceed the oracle limit 1000000$"
+    message = r"^1800! socket matchings exceed the limit 1000000$"
     with pytest.raises(SizeLimitError, match=message):
         oracle_reference.exact_error_probability(regular_spec(600, 3, 6), Algorithm.DD, Fraction(1, 2))
-    with pytest.raises(SizeLimitError, match=r"^8! matchings x 2\^4 patterns exceed the oracle limit 100000$"):
-        oracle_reference.exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=10**5)
+    with pytest.raises(SizeLimitError, match=r"^8! socket matchings exceed the limit 40319$"):
+        oracle_reference.exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=40319)
 
 
 def test_delta_validation():
