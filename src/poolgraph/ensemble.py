@@ -198,24 +198,14 @@ def _permutation(bits, size: int) -> list[int]:
     j = floor(x (i + 1) / 2^64), unless the low 64 bits of x (i + 1) fall
     below 2^64 mod (i + 1): then it rejects x and reads the next word.
     """
-    import numpy as np  # sample_graph's numpy use; loading a spec loads none
-    bounds = np.arange(size, 1, -1, dtype=np.uint64)
-    raw = bits.random_raw(size - 1)
-    if (raw * bounds < bounds).any():
-        # A word Lemire may reject: redo the draws one by one, in stream order.
-        words = itertools.chain(raw.tolist(), iter(lambda: int(bits.random_raw()), None))
-        picks = []
-        for bound in range(size, 1, -1):
-            product = next(words) * bound
-            while product % 2**64 < 2**64 % bound:
-                product = next(words) * bound
-            picks.append(product >> 64)
-    else:
-        # The high word of x (i + 1) < 2^96, from the two 32-bit halves of x.
-        low = (raw & 0xFFFFFFFF) * bounds
-        picks = (((raw >> 32) * bounds + (low >> 32)) >> 32).tolist()
+    # size - 1 words in one call; a rejection reads one more, in stream order.
+    words = itertools.chain(bits.random_raw(size - 1).tolist(), iter(lambda: int(bits.random_raw()), None))
     order = list(range(size))
-    for i, j in zip(range(size - 1, 0, -1), picks):
+    for i, word in zip(range(size - 1, 0, -1), words):
+        product = word * (i + 1)
+        while product % 2**64 < 2**64 % (i + 1):
+            product = next(words) * (i + 1)
+        j = product >> 64
         order[i], order[j] = order[j], order[i]
     return order
 
@@ -226,7 +216,7 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
     The socket matching is a Fisher-Yates shuffle read from PCG64(seed)'s
     raw words, which numpy keeps stable across releases.
     """
-    import numpy as np
+    import numpy as np  # this module's only numpy use; loading a spec loads none
     left_owner, left_degrees = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
     assignment = _permutation(np.random.PCG64(seed), spec.edge_count)

@@ -13,12 +13,14 @@ for every rational delta: a uniform binary fraction, read from raw PCG64
 words, is compared with delta's binary expansion digit by digit (Knuth &
 Yao 1976). detection.decode_tables decodes the words, and the words and
 the decoder's errors (detection.wrong_items) are unpacked together into
-each pattern's defective count a and error count j. One np.bincount per
-chunk tallies the graph's integer counts N[a, j]. Only the decoder's own
-error kind is counted; the other rate is reported as exactly 0.0. With
-L = lcm(1..n) every rate j/c(a) is an integer over L, so each reported
-mean, pooled stderr and graph-clustered stderr is one correctly rounded
-quotient of exact integers, whatever order the tallies are merged in.
+each pattern's defective count a and error count j. Two np.bincount calls
+per chunk add j and j^2 into the graph's integer sums per a, 2 (n + 1)
+cells, so memory per graph is bounded by the chunk. Only the decoder's own
+error kind is counted; the other rate is reported as exactly 0.0. Every
+rate j/c(a) is an integer over a common multiple of the c(a) that occur,
+so each reported mean, pooled stderr and graph-clustered stderr is one
+correctly rounded quotient of exact integers, whatever order the tallies
+are merged in.
 
 Reproducibility contract (scheme RNG_SCHEME): every random draw descends
 from one 64-bit master seed through sha256-based splitting (derive_seed).
@@ -37,7 +39,6 @@ import contextlib
 import hashlib
 import itertools
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,8 +66,9 @@ _PATTERN_KEY = 1
 # this many patterns (measured: 240-1,600 from n=1000 down to n=4).
 _GRAPH_SETUP_PATTERNS = 1000
 # Most item-patterns, deltas x graphs x (patterns + _GRAPH_SETUP_PATTERNS) x n,
-# one simulate or sweep call may decode: about ten minutes at the slowest
-# measured rate, about 4e7 item-patterns/s on (4,2,2) on a 2-vCPU x86_64 host.
+# one simulate or sweep call may decode: about ten minutes at 4e7 item-patterns/s,
+# the rate on (4,2,2) on a 2-vCPU x86_64 host. The tiniest specs run slower:
+# (2,1,2) at about 2.3e7/s, where a run at the limit takes about 18 minutes.
 _WORK_LIMIT = 25 * 10**9
 
 
@@ -133,10 +135,17 @@ def _draw_words(bits: np.random.PCG64, delta: Fraction, n: int, count: int) -> n
         lanes[:, -1] = np.uint64((1 << count % 64) - 1)
     if delta in (0, 1):
         return lanes if delta else np.zeros_like(lanes)
-    out = np.zeros(n * width, dtype=np.uint64)
-    undecided, defective, live = lanes.ravel(), np.zeros_like(out), np.arange(len(out))
+    undecided, defective = lanes.ravel(), np.zeros(n * width, dtype=np.uint64)
+    raw = np.empty_like(defective)
     for digit in _binary_digits(delta):
-        raw = bits.random_raw(len(live))
+        live = np.count_nonzero(undecided)
+        if live == len(raw):
+            raw = bits.random_raw(live)
+        elif live:
+            # A finished word reads nothing; its entry of `raw` is never used.
+            raw[undecided != 0] = bits.random_raw(live)
+        else:
+            break
         if digit:
             # Undecided lanes hold 0 in `defective`; those with raw bit 0 turn 1.
             defective |= undecided
@@ -144,32 +153,38 @@ def _draw_words(bits: np.random.PCG64, delta: Fraction, n: int, count: int) -> n
             defective ^= undecided
         else:
             undecided &= np.invert(raw, out=raw)
-        if np.count_nonzero(undecided) < len(live):
-            out[live] = defective
-            keep = undecided.nonzero()[0]
-            live, undecided, defective = live[keep], undecided[keep], defective[keep]
-            if not len(live):
-                break
-    out[live] = defective
-    return out.reshape(n, width)
+    return defective.reshape(n, width)
 
 
-def _graph_tally(spec: EnsembleSpec, algorithm: Algorithm, delta: Fraction, patterns: int, master_seed: int,
-                 graph_index: int) -> np.ndarray:
-    """Counts N[a, j] on one graph, flattened: patterns with a defectives and j decoder errors."""
+def _graph_tally(
+    spec: EnsembleSpec,
+    algorithm: Algorithm,
+    delta: Fraction,
+    patterns: int,
+    master_seed: int,
+    graph_index: int,
+) -> np.ndarray:
+    """Sums of j and of j^2 over one graph's patterns with a defectives, in rows 0 and 1 at column a.
+
+    j counts a pattern's decoder errors. The tally has 2 (n + 1) cells.
+    """
     tables = graph_tables(sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY)))
     bits = np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY))
     n = spec.n
     count_type = np.min_scalar_type(n)
-    tally = np.zeros((n + 1) ** 2, dtype=np.int64)
+    tally = np.zeros((2, n + 1), dtype=np.int64)
     for start in range(0, patterns, CHUNK_PATTERNS):
         count = min(CHUNK_PATTERNS, patterns - start)
         words = _draw_words(bits, delta, n, count)
         wrong = wrong_items(decode_tables(*tables, words, algorithm), words, algorithm)
         # Rows 0..n-1 are the patterns' items, rows n..2n-1 their wrong items; unpacking drops the padding.
-        lanes = np.unpackbits(np.concatenate((words, wrong)).view(np.uint8), axis=1, count=count, bitorder="little")
+        rows = np.concatenate((words, wrong)).view(np.uint8)
+        lanes = np.unpackbits(rows, axis=1, count=count, bitorder="little")
         a, j = lanes.reshape(2, n, count).sum(axis=1, dtype=count_type)
-        tally += np.bincount(a.astype(np.intp) * (n + 1) + j, minlength=len(tally))
+        j = j.astype(np.float64)
+        # Float sums are exact while CHUNK_PATTERNS n^2 < 2^53, for n < 1.4e6; a larger n
+        # would need over 11 GB to unpack one chunk.
+        tally += np.array([np.bincount(a, weights=w, minlength=n + 1) for w in (j, j * j)], dtype=np.int64)
     return tally
 
 
@@ -185,29 +200,45 @@ def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph
         )
 
 
-def _rate_statistics(algorithm: Algorithm, n: int, patterns: int,
-                     tallies: Iterable[np.ndarray]) -> tuple[float, float, float, list[float]]:
+def _rate_statistics(
+    algorithm: Algorithm,
+    n: int,
+    patterns: int,
+    tallies: Iterable[np.ndarray],
+) -> tuple[float, float, float, list[float]]:
     """Mean, pooled stderr, graph-clustered stderr and per-graph means of the error rate j / c(a).
 
-    c(a) is n - a under COMP and a under DD; rows with c(a) = 0 hold no
-    errors. With L = lcm(1..n) every rate sum is an exact integer over L, so
-    each float returned is one correctly rounded quotient of integers.
+    c(a) is n - a under COMP and a under DD; columns with c(a) = 0 hold no
+    errors. Rate sums are exact integers over `scale`, a common multiple of
+    every c(a) met so far, which grows (rescaling the sums) when a graph
+    brings a new c(a). So each float returned is one correctly rounded
+    quotient of integers.
     """
-    scale = math.lcm(*range(1, n + 1))
-    units = [scale // c if c else 0 for c in (n - a if algorithm is Algorithm.COMP else a for a in range(n + 1))]
-    j = np.arange(n + 1)
-    squares = np.zeros(n + 1, dtype=np.int64)
-    sums = []
+    comp = algorithm is Algorithm.COMP
+    scale = 1
+    # Sums of the rates, of their squares and of the squared per-graph sums, over scale, scale^2, scale^2.
+    total = total_sq = graph_sq = 0
+    per_graph = []
     for tally in tallies:
-        cells = tally.reshape(n + 1, n + 1)
-        sums.append(sum(map(operator.mul, (cells @ j).tolist(), units)))
-        squares += cells @ (j * j)
-    graphs, count, total = len(sums), len(sums) * patterns, sum(sums)
-    total_sq = sum(u * u * q for u, q in zip(units, squares.tolist()))
+        hit = np.flatnonzero(tally[0])
+        denominators = (n - hit if comp else hit).tolist()
+        grown = math.lcm(scale, *denominators)
+        if grown != scale:
+            factor, scale = grown // scale, grown
+            total, total_sq, graph_sq = total * factor, total_sq * factor**2, graph_sq * factor**2
+        graph_sum = 0
+        for c, first, second in zip(denominators, tally[0, hit].tolist(), tally[1, hit].tolist()):
+            unit = scale // c
+            graph_sum += first * unit
+            total_sq += second * unit * unit
+        total += graph_sum
+        graph_sq += graph_sum * graph_sum
+        per_graph.append(graph_sum / (scale * patterns))
+    graphs, count = len(per_graph), len(per_graph) * patterns
     pooled = (count * total_sq - total**2) / ((scale * count) ** 2 * (count - 1)) if count > 1 else 0.0
-    spread = graphs * sum(s * s for s in sums) - total**2
+    spread = graphs * graph_sq - total**2
     clustered = spread / ((scale * patterns * graphs) ** 2 * (graphs - 1)) if graphs > 1 else 0.0
-    return total / (scale * count), math.sqrt(pooled), math.sqrt(clustered), [s / (scale * patterns) for s in sums]
+    return total / (scale * count), math.sqrt(pooled), math.sqrt(clustered), per_graph
 
 
 def _pool_size(workers: int, jobs: int, cpus: Optional[int]) -> int:
@@ -215,8 +246,15 @@ def _pool_size(workers: int, jobs: int, cpus: Optional[int]) -> int:
     return max(1, min(workers, jobs, cpus or 1))
 
 
-def _reports(spec: EnsembleSpec, algorithm: Algorithm, points: Sequence[tuple[Fraction, int]], graphs: int,
-             patterns_per_graph: int, workers: int, keep_per_graph: bool) -> list[TrialReport]:
+def _reports(
+    spec: EnsembleSpec,
+    algorithm: Algorithm,
+    points: Sequence[tuple[Fraction, int]],
+    graphs: int,
+    patterns_per_graph: int,
+    workers: int,
+    keep_per_graph: bool,
+) -> list[TrialReport]:
     """One report per (delta, seed) point; every (point, graph) tally goes through one pool."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -228,14 +266,25 @@ def _reports(spec: EnsembleSpec, algorithm: Algorithm, points: Sequence[tuple[Fr
         # Each tally is reduced as it arrives and then dropped.
         tallies = (pool.map if pool else map)(_graph_tally, *zip(*args))
         for d, seed in points:
-            *rate, per_graph = _rate_statistics(algorithm, spec.n, patterns_per_graph, itertools.islice(tallies, graphs))
+            point_tallies = itertools.islice(tallies, graphs)
+            *rate, per_graph = _rate_statistics(algorithm, spec.n, patterns_per_graph, point_tallies)
             # COMP never misses and DD never raises a false alarm: the other rate is exactly 0.
             far, mdr = (rate, (0.0, 0.0, 0.0)) if comp else ((0.0, 0.0, 0.0), rate)
+            rates = tuple((r, 0.0) if comp else (0.0, r) for r in per_graph)
             reports.append(TrialReport(
-                spec, algorithm, d, graphs, patterns_per_graph, seed,
-                far_mean=far[0], far_stderr=far[1], mdr_mean=mdr[0], mdr_stderr=mdr[1],
-                far_graph_stderr=far[2], mdr_graph_stderr=mdr[2],
-                per_graph_rates=tuple((r, 0.0) if comp else (0.0, r) for r in per_graph) if keep_per_graph else None,
+                spec=spec,
+                algorithm=algorithm,
+                delta=d,
+                graphs=graphs,
+                patterns_per_graph=patterns_per_graph,
+                seed=seed,
+                far_mean=far[0],
+                far_stderr=far[1],
+                mdr_mean=mdr[0],
+                mdr_stderr=mdr[1],
+                far_graph_stderr=far[2],
+                mdr_graph_stderr=mdr[2],
+                per_graph_rates=rates if keep_per_graph else None,
             ))
     return reports
 
@@ -295,15 +344,29 @@ def write_trials_csv(
             "delta,algorithm,n,m,graphs,patterns,far_mean,far_stderr,"
             "mdr_mean,mdr_stderr,analytic_value,seed,far_graph_stderr,mdr_graph_stderr\n"
         )
-        for index, r in enumerate(rows):
-            exact = "" if analytic is None or analytic[index] is None else to_decimal(analytic[index], precision)
-            fields = [
-                r.delta, r.algorithm.value, r.spec.n, r.spec.m, r.graphs, r.patterns_per_graph,
-                r.far_mean, r.far_stderr, r.mdr_mean, r.mdr_stderr, exact, r.seed,
-                r.far_graph_stderr, r.mdr_graph_stderr,
-            ]
-            # str of a float is its shortest round-trip repr.
-            fh.write(",".join(map(str, fields)) + "\n")
+        for index, report in enumerate(rows):
+            exact = analytic[index] if analytic is not None else None
+            fh.write(
+                ",".join(
+                    [
+                        str(report.delta),
+                        report.algorithm.value,
+                        str(report.spec.n),
+                        str(report.spec.m),
+                        str(report.graphs),
+                        str(report.patterns_per_graph),
+                        repr(report.far_mean),
+                        repr(report.far_stderr),
+                        repr(report.mdr_mean),
+                        repr(report.mdr_stderr),
+                        "" if exact is None else to_decimal(exact, precision),
+                        str(report.seed),
+                        repr(report.far_graph_stderr),
+                        repr(report.mdr_graph_stderr),
+                    ]
+                )
+                + "\n"
+            )
 
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -235,15 +235,6 @@ def test_permutation_redraws_rejected_words_in_stream_order():
         assert sorted(order) == list(range(size))
 
 
-def test_permutation_carries_the_low_half_of_each_product():
-    # For odd b, the word with high half -1/b mod 2^32 and low half 2^32 - 1 makes the
-    # low half of x b carry into floor(x b / 2^64); even bounds take arbitrary words.
-    size = 11
-    words = [(-pow(b, -1, 2**32) % 2**32) << 32 | 0xFFFFFFFF if b % 2 else 12345 << 40 for b in range(size, 1, -1)]
-    order = _permutation(_RawWords(words), size)
-    assert order == _reference_permutation(_RawWords(words), size)
-
-
 def test_sample_graph_is_a_shuffle_of_raw_words():
     spec = mixed_spec()
     left_owner, left_degrees = _socket_layout(spec.left_counts())

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import statistics
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -123,8 +124,24 @@ def test_graph_tally_equals_bool_layout_count(algorithm):
         defective = np.array([[(row[p // 64] >> p % 64) & 1 for p in range(count)] for row in words], dtype=bool)
         wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
         expected.update(zip(defective.sum(axis=0).tolist(), wrong.sum(axis=0).tolist()))
-    tally = _graph_tally(spec, algorithm, delta, patterns, seed, graph)
-    assert {divmod(cell, spec.n + 1): count for cell, count in enumerate(tally.tolist()) if count} == expected
+    sums, squares = _graph_tally(spec, algorithm, delta, patterns, seed, graph).tolist()
+    assert any(sums)
+    for a in range(spec.n + 1):
+        assert sums[a] == sum(count * j for (b, j), count in expected.items() if b == a)
+        assert squares[a] == sum(count * j * j for (b, j), count in expected.items() if b == a)
+
+
+def test_large_graph_tally_memory_is_linear_in_n():
+    # A tally is 2 (n + 1) integers; an (n + 1)^2 one would be 288 MB at n = 6000.
+    spec = regular_spec(6000, 3, 6)
+    tracemalloc.start()
+    try:
+        report = simulate(spec, Algorithm.DD, Fraction(1, 20), 1, 70, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert 0 < report.mdr_mean < 1
 
 
 def test_derive_seed_is_deterministic():
