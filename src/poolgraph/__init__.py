@@ -12,7 +12,7 @@ imported on first access by the module `__getattr__` below.
 
 import importlib
 
-from .combinatorics import Rational, binomial, multinomial, to_decimal
+from .combinatorics import binomial, multinomial, to_decimal
 from .ensemble import (
     DegreeDistribution,
     EnsembleSpec,
@@ -58,7 +58,6 @@ __all__ = [
     "EnumeratorTable",
     "OracleReport",
     "PoolingGraph",
-    "Rational",
     "SizeLimitError",
     "TrialReport",
     "ValidationError",

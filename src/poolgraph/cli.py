@@ -227,14 +227,14 @@ def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm, *, limit: int):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = exact_enumerators(args.spec, args.algorithm, limit=args.oracle_limit)
-    table = build_table(args.spec, args.algorithm)
+    oracle, table = report.table, build_table(args.spec, args.algorithm)
     failures = 0
     with _output(args) as out:
-        for key in sorted(table.values):
-            expected = report.exact_table[key]
-            actual = table.values[key]
-            if expected != actual:
+        for key in sorted(table.counts):
+            actual, expected = table.counts[key], oracle.counts[key]
+            if actual * oracle.denominator != expected * table.denominator:
                 failures += 1
+                actual, expected = Fraction(actual, table.denominator), Fraction(expected, oracle.denominator)
                 print(f"({key[0]},{key[1]}) FAIL closed-form={actual} oracle={expected}", file=out)
             else:
                 print(f"({key[0]},{key[1]}) PASS", file=out)

@@ -13,10 +13,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-# Exact rational type used package-wide. Fraction already guarantees the
-# invariants we need: lowest terms, positive denominator, exact arithmetic.
-Rational = Fraction
-
 DEFAULT_DECIMAL_DIGITS = 12
 
 
@@ -58,7 +54,7 @@ def factorial_exceeds(k: int, limit: int) -> bool:
     return product > limit
 
 
-def to_decimal(value: Rational, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
+def to_decimal(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     """Render an exact rational as a decimal string with `digits` significant digits.
 
     Rendering is locale-independent and deterministic; it is the only lossy

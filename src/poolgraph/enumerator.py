@@ -59,9 +59,12 @@ coefficient lists (written *):
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
-for DD. A cell is an integer over the common denominator E!. The tests check
-every cell against multiplied-out generating functions and the brute-force
-oracle. Tables for the same spec are cached, and each table keeps its
+for DD. A cell is an integer N_{a,j} over the common denominator E!, and a
+table keeps exactly those integers and that one denominator: the row-sum
+check and the row weights are integer arithmetic, and a cell is reduced to
+lowest terms only when the CSV writer prints it. The tests check every cell
+against multiplied-out generating functions and the brute-force oracle.
+Tables for the same spec are cached, and each table keeps its
 delta-independent row weights, so probability evaluations over a delta grid
 pay for enumeration and weights once.
 """
@@ -78,6 +81,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product
 from operator import mul
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, binomial, exact_delta, multinomial, to_decimal
@@ -105,40 +109,36 @@ class Algorithm(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class EnumeratorTable:
-    """Complete map (a, j) -> A_{a,j} for one spec and decoder.
+    """Complete map (a, j) -> A_{a,j} = counts[(a, j)] / denominator for one spec and decoder.
 
     For COMP, j counts false alarms (0 <= j <= n - a); for DD, j counts
-    misdetections (0 <= j <= a).
+    misdetections (0 <= j <= a). Every cell is an integer over the one
+    denominator E!, the number of socket matchings.
     """
 
     algorithm: Algorithm
     spec: EnsembleSpec
-    values: Mapping[tuple[int, int], Fraction]
+    counts: Mapping[tuple[int, int], int]
+    denominator: int
     source: str = field(default="enumerator")
 
-    def row_sums(self) -> dict[int, Fraction]:
-        # One sum per row over the row's common denominator; adding Fractions
-        # one by one would reduce every partial sum by a big gcd.
-        rows: dict[int, list[Fraction]] = {}
-        for (a, _), value in self.values.items():
-            rows.setdefault(a, []).append(value)
-        sums = {}
-        for a, row in rows.items():
-            den = math.lcm(*(v.denominator for v in row))
-            sums[a] = Fraction(sum(v.numerator * (den // v.denominator) for v in row), den)
-        return sums
+    @cached_property
+    def values(self) -> Mapping[tuple[int, int], Fraction]:
+        """Read-only view of the cells as reduced Fractions, built on first access; no CLI path reads it."""
+        den = self.denominator
+        return MappingProxyType({key: Fraction(count, den) for key, count in self.counts.items()})
 
     def bad_rows(self) -> list[int]:
-        """Every a whose row does not sum to C(n, a); empty for a sound table."""
-        sums = self.row_sums()
-        return [a for a in range(self.spec.n + 1) if sums.get(a) != binomial(self.spec.n, a)]
-
-    def check_row_sums(self) -> bool:
-        return not self.bad_rows()
+        """Every a whose row breaks sum_j counts[(a, j)] = C(n, a) * denominator; empty for a sound table."""
+        sums: dict[int, int] = {}
+        for (a, _), count in self.counts.items():
+            sums[a] = sums.get(a, 0) + count
+        n, den = self.spec.n, self.denominator
+        return [a for a in range(n + 1) if sums.get(a) != binomial(n, a) * den]
 
     @cached_property
     def error_weights(self) -> tuple[tuple[int, ...], int]:
-        """Row weights w_a = sum_j (j / e_a) A_{a,j} as numerators over one denominator.
+        """Row weights w_a = sum_j (j / e_a) A_{a,j} as numerators over one denominator, in lowest terms.
 
         e_a is the number of items that can err with a defectives: n - a
         false-alarm candidates under COMP, a misdetection candidates under
@@ -147,16 +147,15 @@ class EnumeratorTable:
         """
         _require_complete(self)
         n = self.spec.n
-        weights = [Fraction(0)] * (n + 1)
+        scale = math.lcm(*range(1, n + 1))  # a multiple of every e_a
+        weights = [0] * (n + 1)
         for a in range(1, n + 1):
             errs = (n - a) if self.algorithm is Algorithm.COMP else a
             if errs:
-                row = [self.values[(a, j)] for j in range(1, errs + 1)]
-                den = math.lcm(*(v.denominator for v in row))
-                num = sum(j * v.numerator * (den // v.denominator) for j, v in enumerate(row, 1))
-                weights[a] = Fraction(num, den * errs)
-        den = math.lcm(*(w.denominator for w in weights))
-        return tuple(w.numerator * (den // w.denominator) for w in weights), den
+                weights[a] = scale // errs * sum(j * self.counts[(a, j)] for j in range(1, errs + 1))
+        den = scale * self.denominator
+        common = math.gcd(den, *weights)
+        return tuple(w // common for w in weights), den // common
 
 
 def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
@@ -500,13 +499,11 @@ def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
         )
     forms = _ClosedForms(spec.edge_count)
     build = _comp_class_table if algorithm is Algorithm.COMP else _dd_class_table
-    denominator = forms.fact[spec.edge_count]
-    values = {key: Fraction(v, denominator) for key, v in build(spec, forms).items()}
-    return EnumeratorTable(algorithm, spec, values)
+    return EnumeratorTable(algorithm, spec, build(spec, forms), forms.fact[spec.edge_count])
 
 
 def _require_complete(table: EnumeratorTable) -> None:
-    missing = [key for key in table_domain(table.spec.n, table.algorithm) if key not in table.values]
+    missing = [key for key in table_domain(table.spec.n, table.algorithm) if key not in table.counts]
     if missing:
         raise ValueError(f"incomplete table: missing {len(missing)} cells, first {missing[0]}")
 
@@ -548,8 +545,8 @@ def write_table_csv(
         )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a", "j", "numerator", "denominator", "decimal"])
-        for (a, j) in sorted(table.values):
-            value = table.values[(a, j)]
+        for (a, j) in sorted(table.counts):
+            value = Fraction(table.counts[(a, j)], table.denominator)
             writer.writerow([a, j, value.numerator, value.denominator, to_decimal(value, precision)])
 
     if isinstance(out, (str, Path)):

@@ -1,11 +1,11 @@
 """Exhaustive ground truth for tiny ensembles.
 
 Walks every socket matching (all E! permutations) and every defective set
-(all 2^n bit patterns), decodes each pair, and tallies outcomes in exact
-rationals. No generating functions anywhere: this is the independent
-yardstick the enumerator module is measured against, so every matching
-and every pattern is counted once, with no weighting and no merging of
-matchings that give the same graph.
+(all 2^n bit patterns), decodes each pair, and tallies outcomes as exact
+integer counts over the E! matchings. No generating functions anywhere:
+this is the independent yardstick the enumerator module is measured
+against, so every matching and every pattern is counted once, with no
+weighting and no merging of matchings that give the same graph.
 
 Decoding is batched. The 2^n patterns are packed once as an n x W uint64
 matrix, W = ceil(2^n / 64): bit p % 64 of word p // 64 in row v is item v
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -55,18 +55,8 @@ __all__ = ["OracleReport", "exact_enumerators", "exact_error_probability"]
 class OracleReport:
     """Exhaustively computed ensemble-average table plus the matching count behind it."""
 
-    spec: EnsembleSpec
-    algorithm: Algorithm
-    exact_table: Mapping[tuple[int, int], Fraction]
+    table: EnumeratorTable
     matchings_enumerated: int
-
-    def as_table(self) -> EnumeratorTable:
-        return EnumeratorTable(
-            algorithm=self.algorithm,
-            spec=self.spec,
-            values=self.exact_table,
-            source="oracle",
-        )
 
 
 def _matching_blocks(edges: int, words: int) -> Iterator[np.ndarray]:
@@ -123,7 +113,7 @@ def exact_enumerators(
     """Average pattern counts over every matching, by brute force.
 
     Tallies (defective count, error count) across all matchings and all
-    defective sets, then divides by E!.
+    defective sets: integer counts over the E! matchings.
     """
     matching_count(spec, limit)
     n = spec.n
@@ -133,15 +123,9 @@ def exact_enumerators(
     for errors in _error_blocks(spec, algorithm):
         matchings += len(errors)
         counts += np.bincount((a * (n + 1) + errors).ravel(), minlength=len(counts))
-    table = {key: Fraction(0) for key in table_domain(n, algorithm)}
-    for key in np.flatnonzero(counts):
-        table[divmod(int(key), n + 1)] = Fraction(int(counts[key]), matchings)
-    return OracleReport(
-        spec=spec,
-        algorithm=algorithm,
-        exact_table=table,
-        matchings_enumerated=matchings,
-    )
+    tally = counts.reshape(n + 1, n + 1).tolist()
+    table = {(i, j): tally[i][j] for i, j in table_domain(n, algorithm)}
+    return OracleReport(EnumeratorTable(algorithm, spec, table, matchings, source="oracle"), matchings)
 
 
 def exact_error_probability(

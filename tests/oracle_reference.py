@@ -15,7 +15,7 @@ from fractions import Fraction
 from poolgraph.combinatorics import exact_delta
 from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
 from poolgraph.ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings, matching_count
-from poolgraph.enumerator import table_domain
+from poolgraph.enumerator import EnumeratorTable, table_domain
 from poolgraph.oracle import OracleReport
 
 
@@ -37,7 +37,7 @@ def exact_enumerators(
     """Average pattern counts over every matching, by brute force.
 
     Tallies (defective count, error count) across all matchings and all
-    defective sets, then divides by E!.
+    defective sets: integer counts over the E! matchings.
     """
     n = spec.n
     counts: dict[tuple[int, int], int] = {}
@@ -49,15 +49,8 @@ def exact_enumerators(
             err = _pattern_errors(graph, mask, algorithm)
             key = (a, err)
             counts[key] = counts.get(key, 0) + 1
-    table = {key: Fraction(0) for key in table_domain(n, algorithm)}
-    for key, count in counts.items():
-        table[key] = Fraction(count, matchings)
-    return OracleReport(
-        spec=spec,
-        algorithm=algorithm,
-        exact_table=table,
-        matchings_enumerated=matchings,
-    )
+    table = {key: counts.get(key, 0) for key in table_domain(n, algorithm)}
+    return OracleReport(EnumeratorTable(algorithm, spec, table, matchings, source="oracle"), matchings)
 
 
 def exact_error_probability(

@@ -13,7 +13,6 @@ import random
 import time
 from fractions import Fraction
 
-from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
 from poolgraph.ensemble import (
     DegreeDistribution,
@@ -74,7 +73,7 @@ def test_comp_closed_form_equals_exhaustive_oracle():
     t0 = time.monotonic()
     report = exact_enumerators(regular_spec(4, 1, 2), Algorithm.COMP)
     table = build_table(regular_spec(4, 1, 2), Algorithm.COMP)
-    bad = [key for key, exact in report.exact_table.items() if table.values[key] != exact]
+    bad = [key for key, exact in report.table.values.items() if table.values[key] != exact]
     elapsed = time.monotonic() - t0
     ok = not bad and report.matchings_enumerated == 24 and elapsed < 1.0
     _stamp(1, "COMP closed form equals 24-matching oracle on (4,1,2)", ok, elapsed)
@@ -87,7 +86,7 @@ def test_dd_closed_form_equals_exhaustive_oracle():
     t0 = time.monotonic()
     report = exact_enumerators(regular_spec(4, 2, 2), Algorithm.DD)
     table = build_table(regular_spec(4, 2, 2), Algorithm.DD)
-    bad = [key for key, exact in report.exact_table.items() if table.values[key] != exact]
+    bad = [key for key, exact in report.table.values.items() if table.values[key] != exact]
     elapsed = time.monotonic() - t0
     ok = not bad and report.matchings_enumerated == math.factorial(8) and elapsed < 60.0
     _stamp(2, "DD closed form equals 40320-matching oracle on (4,2,2)", ok, elapsed)
@@ -141,7 +140,7 @@ def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
         for algorithm in (Algorithm.COMP, Algorithm.DD):
             report = exact_enumerators(spec, algorithm)
             table = build_table(spec, algorithm)
-            bad += [(spec.n, algorithm.value, key) for key, exact in report.exact_table.items()
+            bad += [(spec.n, algorithm.value, key) for key, exact in report.table.values.items()
                     if table.values[key] != exact]
         elapsed = time.monotonic() - t0
         if elapsed >= limit:
@@ -173,8 +172,9 @@ def test_row_sums_at_case_study_scale():
     for spec, digests in ((CASE_STUDY, CASE_STUDY_DIGESTS), (regular_spec(60, 3, 6), DOUBLED_DIGESTS)):
         for algorithm in (Algorithm.COMP, Algorithm.DD):
             table = build_table(spec, algorithm)
-            sums = table.row_sums()
-            bad += [(spec.n, algorithm.value, a) for a in range(spec.n + 1) if sums[a] != binomial(spec.n, a)]
+            if table.denominator != math.factorial(spec.edge_count):
+                bad.append((spec.n, algorithm.value, "denominator"))
+            bad += [(spec.n, algorithm.value, a) for a in table.bad_rows()]
             if _csv_digest(table) != digests[algorithm]:
                 bad.append((spec.n, algorithm.value, "csv digest"))
     elapsed = time.monotonic() - t0

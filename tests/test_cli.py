@@ -311,9 +311,9 @@ def _broken_table(spec, algorithm):
     from poolgraph.enumerator import EnumeratorTable, build_table
 
     table = build_table(spec, algorithm)
-    values = dict(table.values)
-    values[(1, 0)] += 1
-    return EnumeratorTable(algorithm, spec, values)
+    counts = dict(table.counts)
+    counts[(1, 0)] += table.denominator  # one whole pattern too many
+    return EnumeratorTable(algorithm, spec, counts, table.denominator)
 
 
 @pytest.mark.parametrize(
@@ -335,6 +335,31 @@ def test_row_sum_self_check_guards_analytic_output(argv, monkeypatch, tmp_path, 
     assert code == 1
     assert "row-sum self-check: FAIL at a=[1]" in err
     assert not out_path.exists() and out == ""
+
+
+def test_cli_never_fills_the_fraction_view(capsys):
+    # Tables are integer counts over E!; analyze reduces no cell, and the
+    # CSV writer reduces each cell as it prints it, without caching.
+    from poolgraph.enumerator import Algorithm, build_table
+
+    build_table.cache_clear()
+    for algorithm in Algorithm:
+        for command in (["analyze", "--delta-grid", "1/20:1/2:1/20"], ["enumerate"]):
+            argv = [command[0], "--regular", "30,3,6", "--algorithm", algorithm.value, *command[1:]]
+            assert run(argv, capsys)[0] == 0
+        assert "values" not in build_table(regular_spec(30, 3, 6), algorithm).__dict__
+
+
+def test_verify_reports_a_mismatched_cell(monkeypatch, capsys):
+    monkeypatch.setattr("poolgraph.cli.build_table", _broken_table)
+    code, out, _ = run(["verify", "--regular", "4,1,2", "--algorithm", "comp"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    # Both cells print reduced: the broken one is 24/24, the oracle's 0/24.
+    assert "(1,0) FAIL closed-form=1 oracle=0" in lines
+    assert [line for line in lines if "FAIL" in line] == ["(1,0) FAIL closed-form=1 oracle=0"]
+    assert "(1,1) PASS" in lines
+    assert lines[-1] == "verify comp: 1 mismatched cells over 24 matchings"
 
 
 def _refuse(*args, **kwargs):

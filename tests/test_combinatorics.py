@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poolgraph.combinatorics import Rational, binomial, exact_delta, factorial_exceeds, multinomial, to_decimal
+from poolgraph.combinatorics import binomial, exact_delta, factorial_exceeds, multinomial, to_decimal
 
 
 def pascal_rows(count):
@@ -95,14 +95,6 @@ def test_factorial_exceeds_is_exact_at_every_boundary():
     for k in range(13):
         assert factorial_exceeds(k, math.factorial(k) - 1)
         assert not factorial_exceeds(k, math.factorial(k))
-
-
-def test_rational_is_exact():
-    # Rational must behave like fractions.Fraction: exact, auto-reduced.
-    third = Rational(1, 3)
-    assert third + third + third == 1
-    assert Rational(2, 4) == Rational(1, 2)
-    assert isinstance(third, Fraction)
 
 
 def test_to_decimal_basics():

@@ -105,14 +105,15 @@ def test_regular_row_sums(n, l, r):
     spec = regular_spec(n, l, r)
     for algorithm in Algorithm:
         table = build_table(spec, algorithm)
-        sums = table.row_sums()
+        assert table.denominator == math.factorial(spec.edge_count)
         for a in range(n + 1):
-            assert sums[a] == binomial(n, a)
+            assert sum(table.values.get((a, j), 0) for j in range(n + 1)) == binomial(n, a)
+        assert table.bad_rows() == []
 
 
 def test_mixed_spec_row_sums():
     for algorithm in Algorithm:
-        assert build_table(mixed_spec(), algorithm).check_row_sums()
+        assert build_table(mixed_spec(), algorithm).bad_rows() == []
 
 
 def test_nonnegative_values():
@@ -303,6 +304,38 @@ def test_degree_class_route_matches_multiplied_out_generating_functions(spec, al
     assert build_table(spec, algorithm).values == reference_table(spec, algorithm)
 
 
+@settings(deadline=None, max_examples=40)
+@given(small_irregular_specs(), st.sampled_from(list(Algorithm)))
+@example(regular_spec(30, 3, 6), Algorithm.COMP)
+@example(regular_spec(30, 3, 6), Algorithm.DD)
+@example(regular_spec(12, 3, 6), Algorithm.COMP)
+@example(regular_spec(12, 3, 6), Algorithm.DD)
+@example(regular_spec(8, 2, 4), Algorithm.COMP)
+@example(regular_spec(8, 2, 4), Algorithm.DD)
+@example(regular_spec(4, 2, 2), Algorithm.COMP)
+@example(regular_spec(4, 2, 2), Algorithm.DD)
+@example(regular_spec(6, 1, 2), Algorithm.COMP)
+@example(regular_spec(6, 1, 2), Algorithm.DD)
+@example(regular_spec(2, 2, 2), Algorithm.COMP)
+@example(regular_spec(2, 2, 2), Algorithm.DD)
+@example(regular_spec(1, 1, 1), Algorithm.COMP)
+@example(regular_spec(1, 1, 1), Algorithm.DD)
+def test_per_item_error_rate_is_a_probability_that_grows_with_defectives(spec, algorithm):
+    # r_a = w_a / C(n, a) is the chance that one fixed candidate item errs
+    # with a defectives. Couple S inside S' = S + one item: PD(S) is a subset
+    # of PD(S'), so a non-defective PD under S stays PD under S' (COMP), and
+    # a test where a defective is the sole PD socket under S' was so under S
+    # too (DD). So r_a lies in [0, 1] and does not fall, on every graph and
+    # hence on the ensemble average: over a = 1..n-1 for COMP, 1..n for DD.
+    weights, den = build_table(spec, algorithm).error_weights
+    n = spec.n
+    rows = range(1, n if algorithm is Algorithm.COMP else n + 1)
+    for a in rows:
+        assert 0 <= weights[a] <= binomial(n, a) * den, a
+    for a in rows[:-1]:
+        assert weights[a] * binomial(n, a + 1) <= weights[a + 1] * binomial(n, a), a
+
+
 def test_degree_class_work_counts_compositions_times_splits():
     n30 = EnsembleSpec(
         n=30,
@@ -414,7 +447,8 @@ def test_incomplete_table_rejected():
         partial = EnumeratorTable(
             algorithm=algorithm,
             spec=spec,
-            values={k: v for k, v in full.values.items() if k != (2, 1)},
+            counts={k: v for k, v in full.counts.items() if k != (2, 1)},
+            denominator=full.denominator,
         )
         with pytest.raises(ValueError, match="incomplete"):
             probability(partial, Fraction(1, 2))
