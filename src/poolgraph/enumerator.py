@@ -53,9 +53,9 @@ coefficient lists (written *):
         where H_o(W, E2) = [x1^W x2^E2 x4^K] prod_d O_d^(o_d). W + K = E - Q - B
         and E2 = sum d o_d - (E - Q - B), so given q and B a term depends on the
         certified items only through [x^B] and K: the tests are summed once per
-        (q, B) into a row over K. H_o is read a row over K at a time: computed
-        whole for one test degree, else folding the first class's O^o terms
-        against the lazy product of the others.
+        (q, B) into a row over K. H_o is read the same way, one memoized row
+        over K per (classes, E2): the O^o closed form above for one test degree,
+        else the first class's rows convolved over K against the rest's.
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
@@ -176,19 +176,18 @@ def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
 class _ClosedForms:
     """Closed-form coefficients of the bracket powers (see the module docstring).
 
-    Memoizes Pascal rows, the S_d(q, .) rows, the O^o tables and their lazy
-    products per instance, so build one instance per table. `fact` holds
-    0!, ..., edges!; the rows grow on demand, whatever `edges` is.
+    Memoizes Pascal rows, the S_d(q, .) rows and the H_o rows over K per
+    instance, so build one instance per table. `fact` holds 0!, ..., edges!;
+    the rows grow on demand, whatever `edges` is.
     """
 
-    __slots__ = ("fact", "_pascal", "_powers", "_ordinary", "_products")
+    __slots__ = ("fact", "_pascal", "_powers", "_ordinary")
 
     def __init__(self, edges: int):
         self.fact = list(accumulate(range(1, edges + 1), mul, initial=1))
         self._pascal: list[list[int]] = [[1]]
         self._powers: dict[int, list[list[int]]] = {}
-        self._ordinary: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-        self._products: dict[tuple[tuple[int, int], ...], _LazyOrdinary] = {}
+        self._ordinary: dict[tuple, list[int]] = {}
 
     def choose(self, k: int) -> list[int]:
         """[C(k, 0), ..., C(k, k)]."""
@@ -208,27 +207,8 @@ class _ClosedForms:
         """[s^y] ((1 + s)^d - s^d)^q = S_d(q, d q - y) for y = 0, ..., (d - 1) q."""
         return self.powers(d, q)[::-1][: (d - 1) * q + 1]
 
-    def dd_ordinary(self, d: int, o: int) -> dict[tuple[int, int], int]:
-        """{(W, a): [x1^W x2^a x4^(d o - W - a)] O^o}, nonzero terms only."""
-        table = self._ordinary.get((d, o))
-        if table is None:
-            table = self._ordinary[(d, o)] = {}
-            for a in range(d * o + 1):
-                for c, value in enumerate(self.dd_row(d, o, a, range(d * o - a + 1))):
-                    if value:
-                        table[(d * o - a - c, a)] = value
-        return table
-
-    def ordinary(self, classes) -> _LazyOrdinary:
-        """H_o: the lazy coefficients of prod O_d^(o_d) over the (d, o_d) in `classes`."""
-        key = tuple((d, o) for d, o in classes if o)
-        product = self._products.get(key)
-        if product is None:
-            product = self._products[key] = _LazyOrdinary(self, key)
-        return product
-
-    def dd_g(self, d: int, o: int, a: int, c: int) -> int:
-        """[x1^W x2^a x4^c] O^o with W = d o - a - c.
+    def dd_row(self, d: int, o: int, a: int, step: int) -> list[int]:
+        """[x1^W x2^a x4^c] O^o with W = d o - a - c, for c = 0, step, 2 step, ..., d o - a.
 
         O = (x1 + x2 + x4)^d - (x2 + x4)^d - d x1 x2^(d-1) is DD's bracket at
         an ordinary positive test. With v = x2 + x4, taking the sole term
@@ -236,12 +216,8 @@ class _ClosedForms:
         is S_d(o - p, W - p) v^(a + c - p(d-1)); C(a - p(d-1) + c, c) picks
         x2^(a - p(d-1)) x4^c out of that power of v.
         """
-        return self.dd_row(d, o, a, range(c, c + 1))[0]
-
-    def dd_row(self, d: int, o: int, a: int, cs: range) -> list[int]:
-        """[dd_g(d, o, a, c) for c in cs], for a range of c >= 0 with a positive step."""
-        row, w0 = [0] * len(cs), d * o - a
-        live = range(cs.start, min(cs.stop, w0 - o + 1), cs.step)  # W >= o: every factor holds x1
+        w0 = d * o - a
+        row, live = [0] * (w0 // step + 1), range(0, w0 - o + 1, step)  # W >= o: every factor holds x1
         if live:
             self.powers(d, o)  # grow the S_d and Pascal rows the sum reads
             self.choose(max(o, a + live[-1]))
@@ -253,59 +229,39 @@ class _ClosedForms:
                 sign *= -d
         return row
 
+    def ordinary(self, classes: tuple[tuple[int, int], ...], a: int, step: int) -> list[int]:
+        """H_o: [x1^(D - a - K) x2^a x4^K] prod O_d^(o_d) for K = 0, step, 2 step, ..., D - a; memoized.
 
-class _LazyOrdinary(dict):
-    """{(W, a): [x1^W x2^a x4^(D - W - a)] prod O_d^(o_d)}, each coefficient computed when first read.
-
-    `classes` holds the (d, o_d) with o_d > 0, and D = sum d o_d. Several
-    classes fold the first one's O^o terms against the product of the rest.
-    """
-
-    __slots__ = ("forms", "classes", "sockets", "_rows")
-
-    def __init__(self, forms: _ClosedForms, classes: tuple[tuple[int, int], ...]):
-        super().__init__()
-        self.forms, self.classes = forms, classes
-        self.sockets = sum(d * o for d, o in classes)
-        self._rows: dict[tuple[int, int], list[int]] = {}
-
-    def row(self, a: int, step: int) -> list[int]:
-        """[x1^(D - a - K) x2^a x4^K] for K = 0, step, 2 step, ..., D - a; memoized."""
-        row = self._rows.get((a, step))
+        `classes` holds the (d, o_d) with o_d > 0, and D = sum d o_d. One class
+        is `dd_row`; several convolve the first class's rows over K against
+        the rest's, one pair for each share a1 of a on the first class.
+        """
+        key = (classes, a, step)
+        row = self._ordinary.get(key)
         if row is None:
-            top, classes = self.sockets - a, self.classes
-            if len(classes) == 1:
-                row = self.forms.dd_row(*classes[0], a, range(0, top + 1, step))
+            if not classes:
+                row = [1] if a == 0 else []  # the empty product
+            elif len(classes) == 1:
+                row = self.dd_row(*classes[0], a, step)
             else:
-                row = [self[(top - k, a)] for k in range(0, top + 1, step)]
-            self._rows[(a, step)] = row
+                top = sum(d * o for d, o in classes) - a
+                (d, o), rest = classes[0], classes[1:]
+                row = [0] * (top + 1)
+                for a1 in range(max(0, d * o - top), min(a, d * o) + 1):
+                    tail = self.ordinary(rest, a - a1, 1)
+                    for k1, x in enumerate(self.ordinary(classes[:1], a1, 1)):
+                        if x:
+                            for k, y in enumerate(tail, k1):
+                                row[k] += x * y
+                row = row[::step]
+            self._ordinary[key] = row
         return row
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        w, a = key
-        c = self.sockets - w - a
-        if w < 0 or a < 0 or c < 0:
-            value = 0
-        elif not self.classes:
-            value = 1  # the empty product at (0, 0), the one key the guard lets through
-        elif len(self.classes) == 1:
-            (d, o), = self.classes
-            value = self.forms.dd_g(d, o, a, c)
-        else:
-            (d, o), rest = self.classes[0], self.forms.ordinary(self.classes[1:])
-            low = w + a - rest.sockets
-            value = 0
-            for (w1, a1), t in self.forms.dd_ordinary(d, o).items():
-                if w1 <= w and a1 <= a and w1 + a1 >= low:
-                    value += t * rest[(w - w1, a - a1)]
-        self[key] = value
-        return value
 
 
 # ---------------------------------------------------------------------------
 # Degree classes: the counting with role counts per node degree. Each class
 # contributes a binomial bracket whose powers have the closed forms above;
-# classes of one side combine by short convolutions, or by lazy folds.
+# classes of one side combine by short convolutions.
 # ---------------------------------------------------------------------------
 
 # Most work (see _degree_class_work) a degree-class table may take:
@@ -324,9 +280,11 @@ def _degree_class_work(spec: EnsembleSpec, algorithm: Algorithm) -> int:
     (certifying, ordinary, negative); the missed items among the rest are
     tallied once per rest vector. Per class of c nodes with k options there
     are C(c + k - 1, k - 1) ways to count them. DD with several test degrees
-    adds a bound on its lazy folds: o ordinary tests of degree d have at
-    most C(d o + 2, 2) O^o terms, so the folds do at most
-    prod_d sum_{o <= R_d} C(d o + 2, 2) term pairs, fewer if fewer are read.
+    adds prod_d sum_{o <= R_d} C(d o + 2, 2), the term pairs of a fold of
+    O^o term tables that the builder no longer runs: it reads H_o as rows
+    convolved over K, so this term counts none of the code's work. It is
+    kept so that no spec's refusal moves until the work model is redone in
+    predicted seconds.
     """
     roles, states = (3, 2) if algorithm is Algorithm.COMP else (3, 3)
     tests = spec.right_counts()
@@ -420,12 +378,12 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
         b = sum(certifying)
         dismissed_edges = sum((d - 1) * c for d, c in zip(test_degrees, certifying))
         for positive in _splits([count - c for count, c in zip(test_counts, certifying)]):
-            ordinary = forms.ordinary(zip(test_degrees, positive))
-            sockets = sum(d * o for d, o in zip(test_degrees, positive))
+            classes = tuple((d, o) for d, o in zip(test_degrees, positive) if o)
+            sockets = sum(d * o for d, o in classes)
             weight = fact[b] * fact[edges - sockets - b - dismissed_edges]
             for d, count, c, o in zip(test_degrees, test_counts, certifying, positive):
                 weight *= multinomial(count, (c, o, count - c - o)) * d**c
-            by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, ordinary))
+            by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, classes))
     # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
     missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
     spreads: dict[tuple[int, ...], list[int]] = {}
@@ -438,13 +396,13 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
         for b, entries in by_b.items():
             top = free - b
             sums = [0] * (top // step + 1)
-            for dismissed_edges, sockets, weight, ordinary in entries:
+            for dismissed_edges, sockets, weight, classes in entries:
                 e2 = sockets - top
                 s = e2 + dismissed_edges
                 if e2 < 0 or s >= len(slack) or not slack[s]:
                     continue
                 pre = weight * slack[s] * fact[s]
-                for k, h in enumerate(ordinary.row(e2, step)):
+                for k, h in enumerate(forms.ordinary(classes, e2, step)):
                     if h:
                         sums[k] += pre * h
             if any(sums):

@@ -66,9 +66,9 @@ _PATTERN_KEY = 1
 # this many patterns (measured: 240-1,600 from n=1000 down to n=4).
 _GRAPH_SETUP_PATTERNS = 1000
 # Most item-patterns, deltas x graphs x (patterns + _GRAPH_SETUP_PATTERNS) x n,
-# one simulate or sweep call may decode: about ten minutes at 4e7 item-patterns/s,
-# the rate on (4,2,2) on a 2-vCPU x86_64 host. The tiniest specs run slower:
-# (2,1,2) at about 2.3e7/s, where a run at the limit takes about 18 minutes.
+# one simulate or sweep call may decode. At the limit a run takes about ten minutes
+# on (4,2,2) (4.5e7/s on a 2-vCPU x86_64 host) and about an hour with one pattern a
+# graph on (2,1,2) (7e6-9e6/s: set-up outweighs its charge on tiny graphs).
 _WORK_LIMIT = 25 * 10**9
 
 
@@ -196,7 +196,7 @@ def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph
     if work > _WORK_LIMIT:
         raise SizeLimitError(
             f"{deltas} deltas x {graphs} graphs x {patterns_per_graph} patterns on n={spec.n} "
-            f"is {work:.3g} item-patterns, over the limit of {_WORK_LIMIT:.3g} (about ten minutes)"
+            f"is {work:.3g} item-patterns, over the limit of {_WORK_LIMIT:.3g}"
         )
 
 

@@ -48,10 +48,16 @@ DOUBLED_DIGESTS = {
     Algorithm.DD: "c653eac172e66b925e0bc2d4dddfd9a8dc85e4fc3f1ae5be5f51443f205c4b48",
 }
 # And for lambda = {2: 1/3, 3: 1/3, 4: 1/3}, rho = {4: 1/2, 8: 1/2} at n = 12:
-# three item classes, and DD folds two ordinary-test classes.
+# three item classes, and DD convolves two ordinary-test classes' rows.
 THREE_DEGREE_DIGESTS = {
     Algorithm.COMP: "52227dd93cac1a82e1c3be0db9a62089814b143a0a838e3feb54e6a0fa6d6dfb",
     Algorithm.DD: "fdafe72f313d80f1aed71967cbebfd08511345617e5074ca2b2cb14b0b78ce5b",
+}
+# And for lambda = {3: 1}, rho = {4: 1/3, 6: 1/3, 8: 1/3} at n = 12: three
+# test classes, so DD's rows of the rest are themselves convolutions.
+THREE_TEST_DEGREE_DIGESTS = {
+    Algorithm.COMP: "5f2309f8a397c117c7bfd31e54d87d46c7ef0c0a31306ab533d36dabe3c568a9",
+    Algorithm.DD: "64350e4f1263870eef8036617c131e8279fb24475bd29e59ef8240ce30bdd84c",
 }
 
 
@@ -130,6 +136,15 @@ def _three_degree_spec() -> EnsembleSpec:
     )
 
 
+def _three_test_degree_spec() -> EnsembleSpec:
+    return EnsembleSpec(
+        n=12,
+        m=6,
+        left=DegreeDistribution.regular(3),
+        right=DegreeDistribution.from_dict({4: Fraction(1, 3), 6: Fraction(1, 3), 8: Fraction(1, 3)}),
+    )
+
+
 def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
     bad = []
     # (spec, seconds allowed): two item degrees at n=3 (4! matchings), two
@@ -151,6 +166,9 @@ def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
     for algorithm, pinned in THREE_DEGREE_DIGESTS.items():
         if _csv_digest(build_table(_three_degree_spec(), algorithm)) != pinned:
             bad.append((12, algorithm.value, "three-degree csv digest"))
+    for algorithm, pinned in THREE_TEST_DEGREE_DIGESTS.items():
+        if _csv_digest(build_table(_three_test_degree_spec(), algorithm)) != pinned:
+            bad.append((12, algorithm.value, "three-test-degree csv digest"))
     ok = not bad
     _stamp(3, "mixed-degree closed forms equal the oracle (n=3, n=4 and n=6) and "
               "irregular CSV digests match", ok)
@@ -187,8 +205,8 @@ def test_row_sums_at_case_study_scale():
 
 def test_general_routes_reproduce_regular_routes():
     # The multiplied-out generating functions (tests/gf_reference.py) share no
-    # code with the closed forms. The n=8 irregular specs take the O^o
-    # lookups (one test degree) and the lazy fold (two test degrees).
+    # code with the closed forms. The n=8 irregular specs take one O^o row
+    # (one test degree) and rows convolved over K (two test degrees).
     t0 = time.monotonic()
     specs = [regular_spec(n, l, r) for n, l, r in [(6, 2, 3), (6, 3, 6), (8, 2, 4), (12, 2, 4)]]
     specs += [

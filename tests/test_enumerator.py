@@ -193,44 +193,45 @@ def test_bracket_rows_equal_the_literal_signed_sum():
 
 @pytest.mark.parametrize("d,o", [(1, 3), (2, 9), (3, 12), (6, 10)])
 def test_dd_rows_equal_the_literal_sum(d, o):
+    # a = d o + 1 is past every row: its rows are empty.
     forms = _ClosedForms(0)
     for a in range(d * o + 2):
-        for c in range(d * o + 2 - a):
-            assert forms.dd_g(d, o, a, c) == _literal_dd_g(d, o, a, c)
         for step in (1, 2, 3):
             cs = range(0, d * o - a + 1, step)
-            assert forms.dd_row(d, o, a, cs) == [_literal_dd_g(d, o, a, c) for c in cs]
+            assert forms.dd_row(d, o, a, step) == [_literal_dd_g(d, o, a, c) for c in cs]
+            assert forms.ordinary(((d, o),), a, step) == forms.dd_row(d, o, a, step)
+
+
+def _assert_rows_match(classes, power):
+    # Every row over K against the multiplied-out product, one a past the
+    # end of the box; a c past a row's end reads as 0.
+    forms, sockets = _ClosedForms(0), sum(d * o for d, o in classes)
+    for a in range(sockets + 2):
+        for step in (1, 2, 3):
+            row = forms.ordinary(tuple((d, o) for d, o in classes if o), a, step)
+            assert len(row) == max(0, (sockets - a) // step + 1)
+            for k, c in enumerate(range(0, sockets + 2, step)):
+                w = sockets - a - c
+                expected = power.coefficient((w, a, c)) if w >= 0 else 0
+                assert (row[k] if k < len(row) else 0) == expected
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 6), st.integers(0, 6))
 def test_dd_test_polynomial_powers_match_sparse_powers(d, o):
-    power = poly_pow(_dd_ordinary_polynomial(d), o)
-    forms = _ClosedForms(0)
-    table = forms.dd_ordinary(d, o)
-    lazy = forms.ordinary([(d, o)])
-    for a in range(d * o + 2):
-        for c in range(d * o + 2):
-            w = d * o - a - c
-            expected = power.coefficient((w, a, c)) if w >= 0 else 0
-            assert forms.dd_g(d, o, a, c) == expected
-            assert table.get((w, a), 0) == expected
-            assert lazy[(w, a)] == expected
+    _assert_rows_match([(d, o)], poly_pow(_dd_ordinary_polynomial(d), o))
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(1, 5), st.integers(0, 4), st.integers(1, 5), st.integers(0, 4))
-def test_dd_two_class_products_match_sparse_powers(d1, o1, d2, o2):
-    # The lazy fold of several ordinary-test classes against the
-    # multiplied-out product O_d1^o1 O_d2^o2, over every (W, a) in the box.
-    power = poly_pow(_dd_ordinary_polynomial(d1), o1) * poly_pow(_dd_ordinary_polynomial(d2), o2)
-    lazy = _ClosedForms(0).ordinary([(d1, o1), (d2, o2)])
-    sockets = d1 * o1 + d2 * o2
-    for w in range(-1, sockets + 2):
-        for a in range(-1, sockets + 2):
-            c = sockets - w - a
-            expected = power.coefficient((w, a, c)) if min(w, a, c) >= 0 else 0
-            assert lazy[(w, a)] == expected
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)), min_size=2, max_size=3))
+@example([(2, 2), (3, 1), (4, 2)])
+def test_dd_two_class_products_match_sparse_powers(classes):
+    # Several ordinary-test classes, rows convolved over K, against the
+    # multiplied-out product; three classes read the rest's rows recursively.
+    power = poly_pow(_dd_ordinary_polynomial(classes[0][0]), classes[0][1])
+    for d, o in classes[1:]:
+        power = power * poly_pow(_dd_ordinary_polynomial(d), o)
+    _assert_rows_match(classes, power)
 
 
 def two_by_two_spec():
@@ -257,8 +258,8 @@ def test_regular_route_builds_no_polynomial(monkeypatch):
     import poolgraph.enumerator as enumerator
     import poolgraph.polynomial as polynomial
 
-    # A regular spec, one test degree (the O^o lookups), two test degrees
-    # (the lazy fold).
+    # A regular spec, one test degree (one O^o row) and two test degrees
+    # (rows convolved over K).
     specs = (regular_spec(6, 2, 3), one_test_degree_spec(), two_by_two_spec())
     expected = {(spec, alg): reference_table(spec, alg) for spec in specs for alg in Algorithm}
 
