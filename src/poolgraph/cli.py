@@ -5,8 +5,10 @@ over a delta grid), simulate (Monte Carlo), verify (exhaustive oracle vs
 closed form, cell by cell). CSV, or verify's report, goes to --out or
 stdout; status chatter goes to stderr so piped output stays parseable.
 
-Exit codes: 0 success, 1 bad input, failed verification or failed row-sum
-self-check, 2 size refusal, 3 I/O failure. The oracle decides its refusal
+Exit codes: 0 success, 1 bad input, failed verification or failed
+self-check (row sums, coupling), 2 size refusal, 3 I/O failure. A table
+build, a Monte Carlo run and an oracle run are each refused before they
+start when predicted to take over errors.LIMIT_SECONDS; the oracle predicts
 without computing E!, so a spec of any size is refused at once.
 
 enumerate, analyze, --help and --version import no numpy (`Algorithm` lives
@@ -23,7 +25,7 @@ from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import __version__
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, exact_delta, to_decimal
-from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, load_spec, regular_spec, spec_hash
+from .ensemble import EnsembleSpec, load_spec, regular_spec, spec_hash
 from .enumerator import Algorithm, build_table, fa_probability, md_probability, write_table_csv
 from .errors import SizeLimitError, ValidationError
 
@@ -113,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="fill the analytic column from the exact enumerator",
             )
-        if name == "verify":
-            cmd.add_argument(
-                "--oracle-limit", type=int, default=DEFAULT_MATCHING_LIMIT, help="max matchings (default 10^6)"
-            )
     return parser
 
 
@@ -160,9 +158,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _exact_values(args: argparse.Namespace) -> Optional[list[Fraction]]:
-    """The exact FAR (COMP) or MDR (DD) at each of args.deltas; None if the row-sum check fails."""
+    """The exact FAR (COMP) or MDR (DD) at each of args.deltas; None if a self-check fails."""
     table = build_table(args.spec, args.algorithm)
     if not _row_sum_check(table):
+        return None
+    falling = table.coupling_violations()
+    if falling:
+        print(f"coupling self-check: FAIL at a={falling}", file=sys.stderr)
         return None
     prob = fa_probability if args.algorithm is Algorithm.COMP else md_probability
     return [prob(table, delta) for delta in args.deltas]
@@ -218,15 +220,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm, *, limit: int):
+def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm):
     """oracle.exact_enumerators, imported on use; a module-level name, so the traced benchmark can rebind it."""
     from . import oracle
 
-    return oracle.exact_enumerators(spec, algorithm, limit=limit)
+    return oracle.exact_enumerators(spec, algorithm)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = exact_enumerators(args.spec, args.algorithm, limit=args.oracle_limit)
+    report = exact_enumerators(args.spec, args.algorithm)
     oracle, table = report.table, build_table(args.spec, args.algorithm)
     failures = 0
     with _output(args) as out:

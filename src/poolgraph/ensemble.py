@@ -27,10 +27,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Union
 
-from .combinatorics import factorial_exceeds
-from .errors import SizeLimitError, ValidationError
+from .errors import ValidationError, refuse_over_limit
 
-DEFAULT_MATCHING_LIMIT = 10**6
+# Seconds per (matching, 64-pattern word) the batched oracle (oracle.py)
+# decodes, one process on a 2-vCPU x86_64 host: fitted in BENCH_19.json.
+_ORACLE_SECONDS_PER_WORD = 1.38e-6
 
 
 @dataclass(frozen=True)
@@ -223,21 +224,26 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
     return _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
 
 
-def matching_count(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT) -> int:
-    """E!, the number of socket matchings; SizeLimitError, before E! is computed, when it exceeds limit."""
-    edges = spec.edge_count
-    if factorial_exceeds(edges, limit):
-        raise SizeLimitError(f"{edges}! socket matchings exceed the limit {limit}")
-    return math.factorial(edges)
+def _predicted_seconds(spec: EnsembleSpec) -> float:
+    """The oracle's seconds, E! x ceil(2^n / 64) x c, from lgamma: E! itself is never computed."""
+    log_words = max(spec.n - 6, 0) * math.log(2)
+    return math.exp(math.lgamma(spec.edge_count + 1) + log_words) * _ORACLE_SECONDS_PER_WORD
 
 
-def enumerate_matchings(spec: EnsembleSpec, limit: int = DEFAULT_MATCHING_LIMIT) -> Iterator[PoolingGraph]:
+def matching_count(spec: EnsembleSpec) -> int:
+    """E!, the number of socket matchings; first SizeLimitError when the oracle would take too long."""
+    refuse_over_limit(f"the oracle over {spec.edge_count}! matchings", _predicted_seconds, spec)
+    return math.factorial(spec.edge_count)
+
+
+def enumerate_matchings(spec: EnsembleSpec) -> Iterator[PoolingGraph]:
     """Yield the graph of every one of the E! socket matchings, in a fixed order.
 
     Repeated structures are intentional: the uniform-matching measure counts
-    them with multiplicity. Refuses with SizeLimitError when E! > limit.
+    them with multiplicity. Refuses with SizeLimitError exactly what the
+    oracle refuses.
     """
-    matching_count(spec, limit)
+    matching_count(spec)
     left_owner, left_degrees = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
     for assignment in itertools.permutations(range(spec.edge_count)):

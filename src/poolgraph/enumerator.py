@@ -66,7 +66,8 @@ lowest terms only when the CSV writer prints it. The tests check every cell
 against multiplied-out generating functions and the brute-force oracle.
 Tables for the same spec are cached, and each table keeps its
 delta-independent row weights, so probability evaluations over a delta grid
-pay for enumeration and weights once.
+pay for enumeration and weights once. A build predicted (_table_units, one
+term per loop) to take over errors.LIMIT_SECONDS is refused before it starts.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from typing import Iterator, Mapping, Union
 
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, binomial, exact_delta, multinomial, to_decimal
 from .ensemble import EnsembleSpec, spec_hash
-from .errors import SizeLimitError
+from .errors import refuse_over_limit
 # No table builder multiplies polynomials; these names stay importable here
 # because perfbench/layers.py rebinds them on this module to trace that layer.
 from .polynomial import poly_add, poly_mul, poly_pow, poly_product_of_powers  # noqa: F401
@@ -156,6 +157,22 @@ class EnumeratorTable:
         den = scale * self.denominator
         common = math.gcd(den, *weights)
         return tuple(w // common for w in weights), den // common
+
+    def coupling_violations(self) -> list[int]:
+        """Every a where r_a = w_a / C(n, a) leaves [0, 1] or exceeds r_(a+1); empty for a sound table.
+
+        r_a is the chance that a fixed candidate errs with a defectives. With
+        S inside S' = S + one item, PD(S) is inside PD(S'), so on every graph a
+        COMP false alarm or a DD miss of that item under S stays one under S':
+        r_a does not fall over a = 1..n-1 (COMP) or 1..n (DD).
+        """
+        (weights, den), n = self.error_weights, self.spec.n
+        rows = range(1, n if self.algorithm is Algorithm.COMP else n + 1)
+        return [
+            a for a in rows
+            if not 0 <= weights[a] <= binomial(n, a) * den
+            or a + 1 in rows and weights[a] * binomial(n, a + 1) > weights[a + 1] * binomial(n, a)
+        ]
 
 
 def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
@@ -264,41 +281,45 @@ class _ClosedForms:
 # classes of one side combine by short convolutions.
 # ---------------------------------------------------------------------------
 
-# Most work (see _degree_class_work) a degree-class table may take:
-# an irregular n = 50 DD table (lambda = {2: 1/2, 4: 1/2}, rho = {6: 1})
-# takes about 4.3 * 10^7 and builds in seconds; n = 60 of the same family
-# would take 1.2 * 10^8 and is refused.
-_WORK_LIMIT = 10**8
+# Seconds per table unit, alpha + beta w^2 for w = ceil(bits(E!) / 64): a unit
+# multiplies integers that grow with E!. One 2-vCPU x86_64 host; BENCH_19.json.
+_UNIT_SECONDS = {Algorithm.COMP: (1.57e-6, 2.57e-10), Algorithm.DD: (1.61e-7, 1.25e-10)}
 
 
-def _degree_class_work(spec: EnsembleSpec, algorithm: Algorithm) -> int:
-    """Item-role compositions times test-class splits the degree-class route loops over.
+def _pair_sum(classes) -> int:
+    """About sum of C(D + 2, 2), D = sum_d d o_d, over every 0 <= o_d <= R_d: each D at its mean."""
+    return math.prod(c + 1 for _, c in classes) * binomial(sum(d * c for d, c in classes) // 2 + 2, 2)
 
-    COMP splits each item class into (defective, false alarm, dismissed) and
-    each test class into (positive, negative). DD's loops split each item
-    class into (certified, dismissed, rest) and each test class into
-    (certifying, ordinary, negative); the missed items among the rest are
-    tallied once per rest vector. Per class of c nodes with k options there
-    are C(c + k - 1, k - 1) ways to count them. DD with several test degrees
-    adds prod_d sum_{o <= R_d} C(d o + 2, 2), the term pairs of a fold of
-    O^o term tables that the builder no longer runs: it reads H_o as rows
-    convolved over K, so this term counts none of the code's work. It is
-    kept so that no spec's refusal moves until the work model is redone in
-    predicted seconds.
+
+def _table_units(spec: EnsembleSpec, algorithm: Algorithm) -> int:
+    """The builder's inner-loop steps in closed form: per loop, outer iterations x mean inner length.
+
+    COMP: compositions, slack dot products per (dismissed, e1), spreads per
+    test split. DD: (B, J) pairs per composition, H_o rows (dd_row's p x K;
+    several classes convolve over a1 x K), and a fixed cost per composition
+    and per H_o read.
     """
-    roles, states = (3, 2) if algorithm is Algorithm.COMP else (3, 3)
-    tests = spec.right_counts()
-    work = 1
-    for count in spec.left_counts().values():
-        work *= binomial(count + roles - 1, roles - 1)
-    for count in tests.values():
-        work *= binomial(count + states - 1, states - 1)
-    if algorithm is Algorithm.DD and len(tests) > 1:
-        pairs = 1
-        for d, count in tests.items():
-            pairs *= sum(binomial(d * o + 2, 2) for o in range(count + 1))
-        work += pairs
-    return work
+    items, tests = sorted(spec.left_counts().items()), sorted(spec.right_counts().items())
+    edges, step = spec.edge_count, math.gcd(*(d for d, _ in items))
+    compositions = math.prod(binomial(c + 2, 2) for _, c in items)
+    if algorithm is Algorithm.COMP:
+        dots = min(compositions, math.prod(c + 1 for _, c in items) * (edges // (2 * step) + 1))
+        slack = sum((d - 1) * c for d, c in items) // (3 * math.gcd(*(d for d, _ in tests))) + 1
+        spreads = math.prod(c + 1 for _, c in tests) * (edges // 2 + 1)
+        return compositions * len(items) + dots * slack + spreads
+    certifying = min(spec.m + 1, sum((d - 1) * c for d, c in items) // (3 * max(tests[0][0] - 1, 1)) + 1)
+    missed = min(math.prod(c // 3 + 1 for _, c in items), sum(d * c for d, c in items) // (3 * step) + 1)
+    rows = sum((d - 1) ** 2 * c**3 * (c + 4) // 24 for d, c in tests) // step
+    rows += sum(_pair_sum([(d - 1, c)]) * _pair_sum(tests[k + 1 :]) for k, (d, c) in enumerate(tests[:-1]))
+    reads = math.prod(c + 1 for _, c in tests) * (edges // step + 1)
+    return compositions * certifying * missed * 2 // 3 + rows + 50 * compositions * len(items) + 200 * reads
+
+
+def _predicted_seconds(spec: EnsembleSpec, algorithm: Algorithm) -> float:
+    """Table units times the seconds per unit, which grow with the words of E!, the cells' common denominator."""
+    alpha, beta = _UNIT_SECONDS[algorithm]
+    words = math.ceil(math.lgamma(spec.edge_count + 1) / math.log(2) / 64)
+    return _table_units(spec, algorithm) * (alpha + beta * words**2)
 
 
 def _convolve(lists) -> list[int]:
@@ -448,13 +469,8 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
 
 @lru_cache(maxsize=16)
 def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
-    """Complete enumerator table for one ensemble; refuses runaway specs before starting."""
-    work = _degree_class_work(spec, algorithm)
-    if work > _WORK_LIMIT:
-        raise SizeLimitError(
-            f"degree-class {algorithm.value} table needs {work} compositions x splits, "
-            f"over the limit of {_WORK_LIMIT}"
-        )
+    """Complete enumerator table for one ensemble; refuses, before starting, one predicted to take too long."""
+    refuse_over_limit(f"the {algorithm.value} table for n={spec.n}", _predicted_seconds, spec, algorithm)
     forms = _ClosedForms(spec.edge_count)
     build = _comp_class_table if algorithm is Algorithm.COMP else _dd_class_table
     return EnumeratorTable(algorithm, spec, build(spec, forms), forms.fact[spec.edge_count])

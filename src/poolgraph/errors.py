@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size policy."""
+
+import math
+from typing import Callable
+
+# Most seconds one table build, Monte Carlo call or oracle run is predicted to
+# take; each route predicts from counts that follow its loops (BENCH_19.json).
+LIMIT_SECONDS = 600
 
 
 class ValidationError(ValueError):
@@ -6,4 +13,15 @@ class ValidationError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """An exhaustive computation was refused because it exceeds the configured limit."""
+    """Work refused before it started: predicted to take over LIMIT_SECONDS, or an input over a size limit."""
+
+
+def refuse_over_limit(work: str, predicted_seconds: Callable[..., float], *args) -> None:
+    """SizeLimitError when predicted_seconds(*args), past the float range or not, exceeds LIMIT_SECONDS."""
+    try:
+        seconds = predicted_seconds(*args)
+    except OverflowError:
+        seconds = math.inf
+    if seconds > LIMIT_SECONDS:
+        shown = f"{seconds:.3g} s" if seconds < math.inf else "more than 1e308 s"
+        raise SizeLimitError(f"{work} is predicted to take {shown}, over the limit of {LIMIT_SECONDS} s")

@@ -30,7 +30,9 @@ on its size, so CHUNK_PATTERNS is part of the scheme. Results are
 bit-identical for a given seed whatever the worker count; a sweep maps
 every (delta, graph) tally through one process pool.
 
-A call over _WORK_LIMIT raises SizeLimitError before any graph is sampled.
+A call predicted to take over errors.LIMIT_SECONDS, decoding plus each
+graph's sampling and set-up, raises SizeLimitError before any graph is
+sampled.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, w
 # perfbench/layers.py rebinds these names here to trace them; no package path calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, spec_hash
-from .errors import SizeLimitError
+from .errors import refuse_over_limit
 
 __all__ = ["RNG_SCHEME", "TrialReport", "derive_seed", "simulate", "sweep", "write_trials_csv"]
 
@@ -62,14 +64,13 @@ RNG_SCHEME = "pcg64raw-sha256split-v2"
 _SEED_SPAN = 1 << 64
 _GRAPH_KEY = 0
 _PATTERN_KEY = 1
-# Sampling a graph and setting up its decoding costs about as much as decoding
-# this many patterns (measured: 240-1,600 from n=1000 down to n=4).
-_GRAPH_SETUP_PATTERNS = 1000
-# Most item-patterns, deltas x graphs x (patterns + _GRAPH_SETUP_PATTERNS) x n,
-# one simulate or sweep call may decode. At the limit a run takes about ten minutes
-# on (4,2,2) (4.5e7/s on a 2-vCPU x86_64 host) and about an hour with one pattern a
-# graph on (2,1,2) (7e6-9e6/s: set-up outweighs its charge on tiny graphs).
-_WORK_LIMIT = 25 * 10**9
+# Seconds per decoded item-pattern (a pattern's unpacking and tally cost
+# _PATTERN_ITEMS more), and per graph's sampling and set-up, a floor plus a
+# share per edge. One 2-vCPU x86_64 host; fitted in BENCH_19.json.
+_ITEM_PATTERN_SECONDS = 3.7e-9
+_PATTERN_ITEMS = 13
+_GRAPH_SECONDS = 3.2e-4
+_GRAPH_EDGE_SECONDS = 1.6e-6
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -188,16 +189,18 @@ def _graph_tally(
     return tally
 
 
+def _predicted_seconds(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> float:
+    """deltas x graphs x (patterns x (n + _PATTERN_ITEMS) x a + b(E)): decoding, then each graph's set-up."""
+    per_graph = patterns_per_graph * (spec.n + _PATTERN_ITEMS) * _ITEM_PATTERN_SECONDS + _GRAPH_SECONDS
+    return deltas * graphs * (per_graph + spec.edge_count * _GRAPH_EDGE_SECONDS)
+
+
 def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> None:
-    """Refuse, before any graph is sampled, a simulation over the work limit."""
+    """Refuse, before any graph is sampled, a simulation predicted to take too long."""
     if graphs < 1 or patterns_per_graph < 1:
         raise ValueError("graphs and patterns_per_graph must be at least 1")
-    work = deltas * graphs * (patterns_per_graph + _GRAPH_SETUP_PATTERNS) * spec.n
-    if work > _WORK_LIMIT:
-        raise SizeLimitError(
-            f"{deltas} deltas x {graphs} graphs x {patterns_per_graph} patterns on n={spec.n} "
-            f"is {work:.3g} item-patterns, over the limit of {_WORK_LIMIT:.3g}"
-        )
+    work = f"{deltas} deltas x {graphs} graphs x {patterns_per_graph} patterns on n={spec.n}"
+    refuse_over_limit(work, _predicted_seconds, spec, deltas, graphs, patterns_per_graph)
 
 
 def _rate_statistics(

@@ -26,8 +26,10 @@ decodes exactly as it would alone. The per-pattern bitmask decoders stay
 the literal reference in the tests (tests/oracle_reference.py).
 
 Costs explode factorially. Both entry points decode the same blocks, so
-both size them the same way: more than `limit` matchings are refused
-(ensemble.matching_count), before anything is allocated.
+both size them the same way: E! x ceil(2^n / 64) matching words at a
+fitted cost each (ensemble.matching_count), refused over the one limit in
+seconds (errors.LIMIT_SECONDS) before anything is allocated: 11 edges pass
+up to n = 9, 12 never do.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .combinatorics import exact_delta
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
-from .ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, _socket_layout, matching_count
+from .ensemble import EnsembleSpec, _socket_layout, matching_count
 from .enumerator import EnumeratorTable, table_domain
 
 # perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
@@ -104,18 +106,13 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
         yield wrong.reshape(len(block), n, -1).sum(axis=1, dtype=np.intp)
 
 
-def exact_enumerators(
-    spec: EnsembleSpec,
-    algorithm: Algorithm,
-    *,
-    limit: int = DEFAULT_MATCHING_LIMIT,
-) -> OracleReport:
+def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
     """Average pattern counts over every matching, by brute force.
 
     Tallies (defective count, error count) across all matchings and all
     defective sets: integer counts over the E! matchings.
     """
-    matching_count(spec, limit)
+    matching_count(spec)
     n = spec.n
     a = np.bitwise_count(np.arange(1 << n)).astype(np.intp)
     counts = np.zeros((n + 1) ** 2, dtype=np.int64)
@@ -128,13 +125,7 @@ def exact_enumerators(
     return OracleReport(EnumeratorTable(algorithm, spec, table, matchings, source="oracle"), matchings)
 
 
-def exact_error_probability(
-    spec: EnsembleSpec,
-    algorithm: Algorithm,
-    delta,
-    *,
-    limit: int = DEFAULT_MATCHING_LIMIT,
-) -> Fraction:
+def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> Fraction:
     """Exact expected per-item error rate by direct expectation.
 
     Averages fa/(non-defective count) for COMP or md/(defective count) for
@@ -143,7 +134,7 @@ def exact_error_probability(
     """
     d = exact_delta(delta)
     n = spec.n
-    matching_count(spec, limit)
+    matching_count(spec)
     err_sums = np.zeros(1 << n, dtype=np.int64)
     matchings = 0
     for errors in _error_blocks(spec, algorithm):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from poolgraph.combinatorics import exact_delta
 from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
-from poolgraph.ensemble import DEFAULT_MATCHING_LIMIT, EnsembleSpec, enumerate_matchings, matching_count
+from poolgraph.ensemble import EnsembleSpec, enumerate_matchings, matching_count
 from poolgraph.enumerator import EnumeratorTable, table_domain
 from poolgraph.oracle import OracleReport
 
@@ -28,12 +28,7 @@ def _pattern_errors(graph, mask: int, algorithm: Algorithm) -> int:
     return (mask & ~estimate).bit_count()
 
 
-def exact_enumerators(
-    spec: EnsembleSpec,
-    algorithm: Algorithm,
-    *,
-    limit: int = DEFAULT_MATCHING_LIMIT,
-) -> OracleReport:
+def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
     """Average pattern counts over every matching, by brute force.
 
     Tallies (defective count, error count) across all matchings and all
@@ -42,7 +37,7 @@ def exact_enumerators(
     n = spec.n
     counts: dict[tuple[int, int], int] = {}
     matchings = 0
-    for graph in enumerate_matchings(spec, limit=limit):
+    for graph in enumerate_matchings(spec):
         matchings += 1
         for mask in range(1 << n):
             a = mask.bit_count()
@@ -53,13 +48,7 @@ def exact_enumerators(
     return OracleReport(EnumeratorTable(algorithm, spec, table, matchings, source="oracle"), matchings)
 
 
-def exact_error_probability(
-    spec: EnsembleSpec,
-    algorithm: Algorithm,
-    delta,
-    *,
-    limit: int = DEFAULT_MATCHING_LIMIT,
-) -> Fraction:
+def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> Fraction:
     """Exact expected per-item error rate by direct expectation.
 
     Averages fa/(non-defective count) for COMP or md/(defective count) for
@@ -69,10 +58,10 @@ def exact_error_probability(
     d = exact_delta(delta)
     n = spec.n
     # Refused like the library, before the 2^n sums are allocated.
-    matching_count(spec, limit)
+    matching_count(spec)
     err_sums = [0] * (1 << n)
     matchings = 0
-    for graph in enumerate_matchings(spec, limit=limit):
+    for graph in enumerate_matchings(spec):
         matchings += 1
         for mask in range(1 << n):
             err_sums[mask] += _pattern_errors(graph, mask, algorithm)

@@ -154,31 +154,16 @@ def test_verify_refuses_oversized_ensemble(capsys):
     assert "refused" in err
 
 
-def test_verify_oracle_limit_flag(capsys):
-    code, _, err = run(
-        ["verify", "--regular", "4,1,2", "--algorithm", "comp", "--oracle-limit", "10"],
-        capsys,
-    )
-    assert code == 2
-
-
-def test_verify_oracle_limit_is_inclusive(capsys):
-    argv = ["verify", "--regular", "4,1,2", "--algorithm", "comp", "--oracle-limit"]
-    code, _, err = run(argv + ["23"], capsys)
-    assert code == 2
-    assert err == "refused: 4! socket matchings exceed the limit 23\n"
-    code, out, _ = run(argv + ["24"], capsys)
-    assert code == 0
-    assert "all cells match over 24 matchings" in out
-
-
 def test_verify_refuses_without_writing_out_the_matching_count(capsys):
     # 1800! has more digits than Python turns into a string; 3,000,000! takes most of a minute to compute.
     t0 = time.monotonic()
     for n in (600, 10**6):
         code, out, err = run(["verify", "--regular", f"{n},3,6", "--algorithm", "comp"], capsys)
         assert (code, out) == (2, "")
-        assert err == f"refused: {3 * n}! socket matchings exceed the limit 1000000\n"
+        assert err == (
+            f"refused: the oracle over {3 * n}! matchings is predicted to take more than 1e308 s, "
+            "over the limit of 600 s\n"
+        )
     assert time.monotonic() - t0 < 1.0
 
 
@@ -289,7 +274,8 @@ def test_runaway_simulation_exits_two(capsys):
     assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert out == ""
-    assert "refused" in err and "item-patterns" in err
+    assert err.startswith("refused: 1 deltas x 1000000 graphs x 1000000000 patterns on n=30 is predicted to take ")
+    assert err.endswith(" s, over the limit of 600 s\n")
 
 
 def test_runaway_degree_class_table_exits_two(tmp_path, capsys):
@@ -304,7 +290,7 @@ def test_runaway_degree_class_table_exits_two(tmp_path, capsys):
     assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert out == ""
-    assert "refused" in err
+    assert err.startswith("refused: the dd table for n=120 is predicted to take ")
 
 
 def _broken_table(spec, algorithm):
@@ -335,6 +321,37 @@ def test_row_sum_self_check_guards_analytic_output(argv, monkeypatch, tmp_path, 
     assert code == 1
     assert "row-sum self-check: FAIL at a=[1]" in err
     assert not out_path.exists() and out == ""
+
+
+def _mass_at_no_errors(spec, algorithm):
+    from poolgraph.enumerator import EnumeratorTable, build_table
+
+    # Row a = n / 2 keeps its sum, but all of it moves to j = 0: r_a drops to 0.
+    table = build_table(spec, algorithm)
+    counts, middle = dict(table.counts), spec.n // 2
+    for a, j in table.counts:
+        if a == middle and j:
+            counts[(a, 0)] += counts.pop((a, j))
+            counts[(a, j)] = 0
+    return EnumeratorTable(algorithm, spec, counts, table.denominator)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--regular", "12,3,6", "--algorithm", "comp", "--delta", "1/10"],
+        ["analyze", "--regular", "12,3,6", "--algorithm", "dd", "--delta-grid", "1/20,1/10"],
+        ["simulate", "--regular", "12,3,6", "--algorithm", "dd", "--delta", "1/2",
+         "--graphs", "2", "--patterns", "10", "--analytic"],
+    ],
+)
+def test_coupling_self_check_guards_analytic_output(argv, monkeypatch, capsys):
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (0, "row-sum self-check: PASS (13 rows)\n")
+    monkeypatch.setattr("poolgraph.cli.build_table", _mass_at_no_errors)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "row-sum self-check: PASS (13 rows)\ncoupling self-check: FAIL at a=[5]\n"
 
 
 def test_cli_never_fills_the_fraction_view(capsys):

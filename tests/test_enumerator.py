@@ -12,17 +12,17 @@ from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
 from poolgraph.enumerator import (
-    _WORK_LIMIT,
     EnumeratorTable,
     _ClosedForms,
-    _degree_class_work,
+    _predicted_seconds,
+    _table_units,
     build_table,
     fa_probability,
     md_probability,
     table_domain,
     write_table_csv,
 )
-from poolgraph.errors import SizeLimitError
+from poolgraph.errors import LIMIT_SECONDS, SizeLimitError
 from poolgraph.polynomial import SparsePoly, poly_pow
 
 
@@ -322,55 +322,39 @@ def test_degree_class_route_matches_multiplied_out_generating_functions(spec, al
 @example(regular_spec(1, 1, 1), Algorithm.COMP)
 @example(regular_spec(1, 1, 1), Algorithm.DD)
 def test_per_item_error_rate_is_a_probability_that_grows_with_defectives(spec, algorithm):
-    # r_a = w_a / C(n, a) is the chance that one fixed candidate item errs
-    # with a defectives. Couple S inside S' = S + one item: PD(S) is a subset
-    # of PD(S'), so a non-defective PD under S stays PD under S' (COMP), and
-    # a test where a defective is the sole PD socket under S' was so under S
-    # too (DD). So r_a lies in [0, 1] and does not fall, on every graph and
-    # hence on the ensemble average: over a = 1..n-1 for COMP, 1..n for DD.
-    weights, den = build_table(spec, algorithm).error_weights
-    n = spec.n
-    rows = range(1, n if algorithm is Algorithm.COMP else n + 1)
-    for a in rows:
-        assert 0 <= weights[a] <= binomial(n, a) * den, a
-    for a in rows[:-1]:
-        assert weights[a] * binomial(n, a + 1) <= weights[a + 1] * binomial(n, a), a
+    # The coupling invariant of EnumeratorTable.coupling_violations, which the CLI also runs.
+    assert build_table(spec, algorithm).coupling_violations() == []
 
 
-def test_degree_class_work_counts_compositions_times_splits():
+def test_table_units_follow_the_builders_loops():
     n30 = EnsembleSpec(
         n=30,
         m=15,
         left=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
         right=DegreeDistribution.regular(6),
     )
-    # COMP: C(15+2, 2) role splits per item class, 15+1 positive counts.
-    assert _degree_class_work(n30, Algorithm.COMP) == 136 * 136 * 16
-    # DD: (certified, dismissed, rest) per item class and (certifying,
-    # ordinary, negative) per test class, C(15+2, 2) ways each.
-    assert _degree_class_work(n30, Algorithm.DD) == 136 * 136 * 136
-    # n = 50 of the same family builds in seconds and stays under the limit.
-    n50 = EnsembleSpec(n=50, m=25, left=n30.left, right=n30.right)
-    assert _degree_class_work(n50, Algorithm.DD) == 351 * 351 * 351 <= _WORK_LIMIT
-    # Two classes on each side: items 2 and 2, tests 2 and 1. Two test
-    # degrees add DD's fold pairs, prod_d sum_{o <= R_d} C(d o + 2, 2):
-    # (1 + 6 + 15) for two tests of degree 2, (1 + 15) for one of degree 4.
-    spec = two_by_two_spec()
-    assert _degree_class_work(spec, Algorithm.COMP) == 6 * 6 * 3 * 2
-    assert _degree_class_work(spec, Algorithm.DD) == 6 * 6 * 6 * 3 + 22 * 16
-    # lambda = {3: 1}, rho = {4: 1/2, 8: 1/2} at n = 24: six tests of each
-    # degree, and the pairs dominate the count.
-    wide = EnsembleSpec(
+    # COMP: 2 x 136^2 compositions of two item classes of 15, dots = 16^2
+    # dismissed vectors x (90 / 4 + 1) e1 values, each 60 / 18 + 1 slack
+    # entries long, and 16 test splits x (90 / 2 + 1) spread entries.
+    assert _table_units(n30, Algorithm.COMP) == 2 * 136**2 + 256 * 23 * 4 + 16 * 46
+    # DD: (certified B, missed J) pairs, 136^2 x 5 x 16 x 2 / 3; dd_row's
+    # 25 x 15^3 x 19 / 24 / 2; 50 per composition and 200 per H_o read, 16 x 46 of them.
+    assert _table_units(n30, Algorithm.DD) == (
+        136**2 * 5 * 16 * 2 // 3 + 25 * 15**3 * 19 // 24 // 2 + 50 * 2 * 136**2 + 200 * 16 * 46
+    )
+    # Three test degrees: no fold term, the convolutions over a1 x K instead,
+    # each class of four tests against the later ones, the sockets D at their mean.
+    three = EnsembleSpec(
         n=24,
         m=12,
         left=DegreeDistribution.regular(3),
-        right=DegreeDistribution.from_dict({4: Fraction(1, 2), 8: Fraction(1, 2)}),
+        right=DegreeDistribution.from_dict({4: Fraction(1, 3), 6: Fraction(1, 3), 8: Fraction(1, 3)}),
     )
-    pairs = 1
-    for d in (4, 8):
-        pairs *= sum(binomial(d * o + 2, 2) for o in range(7))
-    assert pairs == 861 * 3171
-    assert _degree_class_work(wide, Algorithm.DD) == 325 * 28 * 28 + pairs
+    rows = sum((d - 1) ** 2 * 4**3 * 8 // 24 for d in (4, 6, 8)) // 3
+    convolutions = 5 * binomial(8, 2) * 25 * binomial(30, 2) + 5 * binomial(12, 2) * 5 * binomial(18, 2)
+    assert _table_units(three, Algorithm.DD) == (
+        325 * 6 * 9 * 2 // 3 + rows + convolutions + 50 * 325 + 200 * 125 * 25
+    ) == 2428490
 
 
 def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
@@ -391,9 +375,12 @@ def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
     monkeypatch.setattr(enumerator, "_dd_class_table", never)
     monkeypatch.setattr(enumerator, "_ClosedForms", never)
     for algorithm in Algorithm:
-        assert _degree_class_work(spec, algorithm) > _WORK_LIMIT
-        with pytest.raises(SizeLimitError, match="over the limit"):
+        assert _predicted_seconds(spec, algorithm) > LIMIT_SECONDS
+        with pytest.raises(SizeLimitError, match="predicted to take .* s, over the limit of 600 s$"):
             build_table(spec, algorithm)
+    # Regular tables are refused from about n = 720 under COMP and n = 300 under DD.
+    assert _predicted_seconds(regular_spec(720, 3, 6), Algorithm.COMP) > LIMIT_SECONDS
+    assert _predicted_seconds(regular_spec(300, 3, 6), Algorithm.DD) > LIMIT_SECONDS
 
 
 def test_build_table_is_cached():
@@ -531,3 +518,26 @@ def test_csv_to_stream():
     buffer = io.StringIO()
     write_table_csv(table, buffer)
     assert buffer.getvalue().count("\n") == len(table.values) + 2
+
+
+def test_exact_rates_approach_the_tree_limit():
+    # On the (l, r) tree every item's neighbourhood is cycle-free, which
+    # gives closed forms sharing nothing with the generating functions:
+    # COMP's false-alarm rate (1 - (1 - delta)^(r-1))^l, and DD's misdetection
+    # rate (1 - ((1 - delta)(1 - pi))^(r-1))^l with pi = (1 - (1 - delta)^(r-1))^(l-1),
+    # the chance that a non-defective neighbour is PD through its other l - 1
+    # tests. The ensemble averages close
+    # the gap as n doubles: COMP at a 1/n rate (n x gap is printed), DD
+    # more slowly.
+    l, r = 3, 6
+    for delta in (Fraction(1, 20), Fraction(1, 10)):
+        fa_tree = (1 - (1 - delta) ** (r - 1)) ** l
+        pi = (1 - (1 - delta) ** (r - 1)) ** (l - 1)
+        md_tree = (1 - ((1 - delta) * (1 - pi)) ** (r - 1)) ** l
+        comp = {n: abs(fa_probability(build_table(regular_spec(n, l, r), Algorithm.COMP), delta) - fa_tree)
+                for n in (30, 60, 120)}
+        dd = {n: abs(md_probability(build_table(regular_spec(n, l, r), Algorithm.DD), delta) - md_tree)
+              for n in (30, 60)}
+        assert comp[30] > comp[60] > comp[120], (delta, comp)
+        assert dd[30] > dd[60], (delta, dd)
+        print(f"delta={delta}: COMP n x gap " + ", ".join(f"{n}: {float(n * gap):.3f}" for n, gap in comp.items()))

@@ -3,6 +3,7 @@ import io
 import math
 import statistics
 import tracemalloc
+from pathlib import Path
 from collections import Counter
 from fractions import Fraction
 
@@ -11,17 +12,18 @@ import pytest
 
 from poolgraph.detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, wrong_items
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, sample_graph, spec_hash
-from poolgraph.errors import SizeLimitError
+from poolgraph.errors import LIMIT_SECONDS, SizeLimitError
+from pcg64_reference import raw_words
+from poolgraph import montecarlo
 from poolgraph.montecarlo import (
     _GRAPH_KEY,
-    _GRAPH_SETUP_PATTERNS,
     _PATTERN_KEY,
-    _WORK_LIMIT,
     RNG_SCHEME,
     _check_size,
     _draw_words,
     _graph_tally,
     _pool_size,
+    _predicted_seconds,
     derive_seed,
     simulate,
     sweep,
@@ -29,6 +31,12 @@ from poolgraph.montecarlo import (
 )
 
 SMALL = regular_spec(4, 1, 2)
+PERFBENCH_SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
+# numpy's PCG64 state for derive_seed(0, 0, _GRAPH_KEY) and derive_seed(0, 1, _PATTERN_KEY).
+PCG64_STATES = [
+    {"state": 334288934624489513151042647236274030743, "inc": 164752700751288910666209867734645218769},
+    {"state": 257830776927033181673315308764735427049, "inc": 83326796485322266238943706901064580249},
+]
 # The spec in perfbench/specs/irregular-30.json.
 IRREGULAR_30 = EnsembleSpec(
     n=30,
@@ -383,23 +391,70 @@ def test_sweep_bytes_match_the_recorded_digests(spec_name, algorithm, patterns):
 
 def test_simulation_work_limit_is_inclusive():
     spec = regular_spec(25, 2, 5)
-    per_graph = (9_000 + _GRAPH_SETUP_PATTERNS) * spec.n
-    graphs = _WORK_LIMIT // per_graph
-    assert graphs * per_graph == _WORK_LIMIT
+    per_graph = _predicted_seconds(spec, 1, 1, 9_000)
+    graphs = int(LIMIT_SECONDS // per_graph)
+    while _predicted_seconds(spec, 1, graphs + 1, 9_000) <= LIMIT_SECONDS:
+        graphs += 1
     _check_size(spec, 1, graphs, 9_000)
     with pytest.raises(SizeLimitError):
-        _check_size(spec, 1, graphs, 9_001)
+        _check_size(spec, 1, graphs + 1, 9_000)
     with pytest.raises(SizeLimitError):
         _check_size(spec, 2, graphs // 2 + 1, 9_000)
     with pytest.raises(ValueError):
         _check_size(spec, 1, 0, 10)
 
 
+def test_simulation_units_are_item_patterns_and_graphs():
+    # (n + _PATTERN_ITEMS) x patterns item-pattern units and one set-up per
+    # graph, every graph once per delta.
+    spec = regular_spec(30, 3, 6)
+    decode = _predicted_seconds(spec, 3, 40, 10_001) - _predicted_seconds(spec, 3, 40, 10_000)
+    assert decode == pytest.approx(3 * 40 * (30 + montecarlo._PATTERN_ITEMS) * montecarlo._ITEM_PATTERN_SECONDS)
+    setup = _predicted_seconds(spec, 1, 1, 1) - (30 + montecarlo._PATTERN_ITEMS) * montecarlo._ITEM_PATTERN_SECONDS
+    assert setup == pytest.approx(montecarlo._GRAPH_SECONDS + 90 * montecarlo._GRAPH_EDGE_SECONDS)
+
+
+def _ensemble(n, m, left, right):
+    return EnsembleSpec(n=n, m=m, left=DegreeDistribution.from_dict(left), right=DegreeDistribution.from_dict(right))
+
+
 def test_everyday_sizes_are_accepted():
+    from poolgraph import ensemble, enumerator
+    from poolgraph.ensemble import load_spec
+
     case_study = regular_spec(30, 3, 6)
-    _check_size(case_study, 1, 100, 10_000)  # the CLI defaults
+    _check_size(case_study, 1, 100, 10_000)  # the CLI defaults, and acceptance check 7 per delta
     _check_size(case_study, 3, 40, 10_000)  # the benchmark's validate sweep
+    _check_size(case_study, 3, 16, 500)  # and its worker-identity sweeps
     _check_size(regular_spec(240, 3, 6), 10, 100, 10_000)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    irregular = {2: half, 4: half}
+    three_tests = {4: third, 6: third, 8: third}
+    bench = [load_spec(path) for path in sorted(PERFBENCH_SPECS.glob("*.json"))]
+    # Every oracle run they make: the verify specs, then acceptance check 3's
+    # specs with 8 and 9 edges.
+    oracle_specs = [
+        bench[2], regular_spec(4, 1, 2), regular_spec(4, 2, 2),
+        _ensemble(4, 3, {1: half, 3: half}, {2: Fraction(2, 3), 4: third}),
+        _ensemble(6, 3, {1: half, 2: half}, {2: third, 3: third, 4: third}),
+    ]
+    for spec in oracle_specs:
+        ensemble.matching_count(spec)
+    # Every table the CLI tests, the benchmark and the acceptance suite build, and
+    # the multi-test-degree and irregular n = 60 DD tables that were refused before.
+    tables = oracle_specs + bench[:2]
+    shapes = ((6, 2, 3), (6, 3, 6), (8, 2, 4), (12, 2, 4), (12, 3, 6), (30, 3, 6), (60, 3, 6))
+    tables += [regular_spec(n, l, r) for n, l, r in shapes]
+    tables += [_ensemble(n, n // 2, irregular, {6: 1}) for n in (8, 12, 30, 60)]
+    tables += [_ensemble(n, n // 2, {3: 1}, three_tests) for n in (12, 24, 36)]
+    tables += [
+        _ensemble(8, 4, {1: half, 2: half}, {2: half, 4: half}),
+        _ensemble(12, 6, {2: third, 3: third, 4: third}, {4: half, 8: half}),
+    ]
+    for spec in tables:
+        _check_size(spec, 1, 100, 10_000)
+        for algorithm in Algorithm:
+            assert enumerator._predicted_seconds(spec, algorithm) <= LIMIT_SECONDS, (spec, algorithm)
 
 
 def test_runaway_simulation_is_refused_before_sampling(monkeypatch):
@@ -414,6 +469,26 @@ def test_runaway_simulation_is_refused_before_sampling(monkeypatch):
     _check_size(spec, 1, 1_000, 100_000)
     with pytest.raises(SizeLimitError):
         sweep(spec, Algorithm.DD, [Fraction(k, 1000) for k in range(1000)], 1_000, 100_000, seed=0)
+    # Each graph costs its set-up: ten million one-pattern graphs on (2,1,2) take about an hour.
+    with pytest.raises(SizeLimitError):
+        simulate(regular_spec(2, 1, 2), Algorithm.DD, Fraction(1, 10), 10**7, 1, seed=0)
+    # A count past the float range is refused too.
+    with pytest.raises(SizeLimitError, match="more than 1e308 s"):
+        simulate(regular_spec(2, 1, 2), Algorithm.DD, Fraction(1, 10), 10**400, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "graph, key, state",
+    [
+        (0, _GRAPH_KEY, PCG64_STATES[0]),
+        (1, _PATTERN_KEY, PCG64_STATES[1]),
+    ],
+)
+def test_raw_stream_is_pcg64_xsl_rr(graph, key, state):
+    # numpy's seeding of each stream, and its raw words, against a pure-Python PCG64.
+    seeded = np.random.PCG64(derive_seed(0, graph, key))
+    assert seeded.state["state"] == state
+    assert raw_words(state["state"], state["inc"], 1000) == seeded.random_raw(1000).tolist()
 
 
 def test_sweep_checks_every_delta_before_sampling(monkeypatch):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import oracle_reference
-from poolgraph import oracle
+from poolgraph import ensemble, errors, oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import DEFAULT_MATCHING_LIMIT, DegreeDistribution, EnsembleSpec, load_spec, regular_spec
+from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, load_spec, regular_spec
 from poolgraph.enumerator import build_table, fa_probability, md_probability
 from poolgraph.errors import SizeLimitError
 from poolgraph.oracle import exact_enumerators, exact_error_probability
@@ -206,42 +206,44 @@ def test_socket_certification_counts_multi_edges():
 def test_refuses_oversized_ensembles():
     # 90! matchings: refused before the 2^30 patterns are sized.
     t0 = time.monotonic()
-    with pytest.raises(SizeLimitError, match=r"^90! socket matchings exceed the limit 1000000$"):
+    message = r"^the oracle over 90! matchings is predicted to take [0-9.]+e\+[0-9]+ s, over the limit of 600 s$"
+    with pytest.raises(SizeLimitError, match=message):
         exact_enumerators(regular_spec(30, 3, 6), Algorithm.COMP)
-    with pytest.raises(SizeLimitError, match=r"^90! socket matchings exceed the limit 1000000$"):
+    with pytest.raises(SizeLimitError, match=message):
         exact_error_probability(regular_spec(30, 3, 6), Algorithm.DD, Fraction(1, 2))
     # 3,000,000! has some 1.8*10^7 digits: refused without being computed.
     huge = regular_spec(10**6, 3, 6)
-    with pytest.raises(SizeLimitError, match=r"^3000000! socket matchings exceed the limit 1000000$"):
+    message = r"^the oracle over 3000000! matchings is predicted to take more than 1e308 s, over the limit of 600 s$"
+    with pytest.raises(SizeLimitError, match=message):
         exact_enumerators(huge, Algorithm.DD)
-    with pytest.raises(SizeLimitError, match=r"^3000000! socket matchings exceed the limit 1000000$"):
+    with pytest.raises(SizeLimitError, match=message):
         exact_error_probability(huge, Algorithm.COMP, Fraction(1, 2))
     assert time.monotonic() - t0 < 1.0
-    with pytest.raises(SizeLimitError, match=r"^8! socket matchings exceed the limit 40319$"):
-        exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=40319)
-    with pytest.raises(SizeLimitError, match="^8! socket matchings exceed the limit 1000$"):
-        exact_enumerators(regular_spec(4, 2, 2), Algorithm.DD, limit=10**3)
 
 
 @pytest.mark.parametrize(
     "spec, limit",
     [
-        (regular_spec(8, 1, 2), DEFAULT_MATCHING_LIMIT),  # 8! x 2^8 (matching, pattern) pairs
-        (regular_spec(4, 2, 2), math.factorial(8)),  # exactly at the limit
-        (regular_spec(4, 2, 2), math.factorial(8) - 1),
-        (regular_spec(9, 1, 3), math.factorial(9) - 1),
-        (regular_spec(10, 1, 2), DEFAULT_MATCHING_LIMIT),  # 10! matchings
+        (regular_spec(8, 1, 2), None),  # 8! x 2^8 (matching, pattern) pairs
+        (regular_spec(4, 2, 2), "at"),  # the limit set to its own prediction
+        (regular_spec(4, 2, 2), "over"),  # the limit set just under it
+        (regular_spec(9, 1, 3), "over"),
+        (regular_spec(10, 1, 2), None),  # 10! matchings
+        (regular_spec(12, 1, 2), None),  # 12! matchings x 64 words
     ],
-    ids=["8,1,2", "4,2,2-at", "4,2,2-over", "9,1,3-over", "10,1,2"],
+    ids=["8,1,2", "4,2,2-at", "4,2,2-over", "9,1,3-over", "10,1,2", "12,1,2"],
 )
 def test_entry_points_accept_and_refuse_the_same_specs(spec, limit, monkeypatch):
     # Both entry points decode the same blocks, so they size them alike. Blocks
     # are swapped for one empty block: only the size checks run.
     monkeypatch.setattr(oracle, "_error_blocks", lambda *args: iter([np.zeros((1, 1 << spec.n), dtype=np.intp)]))
+    seconds = ensemble._predicted_seconds(spec)
+    if limit is not None:
+        monkeypatch.setattr(errors, "LIMIT_SECONDS", seconds if limit == "at" else math.nextafter(seconds, 0))
     outcomes = []
     for call in (
-        lambda: exact_enumerators(spec, Algorithm.DD, limit=limit),
-        lambda: exact_error_probability(spec, Algorithm.DD, Fraction(1, 3), limit=limit),
+        lambda: exact_enumerators(spec, Algorithm.DD),
+        lambda: exact_error_probability(spec, Algorithm.DD, Fraction(1, 3)),
     ):
         try:
             call()
@@ -249,16 +251,32 @@ def test_entry_points_accept_and_refuse_the_same_specs(spec, limit, monkeypatch)
         except SizeLimitError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
-    assert (outcomes[0] == "accepted") == (math.factorial(spec.edge_count) <= limit)
+    assert (outcomes[0] == "accepted") == (seconds <= errors.LIMIT_SECONDS)
 
 
-def test_literal_reference_refuses_like_the_library():
+def test_oracle_work_is_matchings_times_pattern_words():
+    # E! x ceil(2^n / 64), the count the prediction scales, from lgamma.
+    for spec, words in ((regular_spec(4, 2, 2), 1), (regular_spec(8, 1, 2), 4), (regular_spec(9, 1, 3), 8)):
+        units = ensemble._predicted_seconds(spec) / ensemble._ORACLE_SECONDS_PER_WORD
+        assert round(units) == math.factorial(spec.edge_count) * words
+
+
+def test_literal_reference_refuses_like_the_library(monkeypatch):
     # 1800! has over 5,000 digits; the reference decides without computing it.
-    message = r"^1800! socket matchings exceed the limit 1000000$"
+    message = r"^the oracle over 1800! matchings is predicted to take more than 1e308 s, over the limit of 600 s$"
     with pytest.raises(SizeLimitError, match=message):
         oracle_reference.exact_error_probability(regular_spec(600, 3, 6), Algorithm.DD, Fraction(1, 2))
-    with pytest.raises(SizeLimitError, match=r"^8! socket matchings exceed the limit 40319$"):
-        oracle_reference.exact_error_probability(regular_spec(4, 2, 2), Algorithm.DD, Fraction(1, 2), limit=40319)
+    # One prediction decides for every entry point: just under (4,2,2)'s, each refuses.
+    spec = regular_spec(4, 2, 2)
+    monkeypatch.setattr(errors, "LIMIT_SECONDS", math.nextafter(ensemble._predicted_seconds(spec), 0))
+    for call in (
+        lambda: oracle_reference.exact_error_probability(spec, Algorithm.DD, Fraction(1, 2)),
+        lambda: oracle_reference.exact_enumerators(spec, Algorithm.DD),
+        lambda: next(ensemble.enumerate_matchings(spec)),
+        lambda: exact_enumerators(spec, Algorithm.DD),
+    ):
+        with pytest.raises(SizeLimitError, match="^the oracle over 8! matchings"):
+            call()
 
 
 def test_delta_validation():
