@@ -9,7 +9,7 @@ rounds; decimal strings are produced only for display via `to_decimal`.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,20 +27,12 @@ def binomial(n: int, k: int) -> int:
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / (parts[0]! * parts[1]! * ...) for non-negative parts summing to n."""
-    if n < 0:
-        raise ValueError(f"multinomial: n must be non-negative, got {n}")
-    total = 0
-    for p in parts:
-        if p < 0:
-            raise ValueError(f"multinomial: negative part {p}")
-        total += p
-    if total != n:
-        raise ValueError(f"multinomial: parts sum to {total}, expected {n}")
+    if min(parts, default=0) < 0 or sum(parts) != n:
+        raise ValueError(f"multinomial: parts {list(parts)} must be non-negative and sum to {n}")
     out = 1
-    remaining = n
     for p in parts:
-        out *= math.comb(remaining, p)
-        remaining -= p
+        out *= math.comb(n, p)
+        n -= p
     return out
 
 
@@ -55,10 +47,10 @@ def to_decimal(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     value = Fraction(value)
     if value == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = digits
-        rendered = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(rendered)
+    # A fixed context, not the caller's: rounding, traps, exponent range and
+    # capitals of the ambient decimal context must not change the string.
+    ctx = Context(digits, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, capitals=1, clamp=0, flags=[], traps=[])
+    return ctx.to_sci_string(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def exact_delta(delta) -> Fraction:

@@ -41,7 +41,10 @@ coefficient lists (written *):
                   e1! (D - e1)! (E - D)! / E!
         e1 + e2 = E - Q for Q = sum d q_d dismissed sockets, so the slack
         index D - e1 - e2 = D - E + Q does not depend on the defective
-        split: one dot product serves every split with the same (q, e1).
+        split: one dot product serves every split with the same (q, e1),
+        and the splits are first summed as small integers keyed by (e1, i)
+        (_ClosedForms.shares). The slack residue that the dots read, D a
+        multiple of the test degrees' gcd, is computed once per q.
     DD, items: i_d certified, j_d missed, k_d covered, q_d dismissed;
         tests: c_d certifying, o_d ordinary positive. With B = sum c_d,
         W = sum d (i_d + j_d) - B defective sockets at ordinary tests,
@@ -85,11 +88,12 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
-from .combinatorics import DEFAULT_DECIMAL_DIGITS, binomial, exact_delta, multinomial, to_decimal
+from .combinatorics import DEFAULT_DECIMAL_DIGITS, binomial, exact_delta, to_decimal
 from .ensemble import EnsembleSpec, spec_hash
 from .errors import refuse_over_limit
-# No table builder multiplies polynomials; these names stay importable here
-# because perfbench/layers.py rebinds them on this module to trace that layer.
+# No table builder multiplies polynomials or calls multinomial; these names stay
+# importable here because perfbench/layers.py rebinds them on this module to trace those layers.
+from .combinatorics import multinomial  # noqa: F401
 from .polynomial import poly_add, poly_mul, poly_pow, poly_product_of_powers  # noqa: F401
 
 __all__ = [
@@ -224,6 +228,19 @@ class _ClosedForms:
         """[s^y] ((1 + s)^d - s^d)^q = S_d(q, d q - y) for y = 0, ..., (d - 1) q."""
         return self.powers(d, q)[::-1][: (d - 1) * q + 1]
 
+    def shares(self, degrees, tops, scale: int = 1) -> dict[int, dict[int, int]]:
+        """{sum d v_d: {sum v_d: scale prod C(top_d, v_d)}} over every 0 <= v_d <= top_d, convolved class by class."""
+        out = {0: {0: scale}}
+        for d, top in zip(degrees, tops):
+            grown: dict[int, dict[int, int]] = {}
+            for t, x in enumerate(self.choose(top)):
+                for e, by_v in out.items():
+                    into = grown.setdefault(e + d * t, {})
+                    for v, w in by_v.items():
+                        into[v + t] = into.get(v + t, 0) + w * x
+            out = grown
+        return out
+
     def dd_row(self, d: int, o: int, a: int, step: int) -> list[int]:
         """[x1^W x2^a x4^c] O^o with W = d o - a - c, for c = 0, step, 2 step, ..., d o - a.
 
@@ -282,8 +299,8 @@ class _ClosedForms:
 # ---------------------------------------------------------------------------
 
 # Seconds per table unit, alpha + beta w^2 for w = ceil(bits(E!) / 64): a unit
-# multiplies integers that grow with E!. One 2-vCPU x86_64 host; BENCH_19.json.
-_UNIT_SECONDS = {Algorithm.COMP: (1.57e-6, 2.57e-10), Algorithm.DD: (1.61e-7, 1.25e-10)}
+# multiplies integers that grow with E!. One 2-vCPU x86_64 host; BENCH_20.json.
+_UNIT_SECONDS = {Algorithm.COMP: (6.31e-7, 1.77e-10), Algorithm.DD: (1.29e-7, 1.43e-10)}
 
 
 def _pair_sum(classes) -> int:
@@ -294,8 +311,9 @@ def _pair_sum(classes) -> int:
 def _table_units(spec: EnsembleSpec, algorithm: Algorithm) -> int:
     """The builder's inner-loop steps in closed form: per loop, outer iterations x mean inner length.
 
-    COMP: compositions, slack dot products per (dismissed, e1), spreads per
-    test split. DD: (B, J) pairs per composition, H_o rows (dd_row's p x K;
+    COMP: compositions (at most one (e1, i) entry each), slack dot products
+    per (dismissed, e1), and spread entries per test split, three big
+    products each. DD: (B, J) pairs per composition, H_o rows (dd_row's p x K;
     several classes convolve over a1 x K), and a fixed cost per composition
     and per H_o read.
     """
@@ -306,7 +324,7 @@ def _table_units(spec: EnsembleSpec, algorithm: Algorithm) -> int:
         dots = min(compositions, math.prod(c + 1 for _, c in items) * (edges // (2 * step) + 1))
         slack = sum((d - 1) * c for d, c in items) // (3 * math.gcd(*(d for d, _ in tests))) + 1
         spreads = math.prod(c + 1 for _, c in tests) * (edges // 2 + 1)
-        return compositions * len(items) + dots * slack + spreads
+        return compositions + dots * slack + 3 * spreads
     certifying = min(spec.m + 1, sum((d - 1) * c for d, c in items) // (3 * max(tests[0][0] - 1, 1)) + 1)
     missed = min(math.prod(c // 3 + 1 for _, c in items), sum(d * c for d, c in items) // (3 * step) + 1)
     rows = sum((d - 1) ** 2 * c**3 * (c + 4) // 24 for d, c in tests) // step
@@ -335,6 +353,18 @@ def _convolve(lists) -> list[int]:
     return out
 
 
+def _residue(lists, start: int, step: int) -> list[int]:
+    """Entries start, start + step, start + 2 step, ... of _convolve(lists), for 0 <= start < step."""
+    *head, last = lists
+    full = _convolve(head)
+    out = [0] * ((len(full) + len(last) - 1 - start + step - 1) // step)
+    for s, x in enumerate(full):
+        t0 = (start - s) % step  # s + t0 = start (mod step), and so s + t0 >= start
+        for k, t in enumerate(range(t0, len(last), step), (s + t0 - start) // step):
+            out[k] += x * last[t]
+    return out
+
+
 def _splits(counts) -> Iterator[tuple[int, ...]]:
     """Every vector v with 0 <= v[c] <= counts[c]."""
     return product(*(range(c + 1) for c in counts))
@@ -352,9 +382,7 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int
     by_e1: dict[int, list[int]] = {}
     for split in _splits(test_counts):
         sockets = sum(d * b for d, b in zip(test_degrees, split))
-        weight = fact[edges - sockets]
-        for count, b in zip(test_counts, split):
-            weight *= choose(count)[b]
+        weight = math.prod(choose(count)[b] for count, b in zip(test_counts, split)) * fact[edges - sockets]
         spread = _convolve(forms.powers(d, b) for d, b in zip(test_degrees, split))
         for e1, t in enumerate(spread):
             if t:
@@ -364,20 +392,16 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int
     for dismissed in _splits(counts):
         shift = edges - sum(d * q for d, q in zip(degrees, dismissed))
         first = -(-shift // step)  # the least D / step with y = D - shift >= 0
-        slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
-        slack = slack[first * step - shift :: step]
-        dots: dict[int, int] = {}
-        for defective in _splits([c - q for c, q in zip(counts, dismissed)]):
-            e1 = sum(d * c for d, c in zip(degrees, defective))
-            dot = dots.get(e1)
-            if dot is None:
-                row = by_e1.get(e1)
-                dot = dots[e1] = sum(map(mul, islice(row, first, None), slack)) if row else 0
+        slack = _residue([forms.slack_powers(d, q) for d, q in zip(degrees, dismissed)], first * step - shift, step)
+        # Every defective split: {e1: {i: prod C(c_d, q_d) C(c_d - q_d, i_d)}}.
+        picked = math.prod(choose(c)[q] for c, q in zip(counts, dismissed))
+        left = spec.n - sum(dismissed)
+        for e1, by_i in forms.shares(degrees, [c - q for c, q in zip(counts, dismissed)], picked).items():
+            row = by_e1.get(e1)
+            dot = sum(map(mul, islice(row, first, None), slack)) if row else 0
             if dot:
-                for c, q, i_d in zip(counts, dismissed, defective):
-                    dot *= choose(c)[q] * choose(c - q)[i_d]
-                i = sum(defective)
-                values[(i, spec.n - sum(dismissed) - i)] += dot
+                for i, w in by_i.items():
+                    values[(i, left - i)] += w * dot
     return values
 
 
@@ -392,7 +416,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
     # each count r_d of the two per class the j-splits are tallied by J once.
     degrees, counts = zip(*sorted(spec.left_counts().items()))
     test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
-    fact, edges = forms.fact, spec.edge_count
+    fact, edges, choose = forms.fact, spec.edge_count, forms.choose
     step = math.gcd(*degrees)  # K and J are multiples of it
     by_b: dict[int, list] = {}
     for certifying in _splits(test_counts):
@@ -401,9 +425,10 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
         for positive in _splits([count - c for count, c in zip(test_counts, certifying)]):
             classes = tuple((d, o) for d, o in zip(test_degrees, positive) if o)
             sockets = sum(d * o for d, o in classes)
-            weight = fact[b] * fact[edges - sockets - b - dismissed_edges]
-            for d, count, c, o in zip(test_degrees, test_counts, certifying, positive):
-                weight *= multinomial(count, (c, o, count - c - o)) * d**c
+            weight = math.prod(
+                choose(count)[c] * choose(count - c)[o] * d**c
+                for d, count, c, o in zip(test_degrees, test_counts, certifying, positive)
+            ) * fact[b] * fact[edges - sockets - b - dismissed_edges]
             by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, classes))
     # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
     missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
@@ -412,6 +437,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
     for dismissed in _splits(counts):
         free = edges - sum(d * q for d, q in zip(degrees, dismissed))
         slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
+        picked = math.prod(choose(c)[q] for c, q in zip(counts, dismissed))
         # by_k[B][K / step] = W! K! sum pre H(W, E2) over the tests with B certifying.
         by_k: dict[int, list[int]] = {}
         for b, entries in by_b.items():
@@ -432,28 +458,19 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
         for certified in _splits([c - q for c, q in zip(counts, dismissed)]):
             spread = spreads.get(certified)
             if spread is None:
-                spread = _convolve(forms.powers(d, i) for d, i in zip(degrees, certified))
-                spreads[certified] = spread
+                spread = spreads[certified] = _convolve(forms.powers(d, i) for d, i in zip(degrees, certified))
             rest = tuple(c - i_d - q for c, i_d, q in zip(counts, certified, dismissed))
             r_deg = sum(d * r for d, r in zip(degrees, rest))
             splits = missed_splits.get(rest)
             if splits is None:
-                splits = missed_splits[rest] = {}
-                for missed in _splits(rest):
-                    weight = 1
-                    for r, j_d in zip(rest, missed):
-                        weight *= forms.choose(r)[j_d]
-                    by_j = splits.setdefault(sum(d * j for d, j in zip(degrees, missed)), {})
-                    by_j[sum(missed)] = by_j.get(sum(missed), 0) + weight
+                splits = missed_splits[rest] = forms.shares(degrees, rest)
             acc = dict.fromkeys(splits, 0)
             for b, row in by_k.items():
                 x = spread[b] if b < len(spread) else 0
                 if x:
                     for j_deg in acc:
                         acc[j_deg] += x * row[(r_deg - j_deg) // step]
-            base = 1
-            for c, i_d, r, q in zip(counts, certified, rest, dismissed):
-                base *= multinomial(c, (i_d, r, q))
+            base = picked * math.prod(choose(c - q)[i_d] for c, q, i_d in zip(counts, dismissed, certified))
             i = sum(certified)
             for j_deg, total in acc.items():
                 if total:

@@ -36,11 +36,14 @@ CASE_STUDY_DIGESTS = {
 }
 
 
-# Same digests for the irregular family lambda = {2: 1/2, 4: 1/2}, rho = {6: 1}:
-# COMP at n = 30 and DD at n = 12.
+# Same digests for the irregular family lambda = {2: 1/2, 4: 1/2}, rho = {6: 1},
+# both decoders at n = 12 and n = 30. COMP at 12 and DD at 30 were recorded at
+# dce2beb, before the class-table builders took small-integer weights.
 IRREGULAR_DIGESTS = {
+    (12, Algorithm.COMP): "7271bb3de9ce3b9e585ba13f6297536fc44969be16c1a939e2dc63207f82e2b2",
     (30, Algorithm.COMP): "e9d4e0c7bdb287279c31448c2aeaa0ebd06d4b4b7a9d595a6b89ab738e276091",
     (12, Algorithm.DD): "c22d340f9e7804bd4606c76d714836b5792accb4393d0988fdb862405e15530f",
+    (30, Algorithm.DD): "2ad1a623d2e8fd033f1101c92a637b21051a3954e26f021ddedc2ff7b87c6ef3",
 }
 # Same digests for (60,3,6), twice the case study.
 DOUBLED_DIGESTS = {

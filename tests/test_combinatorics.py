@@ -1,5 +1,6 @@
+import io
 import math
-from decimal import Decimal
+from decimal import ROUND_DOWN, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from poolgraph.combinatorics import binomial, exact_delta, multinomial, to_decimal
+from poolgraph.detection import Algorithm
+from poolgraph.ensemble import regular_spec
+from poolgraph.enumerator import build_table, write_table_csv
 
 
 def pascal_rows(count):
@@ -102,6 +106,27 @@ def test_to_decimal_basics():
 def test_to_decimal_small_values_use_exponent():
     rendered = to_decimal(Fraction(1, 10**20))
     assert Decimal(rendered) == Decimal(1).scaleb(-20)
+
+
+def test_rendering_ignores_the_callers_decimal_context():
+    values = [Fraction(2, 3), Fraction(-1, 3), Fraction(1, 10**20), Fraction(10**40, 3), Fraction(1, 8)]
+    table = build_table(regular_spec(6, 2, 3), Algorithm.COMP)
+
+    def render():
+        csv_text = io.StringIO()
+        write_table_csv(table, csv_text)
+        return [to_decimal(v) for v in values], csv_text.getvalue()
+
+    expected = render()
+    assert expected[0][:4] == ["0.666666666667", "-0.333333333333", "1E-20", "3.33333333333E+39"]
+    with localcontext() as ambient:
+        ambient.rounding, ambient.capitals, ambient.Emin = ROUND_DOWN, 0, -5
+        ambient.traps[Inexact] = True
+        settings = (ambient.prec, ambient.rounding, ambient.Emin, ambient.Emax, ambient.capitals, ambient.clamp)
+        traps, flags = dict(ambient.traps), dict(ambient.flags)
+        assert render() == expected
+        assert (ambient.prec, ambient.rounding, ambient.Emin, ambient.Emax, ambient.capitals, ambient.clamp) == settings
+        assert dict(ambient.traps) == traps and dict(ambient.flags) == flags
 
 
 @given(st.fractions(min_value=Fraction(-100), max_value=Fraction(100)))

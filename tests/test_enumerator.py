@@ -244,6 +244,17 @@ def two_by_two_spec():
     )
 
 
+def counted_spec(items, tests):
+    # A spec from {degree: node count} on each side.
+    n, m = sum(items.values()), sum(tests.values())
+    return EnsembleSpec(
+        n=n,
+        m=m,
+        left=DegreeDistribution.from_dict({d: Fraction(c, n) for d, c in items.items()}),
+        right=DegreeDistribution.from_dict({d: Fraction(c, m) for d, c in tests.items()}),
+    )
+
+
 def one_test_degree_spec():
     # Two item degrees, one test degree: lambda = {1: 1/2, 3: 1/2}, rho = {4: 1}.
     return EnsembleSpec(
@@ -301,6 +312,12 @@ def small_irregular_specs(draw):
 @example(regular_spec(6, 2, 3), Algorithm.DD)
 @example(one_test_degree_spec(), Algorithm.COMP)
 @example(one_test_degree_spec(), Algorithm.DD)
+# Three item degrees against tests all of degree 3 (D and the slack read in
+# steps of 3), and against tests of degrees 2 and 4 (steps of 2).
+@example(counted_spec({1: 1, 2: 1, 3: 3}, {3: 4}), Algorithm.COMP)
+@example(counted_spec({1: 1, 2: 1, 3: 3}, {3: 4}), Algorithm.DD)
+@example(counted_spec({1: 2, 2: 1, 3: 2}, {2: 1, 4: 2}), Algorithm.COMP)
+@example(counted_spec({1: 2, 2: 1, 3: 2}, {2: 1, 4: 2}), Algorithm.DD)
 def test_degree_class_route_matches_multiplied_out_generating_functions(spec, algorithm):
     assert build_table(spec, algorithm).values == reference_table(spec, algorithm)
 
@@ -333,10 +350,11 @@ def test_table_units_follow_the_builders_loops():
         left=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
         right=DegreeDistribution.regular(6),
     )
-    # COMP: 2 x 136^2 compositions of two item classes of 15, dots = 16^2
-    # dismissed vectors x (90 / 4 + 1) e1 values, each 60 / 18 + 1 slack
-    # entries long, and 16 test splits x (90 / 2 + 1) spread entries.
-    assert _table_units(n30, Algorithm.COMP) == 2 * 136**2 + 256 * 23 * 4 + 16 * 46
+    # COMP: 136^2 compositions of two item classes of 15, one (e1, i) entry
+    # each; dots = 16^2 dismissed vectors x (90 / 4 + 1) e1 values, each
+    # 60 / 18 + 1 slack entries long; and 16 test splits x (90 / 2 + 1) spread
+    # entries, three big products each.
+    assert _table_units(n30, Algorithm.COMP) == 136**2 + 256 * 23 * 4 + 3 * 16 * 46
     # DD: (certified B, missed J) pairs, 136^2 x 5 x 16 x 2 / 3; dd_row's
     # 25 x 15^3 x 19 / 24 / 2; 50 per composition and 200 per H_o read, 16 x 46 of them.
     assert _table_units(n30, Algorithm.DD) == (
@@ -378,9 +396,9 @@ def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
         assert _predicted_seconds(spec, algorithm) > LIMIT_SECONDS
         with pytest.raises(SizeLimitError, match="predicted to take .* s, over the limit of 600 s$"):
             build_table(spec, algorithm)
-    # Regular tables are refused from about n = 720 under COMP and n = 300 under DD.
-    assert _predicted_seconds(regular_spec(720, 3, 6), Algorithm.COMP) > LIMIT_SECONDS
-    assert _predicted_seconds(regular_spec(300, 3, 6), Algorithm.DD) > LIMIT_SECONDS
+    # Regular tables are refused from n = 766 under COMP and n = 294 under DD.
+    assert _predicted_seconds(regular_spec(766, 3, 6), Algorithm.COMP) > LIMIT_SECONDS
+    assert _predicted_seconds(regular_spec(294, 3, 6), Algorithm.DD) > LIMIT_SECONDS
 
 
 def test_build_table_is_cached():
