@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from fractions import Fraction
 from typing import ContextManager, Optional, Sequence, TextIO
@@ -54,10 +55,12 @@ def _parse_delta_grid(text: str) -> list[Fraction]:
             raise ValidationError("grid step must be positive")
         if start > stop:
             raise ValidationError("grid start must not exceed stop")
-        count = (stop - start) // step + 1
-        if count > _GRID_LIMIT:
-            raise SizeLimitError(f"delta grid has {count} points, over the limit of {_GRID_LIMIT}")
-        return [start + k * step for k in range(count)]
+        den = math.lcm(start.denominator, stop.denominator, step.denominator)
+        first, last, stride = (den // x.denominator * x.numerator for x in (start, stop, step))
+        points = range(first, last + 1, stride)
+        if len(points) > _GRID_LIMIT:
+            raise SizeLimitError(f"delta grid has {len(points)} points, over the limit of {_GRID_LIMIT}")
+        return [Fraction(x, den) for x in points]
     return [_fraction(p) for p in text.split(",")]
 
 

@@ -69,8 +69,13 @@ lowest terms only when the CSV writer prints it. The tests check every cell
 against multiplied-out generating functions and the brute-force oracle.
 Tables for the same spec are cached, and each table keeps its
 delta-independent row weights, so probability evaluations over a delta grid
-pay for enumeration and weights once. A build predicted (_table_units, one
-term per loop) to take over errors.LIMIT_SECONDS is refused before it starts.
+pay for enumeration and weights once. A probability is a Horner evaluation
+in delta = p / q over the integer row weights, reduced once per delta, and
+rendering reuses one fixed decimal context per precision: the benchmark's
+two cached (30,3,6) `analyze` calls take 7.1 ms, down from 11.3, and a cached
+(240,3,6) COMP one 37 ms, down from 91 (100 deltas; BENCH_21.json). A build
+predicted (_table_units, one term per loop) to take over errors.LIMIT_SECONDS
+is refused before it starts.
 """
 
 from __future__ import annotations
@@ -500,13 +505,16 @@ def _require_complete(table: EnumeratorTable) -> None:
 
 
 def _error_probability(table: EnumeratorTable, delta) -> Fraction:
-    # sum_a w_a delta^a (1 - delta)^(n - a); with delta = p / q every term
-    # shares the denominator q^n, so the sum is reduced once.
+    # sum_a w_a delta^a (1 - delta)^(n - a) over q^n for delta = p / q, reduced once:
+    # Horner's rule in p from a = n down, with a running power of q - p.
     numerators, den = table.error_weights
     d = exact_delta(delta)
-    p, q, n = d.numerator, d.denominator, table.spec.n
-    total = sum(w * p**a * (q - p) ** (n - a) for a, w in enumerate(numerators) if w)
-    return Fraction(total, den * q**n)
+    p, q = d.numerator, d.denominator
+    total, power = numerators[-1], 1
+    for w in numerators[-2::-1]:
+        power *= q - p
+        total = total * p + w * power
+    return Fraction(total, den * q ** table.spec.n)
 
 
 def fa_probability(table: EnumeratorTable, delta) -> Fraction:

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from poolgraph.cli import _GRID_LIMIT, _PRECISION_LIMIT, _parse_delta_grid, main
 from poolgraph.errors import SizeLimitError
@@ -84,6 +86,20 @@ def test_delta_grid_limit_is_inclusive():
     assert grid[0] == 0 and grid[-1] == 1 and grid[1] == step
     with pytest.raises(SizeLimitError):
         _parse_delta_grid(f"0:1:1/{_GRID_LIMIT}")
+
+
+@given(
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=2, max_denominator=10**6),
+    st.data(),
+)
+def test_delta_grid_is_start_plus_k_steps(start, step, data):
+    count = data.draw(st.integers(1, _GRID_LIMIT))
+    # Any stop at or past the last point and short of the next gives the same grid.
+    stop = start + (count - 1 + data.draw(st.fractions(min_value=0, max_value=1, max_denominator=1000))) * step
+    assume(stop < start + count * step)
+    assert (stop - start) // step + 1 == count
+    assert _parse_delta_grid(f"{start}:{stop}:{step}") == [start + k * step for k in range(count)]
 
 
 def test_analyze_comma_list_and_precision(capsys):

@@ -1,6 +1,6 @@
 import io
 import math
-from decimal import ROUND_DOWN, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
@@ -127,6 +127,19 @@ def test_rendering_ignores_the_callers_decimal_context():
         assert render() == expected
         assert (ambient.prec, ambient.rounding, ambient.Emin, ambient.Emax, ambient.capitals, ambient.clamp) == settings
         assert dict(ambient.traps) == traps and dict(ambient.flags) == flags
+
+
+big = st.integers(-(10**500) + 1, 10**500 - 1)
+
+
+@given(st.lists(st.tuples(big, big.filter(bool), st.integers(1, 60)), min_size=1, max_size=6))
+def test_to_decimal_is_a_division_in_a_fresh_context(calls):
+    # Calls at different precisions interleave, so a reused context must not carry state between them.
+    values = [(Fraction(p, q), digits) for p, q, digits in calls]
+    rendered = [to_decimal(value, digits) for value, digits in values]
+    for (value, digits), text in zip(values, rendered):
+        ctx = Context(digits, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, capitals=1, clamp=0, flags=[], traps=[])
+        assert text == ctx.to_sci_string(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 @given(st.fractions(min_value=Fraction(-100), max_value=Fraction(100)))

@@ -429,6 +429,24 @@ def test_md_probability_half_anchor():
     assert md_probability(table, 1) == 1
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    small_irregular_specs(),
+    st.sampled_from(list(Algorithm)),
+    st.one_of(st.fractions(min_value=0, max_value=1), st.sampled_from([0, 1, "2/4"])),
+)
+@example(regular_spec(12, 3, 6), Algorithm.COMP, Fraction(1, 7))
+@example(regular_spec(12, 3, 6), Algorithm.DD, "2/4")
+def test_error_probability_is_the_direct_sum_over_row_weights(spec, algorithm, delta):
+    # The Horner evaluation against sum_a Fraction(w_a, den) delta^a (1 - delta)^(n - a), term by term.
+    table = build_table(spec, algorithm)
+    weights, den = table.error_weights
+    d, n = Fraction(delta), spec.n
+    direct = sum(Fraction(w, den) * d**a * (1 - d) ** (n - a) for a, w in enumerate(weights))
+    prob = fa_probability if algorithm is Algorithm.COMP else md_probability
+    assert prob(table, delta) == direct
+
+
 def test_probability_rejects_wrong_algorithm():
     comp = build_table(regular_spec(4, 1, 2), Algorithm.COMP)
     dd = build_table(regular_spec(4, 1, 2), Algorithm.DD)
