@@ -18,15 +18,14 @@ in `enumerator`); simulate and verify import montecarlo and oracle on use.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 from fractions import Fraction
-from typing import ContextManager, Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 from . import __version__
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, exact_delta, to_decimal
-from .ensemble import EnsembleSpec, load_spec, regular_spec, spec_hash
+from .ensemble import EnsembleSpec, load_spec, open_output, regular_spec, write_csv
 from .enumerator import Algorithm, build_table, fa_probability, md_probability, write_table_csv
 from .errors import SizeLimitError, ValidationError
 
@@ -122,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The checked command line, with --spec/--regular resolved to `spec` and the deltas to `deltas`."""
+    """The checked command line: --spec/--regular resolved to `spec`, the deltas to `deltas`, a missing --out to stdout."""
     args = build_parser().parse_args(argv)
+    args.out = sys.stdout if args.out is None else args.out
     args.spec = load_spec(args.spec) if args.spec else _parse_regular(args.regular)
     if args.command in ("analyze", "simulate"):
         deltas = [_fraction(args.delta)] if args.delta is not None else _parse_delta_grid(args.delta_grid)
@@ -136,16 +136,9 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
-def _output(args: argparse.Namespace) -> ContextManager[TextIO]:
-    """The --out file opened for writing, or stdout, which the `with` leaves open."""
-    if args.out is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(args.out, "w", encoding="utf-8", newline="")
-
-
 def _row_sum_check(table) -> bool:
     """sum_j A_{a,j} = C(n, a) for every a; reports one line on stderr."""
-    bad = table.bad_rows()
+    bad = table.bad_rows
     if bad:
         print(f"row-sum self-check: FAIL at a={bad}", file=sys.stderr)
         return False
@@ -155,8 +148,7 @@ def _row_sum_check(table) -> bool:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     table = build_table(args.spec, args.algorithm)
-    with _output(args) as out:
-        write_table_csv(table, out, precision=args.precision)
+    write_table_csv(table, args.out, precision=args.precision)
     return 0 if _row_sum_check(table) else 1
 
 
@@ -177,14 +169,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     values = _exact_values(args)
     if values is None:
         return 1
-    with _output(args) as out:
-        out.write(f"# spec_hash={spec_hash(args.spec)} algorithm={args.algorithm.value}\n")
-        out.write("delta,numerator,denominator,decimal\n")
-        for delta, value in zip(args.deltas, values):
-            out.write(
-                f"{delta},{value.numerator},{value.denominator},"
-                f"{to_decimal(value, args.precision)}\n"
-            )
+    rows = (
+        (delta, value.numerator, value.denominator, to_decimal(value, args.precision))
+        for delta, value in zip(args.deltas, values)
+    )
+    write_csv(args.out, args.spec, {"algorithm": args.algorithm.value}, "delta,numerator,denominator,decimal", rows)
     return 0
 
 
@@ -218,8 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             args.seed,
             workers=args.workers,
         )
-    with _output(args) as out:
-        write_trials_csv(reports, out, analytic, precision=args.precision)
+    write_trials_csv(reports, args.out, analytic, precision=args.precision)
     return 0
 
 
@@ -234,7 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = exact_enumerators(args.spec, args.algorithm)
     oracle, table = report.table, build_table(args.spec, args.algorithm)
     failures = 0
-    with _output(args) as out:
+    with open_output(args.out) as out:
         for key in sorted(table.counts):
             actual, expected = table.counts[key], oracle.counts[key]
             if actual * oracle.denominator != expected * table.denominator:

@@ -52,8 +52,7 @@ def to_decimal(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     step in the package and exists purely for CSV/display output. The reduced
     Fraction's integer numerator is divided by its denominator in one fixed
     context per precision, built once and reused, never the caller's: the
-    ambient decimal context changes no byte. The 100 values of a cached
-    (240,3,6) `analyze` (37 ms in all) render in about 2 ms.
+    ambient decimal context changes no byte.
     """
     ctx = _context(digits)
     if not value.numerator:

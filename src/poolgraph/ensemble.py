@@ -1,4 +1,4 @@
-"""Pooling-graph ensembles: degree distributions, specs, sampling, enumeration.
+"""Pooling-graph ensembles: degree distributions, specs, sampling, enumeration, CSV output.
 
 A pooling design is a bipartite multigraph between n items (left) and m
 tests (right). The ensemble fixes both degree distributions and puts the
@@ -17,6 +17,7 @@ index), so a (spec, seed) pair pins down the sampled graph completely.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Union
+from typing import ContextManager, Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 from .errors import ValidationError, refuse_over_limit
 
@@ -344,3 +345,26 @@ def spec_hash(spec: EnsembleSpec) -> str:
     """Short stable digest of the canonical spec JSON, for output headers."""
     canonical = json.dumps(spec_to_jsonable(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:12]
+
+
+def open_output(out: Union[str, Path, TextIO]) -> ContextManager[TextIO]:
+    """A path opened for writing, which the `with` closes, or an open stream, which it leaves open."""
+    if isinstance(out, (str, Path)):
+        return open(out, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(out)
+
+
+def write_csv(out, spec: Optional[EnsembleSpec], header: Mapping[str, object], columns: str, rows: Iterable) -> None:
+    """Every CSV the package writes: a `#` line of the spec hash and the header's key=value pairs, columns, rows.
+
+    Without a spec there is no `#` line. Each row is a tuple with one field
+    per column, written as its str(); no field holds a comma, quote or line
+    break, so none is quoted, and str(float) is repr(float).
+    """
+    line = ",".join(["%s"] * (columns.count(",") + 1)) + "\n"
+    with open_output(out) as fh:
+        if spec is not None:
+            fh.write(" ".join([f"# spec_hash={spec_hash(spec)}", *(f"{k}={v}" for k, v in header.items())]) + "\n")
+        fh.write(columns + "\n")
+        for row in rows:
+            fh.write(line % row)

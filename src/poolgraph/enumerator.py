@@ -7,9 +7,9 @@ recovered by coefficient extraction from powers of small generating
 polynomials (the configuration-model generating-function method of Di,
 Proietti, Telatar, Richardson and Urbanke, IEEE T-IT 2002): one polynomial
 encodes how test sockets split across edge classes, one encodes how item
-sockets do, and a multinomial counts the socket pairings consistent with
-both. Everything is exact; the only floats anywhere are in the CSV decimal
-column.
+sockets do, and factorials over E! count the socket pairings consistent
+with both. Everything is exact; the only floats anywhere are in the CSV
+decimal column.
 
 Row sums obey sum_j A_{a,j} = C(n, a): every defective set realizes exactly
 one error count per matching. This identity is the cheap self-check used
@@ -67,22 +67,18 @@ table keeps exactly those integers and that one denominator: the row-sum
 check and the row weights are integer arithmetic, and a cell is reduced to
 lowest terms only when the CSV writer prints it. The tests check every cell
 against multiplied-out generating functions and the brute-force oracle.
-Tables for the same spec are cached, and each table keeps its
-delta-independent row weights, so probability evaluations over a delta grid
-pay for enumeration and weights once. A probability is a Horner evaluation
-in delta = p / q over the integer row weights, reduced once per delta, and
-rendering reuses one fixed decimal context per precision: the benchmark's
-two cached (30,3,6) `analyze` calls take 7.1 ms, down from 11.3, and a cached
-(240,3,6) COMP one 37 ms, down from 91 (100 deltas; BENCH_21.json). A build
-predicted (_table_units, one term per loop) to take over errors.LIMIT_SECONDS
-is refused before it starts.
+Tables for the same spec are cached, and each table keeps its row-sum
+check and its delta-independent row weights, so probability evaluations
+over a delta grid pay for enumeration, check and weights once. A
+probability is a Horner evaluation in delta = p / q over the integer row
+weights, reduced once per delta, and rendering reuses one fixed decimal
+context per precision. A build predicted (_table_units, one term per loop)
+to take over errors.LIMIT_SECONDS is refused before it starts.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,10 +87,10 @@ from itertools import accumulate, islice, product
 from operator import mul
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, TextIO, Union
 
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, binomial, exact_delta, to_decimal
-from .ensemble import EnsembleSpec, spec_hash
+from .ensemble import EnsembleSpec, write_csv
 from .errors import refuse_over_limit
 # No table builder multiplies polynomials or calls multinomial; these names stay
 # importable here because perfbench/layers.py rebinds them on this module to trace those layers.
@@ -138,6 +134,7 @@ class EnumeratorTable:
         den = self.denominator
         return MappingProxyType({key: Fraction(count, den) for key, count in self.counts.items()})
 
+    @cached_property
     def bad_rows(self) -> list[int]:
         """Every a whose row breaks sum_j counts[(a, j)] = C(n, a) * denominator; empty for a sound table."""
         sums: dict[int, int] = {}
@@ -532,24 +529,15 @@ def md_probability(table: EnumeratorTable, delta) -> Fraction:
 
 
 def write_table_csv(
-    table: EnumeratorTable, out: Union[str, Path, io.TextIOBase], precision: int = DEFAULT_DECIMAL_DIGITS
+    table: EnumeratorTable, out: Union[str, Path, TextIO], precision: int = DEFAULT_DECIMAL_DIGITS
 ) -> None:
     """CSV rows (a, j, numerator, denominator, decimal) with a spec-hash comment line."""
     _require_complete(table)
 
-    def _write(fh) -> None:
-        fh.write(
-            f"# spec_hash={spec_hash(table.spec)} algorithm={table.algorithm.value} "
-            f"source={table.source}\n"
-        )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["a", "j", "numerator", "denominator", "decimal"])
+    def rows():
         for (a, j) in sorted(table.counts):
             value = Fraction(table.counts[(a, j)], table.denominator)
-            writer.writerow([a, j, value.numerator, value.denominator, to_decimal(value, precision)])
+            yield a, j, value.numerator, value.denominator, to_decimal(value, precision)
 
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(out)
+    header = {"algorithm": table.algorithm.value, "source": table.source}
+    write_csv(out, table.spec, header, "a,j,numerator,denominator,decimal", rows())

@@ -45,7 +45,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,7 +53,7 @@ from .combinatorics import DEFAULT_DECIMAL_DIGITS, exact_delta, to_decimal
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, wrong_items
 # perfbench/layers.py rebinds these names here to trace them; no package path calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
-from .ensemble import EnsembleSpec, sample_graph, spec_hash
+from .ensemble import EnsembleSpec, sample_graph, write_csv
 from .errors import refuse_over_limit
 
 __all__ = ["RNG_SCHEME", "TrialReport", "derive_seed", "simulate", "sweep", "write_trials_csv"]
@@ -339,40 +338,15 @@ def write_trials_csv(
     rows = list(reports)
     if analytic is not None and len(analytic) != len(rows):
         raise ValueError("analytic values must align one-to-one with reports")
-
-    def _write(fh) -> None:
-        if rows:
-            fh.write(f"# spec_hash={spec_hash(rows[0].spec)} rng={rows[0].rng}\n")
-        fh.write(
-            "delta,algorithm,n,m,graphs,patterns,far_mean,far_stderr,"
-            "mdr_mean,mdr_stderr,analytic_value,seed,far_graph_stderr,mdr_graph_stderr\n"
-        )
-        for index, report in enumerate(rows):
-            exact = analytic[index] if analytic is not None else None
-            fh.write(
-                ",".join(
-                    [
-                        str(report.delta),
-                        report.algorithm.value,
-                        str(report.spec.n),
-                        str(report.spec.m),
-                        str(report.graphs),
-                        str(report.patterns_per_graph),
-                        repr(report.far_mean),
-                        repr(report.far_stderr),
-                        repr(report.mdr_mean),
-                        repr(report.mdr_stderr),
-                        "" if exact is None else to_decimal(exact, precision),
-                        str(report.seed),
-                        repr(report.far_graph_stderr),
-                        repr(report.mdr_graph_stderr),
-                    ]
-                )
-                + "\n"
-            )
-
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(out)
+    spec, header = (rows[0].spec, {"rng": rows[0].rng}) if rows else (None, {})
+    columns = (
+        "delta,algorithm,n,m,graphs,patterns,far_mean,far_stderr,"
+        "mdr_mean,mdr_stderr,analytic_value,seed,far_graph_stderr,mdr_graph_stderr"
+    )
+    write_csv(out, spec, header, columns, (
+        (r.delta, r.algorithm.value, r.spec.n, r.spec.m, r.graphs, r.patterns_per_graph,
+         r.far_mean, r.far_stderr, r.mdr_mean, r.mdr_stderr,
+         "" if value is None else to_decimal(value, precision),
+         r.seed, r.far_graph_stderr, r.mdr_graph_stderr)
+        for r, value in zip(rows, analytic or [None] * len(rows))
+    ))

@@ -195,7 +195,7 @@ def test_row_sums_at_case_study_scale():
             table = build_table(spec, algorithm)
             if table.denominator != math.factorial(spec.edge_count):
                 bad.append((spec.n, algorithm.value, "denominator"))
-            bad += [(spec.n, algorithm.value, a) for a in table.bad_rows()]
+            bad += [(spec.n, algorithm.value, a) for a in table.bad_rows]
             if _csv_digest(table) != digests[algorithm]:
                 bad.append((spec.n, algorithm.value, "csv digest"))
     elapsed = time.monotonic() - t0

@@ -3,29 +3,40 @@
 A rename or deletion in src/ of a name it rebinds would break every traced
 benchmark run; this test makes it fail the ordinary test suite instead. Its
 callbacks also read attributes of what the traced calls return (a table's
-cells, an oracle report's matchings), so one traced analyze and one traced
-verify run here too. It only reads files under perfbench/.
+cells, an oracle report's matchings, a sweep's grid and sizes), so one
+traced analyze, one traced verify and one traced sweep run here too, the
+sweep and its trials CSV called as perfbench/workloads.py calls them. It
+only reads files under perfbench/.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_benchmark_names_install_and_restore(monkeypatch, capsys):
+def test_traced_benchmark_names_install_and_restore(monkeypatch, capsys, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     from tracer import Tracer
 
-    from poolgraph import cli
+    from poolgraph import cli, montecarlo
+    from poolgraph.detection import Algorithm
+    from poolgraph.ensemble import regular_spec
 
     main = cli.main
     tracer = Tracer()
+    trials = tmp_path / "trials.csv"
     try:
         layers.install(tracer)
         assert cli.main is not main
         assert cli.main(["analyze", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2"]) == 0
         assert cli.main(["verify", "--regular", "4,1,2", "--algorithm", "comp"]) == 0
+        reports = montecarlo.sweep(
+            regular_spec(4, 1, 2), Algorithm.DD, [Fraction(1, 4), Fraction(1, 2)], 2, 10, 7,
+            workers=1, keep_per_graph=True,
+        )
+        montecarlo.write_trials_csv(reports, trials)
     finally:
         tracer.restore()
     assert tracer.all_restored()
@@ -34,3 +45,6 @@ def test_traced_benchmark_names_install_and_restore(monkeypatch, capsys):
     # (4,1,2) COMP has 5 + 4 + 3 + 2 + 1 cells; verify's build is a cache hit.
     assert [a["cells"] for a in tracer.attrs("enumerator.build_table")] == [15, 0]
     assert tracer.attrs("oracle.exact_enumerators") == [{"matchings": 24}]
+    assert tracer.attrs("montecarlo.sweep") == [{"patterns": 2 * 2 * 10}]
+    assert [len(report.per_graph_rates) for report in reports] == [2, 2]
+    assert len(trials.read_text(encoding="utf-8").splitlines()) == 2 + len(reports)

@@ -370,6 +370,19 @@ def test_coupling_self_check_guards_analytic_output(argv, monkeypatch, capsys):
     assert err == "row-sum self-check: PASS (13 rows)\ncoupling self-check: FAIL at a=[5]\n"
 
 
+def test_cached_analyze_sums_no_cell_again(monkeypatch, capsys):
+    from poolgraph.enumerator import Algorithm, build_table
+
+    argv = ["analyze", "--regular", "12,3,6", "--algorithm", "comp", "--delta-grid", "1/20,1/10"]
+    first = run(argv, capsys)
+    assert first[0] == 0
+    # With the cached table's cells gone, only its kept row-sum check and
+    # row weights can serve the second call.
+    table = build_table(regular_spec(12, 3, 6), Algorithm.COMP)
+    monkeypatch.setitem(table.__dict__, "counts", {})
+    assert run(argv, capsys) == first
+
+
 def test_cli_never_fills_the_fraction_view(capsys):
     # Tables are integer counts over E!; analyze reduces no cell, and the
     # CSV writer reduces each cell as it prints it, without caching.

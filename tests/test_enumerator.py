@@ -108,12 +108,12 @@ def test_regular_row_sums(n, l, r):
         assert table.denominator == math.factorial(spec.edge_count)
         for a in range(n + 1):
             assert sum(table.values.get((a, j), 0) for j in range(n + 1)) == binomial(n, a)
-        assert table.bad_rows() == []
+        assert table.bad_rows == []
 
 
 def test_mixed_spec_row_sums():
     for algorithm in Algorithm:
-        assert build_table(mixed_spec(), algorithm).bad_rows() == []
+        assert build_table(mixed_spec(), algorithm).bad_rows == []
 
 
 def test_nonnegative_values():

@@ -162,7 +162,7 @@ def test_oracle_table_rows_sum_to_pattern_counts():
     table = report.table
     assert table.source == "oracle"
     assert table.denominator == report.matchings_enumerated
-    assert table.bad_rows() == []
+    assert table.bad_rows == []
     sums = {a: sum(v for (i, _), v in table.values.items() if i == a) for a in range(spec.n + 1)}
     assert sums == {a: binomial(spec.n, a) for a in range(spec.n + 1)}
 
