@@ -223,14 +223,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle, table = report.table, build_table(args.spec, args.algorithm)
     failures = 0
     with open_output(args.out) as out:
-        for key in sorted(table.counts):
-            actual, expected = table.counts[key], oracle.counts[key]
-            if actual * oracle.denominator != expected * table.denominator:
-                failures += 1
-                actual, expected = Fraction(actual, table.denominator), Fraction(expected, oracle.denominator)
-                print(f"({key[0]},{key[1]}) FAIL closed-form={actual} oracle={expected}", file=out)
-            else:
-                print(f"({key[0]},{key[1]}) PASS", file=out)
+        for a, (row, expected_row) in enumerate(zip(table.rows, oracle.rows)):
+            for j, (actual, expected) in enumerate(zip(row, expected_row)):
+                if actual * oracle.denominator != expected * table.denominator:
+                    failures += 1
+                    actual, expected = Fraction(actual, table.denominator), Fraction(expected, oracle.denominator)
+                    print(f"({a},{j}) FAIL closed-form={actual} oracle={expected}", file=out)
+                else:
+                    print(f"({a},{j}) PASS", file=out)
         summary = "all cells match" if not failures else f"{failures} mismatched cells"
         print(f"verify {args.algorithm.value}: {summary} over {report.matchings_enumerated} matchings", file=out)
     return 0 if not failures else 1

@@ -63,13 +63,15 @@ coefficient lists (written *):
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
 for DD. A cell is an integer N_{a,j} over the common denominator E!, and a
-table keeps exactly those integers and that one denominator: the row-sum
-check and the row weights are integer arithmetic, and a cell is reduced to
-lowest terms only when the CSV writer prints it. The tests check every cell
-against multiplied-out generating functions and the brute-force oracle.
-Tables for the same spec are cached, and each table keeps its row-sum
-check and its delta-independent row weights, so probability evaluations
-over a delta grid pay for enumeration, check and weights once. A
+table keeps exactly those integers and that one denominator, row a holding
+j = 0..e_a for the e_a items that can err (the triangle empty_rows, checked
+once when a table is made). The row-sum check and the row weights are
+integer arithmetic, and a cell is reduced to lowest terms only when the CSV
+writer prints it. The tests check every cell against multiplied-out
+generating functions and the brute-force oracle. Tables for the same spec
+are cached, and each table keeps its row-sum check and its delta-independent
+row weights, so probability evaluations over a delta grid pay for
+enumeration, check and weights once. A
 probability is a Horner evaluation in delta = p / q over the integer row
 weights, reduced once per delta, and rendering reuses one fixed decimal
 context per precision. A build predicted (_table_units, one term per loop)
@@ -104,7 +106,7 @@ __all__ = [
     "fa_probability",
     "md_probability",
     "write_table_csv",
-    "table_domain",
+    "empty_rows",
 ]
 
 
@@ -113,53 +115,55 @@ class Algorithm(enum.Enum):
     DD = "dd"
 
 
+def empty_rows(n: int, algorithm: Algorithm) -> list[list[int]]:
+    """Zeroed rows a = 0..n of e_a + 1 cells, e_a = n - a false-alarm (COMP) or a misdetection (DD) candidates."""
+    return [[0] * ((n - a if algorithm is Algorithm.COMP else a) + 1) for a in range(n + 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class EnumeratorTable:
-    """Complete map (a, j) -> A_{a,j} = counts[(a, j)] / denominator for one spec and decoder.
+    """A_{a,j} = rows[a][j] / denominator for one spec and decoder, for every a and j = 0, ..., e_a.
 
-    For COMP, j counts false alarms (0 <= j <= n - a); for DD, j counts
-    misdetections (0 <= j <= a). Every cell is an integer over the one
-    denominator E!, the number of socket matchings.
+    j counts false alarms under COMP, misdetections under DD. Every cell is an
+    integer over the one denominator E!, the number of socket matchings. The
+    row lengths must be those of empty_rows; the constructor checks them.
     """
 
     algorithm: Algorithm
     spec: EnsembleSpec
-    counts: Mapping[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
     denominator: int
     source: str = field(default="enumerator")
 
+    def __post_init__(self):
+        if list(map(len, self.rows)) != list(map(len, empty_rows(self.spec.n, self.algorithm))):
+            raise ValueError("incomplete table: its row lengths are not those of empty_rows(n, algorithm)")
+
     @cached_property
     def values(self) -> Mapping[tuple[int, int], Fraction]:
-        """Read-only view of the cells as reduced Fractions, built on first access; no CLI path reads it."""
+        """Read-only view of the cells by (a, j) as reduced Fractions, built on first access; no CLI path reads it."""
         den = self.denominator
-        return MappingProxyType({key: Fraction(count, den) for key, count in self.counts.items()})
+        return MappingProxyType({(a, j): Fraction(c, den) for a, row in enumerate(self.rows) for j, c in enumerate(row)})
 
     @cached_property
     def bad_rows(self) -> list[int]:
-        """Every a whose row breaks sum_j counts[(a, j)] = C(n, a) * denominator; empty for a sound table."""
-        sums: dict[int, int] = {}
-        for (a, _), count in self.counts.items():
-            sums[a] = sums.get(a, 0) + count
+        """Every a whose row breaks sum_j rows[a][j] = C(n, a) * denominator; empty for a sound table."""
         n, den = self.spec.n, self.denominator
-        return [a for a in range(n + 1) if sums.get(a) != binomial(n, a) * den]
+        return [a for a, row in enumerate(self.rows) if sum(row) != binomial(n, a) * den]
 
     @cached_property
     def error_weights(self) -> tuple[tuple[int, ...], int]:
         """Row weights w_a = sum_j (j / e_a) A_{a,j} as numerators over one denominator, in lowest terms.
 
-        e_a is the number of items that can err with a defectives: n - a
-        false-alarm candidates under COMP, a misdetection candidates under
-        DD. Rows with a = 0 or e_a = 0 weigh 0. The weights do not depend on
-        delta, so a grid of error probabilities pays for them once.
+        e_a = len(rows[a]) - 1 is the number of items that can err with a
+        defectives. Rows with a = 0 or e_a = 0 weigh 0. The weights do not
+        depend on delta, so a grid of error probabilities pays for them once.
         """
-        _require_complete(self)
-        n = self.spec.n
-        scale = math.lcm(*range(1, n + 1))  # a multiple of every e_a
-        weights = [0] * (n + 1)
-        for a in range(1, n + 1):
-            errs = (n - a) if self.algorithm is Algorithm.COMP else a
-            if errs:
-                weights[a] = scale // errs * sum(j * self.counts[(a, j)] for j in range(1, errs + 1))
+        scale = math.lcm(*range(1, self.spec.n + 1))  # a multiple of every e_a
+        weights = [0] * len(self.rows)
+        for a, row in enumerate(self.rows):
+            if a and len(row) > 1:
+                weights[a] = scale // (len(row) - 1) * sum(j * c for j, c in enumerate(row))
         den = scale * self.denominator
         common = math.gcd(den, *weights)
         return tuple(w // common for w in weights), den // common
@@ -170,23 +174,15 @@ class EnumeratorTable:
         r_a is the chance that a fixed candidate errs with a defectives. With
         S inside S' = S + one item, PD(S) is inside PD(S'), so on every graph a
         COMP false alarm or a DD miss of that item under S stays one under S':
-        r_a does not fall over a = 1..n-1 (COMP) or 1..n (DD).
+        r_a does not fall over the rows a >= 1 with e_a >= 1.
         """
         (weights, den), n = self.error_weights, self.spec.n
-        rows = range(1, n if self.algorithm is Algorithm.COMP else n + 1)
+        rows = dict.fromkeys(a for a, row in enumerate(self.rows) if a and len(row) > 1)
         return [
             a for a in rows
             if not 0 <= weights[a] <= binomial(n, a) * den
             or a + 1 in rows and weights[a] * binomial(n, a + 1) > weights[a + 1] * binomial(n, a)
         ]
-
-
-def table_domain(n: int, algorithm: Algorithm) -> Iterator[tuple[int, int]]:
-    """All (defective count, error count) keys a complete table must carry."""
-    for a in range(n + 1):
-        errs = (n - a) if algorithm is Algorithm.COMP else a
-        for j in range(errs + 1):
-            yield (a, j)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +368,7 @@ def _splits(counts) -> Iterator[tuple[int, ...]]:
     return product(*(range(c + 1) for c in counts))
 
 
-def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, int], int]:
+def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     # The COMP formula of the module docstring; returns numerators over edges!.
     # D = sockets on positive tests; y = D - E + Q of them hold dismissed items.
     degrees, counts = zip(*sorted(spec.left_counts().items()))
@@ -390,7 +386,7 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int
             if t:
                 row = by_e1.setdefault(e1, [0] * (edges // step + 1))
                 row[sockets // step] += weight * t * fact[e1] * fact[sockets - e1]
-    values = dict.fromkeys(table_domain(spec.n, Algorithm.COMP), 0)
+    values = empty_rows(spec.n, Algorithm.COMP)
     for dismissed in _splits(counts):
         shift = edges - sum(d * q for d, q in zip(degrees, dismissed))
         first = -(-shift // step)  # the least D / step with y = D - shift >= 0
@@ -403,11 +399,11 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int
             dot = sum(map(mul, islice(row, first, None), slack)) if row else 0
             if dot:
                 for i, w in by_i.items():
-                    values[(i, left - i)] += w * dot
+                    values[i][left - i] += w * dot
     return values
 
 
-def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, int], int]:
+def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     # The DD formula of the module docstring; returns numerators over edges!.
     # A certifying test holds one certified defective (d choices of its
     # socket) and d - 1 dismissed items. Each certified item has a socket on
@@ -435,7 +431,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
     # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
     missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
     spreads: dict[tuple[int, ...], list[int]] = {}
-    values = dict.fromkeys(table_domain(spec.n, Algorithm.DD), 0)
+    values = empty_rows(spec.n, Algorithm.DD)
     for dismissed in _splits(counts):
         free = edges - sum(d * q for d, q in zip(degrees, dismissed))
         slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
@@ -477,7 +473,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> dict[tuple[int, 
             for j_deg, total in acc.items():
                 if total:
                     for j, weight in splits[j_deg].items():
-                        values[(i + j, j)] += base * weight * total
+                        values[i + j][j] += base * weight * total
     return values
 
 
@@ -492,13 +488,8 @@ def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     refuse_over_limit(f"the {algorithm.value} table for n={spec.n}", _predicted_seconds, spec, algorithm)
     forms = _ClosedForms(spec.edge_count)
     build = _comp_class_table if algorithm is Algorithm.COMP else _dd_class_table
-    return EnumeratorTable(algorithm, spec, build(spec, forms), forms.fact[spec.edge_count])
-
-
-def _require_complete(table: EnumeratorTable) -> None:
-    missing = [key for key in table_domain(table.spec.n, table.algorithm) if key not in table.counts]
-    if missing:
-        raise ValueError(f"incomplete table: missing {len(missing)} cells, first {missing[0]}")
+    rows = tuple(map(tuple, build(spec, forms)))
+    return EnumeratorTable(algorithm, spec, rows, forms.fact[spec.edge_count])
 
 
 def _error_probability(table: EnumeratorTable, delta) -> Fraction:
@@ -532,12 +523,12 @@ def write_table_csv(
     table: EnumeratorTable, out: Union[str, Path, TextIO], precision: int = DEFAULT_DECIMAL_DIGITS
 ) -> None:
     """CSV rows (a, j, numerator, denominator, decimal) with a spec-hash comment line."""
-    _require_complete(table)
 
     def rows():
-        for (a, j) in sorted(table.counts):
-            value = Fraction(table.counts[(a, j)], table.denominator)
-            yield a, j, value.numerator, value.denominator, to_decimal(value, precision)
+        for a, row in enumerate(table.rows):
+            for j, count in enumerate(row):
+                value = Fraction(count, table.denominator)
+                yield a, j, value.numerator, value.denominator, to_decimal(value, precision)
 
     header = {"algorithm": table.algorithm.value, "source": table.source}
     write_csv(out, table.spec, header, "a,j,numerator,denominator,decimal", rows())

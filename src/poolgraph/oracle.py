@@ -44,7 +44,7 @@ import numpy as np
 from .combinatorics import exact_delta
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
 from .ensemble import EnsembleSpec, _socket_layout, matching_count
-from .enumerator import EnumeratorTable, table_domain
+from .enumerator import EnumeratorTable, empty_rows
 
 # perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
@@ -121,8 +121,8 @@ def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
         matchings += len(errors)
         counts += np.bincount((a * (n + 1) + errors).ravel(), minlength=len(counts))
     tally = counts.reshape(n + 1, n + 1).tolist()
-    table = {(i, j): tally[i][j] for i, j in table_domain(n, algorithm)}
-    return OracleReport(EnumeratorTable(algorithm, spec, table, matchings, source="oracle"), matchings)
+    rows = tuple(tuple(tally[a][: len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
+    return OracleReport(EnumeratorTable(algorithm, spec, rows, matchings, source="oracle"), matchings)
 
 
 def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> Fraction:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from poolgraph.combinatorics import multinomial
 from poolgraph.detection import Algorithm
 from poolgraph.ensemble import EnsembleSpec
-from poolgraph.enumerator import table_domain
+from poolgraph.enumerator import empty_rows
 from poolgraph.polynomial import SparsePoly, poly_add, poly_mul, poly_pow, poly_product_of_powers
 
 
@@ -123,7 +123,8 @@ def reference_cell(spec: EnsembleSpec, algorithm: Algorithm, i: int, j: int) -> 
 def reference_table(spec: EnsembleSpec, algorithm: Algorithm) -> dict[tuple[int, int], Fraction]:
     """Every (a, j) cell of the table, keyed as `EnumeratorTable.values` is."""
     values = {}
-    for a, j in table_domain(spec.n, algorithm):
-        i = a if algorithm is Algorithm.COMP else a - j
-        values[(a, j)] = reference_cell(spec, algorithm, i, j)
+    for a, row in enumerate(empty_rows(spec.n, algorithm)):
+        for j in range(len(row)):
+            i = a if algorithm is Algorithm.COMP else a - j
+            values[(a, j)] = reference_cell(spec, algorithm, i, j)
     return values

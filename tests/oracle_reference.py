@@ -15,7 +15,7 @@ from fractions import Fraction
 from poolgraph.combinatorics import exact_delta
 from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
 from poolgraph.ensemble import EnsembleSpec, enumerate_matchings, matching_count
-from poolgraph.enumerator import EnumeratorTable, table_domain
+from poolgraph.enumerator import EnumeratorTable, empty_rows
 from poolgraph.oracle import OracleReport
 
 
@@ -44,8 +44,9 @@ def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
             err = _pattern_errors(graph, mask, algorithm)
             key = (a, err)
             counts[key] = counts.get(key, 0) + 1
-    table = {key: counts.get(key, 0) for key in table_domain(n, algorithm)}
-    return OracleReport(EnumeratorTable(algorithm, spec, table, matchings, source="oracle"), matchings)
+    shape = empty_rows(n, algorithm)
+    rows = tuple(tuple(counts.get((a, j), 0) for j in range(len(row))) for a, row in enumerate(shape))
+    return OracleReport(EnumeratorTable(algorithm, spec, rows, matchings, source="oracle"), matchings)
 
 
 def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> Fraction:

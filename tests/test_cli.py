@@ -313,9 +313,9 @@ def _broken_table(spec, algorithm):
     from poolgraph.enumerator import EnumeratorTable, build_table
 
     table = build_table(spec, algorithm)
-    counts = dict(table.counts)
-    counts[(1, 0)] += table.denominator  # one whole pattern too many
-    return EnumeratorTable(algorithm, spec, counts, table.denominator)
+    rows = [list(row) for row in table.rows]
+    rows[1][0] += table.denominator  # one whole pattern too many
+    return EnumeratorTable(algorithm, spec, tuple(map(tuple, rows)), table.denominator)
 
 
 @pytest.mark.parametrize(
@@ -344,12 +344,9 @@ def _mass_at_no_errors(spec, algorithm):
 
     # Row a = n / 2 keeps its sum, but all of it moves to j = 0: r_a drops to 0.
     table = build_table(spec, algorithm)
-    counts, middle = dict(table.counts), spec.n // 2
-    for a, j in table.counts:
-        if a == middle and j:
-            counts[(a, 0)] += counts.pop((a, j))
-            counts[(a, j)] = 0
-    return EnumeratorTable(algorithm, spec, counts, table.denominator)
+    rows, middle = list(table.rows), spec.n // 2
+    rows[middle] = (sum(rows[middle]),) + (0,) * (len(rows[middle]) - 1)
+    return EnumeratorTable(algorithm, spec, tuple(rows), table.denominator)
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,8 @@ from poolgraph.enumerator import (
     _table_units,
     build_table,
     fa_probability,
+    empty_rows,
     md_probability,
-    table_domain,
     write_table_csv,
 )
 from poolgraph.errors import LIMIT_SECONDS, SizeLimitError
@@ -466,16 +466,12 @@ def test_probability_rejects_floats_and_out_of_range():
 
 def test_incomplete_table_rejected():
     spec = regular_spec(4, 1, 2)
-    for algorithm, probability in ((Algorithm.COMP, fa_probability), (Algorithm.DD, md_probability)):
+    for algorithm in (Algorithm.COMP, Algorithm.DD):
         full = build_table(spec, algorithm)
-        partial = EnumeratorTable(
-            algorithm=algorithm,
-            spec=spec,
-            counts={k: v for k, v in full.counts.items() if k != (2, 1)},
-            denominator=full.denominator,
-        )
+        rows = list(full.rows)
+        rows[2] = rows[2][:1] + rows[2][2:]  # row 2 loses its cell j = 1
         with pytest.raises(ValueError, match="incomplete"):
-            probability(partial, Fraction(1, 2))
+            EnumeratorTable(algorithm=algorithm, spec=spec, rows=tuple(rows), denominator=full.denominator)
 
 
 def polynomial_coefficients(table, algorithm):
@@ -523,11 +519,9 @@ def test_md_probability_matches_horner_form(delta):
 
 
 def test_table_domain_shapes():
-    comp_keys = set(table_domain(3, Algorithm.COMP))
-    dd_keys = set(table_domain(3, Algorithm.DD))
-    assert (0, 3) in comp_keys and (3, 1) not in comp_keys
-    assert (3, 3) in dd_keys and (0, 1) not in dd_keys
-    assert len(comp_keys) == len(dd_keys) == 10
+    assert [len(row) for row in empty_rows(3, Algorithm.COMP)] == [4, 3, 2, 1]
+    assert [len(row) for row in empty_rows(3, Algorithm.DD)] == [1, 2, 3, 4]
+    assert not any(map(any, empty_rows(3, Algorithm.COMP)))
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,9 +1,12 @@
 """Byte pins on CLI stdout for paths the benchmark's pinned digests do not cover.
 
-Each digest is the sha256 of the whole stdout of one `poolgraph` call,
-recorded at commit 8164230, before the exact output path was moved to
-integer-only evaluation. A change to how probabilities are evaluated, how a
-delta grid is expanded or how a value is rendered must leave them as they are.
+Each digest is the sha256 of the whole stdout of one `poolgraph` call. The
+enumerate, analyze and simulate digests were recorded at commit 8164230,
+before the exact output path was moved to integer-only evaluation; the
+verify digests at commit 8c325bb, before tables became integer rows (the
+benchmark checks only that a verify report says "all cells match"). A
+change to how probabilities are evaluated, how a delta grid is expanded, how
+a value is rendered or how a table is walked must leave them as they are.
 """
 
 import hashlib
@@ -19,6 +22,13 @@ IRREGULAR_12 = {
     "m": 8,
     "lambda": [{"degree": 2, "num": 1, "den": 2}, {"degree": 4, "num": 1, "den": 2}],
     "rho": [{"degree": 3, "num": 1, "den": 2}, {"degree": 6, "num": 1, "den": 2}],
+}
+# An irregular n=3 spec with 4 edges, within the oracle's reach (perfbench/specs/mixed-3.json).
+MIXED_3 = {
+    "n": 3,
+    "m": 2,
+    "lambda": [{"degree": 1, "num": 2, "den": 3}, {"degree": 2, "num": 1, "den": 3}],
+    "rho": [{"degree": 2, "num": 1, "den": 1}],
 }
 
 PINS = {
@@ -39,13 +49,26 @@ PINS = {
          "--graphs", "4", "--patterns", "200", "--analytic"],
         "23b54a42c220e83e3481d75965578a0089607956dfb3d7e174227f64641461dc",
     ),
+    "verify-dd-4": (
+        ["verify", "--regular", "4,2,2", "--algorithm", "dd"],
+        "cd4f14e2ba999b1f6878364d5afeb2eef005235db5bce62c9a72aa97ea06a2af",
+    ),
+    "verify-comp-4": (
+        ["verify", "--regular", "4,2,2", "--algorithm", "comp"],
+        "be035a54c00a1bb4e6b04bf748dc5632e803920a71ccf652075b126ec0bfba71",
+    ),
+    "verify-dd-mixed-3": (
+        ["verify", "--spec", "{mixed}", "--algorithm", "dd"],
+        "4ad0af4013389d46a1c4995e8a1ae188beb2d999da0246775afbe66200c055cc",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_cli_stdout_bytes_are_pinned(name, tmp_path, capsys):
     argv, pinned = PINS[name]
-    spec = tmp_path / "irregular-12.json"
+    spec, mixed = tmp_path / "irregular-12.json", tmp_path / "mixed-3.json"
     spec.write_text(json.dumps(IRREGULAR_12), encoding="utf-8")
-    assert main([arg.format(spec=spec) for arg in argv]) == 0
+    mixed.write_text(json.dumps(MIXED_3), encoding="utf-8")
+    assert main([arg.format(spec=spec, mixed=mixed) for arg in argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pinned
