@@ -6,18 +6,17 @@ their false-alarm and misdetection probabilities, an exhaustive oracle for
 tiny ensembles, and a seeded Monte Carlo harness.
 
 Importing the package loads no numpy (`Algorithm` lives in `enumerator`):
-the Monte Carlo, oracle and bitmask-decoder exports, which need it, are
-imported on first access by the module `__getattr__` below.
+the Monte Carlo and oracle exports, which need it, are imported on first
+access by the module `__getattr__` below.
 """
 
 import importlib
 
-from .combinatorics import binomial, multinomial, to_decimal
+from .combinatorics import binomial, to_decimal
 from .ensemble import (
     DegreeDistribution,
     EnsembleSpec,
     PoolingGraph,
-    enumerate_matchings,
     load_spec,
     parse_spec,
     regular_spec,
@@ -39,7 +38,6 @@ from .errors import SizeLimitError, ValidationError
 __version__ = "0.1.0"
 
 _LAZY = {
-    **dict.fromkeys(["comp_pd_mask", "dd_certified_mask"], "detection"),
     **dict.fromkeys(["TrialReport", "derive_seed", "simulate", "sweep", "write_trials_csv"], "montecarlo"),
     **dict.fromkeys(["OracleReport", "exact_enumerators", "exact_error_probability"], "oracle"),
 }
@@ -63,16 +61,12 @@ __all__ = [
     "ValidationError",
     "binomial",
     "build_table",
-    "comp_pd_mask",
-    "dd_certified_mask",
     "derive_seed",
-    "enumerate_matchings",
     "exact_enumerators",
     "exact_error_probability",
     "fa_probability",
     "load_spec",
     "md_probability",
-    "multinomial",
     "parse_spec",
     "regular_spec",
     "sample_graph",

@@ -95,10 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--algorithm", choices=[a.value for a in Algorithm], required=True
         )
         cmd.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-        cmd.add_argument(
-            "--precision", type=int, default=DEFAULT_DECIMAL_DIGITS,
-            help=f"decimal digits, at most {_PRECISION_LIMIT:,} (default {DEFAULT_DECIMAL_DIGITS})",
-        )
+        if name != "verify":  # verify prints no decimals
+            cmd.add_argument(
+                "--precision", type=int, default=DEFAULT_DECIMAL_DIGITS,
+                help=f"decimal digits, at most {_PRECISION_LIMIT:,} (default {DEFAULT_DECIMAL_DIGITS})",
+            )
         if name in ("analyze", "simulate"):
             delta_group = cmd.add_mutually_exclusive_group(required=True)
             delta_group.add_argument("--delta", metavar="RATIONAL", help="single prevalence")
@@ -129,9 +130,9 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         deltas = [_fraction(args.delta)] if args.delta is not None else _parse_delta_grid(args.delta_grid)
         args.deltas = [exact_delta(delta) for delta in deltas]
     args.algorithm = Algorithm(args.algorithm)
-    if args.precision < 1:
+    if "precision" in args and args.precision < 1:
         raise ValidationError("precision must be at least 1")
-    if args.precision > _PRECISION_LIMIT:
+    if "precision" in args and args.precision > _PRECISION_LIMIT:
         raise SizeLimitError(f"precision {args.precision} is over the limit of {_PRECISION_LIMIT} digits")
     return args
 

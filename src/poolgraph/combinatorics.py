@@ -65,12 +65,13 @@ def exact_delta(delta) -> Fraction:
 
     Accepts int, str ("1/20") or Fraction, a Fraction checked and returned
     as it is. A float raises TypeError: 0.05 is not 1/20 in binary, and
-    silently absorbing the difference would defeat the exact tables.
+    silently absorbing the difference would defeat the exact tables. A bool
+    raises TypeError too, as it does wherever an integer is expected.
     """
-    if isinstance(delta, float):
+    if isinstance(delta, (float, bool)):
         raise TypeError(
             "delta must be exact (int, str, or Fraction); floats silently misstate "
-            "values like 0.05 in binary"
+            "values like 0.05 in binary, and a bool is not a number"
         )
     value = delta if isinstance(delta, Fraction) else Fraction(delta)
     if not 0 <= value.numerator <= value.denominator:

@@ -149,7 +149,6 @@ class PoolingGraph:
     n: int
     m: int
     adj: tuple[tuple[int, ...], ...]
-    left_degrees: tuple[int, ...]
 
     @cached_property
     def test_masks(self) -> tuple[int, ...]:
@@ -180,7 +179,6 @@ def _graph_from_assignment(
     spec: EnsembleSpec,
     left_owner: tuple[int, ...],
     right_degrees: tuple[int, ...],
-    left_degrees: tuple[int, ...],
     assignment,
 ) -> PoolingGraph:
     # assignment[q] = left socket matched to right socket q
@@ -190,7 +188,7 @@ def _graph_from_assignment(
     for degree in right_degrees:
         adj.append(tuple(owners[q : q + degree]))
         q += degree
-    return PoolingGraph(n=spec.n, m=spec.m, adj=tuple(adj), left_degrees=left_degrees)
+    return PoolingGraph(n=spec.n, m=spec.m, adj=tuple(adj))
 
 
 def _permutation(bits, size: int) -> list[int]:
@@ -219,10 +217,10 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
     raw words, which numpy keeps stable across releases.
     """
     import numpy as np  # this module's only numpy use; loading a spec loads none
-    left_owner, left_degrees = _socket_layout(spec.left_counts())
+    left_owner, _ = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
     assignment = _permutation(np.random.PCG64(seed), spec.edge_count)
-    return _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
+    return _graph_from_assignment(spec, left_owner, right_degrees, assignment)
 
 
 def _predicted_seconds(spec: EnsembleSpec) -> float:
@@ -245,10 +243,10 @@ def enumerate_matchings(spec: EnsembleSpec) -> Iterator[PoolingGraph]:
     oracle refuses.
     """
     matching_count(spec)
-    left_owner, left_degrees = _socket_layout(spec.left_counts())
+    left_owner, _ = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
     for assignment in itertools.permutations(range(spec.edge_count)):
-        yield _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
+        yield _graph_from_assignment(spec, left_owner, right_degrees, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,6 @@ class TrialReport:
     mdr_stderr: float
     far_graph_stderr: float
     mdr_graph_stderr: float
-    rng: str = RNG_SCHEME
     per_graph_rates: Optional[tuple[tuple[float, float], ...]] = None
 
 
@@ -334,11 +333,13 @@ def write_trials_csv(
     analytic: Optional[Sequence[Optional[Fraction]]] = None,
     precision: int = DEFAULT_DECIMAL_DIGITS,
 ) -> None:
-    """One CSV row per report; analytic column filled when exact values are supplied."""
+    """One CSV row per report, all of one spec; analytic column filled when exact values are supplied."""
     rows = list(reports)
     if analytic is not None and len(analytic) != len(rows):
         raise ValueError("analytic values must align one-to-one with reports")
-    spec, header = (rows[0].spec, {"rng": rows[0].rng}) if rows else (None, {})
+    if len({r.spec for r in rows}) > 1:
+        raise ValueError("a trials CSV carries one spec hash, so its reports must share one spec")
+    spec, header = (rows[0].spec, {"rng": RNG_SCHEME}) if rows else (None, {})
     columns = (
         "delta,algorithm,n,m,graphs,patterns,far_mean,far_stderr,"
         "mdr_mean,mdr_stderr,analytic_value,seed,far_graph_stderr,mdr_graph_stderr"

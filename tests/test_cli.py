@@ -246,6 +246,7 @@ def test_missing_spec_file_is_io_error(tmp_path, capsys):
         ["analyze", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2",
          "--precision", "0"],
         ["analyze", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "3/2"],
+        ["verify", "--regular", "4,1,2", "--algorithm", "dd", "--precision", "5"],  # verify prints no decimals
     ],
 )
 def test_bad_inputs_exit_one(argv, capsys):

@@ -153,8 +153,9 @@ def test_to_decimal_parses_back_close(value):
 def test_exact_delta_accepts_exact_values_only():
     assert exact_delta("1/20") == Fraction(1, 20)
     assert exact_delta(0) == 0 and exact_delta(Fraction(1)) == 1
-    with pytest.raises(TypeError, match="exact"):
-        exact_delta(0.05)
+    for inexact in (0.05, True):
+        with pytest.raises(TypeError, match="exact"):
+            exact_delta(inexact)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         exact_delta(Fraction(-1, 3))
     with pytest.raises(ValueError):

@@ -16,11 +16,7 @@ from poolgraph.ensemble import (
 
 
 def graph_of(n, *tests):
-    degrees = [0] * n
-    for members in tests:
-        for item in members:
-            degrees[item] += 1
-    return PoolingGraph(n=n, m=len(tests), adj=tuple(map(tuple, tests)), left_degrees=tuple(degrees))
+    return PoolingGraph(n=n, m=len(tests), adj=tuple(map(tuple, tests)))
 
 
 def errors(estimate, defective):
@@ -108,9 +104,6 @@ def test_detectors_are_permutation_equivariant():
             n=graph.n,
             m=graph.m,
             adj=tuple(tuple(int(perm[i]) for i in members) for members in graph.adj),
-            left_degrees=tuple(
-                graph.left_degrees[int(np.flatnonzero(perm == i)[0])] for i in range(6)
-            ),
         )
         relabeled_mask = 0
         for i in range(6):

@@ -180,11 +180,16 @@ def test_sample_graph_preserves_degrees():
         assert seen == [1, 1, 1, 1]
 
 
+def item_degrees(graph):
+    """Every item's degree, counted from the tests' socket lists, in ascending order."""
+    return sorted(sum(members.count(v) for members in graph.adj) for v in range(graph.n))
+
+
 def test_sample_graph_mixed_degrees():
     spec = mixed_spec()
     for seed in range(200):
         graph = sample_graph(spec, seed)
-        assert sorted(graph.left_degrees) == [1, 1, 2]
+        assert item_degrees(graph) == [1, 1, 2]
         assert all(len(members) == 2 for members in graph.adj)
 
 
@@ -237,11 +242,11 @@ def test_permutation_redraws_rejected_words_in_stream_order():
 
 def test_sample_graph_is_a_shuffle_of_raw_words():
     spec = mixed_spec()
-    left_owner, left_degrees = _socket_layout(spec.left_counts())
+    left_owner, _ = _socket_layout(spec.left_counts())
     _, right_degrees = _socket_layout(spec.right_counts())
     for seed in range(50):
         assignment = _reference_permutation(np.random.PCG64(seed), spec.edge_count)
-        expected = _graph_from_assignment(spec, left_owner, right_degrees, left_degrees, assignment)
+        expected = _graph_from_assignment(spec, left_owner, right_degrees, assignment)
         assert sample_graph(spec, seed) == expected
 
 
@@ -262,8 +267,7 @@ def test_enumerate_matchings_yields_valid_graphs():
     spec = mixed_spec()
     for graph in enumerate_matchings(spec):
         assert sum(len(members) for members in graph.adj) == spec.edge_count
-        assert sum(graph.left_degrees) == spec.edge_count
-        assert sorted(graph.left_degrees) == [1, 1, 2]
+        assert item_degrees(graph) == [1, 1, 2]
 
 
 def test_enumerate_matchings_refuses_oversized():

@@ -458,8 +458,9 @@ def test_probability_rejects_wrong_algorithm():
 
 def test_probability_rejects_floats_and_out_of_range():
     table = build_table(regular_spec(4, 1, 2), Algorithm.COMP)
-    with pytest.raises(TypeError):
-        fa_probability(table, 0.5)
+    for inexact in (0.5, True):
+        with pytest.raises(TypeError):
+            fa_probability(table, inexact)
     with pytest.raises(ValueError):
         fa_probability(table, Fraction(3, 2))
 

@@ -63,7 +63,7 @@ import poolgraph
 values = {name: getattr(poolgraph, name) for name in poolgraph.__all__}
 assert poolgraph.simulate is poolgraph.montecarlo.simulate
 assert poolgraph.OracleReport is poolgraph.oracle.OracleReport
-assert poolgraph.comp_pd_mask is poolgraph.detection.comp_pd_mask
+assert poolgraph.exact_enumerators is poolgraph.oracle.exact_enumerators
 assert not hasattr(poolgraph, "no_such_name")
 namespace = {}
 exec("from poolgraph import *", namespace)

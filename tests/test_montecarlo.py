@@ -266,7 +266,7 @@ def test_per_graph_rates_default_off():
 
 def test_report_metadata():
     report = simulate(SMALL, Algorithm.COMP, "1/3", 2, 5, seed=0)
-    assert report.rng == RNG_SCHEME == "pcg64raw-sha256split-v2"
+    assert RNG_SCHEME == "pcg64raw-sha256split-v2"
     assert report.delta == Fraction(1, 3)
     assert report.graphs == 2 and report.patterns_per_graph == 5
 
@@ -337,8 +337,9 @@ def test_sweep_rejects_empty_grid():
 
 
 def test_input_validation():
-    with pytest.raises(TypeError):
-        simulate(SMALL, Algorithm.COMP, 0.5, 2, 10, seed=0)
+    for inexact in (0.5, True):
+        with pytest.raises(TypeError):
+            simulate(SMALL, Algorithm.COMP, inexact, 2, 10, seed=0)
     with pytest.raises(ValueError):
         simulate(SMALL, Algorithm.COMP, Fraction(1, 2), 0, 10, seed=0)
     with pytest.raises(ValueError):
@@ -498,5 +499,6 @@ def test_sweep_checks_every_delta_before_sampling(monkeypatch):
     monkeypatch.setattr("poolgraph.montecarlo.sample_graph", refuse)
     with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\], got 3/2"):
         sweep(SMALL, Algorithm.COMP, [Fraction(1, 2), Fraction(3, 2)], 2, 10, seed=0)
-    with pytest.raises(TypeError):
-        sweep(SMALL, Algorithm.DD, [Fraction(1, 2), 0.5], 2, 10, seed=0)
+    for inexact in (0.5, True):
+        with pytest.raises(TypeError):
+            sweep(SMALL, Algorithm.DD, [Fraction(1, 2), inexact], 2, 10, seed=0)

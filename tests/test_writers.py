@@ -84,7 +84,12 @@ def _misaligned_analytic(dest):
     write_trials_csv(_reports(), dest, analytic=[Fraction(1, 8)])
 
 
-@pytest.mark.parametrize("write", [_incomplete_table, _misaligned_analytic])
+def _two_specs(dest):
+    other = sweep(regular_spec(6, 2, 3), Algorithm.DD, [Fraction(1, 4)], 2, 10, seed=1)
+    write_trials_csv(_reports() + other, dest)
+
+
+@pytest.mark.parametrize("write", [_incomplete_table, _misaligned_analytic, _two_specs])
 def test_bad_input_raises_before_a_path_is_touched(write, tmp_path):
     fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
     kept.write_text("kept\n", encoding="utf-8")
