@@ -177,11 +177,11 @@ class EnumeratorTable:
         r_a does not fall over the rows a >= 1 with e_a >= 1.
         """
         (weights, den), n = self.error_weights, self.spec.n
-        rows = dict.fromkeys(a for a, row in enumerate(self.rows) if a and len(row) > 1)
+        live = dict.fromkeys(a for a, row in enumerate(self.rows) if a and len(row) > 1)  # ordered, O(1) lookups
         return [
-            a for a in rows
+            a for a in live
             if not 0 <= weights[a] <= binomial(n, a) * den
-            or a + 1 in rows and weights[a] * binomial(n, a + 1) > weights[a + 1] * binomial(n, a)
+            or a + 1 in live and weights[a] * binomial(n, a + 1) > weights[a + 1] * binomial(n, a)
         ]
 
 
