@@ -7,12 +7,14 @@ sockets in a fixed order, then match them with a uniformly random
 bijection. Multi-edges are kept; they carry weight in the socket counting
 and the decoders are defined on multigraphs accordingly.
 
-A spec is checked once, when it is made: an EnsembleSpec with fractional
-node counts or unequal edge counts raises ValidationError, and the counts
-it computes are kept on the spec for everything downstream.
-
-Node degrees are assigned deterministically (ascending degree by node
-index), so a (spec, seed) pair pins down the sampled graph completely.
+A spec is checked once, when it is made: a DegreeDistribution whose
+degrees are not distinct and ascending, or whose fractions are not positive
+Fractions summing to 1, and an EnsembleSpec with fractional node counts or
+unequal edge counts, raise ValidationError. The spec keeps the (degree,
+node count) pairs of each side, ascending in degree, as item_classes and
+test_classes; every builder, the sampler and the oracle read those. Nodes
+and their sockets are numbered in that order (socket_items, test_degrees),
+so a (spec, seed) pair pins down the sampled graph completely.
 """
 
 from __future__ import annotations
@@ -37,9 +39,23 @@ _ORACLE_SECONDS_PER_WORD = 1.38e-6
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Fraction of nodes per degree; fractions are exact and sum to 1."""
+    """Fraction of nodes per degree: distinct ascending degrees, positive Fractions summing to 1."""
 
     entries: tuple[tuple[int, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        for k, (degree, fraction) in enumerate(self.entries):
+            if type(degree) is not int:
+                raise ValidationError(f"degree must be an int, got {degree!r}")
+            if degree < 1:
+                raise ValidationError(f"degree {degree} < 1")
+            if k and degree <= self.entries[k - 1][0]:
+                raise ValidationError(f"degree {degree}: degrees must be distinct and ascending")
+            if not isinstance(fraction, Fraction) or fraction <= 0:
+                raise ValidationError(f"degree {degree}: fraction must be a positive Fraction, got {fraction!r}")
+        total = sum(f for _, f in self.entries)
+        if total != 1:
+            raise ValidationError(f"degree fractions sum to {total}, expected 1")
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, Union[Fraction, int, str]]) -> "DegreeDistribution":
@@ -49,38 +65,30 @@ class DegreeDistribution:
         entries = []
         for degree, fraction in sorted(mapping.items()):
             fraction = Fraction(fraction)
-            if degree < 1:
-                raise ValidationError(f"degree {degree} < 1")
             if fraction < 0:
                 raise ValidationError(f"degree {degree}: negative fraction {fraction}")
-            if fraction > 0:
+            if fraction or degree < 1:  # a zero fraction is dropped, unless its degree is refused
                 entries.append((degree, fraction))
-        dist = cls(tuple(entries))
-        if dist.total() != 1:
-            raise ValidationError(f"degree fractions sum to {dist.total()}, expected 1")
-        return dist
+        return cls(tuple(entries))
 
     @classmethod
     def regular(cls, degree: int) -> "DegreeDistribution":
         return cls.from_dict({degree: Fraction(1)})
 
-    def total(self) -> Fraction:
-        return sum((f for _, f in self.entries), Fraction(0))
-
     def mean(self) -> Fraction:
         return sum((d * f for d, f in self.entries), Fraction(0))
 
-    def node_counts(self, total_nodes: int, side: str) -> dict[int, int]:
-        """Number of nodes of each degree; every count must come out integral."""
-        counts = {}
+    def node_counts(self, total_nodes: int, side: str) -> tuple[tuple[int, int], ...]:
+        """(degree, node count) pairs in ascending degree; every count must come out integral."""
+        counts = []
         for degree, fraction in self.entries:
             count = fraction * total_nodes
             if count.denominator != 1:
                 raise ValidationError(
                     f"{side} degree {degree}: node count {total_nodes}*{fraction} = {count} is not an integer"
                 )
-            counts[degree] = int(count)
-        return counts
+            counts.append((degree, int(count)))
+        return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -92,10 +100,10 @@ class EnsembleSpec:
     left: DegreeDistribution
     right: DegreeDistribution
     # Kept from the checks and left out of ==, hash and repr, so equal specs stay equal
-    # whatever built them. Callers share the count dicts and only read them.
+    # whatever built them.
     edge_count: int = field(init=False, compare=False, repr=False)
-    _left_counts: dict[int, int] = field(init=False, compare=False, repr=False)
-    _right_counts: dict[int, int] = field(init=False, compare=False, repr=False)
+    item_classes: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    test_classes: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("n", "m"):
@@ -115,15 +123,20 @@ class EnsembleSpec:
                 f"edge-count mismatch: n*mean(left) = {left_edges} != m*mean(right) = {right_edges}"
             )
         # Integral node counts make the edge count integral too.
-        object.__setattr__(self, "_left_counts", self.left.node_counts(self.n, "left"))
-        object.__setattr__(self, "_right_counts", self.right.node_counts(self.m, "right"))
+        object.__setattr__(self, "item_classes", self.left.node_counts(self.n, "left"))
+        object.__setattr__(self, "test_classes", self.right.node_counts(self.m, "right"))
         object.__setattr__(self, "edge_count", int(left_edges))
 
-    def left_counts(self) -> dict[int, int]:
-        return self._left_counts
+    @cached_property
+    def socket_items(self) -> tuple[int, ...]:
+        """The item on each item socket: item v owns the next d consecutive sockets, d its degree."""
+        degrees = (d for d, count in self.item_classes for _ in range(count))
+        return tuple(v for v, d in enumerate(degrees) for _ in range(d))
 
-    def right_counts(self) -> dict[int, int]:
-        return self._right_counts
+    @cached_property
+    def test_degrees(self) -> tuple[int, ...]:
+        """Each test's degree: test c owns the next test_degrees[c] consecutive test sockets."""
+        return tuple(d for d, count in self.test_classes for _ in range(count))
 
 
 def regular_spec(n: int, l: int, r: int) -> EnsembleSpec:
@@ -162,30 +175,12 @@ def _members_to_mask(members: tuple[int, ...]) -> int:
     return mask
 
 
-def _socket_layout(counts: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(socket owner per socket index, degree per node), ascending degree order."""
-    owners = []
-    degrees = []
-    node = 0
-    for degree in sorted(counts):
-        for _ in range(counts[degree]):
-            degrees.append(degree)
-            owners.extend([node] * degree)
-            node += 1
-    return tuple(owners), tuple(degrees)
-
-
-def _graph_from_assignment(
-    spec: EnsembleSpec,
-    left_owner: tuple[int, ...],
-    right_degrees: tuple[int, ...],
-    assignment,
-) -> PoolingGraph:
-    # assignment[q] = left socket matched to right socket q
-    owners = [left_owner[socket] for socket in assignment]
+def _graph_from_assignment(spec: EnsembleSpec, assignment) -> PoolingGraph:
+    # assignment[q] = item socket matched to test socket q
+    owners = [spec.socket_items[socket] for socket in assignment]
     adj = []
     q = 0
-    for degree in right_degrees:
+    for degree in spec.test_degrees:
         adj.append(tuple(owners[q : q + degree]))
         q += degree
     return PoolingGraph(n=spec.n, m=spec.m, adj=tuple(adj))
@@ -217,10 +212,7 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
     raw words, which numpy keeps stable across releases.
     """
     import numpy as np  # this module's only numpy use; loading a spec loads none
-    left_owner, _ = _socket_layout(spec.left_counts())
-    _, right_degrees = _socket_layout(spec.right_counts())
-    assignment = _permutation(np.random.PCG64(seed), spec.edge_count)
-    return _graph_from_assignment(spec, left_owner, right_degrees, assignment)
+    return _graph_from_assignment(spec, _permutation(np.random.PCG64(seed), spec.edge_count))
 
 
 def _predicted_seconds(spec: EnsembleSpec) -> float:
@@ -243,10 +235,8 @@ def enumerate_matchings(spec: EnsembleSpec) -> Iterator[PoolingGraph]:
     oracle refuses.
     """
     matching_count(spec)
-    left_owner, _ = _socket_layout(spec.left_counts())
-    _, right_degrees = _socket_layout(spec.right_counts())
     for assignment in itertools.permutations(range(spec.edge_count)):
-        yield _graph_from_assignment(spec, left_owner, right_degrees, assignment)
+        yield _graph_from_assignment(spec, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def _table_units(spec: EnsembleSpec, algorithm: Algorithm) -> int:
     several classes convolve over a1 x K), and a fixed cost per composition
     and per H_o read.
     """
-    items, tests = sorted(spec.left_counts().items()), sorted(spec.right_counts().items())
+    items, tests = spec.item_classes, spec.test_classes
     edges, step = spec.edge_count, math.gcd(*(d for d, _ in items))
     compositions = math.prod(binomial(c + 2, 2) for _, c in items)
     if algorithm is Algorithm.COMP:
@@ -371,8 +371,8 @@ def _splits(counts) -> Iterator[tuple[int, ...]]:
 def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     # The COMP formula of the module docstring; returns numerators over edges!.
     # D = sockets on positive tests; y = D - E + Q of them hold dismissed items.
-    degrees, counts = zip(*sorted(spec.left_counts().items()))
-    test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
+    degrees, counts = zip(*spec.item_classes)
+    test_degrees, test_counts = zip(*spec.test_classes)
     fact, edges, choose = forms.fact, spec.edge_count, forms.choose
     step = math.gcd(*test_degrees)  # D is a multiple of it
     # by_e1[e1][D / step]: every split with D positive-test sockets, e1 of them on
@@ -412,8 +412,8 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     # Covered items (non-defective, in no negative test) have all K sockets
     # there too. Missed and covered items enter only through J and K, so for
     # each count r_d of the two per class the j-splits are tallied by J once.
-    degrees, counts = zip(*sorted(spec.left_counts().items()))
-    test_degrees, test_counts = zip(*sorted(spec.right_counts().items()))
+    degrees, counts = zip(*spec.item_classes)
+    test_degrees, test_counts = zip(*spec.test_classes)
     fact, edges, choose = forms.fact, spec.edge_count, forms.choose
     step = math.gcd(*degrees)  # K and J are multiples of it
     by_b: dict[int, list] = {}

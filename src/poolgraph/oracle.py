@@ -43,7 +43,7 @@ import numpy as np
 
 from .combinatorics import exact_delta
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
-from .ensemble import EnsembleSpec, _socket_layout, matching_count
+from .ensemble import EnsembleSpec, matching_count
 from .enumerator import EnumeratorTable, empty_rows
 
 # perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
@@ -89,8 +89,7 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
     work first.
     """
     n = spec.n
-    left_owner = np.array(_socket_layout(spec.left_counts())[0], dtype=np.intp)
-    test_degrees = _socket_layout(spec.right_counts())[1]
+    socket_items = np.array(spec.socket_items, dtype=np.intp)
     masks = np.arange(1 << n)
     # Bit p % 64 of word p // 64 in row v is item v of pattern p; the padding is zero.
     patterns = np.zeros((n, -(-len(masks) // 64)), dtype=np.uint64)
@@ -99,7 +98,7 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
     )
     for block in _matching_blocks(spec.edge_count, patterns.shape[1]):
         # Matching k puts item socket block[k, q] on test socket q.
-        tables = index_tables(left_owner[block], n, test_degrees)
+        tables = index_tables(socket_items[block], n, spec.test_degrees)
         defective = np.tile(patterns, (len(block), 1))
         wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
         wrong = np.unpackbits(wrong.view(np.uint8), axis=1, count=len(masks), bitorder="little")

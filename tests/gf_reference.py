@@ -37,7 +37,7 @@ def _comp_parts(spec: EnsembleSpec):
     edges = spec.edge_count
     caps_g = (edges, edges, edges)
     g_factors = []
-    for d, count in sorted(spec.right_counts().items()):
+    for d, count in spec.test_classes:
         any_edge = SparsePoly.sum_of_variables(3, [0, 1, 2], caps_g)
         no_def = SparsePoly.sum_of_variables(3, [1, 2], caps_g)
         bracket = poly_add(
@@ -49,7 +49,7 @@ def _comp_parts(spec: EnsembleSpec):
     n = spec.n
     caps_f = (n, n, edges, edges, edges)
     f_factors = []
-    for d, count in sorted(spec.left_counts().items()):
+    for d, count in spec.item_classes:
         defective = SparsePoly.monomial(5, (1, 0, d, 0, 0), 1, caps_f)
         false_alarm = SparsePoly.monomial(5, (0, 1, 0, d, 0), 1, caps_f)
         with_neg = SparsePoly(5, {(0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 1}, caps_f)
@@ -73,7 +73,7 @@ def _dd_parts(spec: EnsembleSpec):
     edges = spec.edge_count
     caps_g = (edges,) * 6
     g_factors = []
-    for d, count in sorted(spec.right_counts().items()):
+    for d, count in spec.test_classes:
         pd_adjacent = SparsePoly.sum_of_variables(6, [0, 1, 3, 4], caps_g)
         no_def = SparsePoly.sum_of_variables(6, [1, 3], caps_g)
         bracket = poly_add(SparsePoly.constant(6, 1, caps_g), poly_pow(pd_adjacent, d))
@@ -88,7 +88,7 @@ def _dd_parts(spec: EnsembleSpec):
     n = spec.n
     caps_f = (n, n) + (edges,) * 6
     f_factors = []
-    for d, count in sorted(spec.left_counts().items()):
+    for d, count in spec.item_classes:
         s5_plus_s6 = SparsePoly.sum_of_variables(8, [6, 7], caps_f)
         s5_only = SparsePoly.monomial(8, (0, 0, 0, 0, 0, 0, 1, 0), 1, caps_f)
         t1 = SparsePoly.monomial(8, (1, 0, 0, 0, 0, 0, 0, 0), 1, caps_f)

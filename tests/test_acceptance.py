@@ -1,6 +1,6 @@
 """End-to-end acceptance suite.
 
-Ten checks, each printing a single PASS/FAIL line (visible with -s).
+Eleven checks, each printing a single PASS/FAIL line (visible with -s).
 Exact tables must agree with their references to the rational, Monte
 Carlo must land within four standard errors of the analytic value, and
 fixed seeds must give bit-identical output regardless of worker count.
@@ -66,7 +66,7 @@ THREE_TEST_DEGREE_DIGESTS = {
 
 def _stamp(index: int, label: str, ok: bool, elapsed: float = None) -> None:
     timing = "" if elapsed is None else f" ({elapsed:.1f}s)"
-    print(f"[{index:2d}/10] {label}: {'PASS' if ok else 'FAIL'}{timing}")
+    print(f"[{index:2d}/11] {label}: {'PASS' if ok else 'FAIL'}{timing}")
 
 
 def _mixed_spec() -> EnsembleSpec:
@@ -351,3 +351,24 @@ def test_fixed_seed_output_is_bit_identical(tmp_path):
     _stamp(10, "fixed seed gives identical CSV bytes, workers 1 and 8", ok, elapsed)
     assert runs["first"] == runs["second"]
     assert runs["first"] == runs["eight"]
+
+
+def test_dd_simulation_meets_the_table_at_120():
+    # The graph-clustered stderr binds; patterns share a graph, so the pooled
+    # one understates the spread and its deviation is printed only.
+    spec = regular_spec(120, 3, 6)
+    t0 = time.monotonic()
+    table = build_table(spec, Algorithm.DD)
+    built = time.monotonic() - t0
+    failures = []
+    for index, delta in enumerate([Fraction(1, 20), Fraction(1, 10)]):
+        t0 = time.monotonic()
+        report = simulate(spec, Algorithm.DD, delta, 100, 10_000, derive_seed(MC_SEED, index), workers=MC_WORKERS)
+        elapsed = time.monotonic() - t0
+        dev = report.mdr_mean - float(md_probability(table, delta))
+        print(f"      dd delta={delta}: dev={dev:.2e} = {dev / report.mdr_graph_stderr:+.2f} graph_se "
+              f"({dev / report.mdr_stderr:+.2f} pooled_se), table {built:.2f}s, simulation {elapsed:.2f}s")
+        if abs(dev) > 4 * report.mdr_graph_stderr:
+            failures.append((str(delta), dev, report.mdr_graph_stderr))
+    _stamp(11, "DD Monte Carlo within 4 graph-clustered stderr of the (120,3,6) table", not failures)
+    assert not failures, failures

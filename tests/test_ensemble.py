@@ -11,7 +11,6 @@ from poolgraph.ensemble import (
     EnsembleSpec,
     _graph_from_assignment,
     _permutation,
-    _socket_layout,
     enumerate_matchings,
     load_spec,
     parse_spec,
@@ -41,14 +40,14 @@ def test_validate_accepts_case_study_shape():
     spec = EnsembleSpec(
         n=30, m=15, left=DegreeDistribution.regular(3), right=DegreeDistribution.regular(6)
     )
-    assert (spec.left_counts(), spec.right_counts(), spec.edge_count) == ({3: 30}, {6: 15}, 90)
+    assert (spec.item_classes, spec.test_classes, spec.edge_count) == (((3, 30),), ((6, 15),), 90)
 
 
 def test_validate_accepts_tiny_regular():
     spec = EnsembleSpec(
         n=4, m=2, left=DegreeDistribution.regular(1), right=DegreeDistribution.regular(2)
     )
-    assert (spec.left_counts(), spec.right_counts(), spec.edge_count) == ({1: 4}, {2: 2}, 4)
+    assert (spec.item_classes, spec.test_classes, spec.edge_count) == (((1, 4),), ((2, 2),), 4)
 
 
 def test_validate_rejects_edge_count_mismatch():
@@ -67,7 +66,7 @@ def test_validate_rejects_more_tests_than_items():
 
 def test_validate_allows_equal_counts():
     # (4,2,2) has m = n = 4 and must be usable.
-    assert regular_spec(4, 2, 2).right_counts() == {2: 4}
+    assert regular_spec(4, 2, 2).test_classes == ((2, 4),)
 
 
 def test_validate_rejects_fractional_node_counts():
@@ -83,6 +82,7 @@ def test_spec_is_checked_only_when_made(monkeypatch):
     def refuse(*args):
         raise AssertionError("spec re-checked after construction")
 
+    monkeypatch.setattr(DegreeDistribution, "__post_init__", refuse)
     monkeypatch.setattr(DegreeDistribution, "node_counts", refuse)
     monkeypatch.setattr(DegreeDistribution, "mean", refuse)
     for spec in specs:
@@ -101,6 +101,9 @@ def test_kept_counts_stay_out_of_identity():
         regular_spec(4, 2, 2),
         parse_spec(spec_to_jsonable(regular_spec(4, 2, 2))),
         EnsembleSpec(n=4, m=4, left=DegreeDistribution.regular(2), right=DegreeDistribution.regular(2)),
+        EnsembleSpec(
+            n=4, m=4, left=DegreeDistribution(((2, Fraction(1)),)), right=DegreeDistribution(((2, Fraction(1)),))
+        ),
     ]
     assert all(spec == built[0] for spec in built)
     assert len({hash(spec) for spec in built}) == 1
@@ -109,12 +112,12 @@ def test_kept_counts_stay_out_of_identity():
     table = build_table(built[0], Algorithm.COMP)
     hits = build_table.cache_info().hits
     assert all(build_table(spec, Algorithm.COMP) is table for spec in built[1:])
-    assert build_table.cache_info().hits == hits + 2
+    assert build_table.cache_info().hits == hits + len(built) - 1
     for spec in (built[0], mixed_spec()):
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec
-        assert (copy.left_counts(), copy.right_counts(), copy.edge_count) == (
-            spec.left_counts(), spec.right_counts(), spec.edge_count
+        assert (copy.item_classes, copy.test_classes, copy.edge_count) == (
+            spec.item_classes, spec.test_classes, spec.edge_count
         )
 
 
@@ -145,6 +148,27 @@ def test_degree_distribution_must_sum_to_one():
         DegreeDistribution.from_dict({0: Fraction(1)})
     with pytest.raises(ValidationError):
         DegreeDistribution.from_dict({1: Fraction(3, 2), 2: Fraction(-1, 2)})
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((1, HALF),),  # sums to 1/2
+        ((3, HALF), (1, HALF)),  # out of degree order
+        ((2, HALF), (2, HALF)),  # a repeated degree
+        ((1, Fraction(0)), (2, Fraction(1))),  # a zero fraction
+        ((0, Fraction(1)),),
+        ((2.0, Fraction(1)),),
+        ((True, Fraction(1)),),
+        ((1, 0.5), (2, HALF)),  # a float fraction
+    ],
+)
+def test_degree_distribution_is_checked_when_made(entries):
+    with pytest.raises(ValidationError):
+        DegreeDistribution(entries)
 
 
 def test_regular_spec_case_study():
@@ -242,11 +266,9 @@ def test_permutation_redraws_rejected_words_in_stream_order():
 
 def test_sample_graph_is_a_shuffle_of_raw_words():
     spec = mixed_spec()
-    left_owner, _ = _socket_layout(spec.left_counts())
-    _, right_degrees = _socket_layout(spec.right_counts())
     for seed in range(50):
         assignment = _reference_permutation(np.random.PCG64(seed), spec.edge_count)
-        expected = _graph_from_assignment(spec, left_owner, right_degrees, assignment)
+        expected = _graph_from_assignment(spec, assignment)
         assert sample_graph(spec, seed) == expected
 
 

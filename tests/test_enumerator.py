@@ -560,15 +560,50 @@ def test_exact_rates_approach_the_tree_limit():
     # tests. The ensemble averages close
     # the gap as n doubles: COMP at a 1/n rate (n x gap is printed), DD
     # more slowly.
+    #
+    # COMP's gap is c(delta)/n + O(1/n^2), with c from the same tree. With
+    # q = 1 - delta and P_k = 1 - q^k, a test with k other distinct items is
+    # positive with chance P_k, so FA_tree = P_{r-1}^l. A candidate's depth-1
+    # neighbourhood holds one collision with chance rho/n + O(1/n^2): a pair of
+    # sockets meets in one test with chance about (r-1)/E, and belongs to one
+    # item with chance about (l-1)/E, E = nl. Each collision shape i moves the
+    # candidate's false-alarm chance from FA_tree to FA_i:
+    # - two of its own sockets in one test: C(l,2) pairs, rho = C(l,2)(r-1)/l,
+    #   and one of its l - 1 tests has r - 2 others, FA = P_{r-2} P_{r-1}^(l-2);
+    # - another item twice in one of its tests: l C(r-1,2) pairs,
+    #   rho = C(r-1,2)(l-1), FA = P_{r-2} P_{r-1}^(l-1);
+    # - another item in two of its tests (a 4-cycle): C(l,2)(r-1)^2 pairs,
+    #   rho = C(l,2)(r-1)^2(l-1)/l; both tests are positive if that item is
+    #   defective, or else through r - 2 others each:
+    #   FA = (delta + q P_{r-2}^2) P_{r-1}^(l-2).
+    # The rate is E[fa / (n - a)], and a false alarm's l(r-1) neighbours hold
+    # l(r-1) delta / P_{r-1} defectives on average against l(r-1) delta at
+    # large, so n - a is smaller by l(r-1) delta q^(r-1) / P_{r-1} when the
+    # candidate errs. Against n - a ~ n q, that adds the ratio term
+    # FA_tree l(r-1) delta q^(r-2) / P_{r-1} to c. So n gap_n - c falls as 1/n:
+    # each doubling about halves it, in a band fixed before the test was run.
     l, r = 3, 6
     for delta in (Fraction(1, 20), Fraction(1, 10)):
         fa_tree = (1 - (1 - delta) ** (r - 1)) ** l
         pi = (1 - (1 - delta) ** (r - 1)) ** (l - 1)
         md_tree = (1 - ((1 - delta) * (1 - pi)) ** (r - 1)) ** l
-        comp = {n: abs(fa_probability(build_table(regular_spec(n, l, r), Algorithm.COMP), delta) - fa_tree)
-                for n in (30, 60, 120)}
+        fa = {n: fa_probability(build_table(regular_spec(n, l, r), Algorithm.COMP), delta) for n in (30, 60, 120)}
+        comp = {n: abs(rate - fa_tree) for n, rate in fa.items()}
         dd = {n: abs(md_probability(build_table(regular_spec(n, l, r), Algorithm.DD), delta) - md_tree)
               for n in (30, 60)}
         assert comp[30] > comp[60] > comp[120], (delta, comp)
         assert dd[30] > dd[60], (delta, dd)
         print(f"delta={delta}: COMP n x gap " + ", ".join(f"{n}: {float(n * gap):.3f}" for n, gap in comp.items()))
+        q = 1 - delta
+        P = {k: 1 - q**k for k in (r - 2, r - 1)}
+        shapes = [
+            (Fraction(math.comb(l, 2) * (r - 1), l), P[r - 2] * P[r - 1] ** (l - 2)),
+            (math.comb(r - 1, 2) * (l - 1), P[r - 2] * P[r - 1] ** (l - 1)),
+            (Fraction(math.comb(l, 2) * (r - 1) ** 2 * (l - 1), l), (delta + q * P[r - 2] ** 2) * P[r - 1] ** (l - 2)),
+        ]
+        ratio_term = fa_tree * l * (r - 1) * delta * q ** (r - 2) / P[r - 1]
+        c = sum(rho * (fa_i - fa_tree) for rho, fa_i in shapes) + ratio_term
+        remainder = {n: abs(n * (rate - fa_tree) - c) for n, rate in fa.items()}
+        ratios = [remainder[n] / remainder[n // 2] for n in (60, 120)]
+        print(f"delta={delta}: c = {float(c):.6f}, remainder ratios " + ", ".join(f"{float(x):.3f}" for x in ratios))
+        assert all(Fraction(45, 100) <= x <= Fraction(55, 100) for x in ratios), (delta, float(c), ratios)

@@ -1,10 +1,12 @@
-"""What importing poolgraph loads: the exact side runs without numpy.
+"""What importing poolgraph loads: the exact side runs without numpy, and
+no module imports another module's private name.
 
 Each check that looks at sys.modules starts a fresh interpreter with
 PYTHONPATH=src, because pytest and hypothesis may already have loaded
 numpy into this one.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import poolgraph.detection
 import poolgraph.enumerator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "poolgraph"
 
 
 def run_fresh(code: str) -> str:
@@ -77,3 +80,18 @@ print(len(values))
 def test_algorithm_has_one_home():
     assert poolgraph.detection.Algorithm is poolgraph.enumerator.Algorithm
     assert poolgraph.Algorithm is poolgraph.enumerator.Algorithm
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and node.module.split(".")[0] != "poolgraph":
+                continue
+            for alias in node.names:
+                dunder = alias.name.startswith("__") and alias.name.endswith("__")
+                if alias.name.startswith("_") and not dunder:
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert not found

@@ -4,7 +4,10 @@ Each digest is the sha256 of the whole stdout of one `poolgraph` call. The
 enumerate, analyze and simulate digests were recorded at commit 8164230,
 before the exact output path was moved to integer-only evaluation; the
 verify digests at commit 8c325bb, before tables became integer rows (the
-benchmark checks only that a verify report says "all cells match"). A
+benchmark checks only that a verify report says "all cells match"); the
+irregular simulate and the two-degree verify digests at commit aa34247,
+before a spec owned its degree classes and socket layout (no other pin
+samples or walks a layout with two degrees on each side). A
 change to how probabilities are evaluated, how a delta grid is expanded, how
 a value is rendered or how a table is walked must leave them as they are.
 """
@@ -29,6 +32,13 @@ MIXED_3 = {
     "m": 2,
     "lambda": [{"degree": 1, "num": 2, "den": 3}, {"degree": 2, "num": 1, "den": 3}],
     "rho": [{"degree": 2, "num": 1, "den": 1}],
+}
+# Two degrees on each side and 6 edges: the oracle walks two socket classes per side.
+TWO_DEGREES_4 = {
+    "n": 4,
+    "m": 2,
+    "lambda": [{"degree": 1, "num": 1, "den": 2}, {"degree": 2, "num": 1, "den": 2}],
+    "rho": [{"degree": 2, "num": 1, "den": 2}, {"degree": 4, "num": 1, "den": 2}],
 }
 
 PINS = {
@@ -61,14 +71,24 @@ PINS = {
         ["verify", "--spec", "{mixed}", "--algorithm", "dd"],
         "4ad0af4013389d46a1c4995e8a1ae188beb2d999da0246775afbe66200c055cc",
     ),
+    "simulate-dd-irregular-12": (
+        ["simulate", "--spec", "{spec}", "--algorithm", "dd", "--delta-grid", "1/10,1/3",
+         "--graphs", "5", "--patterns", "300", "--seed", "7"],
+        "141e4531ead4eeebc5a5af2b450d76fd361bd9989dc68911ebb1ae5c141d6c38",
+    ),
+    "verify-dd-two-degrees-4": (
+        ["verify", "--spec", "{two}", "--algorithm", "dd"],
+        "01fb90bea6788be9a062d536f60673e3d81650ef256f60a40575c164da890225",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_cli_stdout_bytes_are_pinned(name, tmp_path, capsys):
     argv, pinned = PINS[name]
-    spec, mixed = tmp_path / "irregular-12.json", tmp_path / "mixed-3.json"
-    spec.write_text(json.dumps(IRREGULAR_12), encoding="utf-8")
-    mixed.write_text(json.dumps(MIXED_3), encoding="utf-8")
-    assert main([arg.format(spec=spec, mixed=mixed) for arg in argv]) == 0
+    files = {"spec": IRREGULAR_12, "mixed": MIXED_3, "two": TWO_DEGREES_4}
+    paths = {key: tmp_path / f"{key}.json" for key in files}
+    for key, obj in files.items():
+        paths[key].write_text(json.dumps(obj), encoding="utf-8")
+    assert main([arg.format(**paths) for arg in argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pinned
