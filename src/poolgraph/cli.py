@@ -179,35 +179,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .montecarlo import simulate, sweep, write_trials_csv
+    from .montecarlo import check_run, simulate, sweep, write_trials_csv
 
+    check_run(args.spec, args.deltas, args.graphs, args.patterns, args.seed, workers=args.workers)
     analytic = None
     if args.analytic:
         analytic = _exact_values(args)
         if analytic is None:
             return 1
-    if len(args.deltas) == 1:
-        reports = [
-            simulate(
-                args.spec,
-                args.algorithm,
-                args.deltas[0],
-                args.graphs,
-                args.patterns,
-                args.seed,
-                workers=args.workers,
-            )
-        ]
+    run = (args.graphs, args.patterns, args.seed)
+    if len(args.deltas) == 1:  # one delta runs on the master seed itself, a grid on one derived seed per point
+        reports = [simulate(args.spec, args.algorithm, args.deltas[0], *run, workers=args.workers)]
     else:
-        reports = sweep(
-            args.spec,
-            args.algorithm,
-            args.deltas,
-            args.graphs,
-            args.patterns,
-            args.seed,
-            workers=args.workers,
-        )
+        reports = sweep(args.spec, args.algorithm, args.deltas, *run, workers=args.workers)
     write_trials_csv(reports, args.out, analytic, precision=args.precision)
     return 0
 

@@ -13,9 +13,6 @@ The sole-PD rule is socket-level: a test whose two sockets both land on
 the same PD item does NOT certify it (the multi-edge counts twice). This is
 the rule every enumerator table computes.
 
-Items with degree 0 never appear in a test; they defensively stay PD
-(undetected under DD).
-
 The rule has two implementations. The bitmask decoders (`comp_pd_mask`,
 `dd_certified_mask`) take one pattern as a Python int and loop over the
 tests; they are the literal reference the tests hold the batch decoder and

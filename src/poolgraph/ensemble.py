@@ -44,6 +44,8 @@ class DegreeDistribution:
     entries: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
+        # A tuple of pairs whatever iterable of pairs was given, so equal distributions hash alike.
+        object.__setattr__(self, "entries", tuple((degree, fraction) for degree, fraction in self.entries))
         for k, (degree, fraction) in enumerate(self.entries):
             if type(degree) is not int:
                 raise ValidationError(f"degree must be an int, got {degree!r}")
@@ -64,6 +66,8 @@ class DegreeDistribution:
                 raise ValidationError(f"degree must be an int, got {degree!r}")
         entries = []
         for degree, fraction in sorted(mapping.items()):
+            if isinstance(fraction, (float, bool)):
+                raise ValidationError(f"degree {degree}: fraction must be exact, got {fraction!r}")
             fraction = Fraction(fraction)
             if fraction < 0:
                 raise ValidationError(f"degree {degree}: negative fraction {fraction}")

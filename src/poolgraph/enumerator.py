@@ -21,9 +21,10 @@ short closed form. With S_d(q, w) = sum_t (-1)^(q-t) C(q, t) C(d t, w):
 
     [x^w] ((1+x)^d - 1)^q = S_d(q, w)
     [s^y] ((1+s)^d - s^d)^q = S_d(q, d q - y)
-    O = (x1+x2+x4)^d - (x2+x4)^d - d x1 x2^(d-1)
-        [x1^W x2^a x4^c] O^o = sum_p C(o, p) (-d)^p C(a - p(d-1) + c, c) S_d(o-p, W-p),
-        with W = d o - a - c: the sole term d x1 x2^(d-1) taken p times.
+    O_d = (x1+x2+x4)^d - (x2+x4)^d - d x1 x2^(d-1); with D = sum d o_d and W = D - a - K,
+        [x1^W x2^a x4^K] prod_d O_d^(o_d) = sum_p prod_d C(o_d, p_d) (-d)^(p_d) C(a - A + K, K) spread(o - p)[W - P],
+        the sole term d x1 x2^(d-1) taken p_d times per class, P = sum p_d, A = sum (d-1) p_d,
+        and spread(q)[w] = [x^w] prod_d ((1+x)^d - 1)^(q_d), the S_d(q_d, .) rows convolved.
 
 The S_d(q, .) rows come from row_q = row_(q-1) ((1+x)^d - 1), one short
 convolution each, and binomials from Pascal rows; both grow on demand.
@@ -57,8 +58,8 @@ coefficient lists (written *):
         and E2 = sum d o_d - (E - Q - B), so given q and B a term depends on the
         certified items only through [x^B] and K: the tests are summed once per
         (q, B) into a row over K. H_o is read the same way, one memoized row
-        over K per (classes, E2): the O^o closed form above for one test degree,
-        else the first class's rows convolved over K against the rest's.
+        over K per (classes, E2), from the closed form above whatever the number
+        of test degrees, its sole terms taken in ascending A up to A = E2.
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
@@ -86,7 +87,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product
-from operator import mul
+from operator import itemgetter, mul
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, TextIO, Union
@@ -195,17 +196,19 @@ class EnumeratorTable:
 class _ClosedForms:
     """Closed-form coefficients of the bracket powers (see the module docstring).
 
-    Memoizes Pascal rows, the S_d(q, .) rows and the H_o rows over K per
-    instance, so build one instance per table. `fact` holds 0!, ..., edges!;
-    the rows grow on demand, whatever `edges` is.
+    Memoizes Pascal rows, the S_d(q, .) rows, spreads, sole terms and H_o
+    rows over K per instance, so build one instance per table. `fact` holds
+    0!, ..., edges!; the rows grow on demand, whatever `edges` is.
     """
 
-    __slots__ = ("fact", "_pascal", "_powers", "_ordinary")
+    __slots__ = ("fact", "_pascal", "_powers", "_spreads", "_sole", "_ordinary")
 
     def __init__(self, edges: int):
         self.fact = list(accumulate(range(1, edges + 1), mul, initial=1))
         self._pascal: list[list[int]] = [[1]]
         self._powers: dict[int, list[list[int]]] = {}
+        self._spreads: dict[tuple, list[int]] = {}
+        self._sole: dict[tuple, list[tuple[int, int, int, list[int]]]] = {}
         self._ordinary: dict[tuple, list[int]] = {}
 
     def choose(self, k: int) -> list[int]:
@@ -239,53 +242,48 @@ class _ClosedForms:
             out = grown
         return out
 
-    def dd_row(self, d: int, o: int, a: int, step: int) -> list[int]:
-        """[x1^W x2^a x4^c] O^o with W = d o - a - c, for c = 0, step, 2 step, ..., d o - a.
-
-        O = (x1 + x2 + x4)^d - (x2 + x4)^d - d x1 x2^(d-1) is DD's bracket at
-        an ordinary positive test. With v = x2 + x4, taking the sole term
-        p times leaves x1^p ((x1 + v)^d - v^d)^(o-p), whose x1^(W-p) coefficient
-        is S_d(o - p, W - p) v^(a + c - p(d-1)); C(a - p(d-1) + c, c) picks
-        x2^(a - p(d-1)) x4^c out of that power of v.
-        """
-        w0 = d * o - a
-        row, live = [0] * (w0 // step + 1), range(0, w0 - o + 1, step)  # W >= o: every factor holds x1
-        if live:
-            self.powers(d, o)  # grow the S_d and Pascal rows the sum reads
-            self.choose(max(o, a + live[-1]))
-            s_rows, pascal, sign = self._powers[d], self._pascal, 1
-            for p in range(min(o, a // (d - 1) if d > 1 else o) + 1):
-                coef, s, n = sign * pascal[o][p], s_rows[o - p], a - p * (d - 1)
-                for k, c in enumerate(live):
-                    row[k] += coef * pascal[n + c][c] * s[w0 - p - c]
-                sign *= -d
+    def spread(self, classes: tuple[tuple[int, int], ...], keep: bool = True) -> list[int]:
+        """[x^w] prod_d ((1 + x)^d - 1)^(q_d), (d, q_d) in `classes`; memoized if `keep`, one q_d > 0 its powers row."""
+        row = self._spreads.get(classes)
+        if row is None:
+            live = [(d, q) for d, q in classes if q]
+            row = self.powers(*live[0]) if len(live) == 1 else _convolve(self.powers(d, q) for d, q in live)
+            if keep:
+                self._spreads[classes] = row
         return row
 
     def ordinary(self, classes: tuple[tuple[int, int], ...], a: int, step: int) -> list[int]:
         """H_o: [x1^(D - a - K) x2^a x4^K] prod O_d^(o_d) for K = 0, step, 2 step, ..., D - a; memoized.
 
-        `classes` holds the (d, o_d) with o_d > 0, and D = sum d o_d. One class
-        is `dd_row`; several convolve the first class's rows over K against
-        the rest's, one pair for each share a1 of a on the first class.
+        `classes` holds the (d, o_d) with o_d > 0, and D = sum d o_d. With
+        v = x2 + x4, taking class d's sole term d x1 x2^(d-1) p_d times leaves
+        x1^P x2^A prod_d ((x1 + v)^d - v^d)^(o_d - p_d), whose x1^(W - P)
+        coefficient is spread(o - p)[W - P] v^(a - A + K), W = D - a - K;
+        C(a - A + K, K) picks x2^(a - A) x4^K out of that power of v. Every
+        p's (A, P, coefficient, spread) is kept per classes, ascending in A.
         """
         key = (classes, a, step)
         row = self._ordinary.get(key)
         if row is None:
-            if not classes:
-                row = [1] if a == 0 else []  # the empty product
-            elif len(classes) == 1:
-                row = self.dd_row(*classes[0], a, step)
-            else:
-                top = sum(d * o for d, o in classes) - a
-                (d, o), rest = classes[0], classes[1:]
-                row = [0] * (top + 1)
-                for a1 in range(max(0, d * o - top), min(a, d * o) + 1):
-                    tail = self.ordinary(rest, a - a1, 1)
-                    for k1, x in enumerate(self.ordinary(classes[:1], a1, 1)):
-                        if x:
-                            for k, y in enumerate(tail, k1):
-                                row[k] += x * y
-                row = row[::step]
+            top = sum(d * o for d, o in classes) - a
+            row, live = [0] * (top // step + 1), range(0, top - sum(o for _, o in classes) + 1, step)
+            if live:  # W >= sum o_d: every factor holds x1
+                terms = self._sole.get(classes)
+                if terms is None:
+                    terms = self._sole[classes] = sorted((
+                        (sum((d - 1) * p for (d, _), p in zip(classes, picks)), sum(picks),
+                         math.prod(self.choose(o)[p] * (-d) ** p for (d, o), p in zip(classes, picks)),
+                         self.spread(tuple((d, o - p) for (d, o), p in zip(classes, picks))))
+                        for picks in _splits([o for _, o in classes])
+                    ), key=itemgetter(0))
+                self.choose(a + live[-1])
+                pascal = self._pascal
+                for lift, picks, coef, spread in terms:
+                    if lift > a:
+                        break
+                    n, w0 = a - lift, top - picks
+                    for k, c in enumerate(live):
+                        row[k] += coef * pascal[n + c][c] * spread[w0 - c]
             self._ordinary[key] = row
         return row
 
@@ -311,9 +309,11 @@ def _table_units(spec: EnsembleSpec, algorithm: Algorithm) -> int:
 
     COMP: compositions (at most one (e1, i) entry each), slack dot products
     per (dismissed, e1), and spread entries per test split, three big
-    products each. DD: (B, J) pairs per composition, H_o rows (dd_row's p x K;
-    several classes convolve over a1 x K), and a fixed cost per composition
-    and per H_o read.
+    products each. DD: (B, J) pairs per composition, H_o rows (p x K per
+    class, and with several test degrees the a1 x K pair sums of a
+    convolution no longer run: a bound above the measured seconds of
+    BENCH_25.json, kept so that no refusal moves), and a fixed cost per
+    composition and per H_o read.
     """
     items, tests = spec.item_classes, spec.test_classes
     edges, step = spec.edge_count, math.gcd(*(d for d, _ in items))
@@ -381,8 +381,8 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]
     for split in _splits(test_counts):
         sockets = sum(d * b for d, b in zip(test_degrees, split))
         weight = math.prod(choose(count)[b] for count, b in zip(test_counts, split)) * fact[edges - sockets]
-        spread = _convolve(forms.powers(d, b) for d, b in zip(test_degrees, split))
-        for e1, t in enumerate(spread):
+        # Each split's spread is read once, so none is kept: all of them would outlive the loop.
+        for e1, t in enumerate(forms.spread(tuple(zip(test_degrees, split)), keep=False)):
             if t:
                 row = by_e1.setdefault(e1, [0] * (edges // step + 1))
                 row[sockets // step] += weight * t * fact[e1] * fact[sockets - e1]
@@ -430,7 +430,6 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
             by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, classes))
     # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
     missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
-    spreads: dict[tuple[int, ...], list[int]] = {}
     values = empty_rows(spec.n, Algorithm.DD)
     for dismissed in _splits(counts):
         free = edges - sum(d * q for d, q in zip(degrees, dismissed))
@@ -454,9 +453,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
                 covers = range(0, top + 1, step)
                 by_k[b] = [t * fact[top - cover] * fact[cover] for cover, t in zip(covers, sums)]
         for certified in _splits([c - q for c, q in zip(counts, dismissed)]):
-            spread = spreads.get(certified)
-            if spread is None:
-                spread = spreads[certified] = _convolve(forms.powers(d, i) for d, i in zip(degrees, certified))
+            spread = forms.spread(tuple(zip(degrees, certified)))
             rest = tuple(c - i_d - q for c, i_d, q in zip(counts, certified, dismissed))
             r_deg = sum(d * r for d, r in zip(degrees, rest))
             splits = missed_splits.get(rest)

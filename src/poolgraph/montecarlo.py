@@ -30,9 +30,10 @@ on its size, so CHUNK_PATTERNS is part of the scheme. Results are
 bit-identical for a given seed whatever the worker count; a sweep maps
 every (delta, graph) tally through one process pool.
 
-A call predicted to take over errors.LIMIT_SECONDS, decoding plus each
-graph's sampling and set-up, raises SizeLimitError before any graph is
-sampled.
+check_run checks a run's inputs in full, and refuses one predicted to
+take over errors.LIMIT_SECONDS (decoding plus each graph's sampling and
+set-up) with SizeLimitError; simulate and sweep call it before any pool
+or graph is made, and the CLI before any exact table is built.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, write_csv
 from .errors import refuse_over_limit
 
-__all__ = ["RNG_SCHEME", "TrialReport", "derive_seed", "simulate", "sweep", "write_trials_csv"]
+__all__ = ["RNG_SCHEME", "TrialReport", "check_run", "derive_seed", "simulate", "sweep", "write_trials_csv"]
 
 RNG_SCHEME = "pcg64raw-sha256split-v2"
 
@@ -193,12 +194,22 @@ def _predicted_seconds(spec: EnsembleSpec, deltas: int, graphs: int, patterns_pe
     return deltas * graphs * (per_graph + spec.edge_count * _GRAPH_EDGE_SECONDS)
 
 
-def _check_size(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> None:
-    """Refuse, before any graph is sampled, a simulation predicted to take too long."""
+def check_run(
+    spec: EnsembleSpec, delta_grid: Iterable, graphs: int, patterns_per_graph: int, seed: int, *, workers: int = 1
+) -> list[Fraction]:
+    """A run's exact deltas once every input is checked: bad values raise first, then a run over the limit."""
+    deltas = [exact_delta(delta) for delta in delta_grid]
+    if not deltas:
+        raise ValueError("delta grid must be non-empty")
     if graphs < 1 or patterns_per_graph < 1:
         raise ValueError("graphs and patterns_per_graph must be at least 1")
-    work = f"{deltas} deltas x {graphs} graphs x {patterns_per_graph} patterns on n={spec.n}"
-    refuse_over_limit(work, _predicted_seconds, spec, deltas, graphs, patterns_per_graph)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if type(seed) is not int or not 0 <= seed < _SEED_SPAN:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    work = f"{len(deltas)} deltas x {graphs} graphs x {patterns_per_graph} patterns on n={spec.n}"
+    refuse_over_limit(work, _predicted_seconds, spec, len(deltas), graphs, patterns_per_graph)
+    return deltas
 
 
 def _rate_statistics(
@@ -257,8 +268,6 @@ def _reports(
     keep_per_graph: bool,
 ) -> list[TrialReport]:
     """One report per (delta, seed) point; every (point, graph) tally goes through one pool."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     args = [(spec, algorithm, d, patterns_per_graph, s, g) for d, s in points for g in range(graphs)]
     pool_size = _pool_size(workers, len(args), os.cpu_count())
     comp = algorithm is Algorithm.COMP
@@ -302,15 +311,14 @@ def simulate(
     keep_per_graph: bool = False,
 ) -> TrialReport:
     """Estimate FAR and MDR at one delta; bit-identical for a given seed and any `workers`."""
-    d = exact_delta(delta)
-    _check_size(spec, 1, graphs, patterns_per_graph)
+    (d,) = check_run(spec, [delta], graphs, patterns_per_graph, seed, workers=workers)
     return _reports(spec, algorithm, [(d, seed)], graphs, patterns_per_graph, workers, keep_per_graph)[0]
 
 
 def sweep(
     spec: EnsembleSpec,
     algorithm: Algorithm,
-    delta_grid: Sequence,
+    delta_grid: Iterable,
     graphs: int,
     patterns_per_graph: int,
     seed: int,
@@ -318,11 +326,8 @@ def sweep(
     workers: int = 1,
     keep_per_graph: bool = False,
 ) -> list[TrialReport]:
-    """One report per grid point, each on an independent seed stream; every delta is checked first."""
-    if not delta_grid:
-        raise ValueError("delta grid must be non-empty")
-    deltas = [exact_delta(delta) for delta in delta_grid]
-    _check_size(spec, len(deltas), graphs, patterns_per_graph)
+    """One report per grid point, each on an independent seed stream; every input is checked first."""
+    deltas = check_run(spec, delta_grid, graphs, patterns_per_graph, seed, workers=workers)
     points = [(d, derive_seed(seed, index)) for index, d in enumerate(deltas)]
     return _reports(spec, algorithm, points, graphs, patterns_per_graph, workers, keep_per_graph)
 

@@ -51,13 +51,13 @@ DOUBLED_DIGESTS = {
     Algorithm.DD: "c653eac172e66b925e0bc2d4dddfd9a8dc85e4fc3f1ae5be5f51443f205c4b48",
 }
 # And for lambda = {2: 1/3, 3: 1/3, 4: 1/3}, rho = {4: 1/2, 8: 1/2} at n = 12:
-# three item classes, and DD convolves two ordinary-test classes' rows.
+# three item classes, and DD's H_o rows mix two ordinary-test classes.
 THREE_DEGREE_DIGESTS = {
     Algorithm.COMP: "52227dd93cac1a82e1c3be0db9a62089814b143a0a838e3feb54e6a0fa6d6dfb",
     Algorithm.DD: "fdafe72f313d80f1aed71967cbebfd08511345617e5074ca2b2cb14b0b78ce5b",
 }
 # And for lambda = {3: 1}, rho = {4: 1/3, 6: 1/3, 8: 1/3} at n = 12: three
-# test classes, so DD's rows of the rest are themselves convolutions.
+# test classes, so DD's H_o rows sum over three classes' sole-term counts.
 THREE_TEST_DEGREE_DIGESTS = {
     Algorithm.COMP: "5f2309f8a397c117c7bfd31e54d87d46c7ef0c0a31306ab533d36dabe3c568a9",
     Algorithm.DD: "64350e4f1263870eef8036617c131e8279fb24475bd29e59ef8240ce30bdd84c",

@@ -429,6 +429,26 @@ def test_every_delta_is_checked_before_any_work(argv, monkeypatch, capsys):
     assert err.startswith("error: delta must lie in [0, 1], got ")
 
 
+@pytest.mark.parametrize(
+    "flags,code",
+    [
+        (["--graphs", "0"], 1),
+        (["--patterns", "0"], 1),
+        (["--workers", "0"], 1),
+        (["--seed", "-1"], 1),
+        (["--graphs", "100000", "--patterns", "100000"], 2),
+    ],
+)
+def test_simulate_inputs_are_checked_before_the_exact_table(flags, code, monkeypatch, capsys):
+    monkeypatch.setattr("poolgraph.cli.build_table", _refuse)
+    argv = ["simulate", "--regular", "30,3,6", "--algorithm", "comp", "--delta", "1/10", "--analytic", *flags]
+    got, out, err = run(argv, capsys)
+    assert got == code
+    assert out == ""
+    assert "row-sum" not in err
+    assert err.startswith("refused: " if code == 2 else "error: ")
+
+
 def test_precision_limit_is_inclusive(monkeypatch, capsys):
     argv = ["enumerate", "--regular", "4,1,2", "--algorithm", "comp", "--precision"]
     code, out, err = run(argv + [str(_PRECISION_LIMIT)], capsys)

@@ -104,6 +104,10 @@ def test_kept_counts_stay_out_of_identity():
         EnsembleSpec(
             n=4, m=4, left=DegreeDistribution(((2, Fraction(1)),)), right=DegreeDistribution(((2, Fraction(1)),))
         ),
+        # Entries given as lists are kept as a tuple of pairs.
+        EnsembleSpec(
+            n=4, m=4, left=DegreeDistribution([(2, Fraction(1))]), right=DegreeDistribution([[2, Fraction(1)]])
+        ),
     ]
     assert all(spec == built[0] for spec in built)
     assert len({hash(spec) for spec in built}) == 1
@@ -164,11 +168,18 @@ HALF = Fraction(1, 2)
         ((2.0, Fraction(1)),),
         ((True, Fraction(1)),),
         ((1, 0.5), (2, HALF)),  # a float fraction
+        {1: 0.5, 2: 0.5},  # from_dict: float fractions, named whether or not they sum to 1
+        {1: 0.1, 2: 0.9},
+        {2: True},
     ],
 )
 def test_degree_distribution_is_checked_when_made(entries):
-    with pytest.raises(ValidationError):
-        DegreeDistribution(entries)
+    if isinstance(entries, dict):
+        with pytest.raises(ValidationError, match=r"^degree [12]: fraction must be exact, got (0\.|True)"):
+            DegreeDistribution.from_dict(entries)
+    else:
+        with pytest.raises(ValidationError):
+            DegreeDistribution(entries)
 
 
 def test_regular_spec_case_study():

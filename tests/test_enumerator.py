@@ -198,8 +198,7 @@ def test_dd_rows_equal_the_literal_sum(d, o):
     for a in range(d * o + 2):
         for step in (1, 2, 3):
             cs = range(0, d * o - a + 1, step)
-            assert forms.dd_row(d, o, a, step) == [_literal_dd_g(d, o, a, c) for c in cs]
-            assert forms.ordinary(((d, o),), a, step) == forms.dd_row(d, o, a, step)
+            assert forms.ordinary(((d, o),), a, step) == [_literal_dd_g(d, o, a, c) for c in cs]
 
 
 def _assert_rows_match(classes, power):
@@ -225,9 +224,13 @@ def test_dd_test_polynomial_powers_match_sparse_powers(d, o):
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)), min_size=2, max_size=3))
 @example([(2, 2), (3, 1), (4, 2)])
+@example([(1, 2), (3, 2), (3, 1)])
+@example([(4, 2), (4, 1)])
+@example([(1, 1), (5, 2)])
 def test_dd_two_class_products_match_sparse_powers(classes):
-    # Several ordinary-test classes, rows convolved over K, against the
-    # multiplied-out product; three classes read the rest's rows recursively.
+    # Several ordinary-test classes, each row one sum over every class's
+    # sole-term count, against the multiplied-out product. A degree may
+    # repeat, and O_1 = 0, so a degree-1 class zeroes every row.
     power = poly_pow(_dd_ordinary_polynomial(classes[0][0]), classes[0][1])
     for d, o in classes[1:]:
         power = power * poly_pow(_dd_ordinary_polynomial(d), o)

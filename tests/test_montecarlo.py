@@ -19,10 +19,10 @@ from poolgraph.montecarlo import (
     _GRAPH_KEY,
     _PATTERN_KEY,
     RNG_SCHEME,
-    _check_size,
     _draw_words,
     _graph_tally,
     _pool_size,
+    check_run,
     _predicted_seconds,
     derive_seed,
     simulate,
@@ -332,11 +332,19 @@ def test_sweep_worker_count_does_not_change_bytes():
 
 
 def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        sweep(SMALL, Algorithm.COMP, [], 2, 10, seed=0)
+    # An empty iterator is an empty grid too, though it is truthy.
+    for grid in ([], iter([])):
+        with pytest.raises(ValueError, match="^delta grid must be non-empty$"):
+            sweep(SMALL, Algorithm.COMP, grid, 2, 10, seed=0)
 
 
-def test_input_validation():
+def _no_reports(*args, **kwargs):
+    raise AssertionError("a report was started before the inputs were checked")
+
+
+def test_input_validation(monkeypatch):
+    # Every input is checked before _reports starts a pool or samples a graph.
+    monkeypatch.setattr(montecarlo, "_reports", _no_reports)
     for inexact in (0.5, True):
         with pytest.raises(TypeError):
             simulate(SMALL, Algorithm.COMP, inexact, 2, 10, seed=0)
@@ -344,10 +352,14 @@ def test_input_validation():
         simulate(SMALL, Algorithm.COMP, Fraction(1, 2), 0, 10, seed=0)
     with pytest.raises(ValueError):
         simulate(SMALL, Algorithm.COMP, Fraction(1, 2), 2, 0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
         simulate(SMALL, Algorithm.COMP, Fraction(1, 2), 2, 10, seed=0, workers=0)
     with pytest.raises(ValueError):
         simulate(SMALL, Algorithm.COMP, Fraction(3, 2), 2, 10, seed=0)
+    for seed in (-1, 2**64, True, 1.5):  # a bool or a float seed ran, or failed inside the first graph
+        with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {seed}$"):
+            simulate(SMALL, Algorithm.COMP, Fraction(1, 2), 2, 10, seed=seed)
+    assert check_run(SMALL, iter(["1/2", 0]), 2, 10, 0) == [Fraction(1, 2), Fraction(0)]
 
 
 def test_trials_csv_layout():
@@ -390,19 +402,24 @@ def test_sweep_bytes_match_the_recorded_digests(spec_name, algorithm, patterns):
     assert digest.hexdigest() == GOLDEN_SWEEPS[spec_name, algorithm, patterns]
 
 
+def _checked(spec, deltas, graphs, patterns):
+    # check_run on a grid of `deltas` points.
+    return check_run(spec, [Fraction(1, 10)] * deltas, graphs, patterns, 0)
+
+
 def test_simulation_work_limit_is_inclusive():
     spec = regular_spec(25, 2, 5)
     per_graph = _predicted_seconds(spec, 1, 1, 9_000)
     graphs = int(LIMIT_SECONDS // per_graph)
     while _predicted_seconds(spec, 1, graphs + 1, 9_000) <= LIMIT_SECONDS:
         graphs += 1
-    _check_size(spec, 1, graphs, 9_000)
+    _checked(spec, 1, graphs, 9_000)
     with pytest.raises(SizeLimitError):
-        _check_size(spec, 1, graphs + 1, 9_000)
+        _checked(spec, 1, graphs + 1, 9_000)
     with pytest.raises(SizeLimitError):
-        _check_size(spec, 2, graphs // 2 + 1, 9_000)
+        _checked(spec, 2, graphs // 2 + 1, 9_000)
     with pytest.raises(ValueError):
-        _check_size(spec, 1, 0, 10)
+        _checked(spec, 1, 0, 10)
 
 
 def test_simulation_units_are_item_patterns_and_graphs():
@@ -424,10 +441,10 @@ def test_everyday_sizes_are_accepted():
     from poolgraph.ensemble import load_spec
 
     case_study = regular_spec(30, 3, 6)
-    _check_size(case_study, 1, 100, 10_000)  # the CLI defaults, and acceptance check 7 per delta
-    _check_size(case_study, 3, 40, 10_000)  # the benchmark's validate sweep
-    _check_size(case_study, 3, 16, 500)  # and its worker-identity sweeps
-    _check_size(regular_spec(240, 3, 6), 10, 100, 10_000)
+    _checked(case_study, 1, 100, 10_000)  # the CLI defaults, and acceptance check 7 per delta
+    _checked(case_study, 3, 40, 10_000)  # the benchmark's validate sweep
+    _checked(case_study, 3, 16, 500)  # and its worker-identity sweeps
+    _checked(regular_spec(240, 3, 6), 10, 100, 10_000)
     half, third = Fraction(1, 2), Fraction(1, 3)
     irregular = {2: half, 4: half}
     three_tests = {4: third, 6: third, 8: third}
@@ -453,7 +470,7 @@ def test_everyday_sizes_are_accepted():
         _ensemble(12, 6, {2: third, 3: third, 4: third}, {4: half, 8: half}),
     ]
     for spec in tables:
-        _check_size(spec, 1, 100, 10_000)
+        _checked(spec, 1, 100, 10_000)
         for algorithm in Algorithm:
             assert enumerator._predicted_seconds(spec, algorithm) <= LIMIT_SECONDS, (spec, algorithm)
 
@@ -467,7 +484,7 @@ def test_runaway_simulation_is_refused_before_sampling(monkeypatch):
         simulate(regular_spec(30, 3, 6), Algorithm.COMP, Fraction(1, 10), 10**6, 10**9, seed=0)
     # The grid length counts: one point fits, a thousand do not.
     spec = regular_spec(30, 3, 6)
-    _check_size(spec, 1, 1_000, 100_000)
+    _checked(spec, 1, 1_000, 100_000)
     with pytest.raises(SizeLimitError):
         sweep(spec, Algorithm.DD, [Fraction(k, 1000) for k in range(1000)], 1_000, 100_000, seed=0)
     # Each graph costs its set-up: ten million one-pattern graphs on (2,1,2) take about an hour.

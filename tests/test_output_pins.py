@@ -7,7 +7,10 @@ verify digests at commit 8c325bb, before tables became integer rows (the
 benchmark checks only that a verify report says "all cells match"); the
 irregular simulate and the two-degree verify digests at commit aa34247,
 before a spec owned its degree classes and socket layout (no other pin
-samples or walks a layout with two degrees on each side). A
+samples or walks a layout with two degrees on each side); the MIX20 and
+THREE24 DD digests and the single-delta analytic simulate digest at commit
+36f5bf5, before DD's ordinary-test rows had one closed form for any number
+of test degrees. A
 change to how probabilities are evaluated, how a delta grid is expanded, how
 a value is rendered or how a table is walked must leave them as they are.
 """
@@ -25,6 +28,20 @@ IRREGULAR_12 = {
     "m": 8,
     "lambda": [{"degree": 2, "num": 1, "den": 2}, {"degree": 4, "num": 1, "den": 2}],
     "rho": [{"degree": 3, "num": 1, "den": 2}, {"degree": 6, "num": 1, "den": 2}],
+}
+# Two degrees on each side at n=20: DD's ordinary tests mix two test degrees in every H_o row.
+MIX20 = {
+    "n": 20,
+    "m": 10,
+    "lambda": [{"degree": 2, "num": 1, "den": 2}, {"degree": 4, "num": 1, "den": 2}],
+    "rho": [{"degree": 4, "num": 1, "den": 2}, {"degree": 8, "num": 1, "den": 2}],
+}
+# Three test degrees at n=24, past the n=12 of the enumerator's three-test-degree digests.
+THREE24 = {
+    "n": 24,
+    "m": 12,
+    "lambda": [{"degree": 3, "num": 1, "den": 1}],
+    "rho": [{"degree": 4, "num": 1, "den": 3}, {"degree": 6, "num": 1, "den": 3}, {"degree": 8, "num": 1, "den": 3}],
 }
 # An irregular n=3 spec with 4 edges, within the oracle's reach (perfbench/specs/mixed-3.json).
 MIXED_3 = {
@@ -76,6 +93,19 @@ PINS = {
          "--graphs", "5", "--patterns", "300", "--seed", "7"],
         "141e4531ead4eeebc5a5af2b450d76fd361bd9989dc68911ebb1ae5c141d6c38",
     ),
+    "enumerate-dd-mix20": (
+        ["enumerate", "--spec", "{mix20}", "--algorithm", "dd"],
+        "9af313544e453183377f922f8278a5fa9c1fbbecdebfa73cc32bf72cb9002048",
+    ),
+    "analyze-dd-three24": (
+        ["analyze", "--spec", "{three24}", "--algorithm", "dd", "--delta-grid", "1/20:1/4:1/20"],
+        "99d8e4e13a8645a864acb20c12f3f2bd7c9cf0a42c8cafd02c6efd2c763a60e6",
+    ),
+    "simulate-dd-12-analytic": (
+        ["simulate", "--regular", "12,3,6", "--algorithm", "dd", "--delta", "1/10", "--graphs", "5",
+         "--patterns", "300", "--seed", "7", "--analytic", "--workers", "2"],
+        "f48593f495a63eb9be6fc60609c4012a29353759fa3985db76ff17935acb129e",
+    ),
     "verify-dd-two-degrees-4": (
         ["verify", "--spec", "{two}", "--algorithm", "dd"],
         "01fb90bea6788be9a062d536f60673e3d81650ef256f60a40575c164da890225",
@@ -86,7 +116,7 @@ PINS = {
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_cli_stdout_bytes_are_pinned(name, tmp_path, capsys):
     argv, pinned = PINS[name]
-    files = {"spec": IRREGULAR_12, "mixed": MIXED_3, "two": TWO_DEGREES_4}
+    files = {"spec": IRREGULAR_12, "mixed": MIXED_3, "two": TWO_DEGREES_4, "mix20": MIX20, "three24": THREE24}
     paths = {key: tmp_path / f"{key}.json" for key in files}
     for key, obj in files.items():
         paths[key].write_text(json.dumps(obj), encoding="utf-8")
