@@ -322,7 +322,7 @@ def load_spec(path: Union[str, Path]) -> EnsembleSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deeply
             raise ValidationError(f"spec file {path}: invalid JSON ({exc})") from exc
     return parse_spec(obj)
 

@@ -42,10 +42,11 @@ coefficient lists (written *):
                   e1! (D - e1)! (E - D)! / E!
         e1 + e2 = E - Q for Q = sum d q_d dismissed sockets, so the slack
         index D - e1 - e2 = D - E + Q does not depend on the defective
-        split: one dot product serves every split with the same (q, e1),
-        and the splits are first summed as small integers keyed by (e1, i)
-        (_ClosedForms.shares). The slack residue that the dots read, D a
-        multiple of the test degrees' gcd, is computed once per q.
+        split: one dot product, taken on first use, serves every split with
+        the same (q, e1). The defective splits of one q are one flat list of
+        (e1, i, small weight), built class by class from Pascal rows, and each
+        adds weight x dot into its cell. The slack residue that the dots read,
+        D a multiple of the test degrees' gcd, is computed once per q.
     DD, items: i_d certified, j_d missed, k_d covered, q_d dismissed;
         tests: c_d certifying, o_d ordinary positive. With B = sum c_d,
         W = sum d (i_d + j_d) - B defective sockets at ordinary tests,
@@ -60,6 +61,8 @@ coefficient lists (written *):
         (q, B) into a row over K. H_o is read the same way, one memoized row
         over K per (classes, E2), from the closed form above whatever the number
         of test degrees, its sole terms taken in ascending A up to A = E2.
+        The certified splits of one q are one flat list built like COMP's, and
+        each meets the sums over its missed splits once per J (_ClosedForms.shares).
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
@@ -229,9 +232,9 @@ class _ClosedForms:
         """[s^y] ((1 + s)^d - s^d)^q = S_d(q, d q - y) for y = 0, ..., (d - 1) q."""
         return self.powers(d, q)[::-1][: (d - 1) * q + 1]
 
-    def shares(self, degrees, tops, scale: int = 1) -> dict[int, dict[int, int]]:
-        """{sum d v_d: {sum v_d: scale prod C(top_d, v_d)}} over every 0 <= v_d <= top_d, convolved class by class."""
-        out = {0: {0: scale}}
+    def shares(self, degrees, tops) -> dict[int, dict[int, int]]:
+        """{sum d v_d: {sum v_d: prod C(top_d, v_d)}} over every 0 <= v_d <= top_d, convolved class by class."""
+        out = {0: {0: 1}}
         for d, top in zip(degrees, tops):
             grown: dict[int, dict[int, int]] = {}
             for t, x in enumerate(self.choose(top)):
@@ -307,7 +310,7 @@ def _pair_sum(classes) -> int:
 def _table_units(spec: EnsembleSpec, algorithm: Algorithm) -> int:
     """The builder's inner-loop steps in closed form: per loop, outer iterations x mean inner length.
 
-    COMP: compositions (at most one (e1, i) entry each), slack dot products
+    COMP: compositions (one defective split each), slack dot products
     per (dismissed, e1), and spread entries per test split, three big
     products each. DD: (B, J) pairs per composition, H_o rows (p x K per
     class, and with several test degrees the a1 x K pair sums of a
@@ -391,15 +394,18 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]
         shift = edges - sum(d * q for d, q in zip(degrees, dismissed))
         first = -(-shift // step)  # the least D / step with y = D - shift >= 0
         slack = _residue([forms.slack_powers(d, q) for d, q in zip(degrees, dismissed)], first * step - shift, step)
-        # Every defective split: {e1: {i: prod C(c_d, q_d) C(c_d - q_d, i_d)}}.
-        picked = math.prod(choose(c)[q] for c, q in zip(counts, dismissed))
-        left = spec.n - sum(dismissed)
-        for e1, by_i in forms.shares(degrees, [c - q for c, q in zip(counts, dismissed)], picked).items():
-            row = by_e1.get(e1)
-            dot = sum(map(mul, islice(row, first, None), slack)) if row else 0
+        # Every defective split, class by class: (e1, i, prod C(c_d, q_d) C(c_d - q_d, i_d)).
+        splits = [(0, 0, math.prod(choose(c)[q] for c, q in zip(counts, dismissed)))]
+        for d, c, q in zip(degrees, counts, dismissed):
+            splits = [(e1 + d * t, i + t, w * x) for e1, i, w in splits for t, x in enumerate(choose(c - q))]
+        left, dots = spec.n - sum(dismissed), {}
+        for e1, i, w in splits:
+            dot = dots.get(e1)
+            if dot is None:
+                row = by_e1.get(e1)
+                dot = dots[e1] = sum(map(mul, islice(row, first, None), slack)) if row else 0
             if dot:
-                for i, w in by_i.items():
-                    values[i][left - i] += w * dot
+                values[i][left - i] += w * dot
     return values
 
 
@@ -428,15 +434,14 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
                 for d, count, c, o in zip(test_degrees, test_counts, certifying, positive)
             ) * fact[b] * fact[edges - sockets - b - dismissed_edges]
             by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, classes))
-    # For r_d missed-or-covered items per class: {J: {j: prod C(r_d, j_d)}}.
-    missed_splits: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
+    # Per rest r_d (missed or covered items per class), per J: (R - J) / step, R = sum d r_d, and [(j, prod C(r_d, j_d))].
+    missed_splits: dict[tuple[int, ...], tuple[list[int], list[list[tuple[int, int]]]]] = {}
     values = empty_rows(spec.n, Algorithm.DD)
     for dismissed in _splits(counts):
         free = edges - sum(d * q for d, q in zip(degrees, dismissed))
         slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
-        picked = math.prod(choose(c)[q] for c, q in zip(counts, dismissed))
-        # by_k[B][K / step] = W! K! sum pre H(W, E2) over the tests with B certifying.
-        by_k: dict[int, list[int]] = {}
+        # by_k: (B, row), row[K / step] = W! K! sum pre H(W, E2) over the tests with B certifying.
+        by_k: list[tuple[int, list[int]]] = []
         for b, entries in by_b.items():
             top = free - b
             sums = [0] * (top // step + 1)
@@ -451,26 +456,28 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
                         sums[k] += pre * h
             if any(sums):
                 covers = range(0, top + 1, step)
-                by_k[b] = [t * fact[top - cover] * fact[cover] for cover, t in zip(covers, sums)]
-        for certified in _splits([c - q for c, q in zip(counts, dismissed)]):
-            spread = forms.spread(tuple(zip(degrees, certified)))
-            rest = tuple(c - i_d - q for c, i_d, q in zip(counts, certified, dismissed))
-            r_deg = sum(d * r for d, r in zip(degrees, rest))
-            splits = missed_splits.get(rest)
-            if splits is None:
-                splits = missed_splits[rest] = forms.shares(degrees, rest)
-            acc = dict.fromkeys(splits, 0)
-            for b, row in by_k.items():
+                by_k.append((b, [t * fact[top - cover] * fact[cover] for cover, t in zip(covers, sums)]))
+        # Every certified split, class by class: (spread classes, rest r_d, R, i, prod C(c_d, q_d) C(c_d - q_d, i_d)).
+        splits = [((), (), 0, 0, math.prod(choose(c)[q] for c, q in zip(counts, dismissed)))]
+        for d, c, q in zip(degrees, counts, dismissed):
+            splits = [(classes + ((d, t),), rest + (c - q - t,), r_deg + d * (c - q - t), i + t, base * x)
+                      for classes, rest, r_deg, i, base in splits for t, x in enumerate(choose(c - q))]
+        for classes, rest, r_deg, i, base in splits:
+            spread = forms.spread(classes)
+            if rest not in missed_splits:
+                shares = forms.shares(degrees, rest)
+                missed_splits[rest] = [(r_deg - e) // step for e in shares], [[*js.items()] for js in shares.values()]
+            ks, by_j = missed_splits[rest]
+            acc = [0] * len(ks)
+            for b, row in by_k:
                 x = spread[b] if b < len(spread) else 0
                 if x:
-                    for j_deg in acc:
-                        acc[j_deg] += x * row[(r_deg - j_deg) // step]
-            base = picked * math.prod(choose(c - q)[i_d] for c, q, i_d in zip(counts, dismissed, certified))
-            i = sum(certified)
-            for j_deg, total in acc.items():
+                    acc = [s + x * row[k] for s, k in zip(acc, ks)]
+            for total, js in zip(acc, by_j):
                 if total:
-                    for j, weight in splits[j_deg].items():
-                        values[i + j][j] += base * weight * total
+                    total *= base
+                    for j, weight in js:
+                        values[i + j][j] += weight * total
     return values
 
 

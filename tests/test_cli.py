@@ -225,6 +225,16 @@ def test_spec_file_with_float_field_exits_one(tmp_path, capsys):
     assert err == "error: bad regular shorthand: 'n' must be a JSON integer, got 30.5\n"
 
 
+def test_deeply_nested_spec_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["enumerate", "--spec", str(path), "--algorithm", "comp"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: spec file {path}: invalid JSON (maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and err.endswith(")\n")
+
+
 def test_missing_spec_file_is_io_error(tmp_path, capsys):
     code, _, err = run(
         ["analyze", "--spec", str(tmp_path / "nope.json"), "--algorithm", "comp",

@@ -370,6 +370,13 @@ def test_load_spec_rejects_malformed_json(tmp_path):
         load_spec(path)
 
 
+def test_load_spec_refuses_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValidationError, match=r"deep\.json: invalid JSON \(maximum recursion depth exceeded"):
+        load_spec(path)
+
+
 def test_spec_hash_distinguishes_specs():
     assert spec_hash(regular_spec(4, 1, 2)) != spec_hash(regular_spec(4, 2, 2))
     assert len(spec_hash(regular_spec(4, 1, 2))) == 12

@@ -353,18 +353,21 @@ def test_table_units_follow_the_builders_loops():
         left=DegreeDistribution.from_dict({2: Fraction(1, 2), 4: Fraction(1, 2)}),
         right=DegreeDistribution.regular(6),
     )
-    # COMP: 136^2 compositions of two item classes of 15, one (e1, i) entry
+    # COMP: 136^2 compositions of two item classes of 15, one defective split
     # each; dots = 16^2 dismissed vectors x (90 / 4 + 1) e1 values, each
     # 60 / 18 + 1 slack entries long; and 16 test splits x (90 / 2 + 1) spread
     # entries, three big products each.
     assert _table_units(n30, Algorithm.COMP) == 136**2 + 256 * 23 * 4 + 3 * 16 * 46
-    # DD: (certified B, missed J) pairs, 136^2 x 5 x 16 x 2 / 3; dd_row's
-    # 25 x 15^3 x 19 / 24 / 2; 50 per composition and 200 per H_o read, 16 x 46 of them.
+    # DD: (certified B, missed J) pairs, 136^2 x 5 x 16 x 2 / 3; the H_o rows,
+    # sole terms x K for the one test class, 25 x 15^3 x 19 / 24 / 2; 50 per
+    # composition and 200 per H_o read, 16 x 46 of them.
     assert _table_units(n30, Algorithm.DD) == (
         136**2 * 5 * 16 * 2 // 3 + 25 * 15**3 * 19 // 24 // 2 + 50 * 2 * 136**2 + 200 * 16 * 46
     )
-    # Three test degrees: no fold term, the convolutions over a1 x K instead,
-    # each class of four tests against the later ones, the sockets D at their mean.
+    # Three test degrees: the H_o rows of each class, plus pair sums of each
+    # class of four tests against the later ones, the sockets D at their mean.
+    # The pair sums price an a1 x K convolution that no builder runs since H_o
+    # became one closed form: a conservative bound, kept so that no refusal moves.
     three = EnsembleSpec(
         n=24,
         m=12,
