@@ -18,13 +18,13 @@ The rule has two implementations. The bitmask decoders (`comp_pd_mask`,
 tests; they are the literal reference the tests hold the batch decoder and
 the oracle to, and no package path calls them. `decode_tables` decodes a
 whole pattern matrix at once with numpy gathers over two padded index
-tables, which only `index_tables` lays out, and uses only OR, AND and NOT,
-so one code serves two layouts. Both package callers pass uint64 words,
-64 patterns bit-sliced per word: Monte Carlo over one sampled graph's
-`graph_tables`, and the oracle over the disjoint union of a block of
-matchings. Bool, one column per pattern, stays only as a cross-check in
-the tests, which hold both layouts and the bitmask decoders equal pattern
-by pattern.
+tables, taken from both directions of a matching at the indices that only
+`index_tables` lays out, and uses only OR, AND and NOT, so one code serves
+two layouts. Both package callers pass uint64 words, 64 patterns
+bit-sliced per word: Monte Carlo over one sampled graph's `graph_tables`,
+and the oracle over the disjoint union of a block of matchings. Bool, one
+column per pattern, stays only as a cross-check in the tests, which hold
+both layouts and the bitmask decoders equal pattern by pattern.
 
 `Algorithm` is defined in the numpy-free `enumerator` and imported here.
 """
@@ -73,34 +73,27 @@ def dd_certified_mask(graph: PoolingGraph, defective_mask: int) -> int:
     return certified
 
 
-def index_tables(items: np.ndarray, n: int, test_degrees) -> tuple[np.ndarray, np.ndarray]:
-    """(socket slot x test -> item, item slot x item -> test) of K graphs' disjoint union.
+def index_tables(test_degrees, item_degrees, graphs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """np.take indices of the two padded tables of `graphs` graphs' disjoint union, for decode_tables.
 
-    items[k, q] is the item on test socket q of graph k; the sockets run
-    test by test, test_degrees[c] of them for test c, and all K graphs have
-    the same item degrees. The union's graph k has items k n + v and tests
-    k m + c. Shorter rows are padded with the dummy item K n or test K m.
-    An item on two sockets of one test lists that test twice.
+    Row k of the caller's two (graphs, E + 1) arrays is graph k's matching
+    in both directions: the item on each test socket, test by test, plus
+    k n, and the test on each item socket, item by item, plus k m; the last
+    column is the dummy, graphs n or graphs m. Taken at these indices they
+    give the socket table (socket slot x test -> item) and the test table
+    (item slot x item -> test), shorter rows padded with the dummy. An item
+    on two sockets of one test lists that test twice.
     """
-    test_degrees = np.asarray(test_degrees, dtype=np.intp)
-    owner = np.repeat(np.arange(len(test_degrees)), test_degrees)
-    # Each item's sockets in socket order: a stable sort of the sockets by item.
-    item_tests = owner[np.argsort(items, axis=1, kind="stable")]
-    return (
-        _padded_union(items, test_degrees, n),
-        _padded_union(item_tests, np.bincount(items[0], minlength=n), len(test_degrees)),
-    )
+    return _padded(test_degrees, graphs), _padded(item_degrees, graphs)
 
 
-def _padded_union(values: np.ndarray, degrees: np.ndarray, size: int) -> np.ndarray:
-    """values[k] holds degrees[v] entries per node v in turn, offset by k size; padded with K size."""
-    k = len(values)
+def _padded(degrees, graphs: int) -> np.ndarray:
+    """Slot x (graph, node) flat indices: node v's slot s reads its socket, past its degree the dummy."""
+    degrees = np.asarray(degrees, dtype=np.intp)
     slot = np.arange(degrees.max(initial=0))[:, None]
-    pad = slot >= degrees
-    first = np.cumsum(degrees) - degrees
-    table = values[:, np.where(pad, 0, first + slot)] + np.arange(k)[:, None, None] * size
-    table[:, pad] = k * size
-    return table.transpose(1, 0, 2).reshape(len(slot), k * len(degrees))
+    edges = degrees.sum()
+    column = np.where(slot < degrees, np.cumsum(degrees) - degrees + slot, edges)
+    return (column[:, None, :] + np.arange(graphs)[:, None] * (edges + 1)).reshape(len(slot), -1)
 
 
 def _with_dummy(flags: np.ndarray) -> np.ndarray:
@@ -112,8 +105,12 @@ def _with_dummy(flags: np.ndarray) -> np.ndarray:
 
 def graph_tables(graph: PoolingGraph) -> tuple[np.ndarray, np.ndarray]:
     """The two index tables of one sampled graph, for decode_tables."""
+    degrees = [len(members) for members in graph.adj]
     items = np.array([v for members in graph.adj for v in members], dtype=np.intp)
-    return index_tables(items[None], graph.n, [len(members) for members in graph.adj])
+    # Each item's sockets in socket order: a stable sort of the sockets by item.
+    tests = np.repeat(np.arange(graph.m), degrees)[np.argsort(items, kind="stable")]
+    sockets, slots = index_tables(degrees, np.bincount(items, minlength=graph.n))
+    return np.take(np.append(items, graph.n), sockets), np.take(np.append(tests, graph.m), slots)
 
 
 def decode_tables(

@@ -90,7 +90,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, TextIO, Union
@@ -218,7 +218,7 @@ class _ClosedForms:
         """[C(k, 0), ..., C(k, k)]."""
         rows = self._pascal
         while len(rows) <= k:
-            rows.append(_convolve([rows[-1], [1, 1]]))
+            rows.append([1, *map(add, rows[-1], rows[-1][1:]), 1])
         return rows[k]
 
     def powers(self, d: int, q: int) -> list[int]:

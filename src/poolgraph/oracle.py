@@ -9,21 +9,22 @@ weighting and no merging of matchings that give the same graph.
 
 Decoding is batched. The 2^n patterns are packed once as an n x W uint64
 matrix, W = ceil(2^n / 64): bit p % 64 of word p // 64 in row v is item v
-of pattern p, and the padding bits are zero. The matchings come as numpy
-blocks of k! rows, in exactly itertools.permutations order: one
-(E - k)-prefix, then the sockets it leaves, in sorted order, permuted by
-a precomputed k! x k table of tail permutations. k is the largest value
-with k! * W <= CHUNK_PATTERNS, so no block is partial and no matching is
-built as a Python tuple; if even one matching's words exceed the bound, a
-block is one matching. A block is decoded as one graph: the disjoint
-union of its K matchings, with matching k's items at k*n + v and its tests
-at k*m + c. detection.index_tables lays out its index tables, the pattern
-words are tiled once per matching, and one detection.decode_tables call
-decodes all K * 2^n (matching, pattern) pairs; the wrong items are
-unpacked once, dropping the padding, and summed per matching. COMP and DD
-look only within a connected component, so each matching of the union
-decodes exactly as it would alone. The per-pattern bitmask decoders stay
-the literal reference in the tests (tests/oracle_reference.py).
+of pattern p, and the padding bits are zero. The matchings come in blocks
+of k! rows, in exactly itertools.permutations order: one (E - k)-prefix,
+then the sockets it leaves, in sorted order, permuted by the k! tails. k is
+the largest value with k! * W <= CHUNK_PATTERNS, so no block is partial;
+if even one matching's words exceed the bound, a block is one matching.
+A block is decoded as one graph: the disjoint union of its K matchings,
+with matching k's items at k*n + v and its tests at k*m + c. Only the
+prefix changes between blocks, so the tails' item-socket tests, the
+detection.index_tables indices and the tiled pattern words are made once;
+a block writes both directions of its matchings, takes its two tables and
+decodes all K * 2^n (matching, pattern) pairs in one decode_tables call.
+The wrong items are unpacked once and summed per matching in the smallest
+type that holds every tally key a (n + 1) + j. COMP and DD look only
+within a connected component, so each matching of the union decodes
+exactly as it would alone. The per-pattern bitmask decoders stay the
+literal reference in the tests (tests/oracle_reference.py).
 
 Costs explode factorially. Both entry points decode the same blocks, so
 both size them the same way: E! x ceil(2^n / 64) matching words at a
@@ -61,34 +62,39 @@ class OracleReport:
     matchings_enumerated: int
 
 
-def _matching_blocks(edges: int, words: int) -> Iterator[np.ndarray]:
-    """Every permutation of range(edges), in itertools.permutations order, in blocks of k! rows.
+def _count_type(n: int) -> np.dtype:
+    """The smallest unsigned type holding every tally key a (n + 1) + j, so none can wrap."""
+    return np.min_scalar_type((n + 1) ** 2 - 1)
 
-    k is the largest value with k! * words <= CHUNK_PATTERNS; if even one
-    matching's words exceed the bound, a block is one row.
+
+def _matching_blocks(edges: int, words: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Every permutation of range(edges), in itertools.permutations order, as blocks order[columns].
+
+    Each order is an (edges - k)-prefix, then the sockets it leaves in
+    sorted order; the fixed k! x edges columns keep the prefix and permute
+    the rest by the k! tails, so a block is k! rows. k is the largest value
+    with k! * words <= CHUNK_PATTERNS; if even one matching's words exceed
+    the bound, a block is one row.
     """
     k, size = 0, 1
     while k < edges and size * (k + 1) * words <= CHUNK_PATTERNS:
         k += 1
         size *= k
-    tails = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    for prefix in itertools.permutations(range(edges), edges - k):
-        free = np.ones(edges, dtype=bool)
-        free[list(prefix)] = False
-        block = np.empty((size, edges), dtype=np.intp)
-        block[:, : edges - k] = prefix
-        block[:, edges - k :] = np.flatnonzero(free)[tails]
-        yield block
+    head = edges - k
+    tails = np.array(list(itertools.permutations(range(head, edges))), dtype=np.intp).reshape(size, k)
+    columns = np.hstack((np.broadcast_to(np.arange(head), (size, head)), tails))
+    prefixes = itertools.permutations(range(edges), head)
+    return columns, (np.array([*p, *sorted(set(range(edges)).difference(p))], dtype=np.intp) for p in prefixes)
 
 
 def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarray]:
     """Errors of every (matching, pattern) pair, as K x 2^n blocks in permutation order.
 
     Entry [k, mask] is the false-alarm count (COMP) or misdetection count
-    (DD) of pattern mask on the block's k-th matching. Callers size the
-    work first.
+    (DD) of pattern mask on the block's k-th matching, of type _count_type(n).
+    Callers size the work first.
     """
-    n = spec.n
+    n, m, edges = spec.n, spec.m, spec.edge_count
     socket_items = np.array(spec.socket_items, dtype=np.intp)
     masks = np.arange(1 << n)
     # Bit p % 64 of word p // 64 in row v is item v of pattern p; the padding is zero.
@@ -96,13 +102,22 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
     patterns.view(np.uint8)[:, : -(-len(masks) // 8)] = np.packbits(
         (masks >> np.arange(n)[:, None]) & 1, axis=1, bitorder="little"
     )
-    for block in _matching_blocks(spec.edge_count, patterns.shape[1]):
-        # Matching k puts item socket block[k, q] on test socket q.
-        tables = index_tables(socket_items[block], n, spec.test_degrees)
-        defective = np.tile(patterns, (len(block), 1))
-        wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
+    columns, orders = _matching_blocks(edges, patterns.shape[1])
+    size, k = len(columns), np.arange(len(columns))[:, None]
+    sockets, slots = index_tables(spec.test_degrees, np.bincount(socket_items, minlength=n), size)
+    # Matching k puts item socket order[columns[k, q]] on test socket q, so
+    # item socket order[i] is on test socket argsort(columns[k])[i], whatever the order.
+    order_tests = np.repeat(np.arange(m), spec.test_degrees)[np.argsort(columns, axis=1)] + k * m
+    # Both directions of the block's matchings, offset per matching; the last column is the dummy.
+    items, tests = (np.full((size, edges + 1), size * nodes) for nodes in (n, m))
+    defective = np.tile(patterns, (size, 1))
+    for order in orders:
+        np.add(socket_items[order][columns], k * n, out=items[:, :-1])
+        tests[:, order] = order_tests
+        estimate = decode_tables(np.take(items, sockets), np.take(tests, slots), defective, algorithm)
+        wrong = wrong_items(estimate, defective, algorithm)
         wrong = np.unpackbits(wrong.view(np.uint8), axis=1, count=len(masks), bitorder="little")
-        yield wrong.reshape(len(block), n, -1).sum(axis=1, dtype=np.intp)
+        yield wrong.reshape(size, n, -1).sum(axis=1, dtype=_count_type(n))
 
 
 def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
@@ -113,12 +128,12 @@ def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
     """
     matching_count(spec)
     n = spec.n
-    a = np.bitwise_count(np.arange(1 << n)).astype(np.intp)
+    keys = np.bitwise_count(np.arange(1 << n)).astype(_count_type(n)) * (n + 1)
     counts = np.zeros((n + 1) ** 2, dtype=np.int64)
     matchings = 0
     for errors in _error_blocks(spec, algorithm):
         matchings += len(errors)
-        counts += np.bincount((a * (n + 1) + errors).ravel(), minlength=len(counts))
+        counts += np.bincount((keys + errors).ravel(), minlength=len(counts))
     tally = counts.reshape(n + 1, n + 1).tolist()
     rows = tuple(tuple(tally[a][: len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
     return OracleReport(EnumeratorTable(algorithm, spec, rows, matchings, source="oracle"), matchings)
@@ -138,7 +153,7 @@ def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> 
     matchings = 0
     for errors in _error_blocks(spec, algorithm):
         matchings += len(errors)
-        err_sums += errors.sum(axis=0)
+        err_sums += errors.sum(axis=0, dtype=np.int64)
     total = Fraction(0)
     for mask in range(1 << n):
         if not err_sums[mask]:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask, decode_tables, graph_tables
+from poolgraph.detection import (
+    Algorithm,
+    comp_pd_mask,
+    dd_certified_mask,
+    decode_tables,
+    graph_tables,
+    index_tables,
+)
 from poolgraph.ensemble import (
     DegreeDistribution,
     EnsembleSpec,
@@ -254,3 +261,40 @@ def test_packed_decoder_counts_sockets_not_items(count):
     graph = graph_of(4, (0, 0, 1), (1, 2))
     for algorithm in Algorithm:
         assert_packed_matches_bool_and_bitmask(graph, [p % 16 for p in range(count)], algorithm)
+
+
+@st.composite
+def matching_unions(draw):
+    """A spec, K >= 1 socket matchings of it, and patterns spanning one or more words."""
+    spec = draw(st.one_of(irregular_specs(), st.sampled_from([regular_spec(4, 2, 2), regular_spec(2, 2, 2)])))
+    matchings = draw(st.lists(st.permutations(range(spec.edge_count)), min_size=1, max_size=4))
+    full = (1 << spec.n) - 1
+    masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=8))
+    return spec, matchings, (masks * 130)[: draw(st.sampled_from(WORD_EDGE_COUNTS))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(matching_unions(), st.sampled_from(list(Algorithm)))
+def test_tables_from_both_directions_decode_like_the_bitmask_decoders(case, algorithm):
+    # Matching k puts item socket s = matching[q] on test socket q. Each
+    # direction is laid out from the matching itself, with no sort.
+    spec, matchings, masks = case
+    n, m, edges, graphs = spec.n, spec.m, spec.edge_count, len(matchings)
+    socket_items = np.array(spec.socket_items)
+    owner = np.repeat(np.arange(m), spec.test_degrees)
+    items = np.full((graphs, edges + 1), graphs * n)
+    tests = np.full((graphs, edges + 1), graphs * m)
+    for k, matching in enumerate(matchings):
+        items[k, :edges] = socket_items[list(matching)] + k * n
+        tests[k, list(matching)] = owner + k * m
+    sockets, slots = index_tables(spec.test_degrees, np.bincount(socket_items, minlength=n), graphs)
+    words = np.tile(packed_words(n, masks), (graphs, 1))
+    estimate = decode_tables(np.take(items, sockets), np.take(tests, slots), words, algorithm)
+    decode = BITMASK_DECODERS[algorithm]
+    for k, matching in enumerate(matchings):
+        members = np.split(socket_items[list(matching)], np.cumsum(spec.test_degrees)[:-1])
+        graph = PoolingGraph(n=n, m=m, adj=tuple(tuple(c.tolist()) for c in members))
+        rows = estimate[k * n : (k + 1) * n]
+        for p, mask in enumerate(masks):
+            column = sum(1 << v for v in range(n) if int(rows[v, p // 64]) >> (p % 64) & 1)
+            assert column == decode(graph, mask), (graph.adj, mask)

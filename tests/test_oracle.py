@@ -12,7 +12,7 @@ import oracle_reference
 from poolgraph import ensemble, errors, oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, load_spec, regular_spec
+from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, load_spec, matching_count, regular_spec
 from poolgraph.enumerator import build_table, fa_probability, md_probability
 from poolgraph.errors import SizeLimitError
 from poolgraph.oracle import exact_enumerators, exact_error_probability
@@ -74,13 +74,19 @@ def _block_rows(edges: int, words: int, bound: int) -> int:
     return max(fitting, default=1)
 
 
+def _blocks(edges: int, words: int) -> list[np.ndarray]:
+    """The matching blocks as the oracle consumes them: order[columns] for each order."""
+    columns, orders = oracle._matching_blocks(edges, words)
+    return [order[columns] for order in orders]
+
+
 @pytest.mark.parametrize("words", [1, 4])
 @pytest.mark.parametrize("edges", range(1, 9))
 def test_matching_blocks_are_whole_and_in_permutation_order(edges, words, monkeypatch):
     permutations = [list(p) for p in itertools.permutations(range(edges))]
     for bound in (1, 2, 5, 11, 176, 720, 4096):
         monkeypatch.setattr(oracle, "CHUNK_PATTERNS", bound)
-        blocks = list(oracle._matching_blocks(edges, words))
+        blocks = _blocks(edges, words)
         rows = _block_rows(edges, words, bound)
         assert {len(block) for block in blocks} == {rows}, bound
         assert np.concatenate(blocks).tolist() == permutations, bound
@@ -88,9 +94,44 @@ def test_matching_blocks_are_whole_and_in_permutation_order(edges, words, monkey
 
 def test_matching_blocks_at_the_default_bound():
     # 6! = 720 one-word matchings fit in 4,096; 7! = 5,040 do not.
-    blocks = list(oracle._matching_blocks(9, 1))
+    blocks = _blocks(9, 1)
     assert {len(block) for block in blocks} == {_block_rows(9, 1, oracle.CHUNK_PATTERNS)} == {720}
     assert np.concatenate(blocks).tolist() == [list(p) for p in itertools.permutations(range(9))]
+
+
+@pytest.mark.parametrize("bound", list(BLOCK_BOUNDS))
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+@pytest.mark.parametrize("name", ["2,1,2", "3,2,3", "mixed-3", "two-by-two"])
+def test_error_blocks_follow_permutation_order(name, algorithm, bound, monkeypatch):
+    # Row i of the concatenated blocks is the i-th matching of itertools.permutations,
+    # which is the order the literal reference walks.
+    spec = EQUALITY_SPECS[name]
+    if BLOCK_BOUNDS[bound]:
+        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](spec.n))
+    blocks = list(oracle._error_blocks(spec, algorithm))
+    assert {block.dtype for block in blocks} == {oracle._count_type(spec.n)}
+    expected = [
+        [oracle_reference._pattern_errors(graph, mask, algorithm) for mask in range(1 << spec.n)]
+        for graph in ensemble.enumerate_matchings(spec)
+    ]
+    assert np.concatenate(blocks).tolist() == expected
+
+
+def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
+    # Every item has a socket, so E >= n, and the cheapest n-item spec has E = n.
+    n = 1
+    while True:
+        try:
+            matching_count(regular_spec(n + 1, 1, n + 1))
+        except SizeLimitError:
+            break
+        n += 1
+    assert n == 10  # 10! x 16 words pass; 11! x 32 do not
+    for size in range(1, n + 1):
+        # The largest key is a (n + 1) + j at a = j = n.
+        assert np.iinfo(oracle._count_type(size)).max >= size * (size + 1) + size
+    # Past the oracle's reach the type widens instead of wrapping.
+    assert np.iinfo(oracle._count_type(15)).max >= 15 * 16 + 15
 
 
 @functools.cache
