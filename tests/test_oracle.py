@@ -128,10 +128,14 @@ def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
         n += 1
     assert n == 10  # 10! x 16 words pass; 11! x 32 do not
     for size in range(1, n + 1):
-        # The largest key is a (n + 1) + j at a = j = n.
+        # The largest key is a (n + 1) + j at a = j = n; form every key as exact_enumerators does.
         assert np.iinfo(oracle._count_type(size)).max >= size * (size + 1) + size
+        a = np.bitwise_count(np.arange(1 << size))
+        most = np.full(1 << size, size, dtype=oracle._count_type(size))
+        keys = a.astype(oracle._count_type(size)) * (size + 1) + most
+        assert keys.tolist() == (a.astype(np.int64) * (size + 1) + size).tolist()
     # Past the oracle's reach the type widens instead of wrapping.
-    assert np.iinfo(oracle._count_type(15)).max >= 15 * 16 + 15
+    assert np.iinfo(oracle._count_type(16)).max >= 16 * 17 + 16
 
 
 @functools.cache
