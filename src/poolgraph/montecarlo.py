@@ -13,14 +13,13 @@ for every rational delta: a uniform binary fraction, read from raw PCG64
 words, is compared with delta's binary expansion digit by digit (Knuth &
 Yao 1976). detection.decode_tables decodes the words, and the words and
 the decoder's errors (detection.wrong_items) are unpacked together into
-each pattern's defective count a and error count j. One np.bincount per
-chunk adds the patterns into the graph's integer histogram over (j, a),
-(J + 1)(n + 1) cells for the largest j met, J; each graph turns it into
-its sums of j and j^2 per a with one integer product. Only the decoder's
-own error kind is counted; the other rate is reported as exactly 0.0.
-Every rate j/c(a) is an integer over a common multiple of the c(a) that
-occur, so each reported mean, pooled stderr and graph-clustered stderr is
-one correctly rounded quotient of exact integers, whatever order the tallies
+each pattern's defective count a and error count j. Two np.bincount calls
+per chunk add j and j^2 into the graph's integer sums per a, 2 (n + 1)
+cells, so memory per graph is bounded by the chunk. Only the decoder's own
+error kind is counted; the other rate is reported as exactly 0.0. Every
+rate j/c(a) is an integer over a common multiple of the c(a) that occur,
+so each reported mean, pooled stderr and graph-clustered stderr is one
+correctly rounded quotient of exact integers, whatever order the tallies
 are merged in.
 
 Reproducibility contract (scheme RNG_SCHEME): every random draw descends
@@ -172,8 +171,8 @@ def _graph_tally(
     tables = graph_tables(sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY)))
     bits = np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY))
     n = spec.n
-    count_type, key_type = np.min_scalar_type(n), np.min_scalar_type((n + 1) ** 2 - 1)
-    counts = np.zeros(0, dtype=np.int64)
+    count_type = np.min_scalar_type(n)
+    tally = np.zeros((2, n + 1), dtype=np.int64)
     for start in range(0, patterns, CHUNK_PATTERNS):
         count = min(CHUNK_PATTERNS, patterns - start)
         words = _draw_words(bits, delta, n, count)
@@ -182,13 +181,11 @@ def _graph_tally(
         rows = np.concatenate((words, wrong)).view(np.uint8)
         lanes = np.unpackbits(rows, axis=1, count=count, bitorder="little")
         a, j = lanes.reshape(2, n, count).sum(axis=1, dtype=count_type)
-        # Patterns counted by key j (n + 1) + a, which reaches only as far as the largest j met.
-        grown = np.bincount(j.astype(key_type) * (n + 1) + a, minlength=len(counts))
-        grown[: len(counts)] += counts
-        counts = grown
-    counts = np.append(counts, np.zeros(-len(counts) % (n + 1), dtype=np.int64)).reshape(-1, n + 1)
-    j = np.arange(len(counts))
-    return np.stack((j, j * j)) @ counts
+        j = j.astype(np.float64)
+        # Float sums are exact while CHUNK_PATTERNS n^2 < 2^53, for n < 1.4e6; a larger n
+        # would need over 11 GB to unpack one chunk.
+        tally += np.array([np.bincount(a, weights=w, minlength=n + 1) for w in (j, j * j)], dtype=np.int64)
+    return tally
 
 
 def _predicted_seconds(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> float:
