@@ -21,23 +21,30 @@ detection.index_tables indices and the tiled pattern words are made once;
 a block writes both directions of its matchings, takes its two tables and
 decodes all K * 2^n (matching, pattern) pairs in one decode_tables call.
 The wrong items are unpacked once and summed per matching in the smallest
-type that holds every tally key a (n + 1) + j. COMP and DD look only
+type that holds every tally key mask (n + 1) + j. COMP and DD look only
 within a connected component, so each matching of the union decodes
 exactly as it would alone. The per-pattern bitmask decoders stay the
 literal reference in the tests (tests/oracle_reference.py).
 
-Costs explode factorially. Both entry points decode the same blocks, so
-both size them the same way: E! x ceil(2^n / 64) matching words at a
-fitted cost each (ensemble.matching_count), refused over the one limit in
-seconds (errors.LIMIT_SECONDS) before anything is allocated: 11 edges pass
-up to n = 9, 12 never do.
+Both entry points reduce one pass: _pattern_counts keeps the read-only
+(2^n, n + 1) counts of the matchings on which each pattern has j errors,
+per (spec, decoder), in an lru_cache of 16 entries as build_table keeps
+tables (at most 2^11 x 12 int64 values at the 11-edge limit).
+
+Costs explode factorially. Both entry points size the same blocks the same
+way: E! x ceil(2^n / 64) matching words at a fitted cost each
+(ensemble.matching_count), refused over the one limit in seconds
+(errors.LIMIT_SECONDS) on every call, before the cache is read or anything
+is allocated: 11 edges pass up to n = 9, 12 never do.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -63,8 +70,8 @@ class OracleReport:
 
 
 def _count_type(n: int) -> np.dtype:
-    """The smallest unsigned type holding every tally key a (n + 1) + j, so none can wrap."""
-    return np.min_scalar_type((n + 1) ** 2 - 1)
+    """The smallest unsigned type holding every tally key mask (n + 1) + j, so none can wrap."""
+    return np.min_scalar_type(((n + 1) << n) - 1)
 
 
 def _matching_blocks(edges: int, words: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
@@ -120,6 +127,22 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
         yield wrong.reshape(size, n, -1).sum(axis=1, dtype=_count_type(n))
 
 
+@lru_cache(maxsize=16)
+def _pattern_counts(spec: EnsembleSpec, algorithm: Algorithm) -> np.ndarray:
+    """Read-only (2^n, n + 1) counts: [mask, j] is how many matchings give pattern mask j errors.
+
+    One bincount of the keys mask (n + 1) + j per block. Callers size the work first.
+    """
+    n = spec.n
+    keys = (np.arange(1 << n) * (n + 1)).astype(_count_type(n))
+    counts = np.zeros((n + 1) << n, dtype=np.int64)
+    for errors in _error_blocks(spec, algorithm):
+        counts += np.bincount((keys + errors).ravel(), minlength=len(counts))
+    counts = counts.reshape(1 << n, n + 1)
+    counts.flags.writeable = False
+    return counts
+
+
 def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
     """Average pattern counts over every matching, by brute force.
 
@@ -127,14 +150,10 @@ def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
     defective sets: integer counts over the E! matchings.
     """
     matching_count(spec)
-    n = spec.n
-    keys = np.bitwise_count(np.arange(1 << n)).astype(_count_type(n)) * (n + 1)
-    counts = np.zeros((n + 1) ** 2, dtype=np.int64)
-    matchings = 0
-    for errors in _error_blocks(spec, algorithm):
-        matchings += len(errors)
-        counts += np.bincount((keys + errors).ravel(), minlength=len(counts))
-    tally = counts.reshape(n + 1, n + 1).tolist()
+    counts = _pattern_counts(spec, algorithm)
+    n, matchings = spec.n, int(counts[0].sum())
+    ones = np.bitwise_count(np.arange(1 << n))
+    tally = [counts[ones == a].sum(axis=0).tolist() for a in range(n + 1)]
     rows = tuple(tuple(tally[a][: len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
     return OracleReport(EnumeratorTable(algorithm, spec, rows, matchings, source="oracle"), matchings)
 
@@ -144,24 +163,19 @@ def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> 
 
     Averages fa/(non-defective count) for COMP or md/(defective count) for
     DD over matchings and Bernoulli(delta) patterns, without grouping into
-    a table first. Patterns with a zero denominator contribute 0.
+    a table first. Patterns with a zero denominator contribute 0. For delta = p / q,
+    the integer terms err (L / c) p^a (q - p)^(n - a), c a pattern's denominator and
+    L the lcm of the nonzero ones, are summed and reduced over L M q^n once.
     """
     d = exact_delta(delta)
     n = spec.n
     matching_count(spec)
-    err_sums = np.zeros(1 << n, dtype=np.int64)
-    matchings = 0
-    for errors in _error_blocks(spec, algorithm):
-        matchings += len(errors)
-        err_sums += errors.sum(axis=0, dtype=np.int64)
-    total = Fraction(0)
-    for mask in range(1 << n):
-        if not err_sums[mask]:
-            continue
-        a = mask.bit_count()
-        denom = (n - a) if algorithm is Algorithm.COMP else a
-        if denom == 0:
-            continue
-        weight = d**a * (1 - d) ** (n - a)
-        total += weight * Fraction(int(err_sums[mask]), denom * matchings)
-    return total
+    counts = _pattern_counts(spec, algorithm)
+    p, q = d.numerator, d.denominator
+    denoms = [n - a if algorithm is Algorithm.COMP else a for a in range(n + 1)]
+    lcm = math.lcm(*filter(None, denoms))
+    factors = [lcm // c * p**a * (q - p) ** (n - a) if c else 0 for a, c in enumerate(denoms)]
+    err_sums = (counts @ np.arange(n + 1)).tolist()
+    ones = np.bitwise_count(np.arange(1 << n)).tolist()
+    total = sum(err * factors[a] for err, a in zip(err_sums, ones))
+    return Fraction(total, lcm * int(counts[0].sum()) * q**n)

@@ -127,14 +127,65 @@ def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
             break
         n += 1
     for size in range(1, n + 1):
-        # The largest key is a (n + 1) + j at a = j = n; form every key as exact_enumerators does.
-        assert np.iinfo(oracle._count_type(size)).max >= size * (size + 1) + size
-        a = np.bitwise_count(np.arange(1 << size))
-        most = np.full(1 << size, size, dtype=oracle._count_type(size))
-        keys = a.astype(oracle._count_type(size)) * (size + 1) + most
-        assert keys.tolist() == (a.astype(np.int64) * (size + 1) + size).tolist()
+        # The largest key is mask (n + 1) + j at mask = 2^n - 1, j = n; form every key as _pattern_counts does.
+        kind = oracle._count_type(size)
+        masks = np.arange(1 << size)
+        assert np.iinfo(kind).max >= masks[-1] * (size + 1) + size
+        keys = (masks * (size + 1)).astype(kind) + np.full(1 << size, size, dtype=kind)
+        assert keys.tolist() == (masks * (size + 1) + size).tolist()
+    # uint8 holds every key up to n = 5.
+    assert [oracle._count_type(size) for size in (5, 6)] == [np.uint8, np.uint16]
     # Past the oracle's reach the type widens instead of wrapping.
-    assert np.iinfo(oracle._count_type(16)).max >= 16 * 17 + 16
+    assert np.iinfo(oracle._count_type(16)).max >= ((1 << 16) - 1) * 17 + 16
+
+
+def test_one_pass_per_spec_and_decoder(monkeypatch):
+    passes = []
+    blocks = oracle._error_blocks
+
+    def counted(spec, algorithm):
+        passes.append((spec, algorithm))
+        return blocks(spec, algorithm)
+
+    monkeypatch.setattr(oracle, "_error_blocks", counted)
+    spec, other = regular_spec(4, 2, 2), regular_spec(4, 1, 2)
+    exact_enumerators(spec, Algorithm.DD)
+    for delta in (0, Fraction(1, 3), Fraction(1, 2)):
+        exact_error_probability(spec, Algorithm.DD, delta)
+    assert passes == [(spec, Algorithm.DD)]
+    exact_enumerators(spec, Algorithm.COMP)
+    exact_error_probability(other, Algorithm.DD, Fraction(1, 2))
+    assert passes == [(spec, Algorithm.DD), (spec, Algorithm.COMP), (other, Algorithm.DD)]
+    counts = oracle._pattern_counts(spec, Algorithm.DD)
+    assert counts.shape == (16, 5)
+    assert set(counts.sum(axis=1).tolist()) == {math.factorial(8)}
+    with pytest.raises(ValueError):
+        counts[0, 0] = 1
+
+
+def test_cached_counts_are_refused_like_fresh_ones(monkeypatch):
+    # Every call sizes its spec before it reads the cache: just under (4,2,2)'s
+    # prediction, both entry points refuse it although its counts are cached.
+    spec = regular_spec(4, 2, 2)
+    exact_enumerators(spec, Algorithm.DD)
+    assert oracle._pattern_counts.cache_info().currsize == 1
+    monkeypatch.setattr(errors, "LIMIT_SECONDS", math.nextafter(ensemble._predicted_seconds(spec), 0))
+    for call in (
+        lambda: exact_enumerators(spec, Algorithm.DD),
+        lambda: exact_error_probability(spec, Algorithm.DD, Fraction(1, 2)),
+    ):
+        with pytest.raises(SizeLimitError, match="^the oracle over 8! matchings"):
+            call()
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+@pytest.mark.parametrize("name", ["4,1,2", "mixed-3"])
+def test_direct_expectation_equals_literal_reference_on_a_delta_grid(name, algorithm):
+    # One integer sum over L M q^n against the reference's per-pattern Fractions.
+    spec = EQUALITY_SPECS[name]
+    for delta in (0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1):
+        expected = oracle_reference.exact_error_probability(spec, algorithm, delta)
+        assert exact_error_probability(spec, algorithm, delta) == expected, delta
 
 
 @functools.cache
