@@ -66,14 +66,18 @@ def exact_delta(delta) -> Fraction:
     Accepts int, str ("1/20") or Fraction, a Fraction checked and returned
     as it is. A float raises TypeError: 0.05 is not 1/20 in binary, and
     silently absorbing the difference would defeat the exact tables. A bool
-    raises TypeError too, as it does wherever an integer is expected.
+    raises TypeError too, as it does wherever an integer is expected. A zero
+    denominator ("1/0") raises ValueError, as any other malformed value does.
     """
     if isinstance(delta, (float, bool)):
         raise TypeError(
             "delta must be exact (int, str, or Fraction); floats silently misstate "
             "values like 0.05 in binary, and a bool is not a number"
         )
-    value = delta if isinstance(delta, Fraction) else Fraction(delta)
+    try:
+        value = delta if isinstance(delta, Fraction) else Fraction(delta)
+    except ZeroDivisionError:
+        raise ValueError(f"delta {delta!r} has a zero denominator") from None
     if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"delta must lie in [0, 1], got {value}")
     return value

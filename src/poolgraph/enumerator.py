@@ -44,9 +44,9 @@ coefficient lists (written *):
         index D - e1 - e2 = D - E + Q does not depend on the defective
         split: one dot product, taken on first use, serves every split with
         the same (q, e1). The defective splits of one q are one flat list of
-        (e1, i, small weight), built class by class from Pascal rows, and each
-        adds weight x dot into its cell. The slack residue that the dots read,
-        D a multiple of the test degrees' gcd, is computed once per q.
+        (e1, i, small weight), the split walk built class by class from Pascal
+        rows, and each adds weight x dot into its cell. The slack residue that
+        the dots read, D a multiple of the test degrees' gcd, is computed once per q.
     DD, items: i_d certified, j_d missed, k_d covered, q_d dismissed;
         tests: c_d certifying, o_d ordinary positive. With B = sum c_d,
         W = sum d (i_d + j_d) - B defective sockets at ordinary tests,
@@ -62,7 +62,8 @@ coefficient lists (written *):
         over K per (classes, E2), from the closed form above whatever the number
         of test degrees, its sole terms taken in ascending A up to A = E2.
         The certified splits of one q are one flat list built like COMP's, and
-        each meets the sums over its missed splits once per J (_ClosedForms.shares).
+        each meets the sums over its missed splits once per J: per rest, COMP's
+        split walk with its small weights summed per (J, j).
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
@@ -232,27 +233,18 @@ class _ClosedForms:
         """[s^y] ((1 + s)^d - s^d)^q = S_d(q, d q - y) for y = 0, ..., (d - 1) q."""
         return self.powers(d, q)[::-1][: (d - 1) * q + 1]
 
-    def shares(self, degrees, tops) -> dict[int, dict[int, int]]:
-        """{sum d v_d: {sum v_d: prod C(top_d, v_d)}} over every 0 <= v_d <= top_d, convolved class by class."""
-        out = {0: {0: 1}}
+    def walk(self, degrees, tops, base: int = 1) -> list[tuple[int, int, int]]:
+        """[(sum d t_d, sum t_d, base prod C(top_d, t_d))] over every 0 <= t_d <= top_d, built class by class."""
+        out = [(0, 0, base)]
         for d, top in zip(degrees, tops):
-            grown: dict[int, dict[int, int]] = {}
-            for t, x in enumerate(self.choose(top)):
-                for e, by_v in out.items():
-                    into = grown.setdefault(e + d * t, {})
-                    for v, w in by_v.items():
-                        into[v + t] = into.get(v + t, 0) + w * x
-            out = grown
+            out = [(e + d * t, v + t, w * x) for e, v, w in out for t, x in enumerate(self.choose(top))]
         return out
 
-    def spread(self, classes: tuple[tuple[int, int], ...], keep: bool = True) -> list[int]:
-        """[x^w] prod_d ((1 + x)^d - 1)^(q_d), (d, q_d) in `classes`; memoized if `keep`, one q_d > 0 its powers row."""
+    def spread(self, classes: tuple[tuple[int, int], ...]) -> list[int]:
+        """[x^w] prod_d ((1 + x)^d - 1)^(q_d), (d, q_d) in `classes`; memoized."""
         row = self._spreads.get(classes)
         if row is None:
-            live = [(d, q) for d, q in classes if q]
-            row = self.powers(*live[0]) if len(live) == 1 else _convolve(self.powers(d, q) for d, q in live)
-            if keep:
-                self._spreads[classes] = row
+            row = self._spreads[classes] = _convolve(self.powers(d, q) for d, q in classes if q)
         return row
 
     def ordinary(self, classes: tuple[tuple[int, int], ...], a: int, step: int) -> list[int]:
@@ -342,8 +334,9 @@ def _predicted_seconds(spec: EnsembleSpec, algorithm: Algorithm) -> float:
 
 
 def _convolve(lists) -> list[int]:
-    """Coefficient list of the product of polynomials given as coefficient lists."""
-    out = [1]
+    """Coefficients of the product of polynomials given as coefficient lists: a copy of the first, [1] for none."""
+    lists = iter(lists)
+    out = list(next(lists, [1]))
     for coeffs in lists:
         prod = [0] * (len(out) + len(coeffs) - 1)
         for s, x in enumerate(out):
@@ -384,8 +377,8 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]
     for split in _splits(test_counts):
         sockets = sum(d * b for d, b in zip(test_degrees, split))
         weight = math.prod(choose(count)[b] for count, b in zip(test_counts, split)) * fact[edges - sockets]
-        # Each split's spread is read once, so none is kept: all of them would outlive the loop.
-        for e1, t in enumerate(forms.spread(tuple(zip(test_degrees, split)), keep=False)):
+        # Each split's spread is read once, so none is memoized: all of them would outlive the loop.
+        for e1, t in enumerate(_convolve(forms.powers(d, b) for d, b in zip(test_degrees, split) if b)):
             if t:
                 row = by_e1.setdefault(e1, [0] * (edges // step + 1))
                 row[sockets // step] += weight * t * fact[e1] * fact[sockets - e1]
@@ -394,12 +387,10 @@ def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]
         shift = edges - sum(d * q for d, q in zip(degrees, dismissed))
         first = -(-shift // step)  # the least D / step with y = D - shift >= 0
         slack = _residue([forms.slack_powers(d, q) for d, q in zip(degrees, dismissed)], first * step - shift, step)
-        # Every defective split, class by class: (e1, i, prod C(c_d, q_d) C(c_d - q_d, i_d)).
-        splits = [(0, 0, math.prod(choose(c)[q] for c, q in zip(counts, dismissed)))]
-        for d, c, q in zip(degrees, counts, dismissed):
-            splits = [(e1 + d * t, i + t, w * x) for e1, i, w in splits for t, x in enumerate(choose(c - q))]
+        # Every defective split: (e1, i, prod C(c_d, q_d) C(c_d - q_d, i_d)).
+        base = math.prod(choose(c)[q] for c, q in zip(counts, dismissed))
         left, dots = spec.n - sum(dismissed), {}
-        for e1, i, w in splits:
+        for e1, i, w in forms.walk(degrees, [c - q for c, q in zip(counts, dismissed)], base):
             dot = dots.get(e1)
             if dot is None:
                 row = by_e1.get(e1)
@@ -434,7 +425,8 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
                 for d, count, c, o in zip(test_degrees, test_counts, certifying, positive)
             ) * fact[b] * fact[edges - sockets - b - dismissed_edges]
             by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, classes))
-    # Per rest r_d (missed or covered items per class), per J: (R - J) / step, R = sum d r_d, and [(j, prod C(r_d, j_d))].
+    # Per rest r_d (missed or covered items per class), per J: (R - J) / step, R = sum d r_d, and
+    # [(j, sum prod C(r_d, j_d))], the sum over the missed splits j_d with that J and j.
     missed_splits: dict[tuple[int, ...], tuple[list[int], list[list[tuple[int, int]]]]] = {}
     values = empty_rows(spec.n, Algorithm.DD)
     for dismissed in _splits(counts):
@@ -465,8 +457,11 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
         for classes, rest, r_deg, i, base in splits:
             spread = forms.spread(classes)
             if rest not in missed_splits:
-                shares = forms.shares(degrees, rest)
-                missed_splits[rest] = [(r_deg - e) // step for e in shares], [[*js.items()] for js in shares.values()]
+                by_e: dict[int, dict[int, int]] = {}  # small weights, summed before acc's big ones
+                for e, j, weight in forms.walk(degrees, rest):
+                    js = by_e.setdefault(e, {})
+                    js[j] = js.get(j, 0) + weight
+                missed_splits[rest] = [(r_deg - e) // step for e in by_e], [[*js.items()] for js in by_e.values()]
             ks, by_j = missed_splits[rest]
             acc = [0] * len(ks)
             for b, row in by_k:

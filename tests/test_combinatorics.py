@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from poolgraph import montecarlo, oracle
 from poolgraph.combinatorics import binomial, exact_delta, multinomial, to_decimal
 from poolgraph.detection import Algorithm
 from poolgraph.ensemble import regular_spec
-from poolgraph.enumerator import build_table, write_table_csv
+from poolgraph.enumerator import build_table, fa_probability, md_probability, write_table_csv
 
 
 def pascal_rows(count):
@@ -161,3 +162,19 @@ def test_exact_delta_accepts_exact_values_only():
     with pytest.raises(ValueError):
         exact_delta("3/2")
 
+
+SMALL = regular_spec(4, 2, 2)
+
+
+@pytest.mark.parametrize("call", [
+    exact_delta,
+    lambda d: fa_probability(build_table(SMALL, Algorithm.COMP), d),
+    lambda d: md_probability(build_table(SMALL, Algorithm.DD), d),
+    lambda d: montecarlo.check_run(SMALL, [d], 1, 1, 0),
+    lambda d: montecarlo.simulate(SMALL, Algorithm.COMP, d, 1, 1, 0),
+    lambda d: montecarlo.sweep(SMALL, Algorithm.DD, ["1/2", d], 1, 1, 0),
+    lambda d: oracle.exact_error_probability(SMALL, Algorithm.DD, d),
+], ids=["exact_delta", "fa_probability", "md_probability", "check_run", "simulate", "sweep", "oracle"])
+def test_a_zero_denominator_delta_is_a_value_error_at_every_library_entry_point(call):
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        call("1/0")
