@@ -108,6 +108,7 @@ __all__ = [
     "Algorithm",
     "EnumeratorTable",
     "build_table",
+    "check_algorithm",
     "fa_probability",
     "md_probability",
     "write_table_csv",
@@ -118,6 +119,12 @@ __all__ = [
 class Algorithm(enum.Enum):
     COMP = "comp"
     DD = "dd"
+
+
+def check_algorithm(algorithm) -> None:
+    """TypeError for anything but an Algorithm member: a string such as "comp" is never read as either decoder."""
+    if not isinstance(algorithm, Algorithm):
+        raise TypeError(f"algorithm must be an Algorithm, got {algorithm!r}")
 
 
 def empty_rows(n: int, algorithm: Algorithm) -> list[list[int]]:
@@ -484,6 +491,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
 @lru_cache(maxsize=16)
 def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     """Complete enumerator table for one ensemble; refuses, before starting, one predicted to take too long."""
+    check_algorithm(algorithm)
     refuse_over_limit(f"the {algorithm.value} table for n={spec.n}", _predicted_seconds, spec, algorithm)
     forms = _ClosedForms(spec.edge_count)
     build = _comp_class_table if algorithm is Algorithm.COMP else _dd_class_table

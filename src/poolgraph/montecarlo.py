@@ -55,6 +55,7 @@ from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, w
 # perfbench/layers.py rebinds these names here to trace them; no package path calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, write_csv
+from .enumerator import check_algorithm
 from .errors import refuse_over_limit
 
 __all__ = ["RNG_SCHEME", "TrialReport", "check_run", "derive_seed", "simulate", "sweep", "write_trials_csv"]
@@ -80,15 +81,15 @@ def derive_seed(master: int, *path: int) -> int:
     truncated to 64 bits. Collisions across distinct paths are as likely as
     sha256 collisions, so subsidiary streams never overlap by construction.
     """
-    if not 0 <= master < _SEED_SPAN:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {master}")
+    if type(master) is not int or not 0 <= master < _SEED_SPAN:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {master!r}")
     digest = hashlib.sha256()
     digest.update(b"poolgraph.seed.v1")
     digest.update(master.to_bytes(8, "little"))
     for part in path:
-        if part < 0:
-            raise ValueError(f"seed path components must be nonnegative, got {part}")
-        digest.update(int(part).to_bytes(8, "little"))
+        if type(part) is not int or not 0 <= part < _SEED_SPAN:
+            raise ValueError(f"seed path components must be 64-bit unsigned integers, got {part!r}")
+        digest.update(part.to_bytes(8, "little"))
     return int.from_bytes(digest.digest()[:8], "little")
 
 
@@ -311,6 +312,7 @@ def simulate(
     keep_per_graph: bool = False,
 ) -> TrialReport:
     """Estimate FAR and MDR at one delta; bit-identical for a given seed and any `workers`."""
+    check_algorithm(algorithm)
     (d,) = check_run(spec, [delta], graphs, patterns_per_graph, seed, workers=workers)
     return _reports(spec, algorithm, [(d, seed)], graphs, patterns_per_graph, workers, keep_per_graph)[0]
 
@@ -327,6 +329,7 @@ def sweep(
     keep_per_graph: bool = False,
 ) -> list[TrialReport]:
     """One report per grid point, each on an independent seed stream; every input is checked first."""
+    check_algorithm(algorithm)
     deltas = check_run(spec, delta_grid, graphs, patterns_per_graph, seed, workers=workers)
     points = [(d, derive_seed(seed, index)) for index, d in enumerate(deltas)]
     return _reports(spec, algorithm, points, graphs, patterns_per_graph, workers, keep_per_graph)

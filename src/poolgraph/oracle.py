@@ -20,16 +20,19 @@ prefix changes between blocks, so the tails' item-socket tests, the
 detection.index_tables indices and the tiled pattern words are made once;
 a block writes both directions of its matchings, takes its two tables and
 decodes all K * 2^n (matching, pattern) pairs in one decode_tables call.
-The wrong items are unpacked once and summed per matching in the smallest
-type that holds every tally key mask (n + 1) + j. COMP and DD look only
-within a connected component, so each matching of the union decodes
-exactly as it would alone. The per-pattern bitmask decoders stay the
-literal reference in the tests (tests/oracle_reference.py).
+The wrong items are unpacked once and summed per matching. COMP and DD
+look only within a connected component, so each matching of the union
+decodes exactly as it would alone. The per-pattern bitmask decoders stay
+the literal reference in the tests (tests/oracle_reference.py).
 
-Both entry points reduce one pass: _pattern_counts keeps the read-only
-(2^n, n + 1) counts of the matchings on which each pattern has j errors,
-per (spec, decoder), in an lru_cache of 16 entries as build_table keeps
-tables (at most 2^11 x 12 int64 values at the 11-edge limit).
+Both entry points read one pass: _oracle_table tallies every block with
+one bincount of the keys a (n + 1) + j, a the pattern's defective count
+(a popcount taken once per pass) and j its errors, in the smallest type
+that holds them all, and keeps the resulting table, source "oracle", per
+(spec, decoder) in an lru_cache of 16 entries as build_table keeps
+tables. exact_error_probability sums that table's rows itself, never
+through fa_probability or md_probability, so the two probability routes
+stay independent.
 
 Costs explode factorially. Both entry points size the same blocks the same
 way: E! x ceil(2^n / 64) matching words at a fitted cost each
@@ -52,7 +55,7 @@ import numpy as np
 from .combinatorics import exact_delta
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
 from .ensemble import EnsembleSpec, matching_count
-from .enumerator import EnumeratorTable, empty_rows
+from .enumerator import EnumeratorTable, check_algorithm, empty_rows
 
 # perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
@@ -70,8 +73,8 @@ class OracleReport:
 
 
 def _count_type(n: int) -> np.dtype:
-    """The smallest unsigned type holding every tally key mask (n + 1) + j, so none can wrap."""
-    return np.min_scalar_type(((n + 1) << n) - 1)
+    """The smallest unsigned type holding every tally key a (n + 1) + j, at most (n + 1)^2 - 1, so none can wrap."""
+    return np.min_scalar_type((n + 1) ** 2 - 1)
 
 
 def _matching_blocks(edges: int, words: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
@@ -128,19 +131,19 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarr
 
 
 @lru_cache(maxsize=16)
-def _pattern_counts(spec: EnsembleSpec, algorithm: Algorithm) -> np.ndarray:
-    """Read-only (2^n, n + 1) counts: [mask, j] is how many matchings give pattern mask j errors.
+def _oracle_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
+    """The exhaustive table: cell (a, j) counts the (matching, a-defective pattern) pairs with j errors.
 
-    One bincount of the keys mask (n + 1) + j per block. Callers size the work first.
+    One bincount of the keys a (n + 1) + j per block. Callers size the work first.
     """
     n = spec.n
-    keys = (np.arange(1 << n) * (n + 1)).astype(_count_type(n))
-    counts = np.zeros((n + 1) << n, dtype=np.int64)
+    keys = (np.bitwise_count(np.arange(1 << n)) * (n + 1)).astype(_count_type(n))
+    counts = np.zeros((n + 1) ** 2, dtype=np.int64)
     for errors in _error_blocks(spec, algorithm):
         counts += np.bincount((keys + errors).ravel(), minlength=len(counts))
-    counts = counts.reshape(1 << n, n + 1)
-    counts.flags.writeable = False
-    return counts
+    tally = counts.reshape(n + 1, n + 1).tolist()
+    rows = tuple(tuple(tally[a][: len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
+    return EnumeratorTable(algorithm, spec, rows, sum(rows[0]), source="oracle")
 
 
 def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
@@ -149,33 +152,28 @@ def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
     Tallies (defective count, error count) across all matchings and all
     defective sets: integer counts over the E! matchings.
     """
+    check_algorithm(algorithm)
     matching_count(spec)
-    counts = _pattern_counts(spec, algorithm)
-    n, matchings = spec.n, int(counts[0].sum())
-    ones = np.bitwise_count(np.arange(1 << n))
-    tally = [counts[ones == a].sum(axis=0).tolist() for a in range(n + 1)]
-    rows = tuple(tuple(tally[a][: len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
-    return OracleReport(EnumeratorTable(algorithm, spec, rows, matchings, source="oracle"), matchings)
+    table = _oracle_table(spec, algorithm)
+    return OracleReport(table, table.denominator)
 
 
 def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> Fraction:
-    """Exact expected per-item error rate by direct expectation.
+    """Exact expected per-item error rate by direct expectation over the exhaustive table.
 
     Averages fa/(non-defective count) for COMP or md/(defective count) for
-    DD over matchings and Bernoulli(delta) patterns, without grouping into
-    a table first. Patterns with a zero denominator contribute 0. For delta = p / q,
-    the integer terms err (L / c) p^a (q - p)^(n - a), c a pattern's denominator and
-    L the lcm of the nonzero ones, are summed and reduced over L M q^n once.
+    DD over matchings and Bernoulli(delta) patterns; rows with no candidate
+    to err contribute 0. For delta = p / q, the integer terms
+    (L / e_a) p^a (q - p)^(n - a) sum_j j N_{a,j}, e_a = len(row a) - 1 and L
+    the lcm of the nonzero e_a, are summed and reduced over L M q^n once,
+    without the table's error_weights or fa/md_probability.
     """
+    check_algorithm(algorithm)
     d = exact_delta(delta)
-    n = spec.n
     matching_count(spec)
-    counts = _pattern_counts(spec, algorithm)
-    p, q = d.numerator, d.denominator
-    denoms = [n - a if algorithm is Algorithm.COMP else a for a in range(n + 1)]
-    lcm = math.lcm(*filter(None, denoms))
-    factors = [lcm // c * p**a * (q - p) ** (n - a) if c else 0 for a, c in enumerate(denoms)]
-    err_sums = (counts @ np.arange(n + 1)).tolist()
-    ones = np.bitwise_count(np.arange(1 << n)).tolist()
-    total = sum(err * factors[a] for err, a in zip(err_sums, ones))
-    return Fraction(total, lcm * int(counts[0].sum()) * q**n)
+    table = _oracle_table(spec, algorithm)
+    n, p, q = spec.n, d.numerator, d.denominator
+    rows = [(a, len(row) - 1, sum(j * c for j, c in enumerate(row))) for a, row in enumerate(table.rows)]
+    lcm = math.lcm(*(e for _, e, _ in rows if e))
+    total = sum(lcm // e * p**a * (q - p) ** (n - a) * errors for a, e, errors in rows if e)
+    return Fraction(total, lcm * table.denominator * q**n)

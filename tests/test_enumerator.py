@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gf_reference import reference_cell, reference_table
+from poolgraph import montecarlo, oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
@@ -483,6 +485,24 @@ def test_probability_rejects_wrong_algorithm():
         fa_probability(dd, Fraction(1, 2))
     with pytest.raises(ValueError):
         md_probability(comp, Fraction(1, 2))
+
+
+# Every entry point would refuse this spec for size, so only a check made first can answer.
+HUGE = regular_spec(10**6, 3, 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda decoder: build_table(HUGE, decoder),
+    lambda decoder: montecarlo.simulate(HUGE, decoder, Fraction(1, 2), 10**9, 10**9, 0),
+    lambda decoder: montecarlo.sweep(HUGE, decoder, [Fraction(1, 2)], 10**9, 10**9, 0),
+    lambda decoder: oracle.exact_enumerators(HUGE, decoder),
+    lambda decoder: oracle.exact_error_probability(HUGE, decoder, Fraction(1, 2)),
+], ids=["build_table", "simulate", "sweep", "exact_enumerators", "exact_error_probability"])
+@pytest.mark.parametrize("decoder", ["comp", "dd", None])
+def test_a_decoder_that_is_not_an_algorithm_is_refused_before_any_work(call, decoder):
+    # A string is neither member, so no branch on `is Algorithm.COMP` may read it as DD.
+    with pytest.raises(TypeError, match=re.escape(f"algorithm must be an Algorithm, got {decoder!r}")):
+        call(decoder)
 
 
 def test_probability_rejects_floats_and_out_of_range():

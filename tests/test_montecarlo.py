@@ -172,6 +172,13 @@ def test_derive_seed_rejects_bad_words():
         derive_seed(2**64)
     with pytest.raises(ValueError):
         derive_seed(0, -3)
+    # Only exact ints: 1.9, 1.0 or True read as 1 would share 1's stream.
+    for master in (True, 1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            derive_seed(master)
+    for part in (1.9, True, 1.0, 2**64):
+        with pytest.raises(ValueError, match="seed path components must be 64-bit unsigned integers"):
+            derive_seed(5, part)
 
 
 def test_simulate_is_reproducible():

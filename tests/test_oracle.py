@@ -66,6 +66,7 @@ def test_batched_oracle_equals_literal_reference(name, algorithm, bound, monkeyp
     assert list(report.table.values.items()) == table
     assert report.matchings_enumerated == matchings == math.factorial(spec.edge_count)
     assert [exact_error_probability(spec, algorithm, d) for d in DELTAS] == probabilities
+    assert [_closed_form_probability(report.table, d) for d in DELTAS] == probabilities
 
 
 def _block_rows(edges: int, words: int, bound: int) -> int:
@@ -127,16 +128,17 @@ def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
             break
         n += 1
     for size in range(1, n + 1):
-        # The largest key is mask (n + 1) + j at mask = 2^n - 1, j = n; form every key as _pattern_counts does.
+        # The largest key is a (n + 1) + j at a = j = n; form every key as _oracle_table does.
         kind = oracle._count_type(size)
-        masks = np.arange(1 << size)
-        assert np.iinfo(kind).max >= masks[-1] * (size + 1) + size
-        keys = (masks * (size + 1)).astype(kind) + np.full(1 << size, size, dtype=kind)
-        assert keys.tolist() == (masks * (size + 1) + size).tolist()
-    # uint8 holds every key up to n = 5.
-    assert [oracle._count_type(size) for size in (5, 6)] == [np.uint8, np.uint16]
+        ones = np.bitwise_count(np.arange(1 << size))
+        assert np.iinfo(kind).max >= size * (size + 1) + size
+        for errors in range(size + 1):
+            keys = (ones * (size + 1)).astype(kind) + np.full(1 << size, errors, dtype=kind)
+            assert keys.tolist() == (ones * (size + 1) + errors).tolist()
+    # uint8 holds every key up to n = 15, (n + 1)^2 - 1 = 255.
+    assert [oracle._count_type(size) for size in (15, 16)] == [np.uint8, np.uint16]
     # Past the oracle's reach the type widens instead of wrapping.
-    assert np.iinfo(oracle._count_type(16)).max >= ((1 << 16) - 1) * 17 + 16
+    assert np.iinfo(oracle._count_type(300)).max >= 301**2 - 1
 
 
 def test_one_pass_per_spec_and_decoder(monkeypatch):
@@ -156,11 +158,12 @@ def test_one_pass_per_spec_and_decoder(monkeypatch):
     exact_enumerators(spec, Algorithm.COMP)
     exact_error_probability(other, Algorithm.DD, Fraction(1, 2))
     assert passes == [(spec, Algorithm.DD), (spec, Algorithm.COMP), (other, Algorithm.DD)]
-    counts = oracle._pattern_counts(spec, Algorithm.DD)
-    assert counts.shape == (16, 5)
-    assert set(counts.sum(axis=1).tolist()) == {math.factorial(8)}
-    with pytest.raises(ValueError):
-        counts[0, 0] = 1
+    table = oracle._oracle_table(spec, Algorithm.DD)
+    assert exact_enumerators(spec, Algorithm.DD).table is table
+    assert [sum(row) for row in table.rows] == [binomial(4, a) * math.factorial(8) for a in range(5)]
+    assert isinstance(table.rows, tuple) and all(isinstance(row, tuple) for row in table.rows)
+    with pytest.raises(AttributeError):
+        table.rows = ()
 
 
 def test_cached_counts_are_refused_like_fresh_ones(monkeypatch):
@@ -168,7 +171,7 @@ def test_cached_counts_are_refused_like_fresh_ones(monkeypatch):
     # prediction, both entry points refuse it although its counts are cached.
     spec = regular_spec(4, 2, 2)
     exact_enumerators(spec, Algorithm.DD)
-    assert oracle._pattern_counts.cache_info().currsize == 1
+    assert oracle._oracle_table.cache_info().currsize == 1
     monkeypatch.setattr(errors, "LIMIT_SECONDS", math.nextafter(ensemble._predicted_seconds(spec), 0))
     for call in (
         lambda: exact_enumerators(spec, Algorithm.DD),
@@ -264,8 +267,9 @@ def test_oracle_table_rows_sum_to_pattern_counts():
 
 @pytest.mark.parametrize("delta", [0, 1, Fraction(1, 2), Fraction(1, 3)])
 def test_direct_expectation_agrees_with_table_route(delta):
-    # exact_error_probability never builds a table; fa/md_probability only
-    # consume one. Agreement means two independent aggregations coincide.
+    # exact_error_probability sums the table's rows itself; fa/md_probability
+    # go through its error_weights and Horner's rule. Agreement means two
+    # independent evaluations coincide.
     spec = regular_spec(4, 1, 2)
     report = exact_enumerators(spec, Algorithm.COMP)
     direct = exact_error_probability(spec, Algorithm.COMP, delta)
