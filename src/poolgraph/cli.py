@@ -8,8 +8,9 @@ stdout; status chatter goes to stderr so piped output stays parseable.
 Exit codes: 0 success, 1 bad input, failed verification or failed
 self-check (row sums, coupling), 2 size refusal, 3 I/O failure. A table
 build, a Monte Carlo run and an oracle run are each refused before they
-start when predicted to take over errors.LIMIT_SECONDS; the oracle predicts
-without computing E!, so a spec of any size is refused at once.
+start when predicted to take over errors.LIMIT_SECONDS. The oracle predicts
+from its multigraph count, bounded below from lgamma first, so a spec of
+any size is refused at once, and it takes at most 16 items.
 
 enumerate, analyze, --help and --version import no numpy (`Algorithm` lives
 in `enumerator`); simulate and verify import montecarlo and oracle on use.

@@ -22,7 +22,7 @@ tables, taken from both directions of a matching at the indices that only
 `index_tables` lays out, and uses only OR, AND and NOT, so one code serves
 two layouts. Both package callers pass uint64 words, 64 patterns
 bit-sliced per word: Monte Carlo over one sampled graph's `graph_tables`,
-and the oracle over the disjoint union of a block of matchings. Bool, one
+and the oracle over the disjoint union of a block of multigraphs. Bool, one
 column per pattern, stays only as a cross-check in the tests, which hold
 both layouts and the bitmask decoders equal pattern by pattern.
 
@@ -39,7 +39,7 @@ from .enumerator import Algorithm
 
 # The one bound on a decode_tables call: Monte Carlo decodes at most
 # CHUNK_PATTERNS patterns of one graph, the oracle at most CHUNK_PATTERNS
-# (matching, word) pairs. Both pass uint64 words, so a call's memory is
+# (graph, word) pairs. Both pass uint64 words, so a call's memory is
 # O(CHUNK_PATTERNS x (n + m)) words whatever the caller's total.
 CHUNK_PATTERNS = 4096
 

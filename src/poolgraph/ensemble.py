@@ -26,15 +26,23 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import ContextManager, Iterable, Iterator, Mapping, Optional, TextIO, Union
 
-from .errors import ValidationError, refuse_over_limit
+from .errors import SizeLimitError, ValidationError, refuse_over_limit
 
-# Seconds per (matching, 64-pattern word) the batched oracle (oracle.py)
-# decodes, one process on a 2-vCPU x86_64 host: fitted in BENCH_19.json.
+# One process on a 2-vCPU x86_64 host. A walk over all E! matchings
+# (enumerate_matchings) is predicted at this per (matching, 64-pattern word),
+# fitted in BENCH_19.json on a batched matching walk; the weighted oracle
+# (oracle.py) costs the next two per (multigraph, word) decoded and per
+# multigraph enumerated, fitted in BENCH_31.json.
 _ORACLE_SECONDS_PER_WORD = 1.38e-6
+_GRAPH_SECONDS_PER_WORD = 9.4e-7
+_GRAPH_SECONDS = 3.0e-6
+# Most items the oracle takes: one decode unpacks n x 2^n error bytes, 400 MB
+# at n = 24, where a one-graph spec is cheap in time.
+ORACLE_MAX_ITEMS = 16
 
 
 @dataclass(frozen=True)
@@ -132,10 +140,14 @@ class EnsembleSpec:
         object.__setattr__(self, "edge_count", int(left_edges))
 
     @cached_property
+    def item_degrees(self) -> tuple[int, ...]:
+        """Each item's degree: item v owns the next item_degrees[v] consecutive item sockets."""
+        return tuple(d for d, count in self.item_classes for _ in range(count))
+
+    @cached_property
     def socket_items(self) -> tuple[int, ...]:
-        """The item on each item socket: item v owns the next d consecutive sockets, d its degree."""
-        degrees = (d for d, count in self.item_classes for _ in range(count))
-        return tuple(v for v, d in enumerate(degrees) for _ in range(d))
+        """The item on each item socket."""
+        return tuple(v for v, d in enumerate(self.item_degrees) for _ in range(d))
 
     @cached_property
     def test_degrees(self) -> tuple[int, ...]:
@@ -220,23 +232,70 @@ def sample_graph(spec: EnsembleSpec, seed: int) -> PoolingGraph:
 
 
 def _predicted_seconds(spec: EnsembleSpec) -> float:
-    """The oracle's seconds, E! x ceil(2^n / 64) x c, from lgamma: E! itself is never computed."""
+    """A walk over all E! matchings, E! x ceil(2^n / 64) x c, from lgamma: E! itself is never computed."""
     log_words = max(spec.n - 6, 0) * math.log(2)
     return math.exp(math.lgamma(spec.edge_count + 1) + log_words) * _ORACLE_SECONDS_PER_WORD
 
 
 def matching_count(spec: EnsembleSpec) -> int:
-    """E!, the number of socket matchings; first SizeLimitError when the oracle would take too long."""
+    """E!, the number of socket matchings; first SizeLimitError when walking them all would take too long."""
     refuse_over_limit(f"the oracle over {spec.edge_count}! matchings", _predicted_seconds, spec)
     return math.factorial(spec.edge_count)
+
+
+def _graph_seconds(spec: EnsembleSpec, graphs) -> float:
+    """The weighted oracle's seconds over `graphs` multigraphs, each enumerated and decoded on ceil(2^n / 64) words."""
+    return graphs * (2 ** max(spec.n - 6, 0) * _GRAPH_SECONDS_PER_WORD + _GRAPH_SECONDS)
+
+
+def _graph_bound(spec: EnsembleSpec) -> float:
+    """E! / (prod l_v! prod r_c!) from lgamma: no multigraph has more matchings, so there are at least this many."""
+    degrees = (*spec.item_classes, *spec.test_classes)
+    return math.exp(math.lgamma(spec.edge_count + 1) - sum(k * math.lgamma(d + 1) for d, k in degrees))
+
+
+def _fills(degree: int, left: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every column remainder after `degree` edges take at most left[c] from each column c."""
+    if not left:
+        return [()]
+    takes = range(max(degree - sum(left[1:]), 0), min(degree, left[0]) + 1)
+    return [(left[0] - take, *rest) for take in takes for rest in _fills(degree - take, left[1:])]
+
+
+@lru_cache(maxsize=16)
+def _matrix_count(spec: EnsembleSpec) -> int:
+    """The multiplicity matrices, counted item by item over the sorted nonzero column remainders."""
+
+    @lru_cache(maxsize=None)
+    def count(v: int, left: tuple[int, ...]) -> int:
+        if v == spec.n:
+            return 1
+        return sum(count(v + 1, tuple(sorted(c for c in rest if c))) for rest in _fills(spec.item_degrees[v], left))
+
+    return count(0, spec.test_degrees)
+
+
+def multigraph_count(spec: EnsembleSpec) -> int:
+    """The oracle's graphs, one per multiplicity matrix; first SizeLimitError when the oracle would take too long.
+
+    Refused first on the lgamma bound of the count, then past
+    ORACLE_MAX_ITEMS items, and only then counted exactly.
+    """
+    work = f"the oracle over {spec.edge_count}! matchings"
+    refuse_over_limit(work, lambda: _graph_seconds(spec, _graph_bound(spec)))
+    if spec.n > ORACLE_MAX_ITEMS:
+        raise SizeLimitError(f"{work} takes at most {ORACLE_MAX_ITEMS} items, got n = {spec.n}")
+    graphs = _matrix_count(spec)
+    refuse_over_limit(work, _graph_seconds, spec, graphs)
+    return graphs
 
 
 def enumerate_matchings(spec: EnsembleSpec) -> Iterator[PoolingGraph]:
     """Yield the graph of every one of the E! socket matchings, in a fixed order.
 
     Repeated structures are intentional: the uniform-matching measure counts
-    them with multiplicity. Refuses with SizeLimitError exactly what the
-    oracle refuses.
+    them with multiplicity. Refuses with SizeLimitError what matching_count
+    refuses.
     """
     matching_count(spec)
     for assignment in itertools.permutations(range(spec.edge_count)):

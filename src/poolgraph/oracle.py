@@ -1,49 +1,31 @@
 """Exhaustive ground truth for tiny ensembles.
 
-Walks every socket matching (all E! permutations) and every defective set
-(all 2^n bit patterns), decodes each pair, and tallies outcomes as exact
-integer counts over the E! matchings. No generating functions anywhere:
-this is the independent yardstick the enumerator module is measured
-against, so every matching and every pattern is counted once, with no
-weighting and no merging of matchings that give the same graph.
+A graph of the ensemble is fixed by its multiplicity matrix M, M_vc edges
+between item v and test c, and exactly W(M) = prod_v l_v! prod_c r_c! /
+prod_vc M_vc! of the E! socket matchings give it (Bollobas, Europ. J.
+Combin. 1980). So the oracle enumerates every matrix with the spec's row
+and column sums once, decodes it under all 2^n defective sets and weights
+its outcomes by W(M): exact integer counts over the E! matchings, with no
+generating functions anywhere, the independent yardstick the enumerator
+module is measured against. Every pass checks that the weights sum to E!.
 
-Decoding is batched. The 2^n patterns are packed once as an n x W uint64
-matrix, W = ceil(2^n / 64): bit p % 64 of word p // 64 in row v is item v
-of pattern p, and the padding bits are zero. The matchings come in blocks
-of k! rows, in exactly itertools.permutations order: one (E - k)-prefix,
-then the sockets it leaves, in sorted order, permuted by the k! tails. k is
-the largest value with k! * W <= CHUNK_PATTERNS, so no block is partial;
-if even one matching's words exceed the bound, a block is one matching.
-A block is decoded as one graph: the disjoint union of its K matchings,
-with matching k's items at k*n + v and its tests at k*m + c. Only the
-prefix changes between blocks, so the tails' item-socket tests, the
-detection.index_tables indices and the tiled pattern words are made once;
-a block writes both directions of its matchings, takes its two tables and
-decodes all K * 2^n (matching, pattern) pairs in one decode_tables call.
-The wrong items are unpacked once and summed per matching. COMP and DD
-look only within a connected component, so each matching of the union
-decodes exactly as it would alone. The per-pattern bitmask decoders stay
-the literal reference in the tests (tests/oracle_reference.py).
-
-Both entry points read one pass: _oracle_table tallies every block with
-one bincount of the keys a (n + 1) + j, a the pattern's defective count
-(a popcount taken once per pass) and j its errors, in the smallest type
-that holds them all, and keeps the resulting table, source "oracle", per
-(spec, decoder) in an lru_cache of 16 entries as build_table keeps
-tables. exact_error_probability sums that table's rows itself, never
-through fa_probability or md_probability, so the two probability routes
-stay independent.
-
-Costs explode factorially. Both entry points size the same blocks the same
-way: E! x ceil(2^n / 64) matching words at a fitted cost each
-(ensemble.matching_count), refused over the one limit in seconds
-(errors.LIMIT_SECONDS) on every call, before the cache is read or anything
-is allocated: 11 edges pass up to n = 9, 12 never do.
+Each matrix is laid out as one canonical matching, item v's sockets
+filling its tests in column order. A block of K of them, K the most with
+K * ceil(2^n / 64) <= CHUNK_PATTERNS, is decoded as one disjoint union on
+uint64 pattern words through detection.index_tables, decode_tables and
+wrong_items: COMP and DD look only within a component and only at M. W(M)
+varies only through prod M_vc!, so one int64 bincount per block counts
+the keys (value of prod M_vc!, a (n + 1) + j), a the pattern's defective
+count and j its errors, and each value's counts are multiplied by its
+big-integer weight once, at the end. The table, source "oracle", is cached
+per (spec, decoder) in an lru_cache of 16 entries, and each call is sized
+first by ensemble.multigraph_count. exact_error_probability sums the
+table's rows itself, never through fa_probability or md_probability. The
+literal walk over all E! matchings is tests/oracle_reference.py.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +36,7 @@ import numpy as np
 
 from .combinatorics import exact_delta
 from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
-from .ensemble import EnsembleSpec, matching_count
+from .ensemble import EnsembleSpec, multigraph_count
 from .enumerator import EnumeratorTable, check_algorithm, empty_rows
 
 # perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
@@ -72,88 +54,105 @@ class OracleReport:
     matchings_enumerated: int
 
 
+# Most entries in a chunk of partial matrices before the next item expands it.
+_PARTIAL_ENTRIES = 1 << 18
+
+
 def _count_type(n: int) -> np.dtype:
     """The smallest unsigned type holding every tally key a (n + 1) + j, at most (n + 1)^2 - 1, so none can wrap."""
     return np.min_scalar_type((n + 1) ** 2 - 1)
 
 
-def _matching_blocks(edges: int, words: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Every permutation of range(edges), in itertools.permutations order, as blocks order[columns].
+def _matrix_blocks(spec: EnsembleSpec, size: int) -> Iterator[np.ndarray]:
+    """Every multiplicity matrix once, as blocks of at most `size` rows of its n m entries, item by item."""
+    degrees, chunk = spec.item_degrees, max(size, _PARTIAL_ENTRIES // (spec.n * spec.m))
 
-    Each order is an (edges - k)-prefix, then the sockets it leaves in
-    sorted order; the fixed k! x edges columns keep the prefix and permute
-    the rest by the k! tails, so a block is k! rows. k is the largest value
-    with k! * words <= CHUNK_PATTERNS; if even one matching's words exceed
-    the bound, a block is one row.
+    def extend(cells: np.ndarray, left: np.ndarray, v: int) -> Iterator[np.ndarray]:
+        if v == len(degrees):
+            yield from (cells[start : start + size] for start in range(0, len(cells), size))
+            return
+        parent, row, need = np.arange(len(cells)), np.zeros((len(cells), 0), np.intp), np.full(len(cells), degrees[v])
+        for c in range(spec.m):
+            # Take at least what the later columns cannot hold, so every partial matrix completes.
+            low = np.maximum(need - left[parent, c + 1 :].sum(axis=1), 0)
+            ways = np.minimum(need, left[parent, c]) - low + 1
+            step = np.repeat(np.arange(len(ways)), ways)
+            take = low[step] + np.arange(len(step)) - np.repeat(np.cumsum(ways) - ways, ways)
+            parent, row, need = parent[step], np.column_stack((row[step], take)), need[step] - take
+        cells, left = np.concatenate((cells[parent], row), axis=1, dtype=cells.dtype), left[parent] - row
+        for start in range(0, len(cells), chunk):
+            yield from extend(cells[start : start + chunk], left[start : start + chunk], v + 1)
+
+    # No entry exceeds the largest degree: the smallest signed type holding it keeps chunks small.
+    yield from extend(np.zeros((1, 0), np.min_scalar_type(-degrees[-1])), np.array([spec.test_degrees]), 0)
+
+
+def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every multiplicity matrix with its errors, as blocks (K x n m entries, K x 2^n errors).
+
+    Entry [k, mask] of the errors is the false-alarm count (COMP) or
+    misdetection count (DD) of pattern mask on the block's k-th graph, of
+    type _count_type(n). Callers size the work first.
     """
-    k, size = 0, 1
-    while k < edges and size * (k + 1) * words <= CHUNK_PATTERNS:
-        k += 1
-        size *= k
-    head = edges - k
-    tails = np.array(list(itertools.permutations(range(head, edges))), dtype=np.intp).reshape(size, k)
-    columns = np.hstack((np.broadcast_to(np.arange(head), (size, head)), tails))
-    prefixes = itertools.permutations(range(edges), head)
-    return columns, (np.array([*p, *sorted(set(range(edges)).difference(p))], dtype=np.intp) for p in prefixes)
-
-
-def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[np.ndarray]:
-    """Errors of every (matching, pattern) pair, as K x 2^n blocks in permutation order.
-
-    Entry [k, mask] is the false-alarm count (COMP) or misdetection count
-    (DD) of pattern mask on the block's k-th matching, of type _count_type(n).
-    Callers size the work first.
-    """
-    n, m, edges = spec.n, spec.m, spec.edge_count
-    socket_items = np.array(spec.socket_items, dtype=np.intp)
-    masks = np.arange(1 << n)
+    n, m, masks = spec.n, spec.m, np.arange(1 << spec.n)
     # Bit p % 64 of word p // 64 in row v is item v of pattern p; the padding is zero.
     patterns = np.zeros((n, -(-len(masks) // 64)), dtype=np.uint64)
-    patterns.view(np.uint8)[:, : -(-len(masks) // 8)] = np.packbits(
-        (masks >> np.arange(n)[:, None]) & 1, axis=1, bitorder="little"
-    )
-    columns, orders = _matching_blocks(edges, patterns.shape[1])
-    size, k = len(columns), np.arange(len(columns))[:, None]
-    sockets, slots = index_tables(spec.test_degrees, np.bincount(socket_items, minlength=n), size)
-    # Matching k puts item socket order[columns[k, q]] on test socket q, so
-    # item socket order[i] is on test socket argsort(columns[k])[i], whatever the order.
-    order_tests = np.repeat(np.arange(m), spec.test_degrees)[np.argsort(columns, axis=1)] + k * m
-    # Both directions of the block's matchings, offset per matching; the last column is the dummy.
-    items, tests = (np.full((size, edges + 1), size * nodes) for nodes in (n, m))
-    defective = np.tile(patterns, (size, 1))
-    for order in orders:
-        np.add(socket_items[order][columns], k * n, out=items[:, :-1])
-        tests[:, order] = order_tests
-        estimate = decode_tables(np.take(items, sockets), np.take(tests, slots), defective, algorithm)
-        wrong = wrong_items(estimate, defective, algorithm)
+    bits = np.packbits((masks >> np.arange(n)[:, None]) & 1, axis=1, bitorder="little")
+    patterns.view(np.uint8)[:, : bits.shape[1]] = bits
+    size = min(max(CHUNK_PATTERNS // patterns.shape[1], 1), multigraph_count(spec))
+    tiled, full = np.tile(patterns, (size, 1)), index_tables(spec.test_degrees, spec.item_degrees, size)
+    for cells in _matrix_blocks(spec, size):
+        k, offsets = len(cells), np.arange(len(cells))[:, None]
+        sockets, slots = full if k == size else index_tables(spec.test_degrees, spec.item_degrees, k)
+        # The canonical matching in both directions, offset per graph, then the dummy column.
+        items = np.repeat(np.tile(np.arange(n), k * m), cells.reshape(k, n, m).transpose(0, 2, 1).ravel())
+        tests = np.repeat(np.tile(np.arange(m), k * n), cells.ravel())
+        items, tests = (
+            np.column_stack((ends.reshape(k, -1) + offsets * nodes, np.full(k, k * nodes)))
+            for ends, nodes in ((items, n), (tests, m))
+        )
+        estimate = decode_tables(np.take(items, sockets), np.take(tests, slots), tiled[: k * n], algorithm)
+        wrong = wrong_items(estimate, tiled[: k * n], algorithm)
         wrong = np.unpackbits(wrong.view(np.uint8), axis=1, count=len(masks), bitorder="little")
-        yield wrong.reshape(size, n, -1).sum(axis=1, dtype=_count_type(n))
+        yield cells, wrong.reshape(k, n, -1).sum(axis=1, dtype=_count_type(n))
 
 
 @lru_cache(maxsize=16)
 def _oracle_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     """The exhaustive table: cell (a, j) counts the (matching, a-defective pattern) pairs with j errors.
 
-    One bincount of the keys a (n + 1) + j per block. Callers size the work first.
+    One bincount per block of the keys i (n + 1)^2 + a (n + 1) + j, i the
+    index of the graph's prod M_vc! among the block's values. Callers size
+    the work first.
     """
-    n = spec.n
-    keys = (np.bitwise_count(np.arange(1 << n)) * (n + 1)).astype(_count_type(n))
-    counts = np.zeros((n + 1) ** 2, dtype=np.int64)
-    for errors in _error_blocks(spec, algorithm):
-        counts += np.bincount((keys + errors).ravel(), minlength=len(counts))
-    tally = counts.reshape(n + 1, n + 1).tolist()
-    rows = tuple(tuple(tally[a][: len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
+    n, cells = spec.n, (spec.n + 1) ** 2
+    keys = np.bitwise_count(np.arange(1 << n)).astype(_count_type(n)) * (n + 1)
+    # prod M_vc! divides prod l_v!, so int64 holds it exactly unless the item degrees are large.
+    exact = np.int64 if math.prod(map(math.factorial, spec.item_degrees)) < 2**63 else object
+    factorials = np.array([math.factorial(k) for k in range(max(spec.item_degrees) + 1)], dtype=exact)
+    tally: dict[int, np.ndarray] = {}  # prod M_vc! -> the counts of its graphs
+    for matrices, errors in _error_blocks(spec, algorithm):
+        products, kind = np.unique(factorials[matrices].prod(axis=1), return_inverse=True)
+        counts = np.bincount((kind[:, None] * cells + (keys + errors)).ravel(), minlength=len(products) * cells)
+        for product, count in zip(products.tolist(), counts.reshape(-1, cells)):
+            tally[product] = tally.get(product, 0) + count
+    numerator = math.prod(map(math.factorial, (*spec.item_degrees, *spec.test_degrees)))
+    totals = [sum(numerator // p * c for p, c in zip(tally, column)) for column in np.array([*tally.values()]).T.tolist()]
+    rows = tuple(tuple(totals[a * (n + 1) : a * (n + 1) + len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
+    # Row 0 holds one pattern per graph, so its sum is the sum of the weights W(M).
+    assert sum(rows[0]) == math.factorial(spec.edge_count), "multigraph weights do not sum to E!"
     return EnumeratorTable(algorithm, spec, rows, sum(rows[0]), source="oracle")
 
 
 def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
-    """Average pattern counts over every matching, by brute force.
+    """Average pattern counts over every matching, by brute force over the multigraphs.
 
-    Tallies (defective count, error count) across all matchings and all
-    defective sets: integer counts over the E! matchings.
+    Tallies (defective count, error count) across all multigraphs, each
+    weighted by the matchings that give it, and all defective sets: integer
+    counts over the E! matchings.
     """
     check_algorithm(algorithm)
-    matching_count(spec)
+    multigraph_count(spec)
     table = _oracle_table(spec, algorithm)
     return OracleReport(table, table.denominator)
 
@@ -170,7 +169,7 @@ def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> 
     """
     check_algorithm(algorithm)
     d = exact_delta(delta)
-    matching_count(spec)
+    multigraph_count(spec)
     table = _oracle_table(spec, algorithm)
     n, p, q = spec.n, d.numerator, d.denominator
     rows = [(a, len(row) - 1, sum(j * c for j, c in enumerate(row))) for a, row in enumerate(table.rows)]

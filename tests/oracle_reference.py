@@ -5,11 +5,14 @@ The literal form of `poolgraph.oracle`: walk every socket matching with
 defective sets with the one-pattern bitmask decoders `comp_pd_mask` and
 `dd_certified_mask`. It shares no decoding code with the batched oracle,
 which the tests hold equal to it. Slow: one (4,2,2) table, 8! matchings x
-16 patterns, takes seconds, so the tests keep to smaller specs.
+16 patterns, takes seconds, so the tests keep to smaller specs. The
+multiplicity matrix of a graph and its weight W(M) are given here from
+their definitions too.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from poolgraph.combinatorics import exact_delta
@@ -17,6 +20,17 @@ from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
 from poolgraph.ensemble import EnsembleSpec, enumerate_matchings, matching_count
 from poolgraph.enumerator import EnumeratorTable, empty_rows
 from poolgraph.oracle import OracleReport
+
+
+def multiplicity_matrix(spec: EnsembleSpec, graph) -> tuple[int, ...]:
+    """The graph's multiplicity matrix, item by item: entry v m + c counts the edges of item v and test c."""
+    return tuple(graph.adj[c].count(v) for v in range(spec.n) for c in range(spec.m))
+
+
+def weight(spec: EnsembleSpec, matrix: tuple[int, ...]) -> int:
+    """W(M) = prod_v l_v! prod_c r_c! / prod_vc M_vc!, the socket matchings that give M."""
+    sides = math.prod(map(math.factorial, (*spec.item_degrees, *spec.test_degrees)))
+    return sides // math.prod(map(math.factorial, matrix))
 
 
 def _pattern_errors(graph, mask: int, algorithm: Algorithm) -> int:

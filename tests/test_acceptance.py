@@ -121,6 +121,15 @@ def _nine_edge_spec() -> EnsembleSpec:
     )
 
 
+def _fourteen_edge_spec() -> EnsembleSpec:
+    return EnsembleSpec(
+        n=6,
+        m=3,
+        left=DegreeDistribution.from_dict({2: Fraction(2, 3), 3: Fraction(1, 3)}),
+        right=DegreeDistribution.from_dict({4: Fraction(1, 3), 5: Fraction(2, 3)}),
+    )
+
+
 def _irregular_spec(n: int) -> EnsembleSpec:
     return EnsembleSpec(
         n=n,
@@ -151,9 +160,15 @@ def _three_test_degree_spec() -> EnsembleSpec:
 def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
     bad = []
     # (spec, seconds allowed): two item degrees at n=3 (4! matchings), two
-    # degrees on each side at n=4 (8! matchings), then two item degrees and
-    # three test degrees at n=6 (9! matchings).
-    for spec, limit in ((_mixed_spec(), 5.0), (_two_by_two_spec(), 60.0), (_nine_edge_spec(), 60.0)):
+    # degrees on each side at n=4 (8! matchings), two item degrees and three
+    # test degrees at n=6 (9! matchings), then past the literal walk's reach:
+    # (6,2,3) and (6,2,4) (12! matchings, 16,260 and 2,385 multigraphs) and two
+    # degrees on each side at n=6 (14! matchings, 4,992 multigraphs).
+    specs = (
+        (_mixed_spec(), 5.0), (_two_by_two_spec(), 60.0), (_nine_edge_spec(), 60.0),
+        (regular_spec(6, 2, 3), 60.0), (regular_spec(6, 2, 4), 60.0), (_fourteen_edge_spec(), 60.0),
+    )
+    for spec, limit in specs:
         t0 = time.monotonic()
         for algorithm in (Algorithm.COMP, Algorithm.DD):
             report = exact_enumerators(spec, algorithm)
@@ -173,7 +188,7 @@ def test_mixed_degree_closed_forms_equal_exhaustive_oracle():
         if _csv_digest(build_table(_three_test_degree_spec(), algorithm)) != pinned:
             bad.append((12, algorithm.value, "three-test-degree csv digest"))
     ok = not bad
-    _stamp(3, "mixed-degree closed forms equal the oracle (n=3, n=4 and n=6) and "
+    _stamp(3, "mixed-degree and 12-14-edge closed forms equal the oracle (n=3, n=4 and n=6) and "
               "irregular CSV digests match", ok)
     assert not bad, bad
 

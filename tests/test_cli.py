@@ -158,6 +158,15 @@ def test_verify_passes_on_small_regular(capsys):
     assert "all cells match over 24 matchings" in out
 
 
+@pytest.mark.parametrize("algorithm", ["comp", "dd"])
+def test_verify_passes_past_eleven_edges(algorithm, capsys):
+    # 12 edges: the oracle decodes (6,2,3)'s 16,260 multigraphs, not its 12! matchings.
+    code, out, _ = run(["verify", "--regular", "6,2,3", "--algorithm", algorithm], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.endswith(f"verify {algorithm}: all cells match over 479001600 matchings\n")
+
+
 def test_verify_dd_with_double_edges(capsys):
     code, out, _ = run(["verify", "--regular", "2,2,2", "--algorithm", "dd"], capsys)
     assert code == 0

@@ -1,10 +1,14 @@
 import json
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+
+import oracle_reference
 
 from poolgraph.ensemble import (
     DegreeDistribution,
@@ -24,6 +28,7 @@ from poolgraph.detection import Algorithm
 from poolgraph.enumerator import build_table
 from poolgraph.errors import SizeLimitError, ValidationError
 from poolgraph.montecarlo import simulate
+from poolgraph import oracle
 from poolgraph.oracle import exact_enumerators, exact_error_probability
 
 
@@ -385,3 +390,56 @@ def test_spec_hash_distinguishes_specs():
 def test_spec_jsonable_is_json_serializable():
     text = json.dumps(spec_to_jsonable(mixed_spec()))
     assert parse_spec(json.loads(text)) == mixed_spec()
+
+
+# Significance of the sampler-law test, fixed before its first run.
+SAMPLER_ALPHA = 1e-3
+
+
+def _chi_square_critical(df: int, alpha: float) -> float:
+    """The chi-square upper-alpha point, by the Wilson-Hilferty cube-root normal approximation (no scipy)."""
+    z = NormalDist().inv_cdf(1 - alpha)
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def _pooled(expected: list[float], observed: list[int]) -> list[tuple[float, int]]:
+    """(expected, observed) cells, those expected under 5 pooled into one, topped up by the smallest others."""
+    order = sorted(range(len(expected)), key=expected.__getitem__)
+    small = [i for i in order if expected[i] < 5]
+    large = [i for i in order if expected[i] >= 5]
+    while small and sum(expected[i] for i in small) < 5:
+        small.append(large.pop(0))
+    cells = [(expected[i], observed[i]) for i in large]
+    if small:
+        cells.append((sum(expected[i] for i in small), sum(observed[i] for i in small)))
+    return cells
+
+
+@pytest.mark.parametrize(
+    "spec, draws",
+    [
+        (regular_spec(4, 2, 2), 20_000),  # 282 multigraphs, none pooled
+        (regular_spec(3, 3, 3), 5_000),  # 55 multigraphs
+        (  # 45 multigraphs, two degrees on each side
+            EnsembleSpec(
+                n=4, m=3,
+                left=DegreeDistribution.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}),
+                right=DegreeDistribution.from_dict({2: Fraction(2, 3), 4: Fraction(1, 3)}),
+            ),
+            5_000,
+        ),
+    ],
+    ids=["4,2,2", "3,3,3", "irregular-4"],
+)
+def test_sampled_multigraphs_follow_the_configuration_law(spec, draws):
+    # A uniform matching gives the labelled multigraph M with probability
+    # W(M) / E!, W(M) = prod l_v! prod r_c! / prod M_vc!. Seeds 0, 1, ... are fixed.
+    matrices = [tuple(row) for block in oracle._matrix_blocks(spec, 1024) for row in block.tolist()]
+    weights = [oracle_reference.weight(spec, matrix) for matrix in matrices]
+    assert sum(weights) == math.factorial(spec.edge_count)
+    seen = Counter(oracle_reference.multiplicity_matrix(spec, sample_graph(spec, seed)) for seed in range(draws))
+    assert set(seen) <= set(matrices)
+    expected = [draws * w / math.factorial(spec.edge_count) for w in weights]
+    cells = _pooled(expected, [seen[M] for M in matrices])
+    statistic = sum((o - e) ** 2 / e for e, o in cells)
+    assert statistic <= _chi_square_critical(len(cells) - 1, SAMPLER_ALPHA), (statistic, len(cells) - 1)

@@ -457,14 +457,16 @@ def test_everyday_sizes_are_accepted():
     three_tests = {4: third, 6: third, 8: third}
     bench = [load_spec(path) for path in sorted(PERFBENCH_SPECS.glob("*.json"))]
     # Every oracle run they make: the verify specs, then acceptance check 3's
-    # specs with 8 and 9 edges.
+    # specs with 8, 9, 12 and 14 edges, and the 24-edge (8,2,4) within reach.
     oracle_specs = [
         bench[2], regular_spec(4, 1, 2), regular_spec(4, 2, 2),
         _ensemble(4, 3, {1: half, 3: half}, {2: Fraction(2, 3), 4: third}),
         _ensemble(6, 3, {1: half, 2: half}, {2: third, 3: third, 4: third}),
+        regular_spec(6, 2, 3), regular_spec(6, 2, 4),
+        _ensemble(6, 3, {2: Fraction(2, 3), 3: third}, {4: third, 5: Fraction(2, 3)}),
     ]
-    for spec in oracle_specs:
-        ensemble.matching_count(spec)
+    for spec in oracle_specs + [regular_spec(8, 2, 4)]:
+        ensemble.multigraph_count(spec)
     # Every table the CLI tests, the benchmark and the acceptance suite build, and
     # the multi-test-degree and irregular n = 60 DD tables that were refused before.
     tables = oracle_specs + bench[:2]

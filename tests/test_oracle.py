@@ -1,18 +1,20 @@
 import functools
-import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle_reference
 from poolgraph import ensemble, errors, oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, load_spec, matching_count, regular_spec
+from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, PoolingGraph, load_spec, multigraph_count, regular_spec
 from poolgraph.enumerator import build_table, fa_probability, md_probability
 from poolgraph.errors import SizeLimitError
 from poolgraph.oracle import exact_enumerators, exact_error_probability
@@ -47,11 +49,20 @@ def _reference(name: str, algorithm: Algorithm):
     return list(report.table.values.items()), report.matchings_enumerated, probabilities
 
 
-# Block bounds, by n. A block is k! matchings with k! x W within the bound,
-# W = ceil(2^n / 64) words per item row, so it is never partial. "1 pair"
-# fits at most one matching's words, so each block is a single matching.
-# "11 matchings" (11 x 2^n) gives blocks of 6 to 120 matchings: 120 at n=4.
-BLOCK_BOUNDS = {"default": None, "1 pair": lambda n: 1, "11 matchings": lambda n: 11 << n}
+# Block bounds, by n. A block is at most K graphs, each laid out as one
+# canonical matching, with K x W within the bound, W = ceil(2^n / 64) words
+# per item row. "1 pair" fits less than one graph's words, so each block is
+# a single graph. "11 matchings" gives blocks of 11 graphs, the last one
+# partial unless 11 divides the graph count. Both also cut the partial
+# matrices into chunks of K between items, as the default does only past
+# _PARTIAL_ENTRIES entries.
+BLOCK_BOUNDS = {"default": None, "1 pair": lambda n: 1, "11 matchings": lambda n: 11 * -(-(1 << n) // 64)}
+
+
+def _bound_blocks(monkeypatch, bound: str, n: int) -> None:
+    if BLOCK_BOUNDS[bound]:
+        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](n))
+        monkeypatch.setattr(oracle, "_PARTIAL_ENTRIES", 0)
 
 
 @pytest.mark.parametrize("bound", list(BLOCK_BOUNDS))
@@ -59,8 +70,7 @@ BLOCK_BOUNDS = {"default": None, "1 pair": lambda n: 1, "11 matchings": lambda n
 @pytest.mark.parametrize("name", list(EQUALITY_SPECS))
 def test_batched_oracle_equals_literal_reference(name, algorithm, bound, monkeypatch):
     spec = EQUALITY_SPECS[name]
-    if BLOCK_BOUNDS[bound]:
-        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](spec.n))
+    _bound_blocks(monkeypatch, bound, spec.n)
     table, matchings, probabilities = _reference(name, algorithm)
     report = exact_enumerators(spec, algorithm)
     assert list(report.table.values.items()) == table
@@ -69,53 +79,53 @@ def test_batched_oracle_equals_literal_reference(name, algorithm, bound, monkeyp
     assert [_closed_form_probability(report.table, d) for d in DELTAS] == probabilities
 
 
-def _block_rows(edges: int, words: int, bound: int) -> int:
-    """k! for the largest k <= edges with k! * words <= bound, or 1 if there is none."""
-    fitting = [math.factorial(k) for k in range(edges + 1) if math.factorial(k) * words <= bound]
-    return max(fitting, default=1)
+def _canonical_graph(spec: EnsembleSpec, matrix: tuple[int, ...]) -> PoolingGraph:
+    """Test c's sockets hold its items in item order, M_vc copies of item v."""
+    m = spec.m
+    adj = tuple(tuple(v for v in range(spec.n) for _ in range(matrix[v * m + c])) for c in range(m))
+    return PoolingGraph(n=spec.n, m=m, adj=adj)
 
 
-def _blocks(edges: int, words: int) -> list[np.ndarray]:
-    """The matching blocks as the oracle consumes them: order[columns] for each order."""
-    columns, orders = oracle._matching_blocks(edges, words)
-    return [order[columns] for order in orders]
+@pytest.mark.parametrize("name", list(EQUALITY_SPECS))
+def test_matchings_group_into_the_enumerated_matrices_with_weight_w(name):
+    # The literal E! matchings, grouped by multiplicity matrix, are the
+    # enumerated matrices, each once, and each group has W(M) matchings.
+    spec = EQUALITY_SPECS[name]
+    groups = Counter(oracle_reference.multiplicity_matrix(spec, graph) for graph in ensemble.enumerate_matchings(spec))
+    blocks = list(oracle._matrix_blocks(spec, 2))
+    matrices = [tuple(row) for block in blocks for row in block.tolist()]
+    assert max(map(len, blocks)) <= 2
+    assert len(matrices) == len(set(matrices)) == len(groups) == multigraph_count(spec)
+    assert set(matrices) == set(groups)
+    assert all(groups[matrix] == oracle_reference.weight(spec, matrix) for matrix in matrices)
+    assert sum(groups.values()) == math.factorial(spec.edge_count)
 
 
-@pytest.mark.parametrize("words", [1, 4])
-@pytest.mark.parametrize("edges", range(1, 9))
-def test_matching_blocks_are_whole_and_in_permutation_order(edges, words, monkeypatch):
-    permutations = [list(p) for p in itertools.permutations(range(edges))]
-    for bound in (1, 2, 5, 11, 176, 720, 4096):
-        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", bound)
-        blocks = _blocks(edges, words)
-        rows = _block_rows(edges, words, bound)
-        assert {len(block) for block in blocks} == {rows}, bound
-        assert np.concatenate(blocks).tolist() == permutations, bound
-
-
-def test_matching_blocks_at_the_default_bound():
-    # 6! = 720 one-word matchings fit in 4,096; 7! = 5,040 do not.
-    blocks = _blocks(9, 1)
-    assert {len(block) for block in blocks} == {_block_rows(9, 1, oracle.CHUNK_PATTERNS)} == {720}
-    assert np.concatenate(blocks).tolist() == [list(p) for p in itertools.permutations(range(9))]
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+@pytest.mark.parametrize("shape", [(2, 21, 42), (3, 20, 30)])
+def test_weights_stay_exact_past_int64(shape, algorithm):
+    # prod l_v! is 21!^2 or 20!^3, past int64, so prod M_vc! is kept in Python ints.
+    spec = regular_spec(*shape)
+    assert math.prod(map(math.factorial, spec.item_degrees)) >= 2**63
+    assert exact_enumerators(spec, algorithm).table.values == build_table(spec, algorithm).values
 
 
 @pytest.mark.parametrize("bound", list(BLOCK_BOUNDS))
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
-@pytest.mark.parametrize("name", ["2,1,2", "3,2,3", "mixed-3", "two-by-two"])
-def test_error_blocks_follow_permutation_order(name, algorithm, bound, monkeypatch):
-    # Row i of the concatenated blocks is the i-th matching of itertools.permutations,
-    # which is the order the literal reference walks.
+@pytest.mark.parametrize("name", list(EQUALITY_SPECS))
+def test_error_blocks_equal_the_reference_on_canonical_graphs(name, algorithm, bound, monkeypatch):
+    # Row k of each block holds the errors of the k-th matrix's canonical
+    # graph under every pattern, as the one-pattern bitmask decoders count them.
     spec = EQUALITY_SPECS[name]
-    if BLOCK_BOUNDS[bound]:
-        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](spec.n))
+    _bound_blocks(monkeypatch, bound, spec.n)
+    size = max(oracle.CHUNK_PATTERNS // -(-(1 << spec.n) // 64), 1)
     blocks = list(oracle._error_blocks(spec, algorithm))
-    assert {block.dtype for block in blocks} == {oracle._count_type(spec.n)}
-    expected = [
-        [oracle_reference._pattern_errors(graph, mask, algorithm) for mask in range(1 << spec.n)]
-        for graph in ensemble.enumerate_matchings(spec)
-    ]
-    assert np.concatenate(blocks).tolist() == expected
+    assert {errors.dtype for _, errors in blocks} == {oracle._count_type(spec.n)}
+    assert max(len(cells) for cells, _ in blocks) <= size
+    for cells, errors in blocks:
+        for matrix, row in zip(cells.tolist(), errors.tolist(), strict=True):
+            graph = _canonical_graph(spec, matrix)
+            assert row == [oracle_reference._pattern_errors(graph, mask, algorithm) for mask in range(1 << spec.n)]
 
 
 def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
@@ -123,18 +133,22 @@ def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
     n = 1
     while True:
         try:
-            matching_count(regular_spec(n + 1, 1, n + 1))
+            multigraph_count(regular_spec(n + 1, 1, n + 1))
         except SizeLimitError:
             break
         n += 1
+    # Each of these specs is one graph, so the item cap, not time, stops them.
+    assert n == ensemble.ORACLE_MAX_ITEMS
     for size in range(1, n + 1):
-        # The largest key is a (n + 1) + j at a = j = n; form every key as _oracle_table does.
+        # The largest key is a (n + 1) + j at a = j = n; form every key as _oracle_table does,
+        # and hold it to the same key in int64. bitwise_count gives uint8, so a product
+        # taken before the widening wraps at n = 16.
         kind = oracle._count_type(size)
         ones = np.bitwise_count(np.arange(1 << size))
         assert np.iinfo(kind).max >= size * (size + 1) + size
         for errors in range(size + 1):
-            keys = (ones * (size + 1)).astype(kind) + np.full(1 << size, errors, dtype=kind)
-            assert keys.tolist() == (ones * (size + 1) + errors).tolist()
+            keys = ones.astype(kind) * (size + 1) + np.full(1 << size, errors, dtype=kind)
+            assert keys.tolist() == (ones.astype(np.int64) * (size + 1) + errors).tolist()
     # uint8 holds every key up to n = 15, (n + 1)^2 - 1 = 255.
     assert [oracle._count_type(size) for size in (15, 16)] == [np.uint8, np.uint16]
     # Past the oracle's reach the type widens instead of wrapping.
@@ -166,13 +180,20 @@ def test_one_pass_per_spec_and_decoder(monkeypatch):
         table.rows = ()
 
 
+def _predicted(spec: EnsembleSpec) -> float:
+    """The weighted oracle's predicted seconds for spec, read with the limit lifted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "LIMIT_SECONDS", math.inf)
+        return ensemble._graph_seconds(spec, multigraph_count(spec))
+
+
 def test_cached_counts_are_refused_like_fresh_ones(monkeypatch):
     # Every call sizes its spec before it reads the cache: just under (4,2,2)'s
     # prediction, both entry points refuse it although its counts are cached.
     spec = regular_spec(4, 2, 2)
     exact_enumerators(spec, Algorithm.DD)
     assert oracle._oracle_table.cache_info().currsize == 1
-    monkeypatch.setattr(errors, "LIMIT_SECONDS", math.nextafter(ensemble._predicted_seconds(spec), 0))
+    monkeypatch.setattr(errors, "LIMIT_SECONDS", math.nextafter(_predicted(spec), 0))
     for call in (
         lambda: exact_enumerators(spec, Algorithm.DD),
         lambda: exact_error_probability(spec, Algorithm.DD, Fraction(1, 2)),
@@ -207,8 +228,7 @@ def _closed_form_probability(table, delta):
 def test_two_word_oracle_equals_literal_reference(algorithm, bound, monkeypatch):
     # 2^7 = 128 patterns: every item row spans two words.
     spec = regular_spec(7, 1, 7)
-    if BLOCK_BOUNDS[bound]:
-        monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](spec.n))
+    _bound_blocks(monkeypatch, bound, spec.n)
     report = exact_enumerators(spec, algorithm)
     assert (list(report.table.values.items()), report.matchings_enumerated) == _two_word_reference(algorithm)
     closed = build_table(spec, algorithm)
@@ -229,6 +249,37 @@ def test_four_word_oracle_matches_closed_form_per_cell(r, algorithm):
     for delta in (Fraction(1, 3), Fraction(1, 2)):
         direct = exact_error_probability(spec, algorithm, delta)
         assert direct == _closed_form_probability(closed, delta)
+
+
+def _degrees(draw, total: int, parts: int) -> list[int]:
+    """A composition of total into parts positive degrees."""
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=parts - 1, max_size=parts - 1, unique=True))
+    bounds = [0, *sorted(cuts), total]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+def _distribution(degrees: list[int]) -> DegreeDistribution:
+    return DegreeDistribution.from_dict({d: Fraction(k, len(degrees)) for d, k in Counter(degrees).items()})
+
+
+@st.composite
+def irregular_specs(draw):
+    """Specs of 12 to 16 edges with more than one degree on some side, within 20,000 graphs."""
+    edges, n = draw(st.integers(12, 16)), draw(st.integers(4, 8))
+    m = draw(st.integers(2, n))
+    items, tests = _degrees(draw, edges, n), _degrees(draw, edges, m)
+    assume(len(set(items)) > 1 or len(set(tests)) > 1)
+    spec = EnsembleSpec(n=n, m=m, left=_distribution(items), right=_distribution(tests))
+    assume(multigraph_count(spec) <= 20_000)
+    return spec
+
+
+@settings(deadline=None, max_examples=40)
+@given(irregular_specs())
+def test_weighted_oracle_equals_closed_forms_at_twelve_to_sixteen_edges(spec):
+    # Past 11 edges no literal walk runs; the weighted oracle still checks the tables cell by cell.
+    for algorithm in Algorithm:
+        assert exact_enumerators(spec, algorithm).table.values == build_table(spec, algorithm).values
 
 
 def test_comp_oracle_matches_closed_form_per_cell():
@@ -303,7 +354,8 @@ def test_socket_certification_counts_multi_edges():
 
 
 def test_refuses_oversized_ensembles():
-    # 90! matchings: refused before the 2^30 patterns are sized.
+    # 90! matchings: refused on the lgamma bound of the graph count, before the
+    # graphs are counted or the 2^30 patterns sized.
     t0 = time.monotonic()
     message = r"^the oracle over 90! matchings is predicted to take [0-9.]+e\+[0-9]+ s, over the limit of 600 s$"
     with pytest.raises(SizeLimitError, match=message):
@@ -323,20 +375,26 @@ def test_refuses_oversized_ensembles():
 @pytest.mark.parametrize(
     "spec, limit",
     [
-        (regular_spec(8, 1, 2), None),  # 8! x 2^8 (matching, pattern) pairs
+        (regular_spec(8, 1, 2), None),  # 2,520 graphs x 2^8 patterns
         (regular_spec(4, 2, 2), "at"),  # the limit set to its own prediction
         (regular_spec(4, 2, 2), "over"),  # the limit set just under it
         (regular_spec(9, 1, 3), "over"),
-        (regular_spec(10, 1, 2), None),  # 10! matchings
-        (regular_spec(12, 1, 2), None),  # 12! matchings x 64 words
+        (regular_spec(10, 1, 2), None),  # 113,400 graphs
+        (regular_spec(12, 1, 2), None),  # 7,484,400 graphs x 64 words
     ],
     ids=["8,1,2", "4,2,2-at", "4,2,2-over", "9,1,3-over", "10,1,2", "12,1,2"],
 )
 def test_entry_points_accept_and_refuse_the_same_specs(spec, limit, monkeypatch):
-    # Both entry points decode the same blocks, so they size them alike. Blocks
-    # are swapped for one empty block: only the size checks run.
-    monkeypatch.setattr(oracle, "_error_blocks", lambda *args: iter([np.zeros((1, 1 << spec.n), dtype=np.intp)]))
-    seconds = ensemble._predicted_seconds(spec)
+    # Both entry points read the same pass, so they size it alike. The pass
+    # is swapped for a stub that only says it was reached: only the size checks run.
+    class Accepted(Exception):
+        pass
+
+    def reached(*args):
+        raise Accepted
+
+    monkeypatch.setattr(oracle, "_oracle_table", reached)
+    seconds = _predicted(spec)
     if limit is not None:
         monkeypatch.setattr(errors, "LIMIT_SECONDS", seconds if limit == "at" else math.nextafter(seconds, 0))
     outcomes = []
@@ -346,6 +404,7 @@ def test_entry_points_accept_and_refuse_the_same_specs(spec, limit, monkeypatch)
     ):
         try:
             call()
+        except Accepted:
             outcomes.append("accepted")
         except SizeLimitError as exc:
             outcomes.append(str(exc))
@@ -354,10 +413,46 @@ def test_entry_points_accept_and_refuse_the_same_specs(spec, limit, monkeypatch)
 
 
 def test_oracle_work_is_matchings_times_pattern_words():
-    # E! x ceil(2^n / 64), the count the prediction scales, from lgamma.
+    # A walk over all E! matchings (enumerate_matchings and the literal
+    # reference) is predicted from E! x ceil(2^n / 64), from lgamma.
     for spec, words in ((regular_spec(4, 2, 2), 1), (regular_spec(8, 1, 2), 4), (regular_spec(9, 1, 3), 8)):
         units = ensemble._predicted_seconds(spec) / ensemble._ORACLE_SECONDS_PER_WORD
         assert round(units) == math.factorial(spec.edge_count) * words
+
+
+@pytest.mark.parametrize(
+    "shape, graphs",
+    [((4, 2, 2), 282), ((3, 3, 3), 55), ((5, 2, 2), 6_210), ((6, 2, 3), 16_260), ((6, 2, 4), 2_385),
+     ((8, 2, 4), 1_093_050), ((12, 1, 2), 7_484_400), ((16, 1, 16), 1)],
+)
+def test_oracle_work_is_graphs_times_pattern_words(shape, graphs):
+    # The weighted oracle is predicted from its exact graph count: each graph
+    # costs ceil(2^n / 64) words' decoding plus its enumeration. The lgamma
+    # bound it refuses on first is never above that count.
+    spec = regular_spec(*shape)
+    words = -(-(1 << spec.n) // 64)
+    assert multigraph_count(spec) == graphs
+    assert ensemble._graph_bound(spec) <= graphs * (1 + 1e-9)
+    cost = words * ensemble._GRAPH_SECONDS_PER_WORD + ensemble._GRAPH_SECONDS
+    assert math.isclose(ensemble._graph_seconds(spec, graphs), graphs * cost, rel_tol=1e-12)
+    assert math.isclose(_predicted(spec), graphs * cost, rel_tol=1e-12)
+
+
+def test_oracle_takes_at_most_sixteen_items():
+    # (n, 1, n) is one graph at every n, cheap in time; the item cap stops it past 16.
+    for algorithm in Algorithm:
+        spec = regular_spec(16, 1, 16)
+        report = exact_enumerators(spec, algorithm)
+        assert report.table.values == build_table(spec, algorithm).values
+        assert report.matchings_enumerated == math.factorial(16)
+    message = "^the oracle over 17! matchings takes at most 16 items, got n = 17$"
+    for call in (
+        lambda: multigraph_count(regular_spec(17, 1, 17)),
+        lambda: exact_enumerators(regular_spec(17, 1, 17), Algorithm.COMP),
+        lambda: exact_error_probability(regular_spec(17, 1, 17), Algorithm.DD, Fraction(1, 2)),
+    ):
+        with pytest.raises(SizeLimitError, match=message):
+            call()
 
 
 def test_literal_reference_refuses_like_the_library(monkeypatch):
@@ -365,17 +460,19 @@ def test_literal_reference_refuses_like_the_library(monkeypatch):
     message = r"^the oracle over 1800! matchings is predicted to take more than 1e308 s, over the limit of 600 s$"
     with pytest.raises(SizeLimitError, match=message):
         oracle_reference.exact_error_probability(regular_spec(600, 3, 6), Algorithm.DD, Fraction(1, 2))
-    # One prediction decides for every entry point: just under (4,2,2)'s, each refuses.
+    # The reference walks all E! matchings through enumerate_matchings, so one
+    # prediction, E! x ceil(2^n / 64), decides for both: just under (4,2,2)'s, each refuses.
     spec = regular_spec(4, 2, 2)
     monkeypatch.setattr(errors, "LIMIT_SECONDS", math.nextafter(ensemble._predicted_seconds(spec), 0))
     for call in (
         lambda: oracle_reference.exact_error_probability(spec, Algorithm.DD, Fraction(1, 2)),
         lambda: oracle_reference.exact_enumerators(spec, Algorithm.DD),
         lambda: next(ensemble.enumerate_matchings(spec)),
-        lambda: exact_enumerators(spec, Algorithm.DD),
     ):
         with pytest.raises(SizeLimitError, match="^the oracle over 8! matchings"):
             call()
+    # The weighted oracle decodes 282 graphs, far under that limit.
+    assert exact_enumerators(spec, Algorithm.DD).matchings_enumerated == math.factorial(8)
 
 
 def test_delta_validation():
