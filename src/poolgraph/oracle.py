@@ -64,7 +64,12 @@ def _count_type(n: int) -> np.dtype:
 
 
 def _matrix_blocks(spec: EnsembleSpec, size: int) -> Iterator[np.ndarray]:
-    """Every multiplicity matrix once, as blocks of at most `size` rows of its n m entries, item by item."""
+    """Every multiplicity matrix once, as blocks of at most `size` rows of its n m entries, item by item.
+
+    The matrices come in descending lexicographic order of their entries. On
+    (E, 1, 1), where each matrix is one matching, sending item v to the test
+    in its row, that is itertools.permutations order.
+    """
     degrees, chunk = spec.item_degrees, max(size, _PARTIAL_ENTRIES // (spec.n * spec.m))
 
     def extend(cells: np.ndarray, left: np.ndarray, v: int) -> Iterator[np.ndarray]:
@@ -75,9 +80,10 @@ def _matrix_blocks(spec: EnsembleSpec, size: int) -> Iterator[np.ndarray]:
         for c in range(spec.m):
             # Take at least what the later columns cannot hold, so every partial matrix completes.
             low = np.maximum(need - left[parent, c + 1 :].sum(axis=1), 0)
-            ways = np.minimum(need, left[parent, c]) - low + 1
+            high = np.minimum(need, left[parent, c])
+            ways = high - low + 1
             step = np.repeat(np.arange(len(ways)), ways)
-            take = low[step] + np.arange(len(step)) - np.repeat(np.cumsum(ways) - ways, ways)
+            take = high[step] - np.arange(len(step)) + np.repeat(np.cumsum(ways) - ways, ways)
             parent, row, need = parent[step], np.column_stack((row[step], take)), need[step] - take
         cells, left = np.concatenate((cells[parent], row), axis=1, dtype=cells.dtype), left[parent] - row
         for start in range(0, len(cells), chunk):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import time
 from collections import Counter
@@ -126,6 +127,54 @@ def test_error_blocks_equal_the_reference_on_canonical_graphs(name, algorithm, b
         for matrix, row in zip(cells.tolist(), errors.tolist(), strict=True):
             graph = _canonical_graph(spec, matrix)
             assert row == [oracle_reference._pattern_errors(graph, mask, algorithm) for mask in range(1 << spec.n)]
+
+
+@pytest.mark.parametrize("bound", list(BLOCK_BOUNDS))
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+@pytest.mark.parametrize("name", ["2,1,2", "3,2,3", "mixed-3", "two-by-two"])
+def test_error_blocks_follow_permutation_order(name, algorithm, bound, monkeypatch):
+    # Row i of the blocks' errors, laid out by the matrix of each matching in
+    # itertools.permutations order, the order the literal reference walks,
+    # is the reference's errors of the i-th matching: they depend only on M.
+    spec = EQUALITY_SPECS[name]
+    _bound_blocks(monkeypatch, bound, spec.n)
+    blocks = list(oracle._error_blocks(spec, algorithm))
+    rows = {tuple(matrix): row for cells, errors in blocks for matrix, row in zip(cells.tolist(), errors.tolist())}
+    assert len(rows) == sum(len(cells) for cells, _ in blocks) == multigraph_count(spec)
+    graphs = list(ensemble.enumerate_matchings(spec))
+    expected = [[oracle_reference._pattern_errors(graph, mask, algorithm) for mask in range(1 << spec.n)] for graph in graphs]
+    assert [rows[oracle_reference.multiplicity_matrix(spec, graph)] for graph in graphs] == expected
+
+
+@pytest.mark.parametrize("words", [1, 4])
+@pytest.mark.parametrize("edges", range(1, 9))
+def test_matching_blocks_are_whole_and_in_permutation_order(edges, words):
+    # On (E, 1, 1) every matrix is one matching, item v to test sigma(v), and
+    # W(M) = 1, so the matrix walk is the walk over the E! matchings. A block
+    # of K graphs of W words each fits K W <= bound, as _error_blocks sizes it.
+    spec = regular_spec(edges, 1, 1)
+    permutations = np.array(list(itertools.permutations(range(edges))))
+    for bound in (1, 2, 5, 11, 176, 720, 4096):
+        size = max(bound // words, 1)
+        blocks = list(oracle._matrix_blocks(spec, size))
+        assert max(map(len, blocks)) <= size and len(blocks) >= -(-len(permutations) // size), bound
+        # Whole: every row is a complete permutation matrix.
+        matrices = np.concatenate(blocks).reshape(-1, edges, edges)
+        assert (matrices.sum(axis=1) == 1).all() and (matrices.sum(axis=2) == 1).all(), bound
+        assert np.array_equal(matrices.argmax(axis=2), permutations), bound
+
+
+def test_matching_blocks_at_the_default_bound():
+    # 4,096 one-word graphs fit the default bound: (5,2,2)'s 6,210 graphs make
+    # two blocks, in descending lexicographic order of their entries.
+    spec = regular_spec(5, 2, 2)
+    assert oracle.CHUNK_PATTERNS == 4096 and multigraph_count(spec) == 6210
+    blocks = list(oracle._error_blocks(spec, Algorithm.DD))
+    assert [len(cells) for cells, _ in blocks] == [4096, 2114]
+    matrices = np.concatenate([cells for cells, _ in blocks]).reshape(-1, spec.n, spec.m)
+    assert (matrices.sum(axis=2) == 2).all() and (matrices.sum(axis=1) == 2).all()
+    rows = [tuple(matrix) for matrix in matrices.reshape(len(matrices), -1).tolist()]
+    assert rows == sorted(set(rows), reverse=True)
 
 
 def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
