@@ -43,6 +43,9 @@ _GRAPH_SECONDS = 3.0e-6
 # Most items the oracle takes: one decode unpacks n x 2^n error bytes, 400 MB
 # at n = 24, where a one-graph spec is cheap in time.
 ORACLE_MAX_ITEMS = 16
+# Most remainder entries multigraph_count visits to count the matrices
+# exactly, about 0.2 s (BENCH_31.json).
+_COUNT_ENTRIES = 300_000
 
 
 @dataclass(frozen=True)
@@ -254,32 +257,46 @@ def _graph_bound(spec: EnsembleSpec) -> float:
     return math.exp(math.lgamma(spec.edge_count + 1) - sum(k * math.lgamma(d + 1) for d, k in degrees))
 
 
-def _fills(degree: int, left: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every column remainder after `degree` edges take at most left[c] from each column c."""
-    if not left:
-        return [()]
-    takes = range(max(degree - sum(left[1:]), 0), min(degree, left[0]) + 1)
-    return [(left[0] - take, *rest) for take in takes for rest in _fills(degree - take, left[1:])]
+def _fills(degree: int, left: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each remainder of `left` after `degree` <= sum(left) edges take at most left[i] from each entry i, lazily."""
+    if len(left) == 1:
+        yield (left[0] - degree,)
+        return
+    for take in range(max(degree - sum(left[1:]), 0), min(degree, left[0]) + 1):
+        yield from ((left[0] - take, *rest) for rest in _fills(degree - take, left[1:]))
 
 
 @lru_cache(maxsize=16)
 def _matrix_count(spec: EnsembleSpec) -> int:
-    """The multiplicity matrices, counted item by item over the sorted nonzero column remainders."""
+    """The multiplicity matrices, counted line by line over the sorted nonzero remainders of the other side.
 
-    @lru_cache(maxsize=None)
-    def count(v: int, left: tuple[int, ...]) -> int:
-        if v == spec.n:
-            return 1
-        return sum(count(v + 1, tuple(sorted(c for c in rest if c))) for rest in _fills(spec.item_degrees[v], left))
-
-    return count(0, spec.test_degrees)
+    Transposing swaps the margins, so the lines are the side with fewer
+    unbounded placements, sum over its degrees d of C(d + k - 1, d), k the
+    other side's size.
+    """
+    sides = (spec.item_degrees, spec.test_degrees)
+    other, lines = min(sides, sides[::-1], key=lambda pair: sum(math.comb(d + len(pair[0]) - 1, d) for d in pair[1]))
+    ways, entries = {tuple(sorted(other)): 1}, 0
+    for degree in lines:
+        after: dict[tuple[int, ...], int] = {}
+        for left, count in ways.items():
+            for rest in _fills(degree, left):
+                entries += len(rest)
+                if entries > _COUNT_ENTRIES:
+                    work = f"the oracle over {spec.edge_count}! matchings"
+                    raise SizeLimitError(f"{work} counts its multigraphs over at most {_COUNT_ENTRIES:,} entries")
+                key = tuple(sorted(filter(None, rest)))
+                after[key] = after.get(key, 0) + count
+        ways = after
+    return ways[()]
 
 
 def multigraph_count(spec: EnsembleSpec) -> int:
     """The oracle's graphs, one per multiplicity matrix; first SizeLimitError when the oracle would take too long.
 
     Refused first on the lgamma bound of the count, then past
-    ORACLE_MAX_ITEMS items, and only then counted exactly.
+    ORACLE_MAX_ITEMS items, and only then counted exactly, over at most
+    _COUNT_ENTRIES remainder entries.
     """
     work = f"the oracle over {spec.edge_count}! matchings"
     refuse_over_limit(work, lambda: _graph_seconds(spec, _graph_bound(spec)))

@@ -15,7 +15,7 @@ K * ceil(2^n / 64) <= CHUNK_PATTERNS, is decoded as one disjoint union on
 uint64 pattern words through detection.index_tables, decode_tables and
 wrong_items: COMP and DD look only within a component and only at M. W(M)
 varies only through prod M_vc!, so one int64 bincount per block counts
-the keys (value of prod M_vc!, a (n + 1) + j), a the pattern's defective
+the keys (exact value of prod M_vc!, a (n + 1) + j), a the pattern's defective
 count and j its errors, and each value's counts are multiplied by its
 big-integer weight once, at the end. The table, source "oracle", is cached
 per (spec, decoder) in an lru_cache of 16 entries, and each call is sized
@@ -54,10 +54,6 @@ class OracleReport:
     matchings_enumerated: int
 
 
-# Most entries in a chunk of partial matrices before the next item expands it.
-_PARTIAL_ENTRIES = 1 << 18
-
-
 def _count_type(n: int) -> np.dtype:
     """The smallest unsigned type holding every tally key a (n + 1) + j, at most (n + 1)^2 - 1, so none can wrap."""
     return np.min_scalar_type((n + 1) ** 2 - 1)
@@ -70,7 +66,7 @@ def _matrix_blocks(spec: EnsembleSpec, size: int) -> Iterator[np.ndarray]:
     (E, 1, 1), where each matrix is one matching, sending item v to the test
     in its row, that is itertools.permutations order.
     """
-    degrees, chunk = spec.item_degrees, max(size, _PARTIAL_ENTRIES // (spec.n * spec.m))
+    degrees = spec.item_degrees
 
     def extend(cells: np.ndarray, left: np.ndarray, v: int) -> Iterator[np.ndarray]:
         if v == len(degrees):
@@ -86,8 +82,9 @@ def _matrix_blocks(spec: EnsembleSpec, size: int) -> Iterator[np.ndarray]:
             take = high[step] - np.arange(len(step)) + np.repeat(np.cumsum(ways) - ways, ways)
             parent, row, need = parent[step], np.column_stack((row[step], take)), need[step] - take
         cells, left = np.concatenate((cells[parent], row), axis=1, dtype=cells.dtype), left[parent] - row
-        for start in range(0, len(cells), chunk):
-            yield from extend(cells[start : start + chunk], left[start : start + chunk], v + 1)
+        # Chunks of CHUNK_PATTERNS partial matrices: chunks of `size` would be tiny where each graph has many words.
+        for start in range(0, len(cells), CHUNK_PATTERNS):
+            yield from extend(cells[start : start + CHUNK_PATTERNS], left[start : start + CHUNK_PATTERNS], v + 1)
 
     # No entry exceeds the largest degree: the smallest signed type holding it keeps chunks small.
     yield from extend(np.zeros((1, 0), np.min_scalar_type(-degrees[-1])), np.array([spec.test_degrees]), 0)
@@ -106,10 +103,10 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[tuple[np
     bits = np.packbits((masks >> np.arange(n)[:, None]) & 1, axis=1, bitorder="little")
     patterns.view(np.uint8)[:, : bits.shape[1]] = bits
     size = min(max(CHUNK_PATTERNS // patterns.shape[1], 1), multigraph_count(spec))
-    tiled, full = np.tile(patterns, (size, 1)), index_tables(spec.test_degrees, spec.item_degrees, size)
+    tiled = np.tile(patterns, (size, 1))
     for cells in _matrix_blocks(spec, size):
         k, offsets = len(cells), np.arange(len(cells))[:, None]
-        sockets, slots = full if k == size else index_tables(spec.test_degrees, spec.item_degrees, k)
+        sockets, slots = index_tables(spec.test_degrees, spec.item_degrees, k)
         # The canonical matching in both directions, offset per graph, then the dummy column.
         items = np.repeat(np.tile(np.arange(n), k * m), cells.reshape(k, n, m).transpose(0, 2, 1).ravel())
         tests = np.repeat(np.tile(np.arange(m), k * n), cells.ravel())
@@ -133,9 +130,8 @@ def _oracle_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     """
     n, cells = spec.n, (spec.n + 1) ** 2
     keys = np.bitwise_count(np.arange(1 << n)).astype(_count_type(n)) * (n + 1)
-    # prod M_vc! divides prod l_v!, so int64 holds it exactly unless the item degrees are large.
-    exact = np.int64 if math.prod(map(math.factorial, spec.item_degrees)) < 2**63 else object
-    factorials = np.array([math.factorial(k) for k in range(max(spec.item_degrees) + 1)], dtype=exact)
+    # Python ints, so prod M_vc! is exact at any degree.
+    factorials = np.array([math.factorial(k) for k in range(max(spec.item_degrees) + 1)], dtype=object)
     tally: dict[int, np.ndarray] = {}  # prod M_vc! -> the counts of its graphs
     for matrices, errors in _error_blocks(spec, algorithm):
         products, kind = np.unique(factorials[matrices].prod(axis=1), return_inverse=True)

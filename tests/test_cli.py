@@ -192,6 +192,15 @@ def test_verify_refuses_without_writing_out_the_matching_count(capsys):
     assert time.monotonic() - t0 < 1.0
 
 
+def test_verify_refuses_large_degrees_while_counting(capsys):
+    # 16 items of degree 60: the lgamma bound is below one graph, so the exact count stops it.
+    t0 = time.monotonic()
+    code, out, err = run(["verify", "--regular", "16,60,60", "--algorithm", "dd"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "refused: the oracle over 960! matchings counts its multigraphs over at most 300,000 entries\n"
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_verify_writes_report_to_out(tmp_path, capsys):
     argv = ["verify", "--regular", "4,1,2", "--algorithm", "comp"]
     code, stdout_report, _ = run(argv, capsys)

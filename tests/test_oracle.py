@@ -54,16 +54,14 @@ def _reference(name: str, algorithm: Algorithm):
 # canonical matching, with K x W within the bound, W = ceil(2^n / 64) words
 # per item row. "1 pair" fits less than one graph's words, so each block is
 # a single graph. "11 matchings" gives blocks of 11 graphs, the last one
-# partial unless 11 divides the graph count. Both also cut the partial
-# matrices into chunks of K between items, as the default does only past
-# _PARTIAL_ENTRIES entries.
+# partial unless 11 divides the graph count. Between items the partial
+# matrices are cut into chunks of K too.
 BLOCK_BOUNDS = {"default": None, "1 pair": lambda n: 1, "11 matchings": lambda n: 11 * -(-(1 << n) // 64)}
 
 
 def _bound_blocks(monkeypatch, bound: str, n: int) -> None:
     if BLOCK_BOUNDS[bound]:
         monkeypatch.setattr(oracle, "CHUNK_PATTERNS", BLOCK_BOUNDS[bound](n))
-        monkeypatch.setattr(oracle, "_PARTIAL_ENTRIES", 0)
 
 
 @pytest.mark.parametrize("bound", list(BLOCK_BOUNDS))
@@ -105,7 +103,7 @@ def test_matchings_group_into_the_enumerated_matrices_with_weight_w(name):
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
 @pytest.mark.parametrize("shape", [(2, 21, 42), (3, 20, 30)])
 def test_weights_stay_exact_past_int64(shape, algorithm):
-    # prod l_v! is 21!^2 or 20!^3, past int64, so prod M_vc! is kept in Python ints.
+    # prod l_v! is 21!^2 or 20!^3, past int64; prod M_vc! is taken in Python ints, so the weights stay exact.
     spec = regular_spec(*shape)
     assert math.prod(map(math.factorial, spec.item_degrees)) >= 2**63
     assert exact_enumerators(spec, algorithm).table.values == build_table(spec, algorithm).values
@@ -319,7 +317,8 @@ def irregular_specs(draw):
     items, tests = _degrees(draw, edges, n), _degrees(draw, edges, m)
     assume(len(set(items)) > 1 or len(set(tests)) > 1)
     spec = EnsembleSpec(n=n, m=m, left=_distribution(items), right=_distribution(tests))
-    assume(multigraph_count(spec) <= 20_000)
+    # The count itself: multigraph_count refuses some of these specs on time (667 s at 16! matchings).
+    assume(ensemble._matrix_count(spec) <= 20_000)
     return spec
 
 
@@ -503,6 +502,47 @@ def test_oracle_takes_at_most_sixteen_items():
         with pytest.raises(SizeLimitError, match=message):
             call()
 
+
+
+@pytest.mark.parametrize("shape, edges", [((16, 60, 60), 960), ((4, 100, 100), 400)])
+def test_large_degrees_are_refused_while_counting(shape, edges):
+    # The lgamma bound is far below one graph and n is within the cap, so the
+    # exact count is reached; it stops at its entry budget, long before the
+    # C(75, 15) rows of one degree-60 line or the ~10^9 steps of a full count.
+    spec = regular_spec(*shape)
+    assert ensemble._graph_bound(spec) < 1 and spec.n <= ensemble.ORACLE_MAX_ITEMS
+    message = f"^the oracle over {edges}! matchings counts its multigraphs over at most 300,000 entries$"
+    for call in (
+        lambda: multigraph_count(spec),
+        lambda: exact_enumerators(spec, Algorithm.COMP),
+        lambda: exact_error_probability(spec, Algorithm.DD, Fraction(1, 2)),
+    ):
+        t0 = time.monotonic()
+        with pytest.raises(SizeLimitError, match=message):
+            call()
+        assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, other",
+    [
+        (regular_spec(8, 2, 4), 4),  # items are the lines: 8 x C(5, 2) placements against 4 x C(11, 4)
+        # Tests are the lines: 4 x C(8, 4) placements against 4 x C(4, 1) + C(15, 12).
+        (EnsembleSpec(n=5, m=4, left=DegreeDistribution.from_dict({1: Fraction(4, 5), 12: Fraction(1, 5)}),
+                      right=DegreeDistribution.regular(4)), 5),
+    ],
+)
+def test_exact_count_fills_the_cheaper_side(spec, other, monkeypatch):
+    # Either side gives the matrix count, as the matrix walk enumerates it.
+    fills, calls = ensemble._fills, []
+
+    def recorded(degree, left):
+        calls.append(len(left))
+        return fills(degree, left)
+
+    monkeypatch.setattr(ensemble, "_fills", recorded)
+    assert ensemble._matrix_count.__wrapped__(spec) == sum(map(len, oracle._matrix_blocks(spec, 4096)))
+    assert max(calls) == other
 
 def test_literal_reference_refuses_like_the_library(monkeypatch):
     # 1800! has over 5,000 digits; the reference decides without computing it.
