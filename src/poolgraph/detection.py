@@ -17,12 +17,12 @@ The rule has two implementations. The bitmask decoders (`comp_pd_mask`,
 `dd_certified_mask`) take one pattern as a Python int and loop over the
 tests; they are the literal reference the tests hold the batch decoder and
 the oracle to, and no package path calls them. `decode_tables` decodes a
-whole pattern matrix at once with numpy gathers over two padded index
-tables, taken from both directions of a matching at the indices that only
-`index_tables` lays out, and uses only OR, AND and NOT, so one code serves
-two layouts. Both package callers pass uint64 words, 64 patterns
-bit-sliced per word: Monte Carlo over one sampled graph's `graph_tables`,
-and the oracle over the disjoint union of a block of multigraphs. Bool, one
+whole pattern matrix at once with numpy gathers over two padded tables and
+uses only OR, AND and NOT, so one code serves two layouts. Both package
+callers take one layout step, `union_tables`, for K graphs as one disjoint
+union (Monte Carlo one sampled graph, the oracle a block of multigraphs),
+and one count step, `decode_counts`, to each (graph, pattern)'s defective
+count a and error count j on uint64 words, 64 patterns per word. Bool, one
 column per pattern, stays only as a cross-check in the tests, which hold
 both layouts and the bitmask decoders equal pattern by pattern.
 
@@ -73,27 +73,29 @@ def dd_certified_mask(graph: PoolingGraph, defective_mask: int) -> int:
     return certified
 
 
-def index_tables(test_degrees, item_degrees, graphs: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """np.take indices of the two padded tables of `graphs` graphs' disjoint union, for decode_tables.
+def union_tables(items: np.ndarray, n: int, test_degrees) -> tuple[np.ndarray, np.ndarray]:
+    """The two padded tables of K graphs' disjoint union, for decode_tables.
 
-    Row k of the caller's two (graphs, E + 1) arrays is graph k's matching
-    in both directions: the item on each test socket, test by test, plus
-    k n, and the test on each item socket, item by item, plus k m; the last
-    column is the dummy, graphs n or graphs m. Taken at these indices they
-    give the socket table (socket slot x test -> item) and the test table
-    (item slot x item -> test), shorter rows padded with the dummy. An item
-    on two sockets of one test lists that test twice.
+    Row k of `items` (K x E) is graph k's item on each test socket, test by
+    test; each graph has n items and these test degrees, and its item v and
+    test c are k n + v and k m + c in the union. The socket table (slot x
+    test -> item) reads the items in place; the test table (slot x item ->
+    test) lists each item's sockets in socket order, by a stable sort, so an
+    item on two sockets of one test lists it twice. Pads are the dummy K n or K m.
     """
-    return _padded(test_degrees, graphs), _padded(item_degrees, graphs)
+    graphs = len(items)
+    items = (items + np.arange(graphs)[:, None] * n).ravel()
+    test_degrees = np.tile(test_degrees, graphs)
+    tests = np.repeat(np.arange(len(test_degrees)), test_degrees)[np.argsort(items, kind="stable")]
+    item_degrees = np.bincount(items, minlength=graphs * n)
+    return _padded(items, test_degrees, graphs * n), _padded(tests, item_degrees, len(test_degrees))
 
 
-def _padded(degrees, graphs: int) -> np.ndarray:
-    """Slot x (graph, node) flat indices: node v's slot s reads its socket, past its degree the dummy."""
-    degrees = np.asarray(degrees, dtype=np.intp)
+def _padded(ends: np.ndarray, degrees: np.ndarray, dummy: int) -> np.ndarray:
+    """Slot x node table: node v's slot s holds the far end of its s-th socket, past its degree the dummy."""
     slot = np.arange(degrees.max(initial=0))[:, None]
-    edges = degrees.sum()
-    column = np.where(slot < degrees, np.cumsum(degrees) - degrees + slot, edges)
-    return (column[:, None, :] + np.arange(graphs)[:, None] * (edges + 1)).reshape(len(slot), -1)
+    column = np.where(slot < degrees, np.cumsum(degrees) - degrees + slot, len(ends))
+    return np.append(ends, dummy)[column]
 
 
 def _with_dummy(flags: np.ndarray) -> np.ndarray:
@@ -103,22 +105,12 @@ def _with_dummy(flags: np.ndarray) -> np.ndarray:
     return out
 
 
-def graph_tables(graph: PoolingGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The two index tables of one sampled graph, for decode_tables."""
-    degrees = [len(members) for members in graph.adj]
-    items = np.array([v for members in graph.adj for v in members], dtype=np.intp)
-    # Each item's sockets in socket order: a stable sort of the sockets by item.
-    tests = np.repeat(np.arange(graph.m), degrees)[np.argsort(items, kind="stable")]
-    sockets, slots = index_tables(degrees, np.bincount(items, minlength=graph.n))
-    return np.take(np.append(items, graph.n), sockets), np.take(np.append(tests, graph.m), slots)
-
-
 def decode_tables(
     sockets: np.ndarray, tests: np.ndarray, defective: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
     """Estimate of an n x W pattern matrix: PD items (COMP) or certified items (DD).
 
-    sockets and tests are the graph's two index tables, as index_tables
+    sockets and tests are the graph's two padded tables, as union_tables
     lays them out. defective is bool, one pattern per column, or unsigned
     words, one pattern per bit; bit b of estimate[v, w] is comp_pd_mask /
     dd_certified_mask of the pattern in bit b of column w. The dummy item
@@ -140,8 +132,20 @@ def decode_tables(
     return pd & np.bitwise_or.reduce(_with_dummy(positive & once & ~twice)[tests], axis=0)
 
 
-def wrong_items(estimate: np.ndarray, defective: np.ndarray, algorithm: Algorithm) -> np.ndarray:
-    """The decoder's errors: false alarms under COMP, misdetections under DD, its only kind."""
-    if algorithm is Algorithm.COMP:
-        return estimate & ~defective
-    return defective & ~estimate
+def decode_counts(
+    tables: tuple[np.ndarray, np.ndarray], words: np.ndarray, algorithm: Algorithm, count: int
+) -> np.ndarray:
+    """Each (graph, pattern)'s defective count a and error count j, a 2 x K x count array.
+
+    words (K x n x W) are graph k's patterns in uint64 lanes, the first count
+    of them real. j counts the decoder's only kind of error: false alarms
+    under COMP, misdetections under DD.
+    """
+    graphs, n, _ = words.shape
+    words = words.reshape(graphs * n, -1)
+    estimate = decode_tables(*tables, words, algorithm)
+    wrong = estimate & ~words if algorithm is Algorithm.COMP else words & ~estimate
+    # Rows of the patterns' items, then of their wrong items, in one call; unpacking drops the padding.
+    rows = np.concatenate((words, wrong)).view(np.uint8)
+    lanes = np.unpackbits(rows, axis=1, count=count, bitorder="little")
+    return lanes.reshape(2, graphs, n, count).sum(axis=2, dtype=np.min_scalar_type(n))

@@ -34,10 +34,10 @@ from .errors import SizeLimitError, ValidationError, refuse_over_limit
 
 # One process on a 2-vCPU x86_64 host. A walk over all E! matchings
 # (enumerate_matchings) is predicted at this per (matching, 64-pattern word),
-# fitted in BENCH_19.json on a batched matching walk; the weighted oracle
+# refitted in BENCH_32.json on that walk itself; the weighted oracle
 # (oracle.py) costs the next two per (multigraph, word) decoded and per
 # multigraph enumerated, fitted in BENCH_31.json.
-_ORACLE_SECONDS_PER_WORD = 1.38e-6
+_ORACLE_SECONDS_PER_WORD = 5.2e-6
 _GRAPH_SECONDS_PER_WORD = 9.4e-7
 _GRAPH_SECONDS = 3.0e-6
 # Most items the oracle takes: one decode unpacks n x 2^n error bytes, 400 MB

@@ -11,16 +11,16 @@ into the decoder's n x ceil(P/64) uint64 words (bit p % 64 of word p // 64
 in row v is item v of pattern p). Each lane is exactly Bernoulli(delta)
 for every rational delta: a uniform binary fraction, read from raw PCG64
 words, is compared with delta's binary expansion digit by digit (Knuth &
-Yao 1976). detection.decode_tables decodes the words, and the words and
-the decoder's errors (detection.wrong_items) are unpacked together into
-each pattern's defective count a and error count j. Two np.bincount calls
-per chunk add j and j^2 into the graph's integer sums per a, 2 (n + 1)
-cells, so memory per graph is bounded by the chunk. Only the decoder's own
-error kind is counted; the other rate is reported as exactly 0.0. Every
-rate j/c(a) is an integer over a common multiple of the c(a) that occur,
-so each reported mean, pooled stderr and graph-clustered stderr is one
-correctly rounded quotient of exact integers, whatever order the tallies
-are merged in.
+Yao 1976). detection.union_tables lays the graph out once, and
+detection.decode_counts turns each chunk's words into each pattern's
+defective count a and error count j. Two np.bincount calls per chunk add
+j and j^2 into the graph's integer sums per a, 2 (n + 1) cells, so memory
+per graph is bounded by the chunk. Only the decoder's own error kind is
+counted; the other rate is reported as exactly 0.0. Every rate j/c(a)
+is an integer over a common multiple of the c(a) that occur, so each
+reported mean, pooled stderr and graph-clustered stderr is one correctly
+rounded quotient of exact integers, whatever order the tallies are
+merged in.
 
 Reproducibility contract (scheme RNG_SCHEME): every random draw descends
 from one 64-bit master seed through sha256-based splitting (derive_seed).
@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .combinatorics import DEFAULT_DECIMAL_DIGITS, exact_delta, to_decimal
-from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, wrong_items
+from .detection import CHUNK_PATTERNS, Algorithm, decode_counts, union_tables
 # perfbench/layers.py rebinds these names here to trace them; no package path calls them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, write_csv
@@ -169,19 +169,14 @@ def _graph_tally(
 
     j counts a pattern's decoder errors. The tally has 2 (n + 1) cells.
     """
-    tables = graph_tables(sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY)))
+    graph = sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY))
+    tables = union_tables(np.array([list(itertools.chain.from_iterable(graph.adj))]), spec.n, spec.test_degrees)
     bits = np.random.PCG64(derive_seed(master_seed, graph_index, _PATTERN_KEY))
     n = spec.n
-    count_type = np.min_scalar_type(n)
     tally = np.zeros((2, n + 1), dtype=np.int64)
     for start in range(0, patterns, CHUNK_PATTERNS):
         count = min(CHUNK_PATTERNS, patterns - start)
-        words = _draw_words(bits, delta, n, count)
-        wrong = wrong_items(decode_tables(*tables, words, algorithm), words, algorithm)
-        # Rows 0..n-1 are the patterns' items, rows n..2n-1 their wrong items; unpacking drops the padding.
-        rows = np.concatenate((words, wrong)).view(np.uint8)
-        lanes = np.unpackbits(rows, axis=1, count=count, bitorder="little")
-        a, j = lanes.reshape(2, n, count).sum(axis=1, dtype=count_type)
+        (a,), (j,) = decode_counts(tables, _draw_words(bits, delta, n, count)[None], algorithm, count)
         j = j.astype(np.float64)
         # Float sums are exact while CHUNK_PATTERNS n^2 < 2^53, for n < 1.4e6; a larger n
         # would need over 11 GB to unpack one chunk.
@@ -202,6 +197,9 @@ def check_run(
     deltas = [exact_delta(delta) for delta in delta_grid]
     if not deltas:
         raise ValueError("delta grid must be non-empty")
+    for name, size in (("graphs", graphs), ("patterns_per_graph", patterns_per_graph), ("workers", workers)):
+        if type(size) is not int:
+            raise ValueError(f"{name} must be an int, got {size!r}")
     if graphs < 1 or patterns_per_graph < 1:
         raise ValueError("graphs and patterns_per_graph must be at least 1")
     if workers < 1:

@@ -9,11 +9,12 @@ its outcomes by W(M): exact integer counts over the E! matchings, with no
 generating functions anywhere, the independent yardstick the enumerator
 module is measured against. Every pass checks that the weights sum to E!.
 
-Each matrix is laid out as one canonical matching, item v's sockets
-filling its tests in column order. A block of K of them, K the most with
-K * ceil(2^n / 64) <= CHUNK_PATTERNS, is decoded as one disjoint union on
-uint64 pattern words through detection.index_tables, decode_tables and
-wrong_items: COMP and DD look only within a component and only at M. W(M)
+Each matrix is laid out as one canonical matching, test c's sockets
+holding its items in item order, item v on M_vc of them. A block of K of
+them, K the most with K * ceil(2^n / 64) <= CHUNK_PATTERNS, is laid out
+as one disjoint union by detection.union_tables, then decoded and counted
+on uint64 pattern words by detection.decode_counts: COMP and DD look only
+within a component and only at M. W(M)
 varies only through prod M_vc!, so one int64 bincount per block counts
 the keys (exact value of prod M_vc!, a (n + 1) + j), a the pattern's defective
 count and j its errors, and each value's counts are multiplied by its
@@ -35,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .combinatorics import exact_delta
-from .detection import CHUNK_PATTERNS, Algorithm, decode_tables, index_tables, wrong_items
+from .detection import CHUNK_PATTERNS, Algorithm, decode_counts, union_tables
 from .ensemble import EnsembleSpec, multigraph_count
 from .enumerator import EnumeratorTable, check_algorithm, empty_rows
 
@@ -95,7 +96,7 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[tuple[np
 
     Entry [k, mask] of the errors is the false-alarm count (COMP) or
     misdetection count (DD) of pattern mask on the block's k-th graph, of
-    type _count_type(n). Callers size the work first.
+    the smallest unsigned type holding n. Callers size the work first.
     """
     n, m, masks = spec.n, spec.m, np.arange(1 << spec.n)
     # Bit p % 64 of word p // 64 in row v is item v of pattern p; the padding is zero.
@@ -103,21 +104,13 @@ def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[tuple[np
     bits = np.packbits((masks >> np.arange(n)[:, None]) & 1, axis=1, bitorder="little")
     patterns.view(np.uint8)[:, : bits.shape[1]] = bits
     size = min(max(CHUNK_PATTERNS // patterns.shape[1], 1), multigraph_count(spec))
-    tiled = np.tile(patterns, (size, 1))
+    tiled = np.tile(patterns, (size, 1, 1))
     for cells in _matrix_blocks(spec, size):
-        k, offsets = len(cells), np.arange(len(cells))[:, None]
-        sockets, slots = index_tables(spec.test_degrees, spec.item_degrees, k)
-        # The canonical matching in both directions, offset per graph, then the dummy column.
+        k = len(cells)
+        # Each graph's canonical matching: test c's sockets hold its items v in order, M_vc times each.
         items = np.repeat(np.tile(np.arange(n), k * m), cells.reshape(k, n, m).transpose(0, 2, 1).ravel())
-        tests = np.repeat(np.tile(np.arange(m), k * n), cells.ravel())
-        items, tests = (
-            np.column_stack((ends.reshape(k, -1) + offsets * nodes, np.full(k, k * nodes)))
-            for ends, nodes in ((items, n), (tests, m))
-        )
-        estimate = decode_tables(np.take(items, sockets), np.take(tests, slots), tiled[: k * n], algorithm)
-        wrong = wrong_items(estimate, tiled[: k * n], algorithm)
-        wrong = np.unpackbits(wrong.view(np.uint8), axis=1, count=len(masks), bitorder="little")
-        yield cells, wrong.reshape(k, n, -1).sum(axis=1, dtype=_count_type(n))
+        tables = union_tables(items.reshape(k, -1), n, spec.test_degrees)
+        yield cells, decode_counts(tables, tiled[:k], algorithm, len(masks))[1]
 
 
 @lru_cache(maxsize=16)

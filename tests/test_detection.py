@@ -9,9 +9,9 @@ from poolgraph.detection import (
     Algorithm,
     comp_pd_mask,
     dd_certified_mask,
+    decode_counts,
     decode_tables,
-    graph_tables,
-    index_tables,
+    union_tables,
 )
 from poolgraph.ensemble import (
     DegreeDistribution,
@@ -24,6 +24,11 @@ from poolgraph.ensemble import (
 
 def graph_of(n, *tests):
     return PoolingGraph(n=n, m=len(tests), adj=tuple(map(tuple, tests)))
+
+
+def tables_of(graph):
+    """union_tables of one graph: its items test by test, and its tests' degrees."""
+    return union_tables(np.array([sum(graph.adj, ())]), graph.n, [len(members) for members in graph.adj])
 
 
 def errors(estimate, defective):
@@ -137,7 +142,7 @@ BITMASK_DECODERS = {Algorithm.COMP: comp_pd_mask, Algorithm.DD: dd_certified_mas
 def assert_batch_matches_bitmask(graph, masks, algorithm):
     """decode_tables on the n x P matrix of `masks` equals the bitmask decoder column by column."""
     matrix = np.array([[mask >> i & 1 for mask in masks] for i in range(graph.n)], dtype=bool)
-    estimate = decode_tables(*graph_tables(graph), matrix, algorithm)
+    estimate = decode_tables(*tables_of(graph), matrix, algorithm)
     assert estimate.shape == (graph.n, len(masks)) and estimate.dtype == bool
     decode = BITMASK_DECODERS[algorithm]
     for p, mask in enumerate(masks):
@@ -223,7 +228,7 @@ def packed_words(n, masks):
 def assert_packed_matches_bool_and_bitmask(graph, masks, algorithm):
     """decode_tables on packed words equals the bitmask decoder, and so the bool path, pattern by pattern."""
     assert_batch_matches_bitmask(graph, masks, algorithm)
-    estimate = decode_tables(*graph_tables(graph), packed_words(graph.n, masks), algorithm)
+    estimate = decode_tables(*tables_of(graph), packed_words(graph.n, masks), algorithm)
     assert estimate.shape == (graph.n, -(-len(masks) // 64)) and estimate.dtype == np.uint64
     decode = BITMASK_DECODERS[algorithm]
     for p in range(estimate.shape[1] * 64):
@@ -254,9 +259,9 @@ def test_packed_decoder_counts_sockets_not_items(count):
     # the sole-PD rule certifies nothing, in every bit of every word.
     graph = graph_of(3, (0, 0, 1), (1, 2))
     words = packed_words(3, [0b001] * count)
-    assert not decode_tables(*graph_tables(graph), words, Algorithm.DD).any()
+    assert not decode_tables(*tables_of(graph), words, Algorithm.DD).any()
     # COMP leaves exactly item 0 PD.
-    assert (decode_tables(*graph_tables(graph), words, Algorithm.COMP) == words).all()
+    assert (decode_tables(*tables_of(graph), words, Algorithm.COMP) == words).all()
     # Every pattern of the hand-built graph, each at several bit positions.
     graph = graph_of(4, (0, 0, 1), (1, 2))
     for algorithm in Algorithm:
@@ -276,25 +281,22 @@ def matching_unions(draw):
 @settings(deadline=None, max_examples=200)
 @given(matching_unions(), st.sampled_from(list(Algorithm)))
 def test_tables_from_both_directions_decode_like_the_bitmask_decoders(case, algorithm):
-    # Matching k puts item socket s = matching[q] on test socket q. Each
-    # direction is laid out from the matching itself, with no sort.
+    # Matching k puts item socket s = matching[q] on test socket q; union_tables
+    # lays out the K graphs as one and finds the item-to-test direction itself.
     spec, matchings, masks = case
-    n, m, edges, graphs = spec.n, spec.m, spec.edge_count, len(matchings)
+    n, m, graphs = spec.n, spec.m, len(matchings)
     socket_items = np.array(spec.socket_items)
-    owner = np.repeat(np.arange(m), spec.test_degrees)
-    items = np.full((graphs, edges + 1), graphs * n)
-    tests = np.full((graphs, edges + 1), graphs * m)
-    for k, matching in enumerate(matchings):
-        items[k, :edges] = socket_items[list(matching)] + k * n
-        tests[k, list(matching)] = owner + k * m
-    sockets, slots = index_tables(spec.test_degrees, np.bincount(socket_items, minlength=n), graphs)
+    items = np.array([socket_items[list(matching)] for matching in matchings])
+    tables = union_tables(items, n, spec.test_degrees)
     words = np.tile(packed_words(n, masks), (graphs, 1))
-    estimate = decode_tables(np.take(items, sockets), np.take(tests, slots), words, algorithm)
-    decode = BITMASK_DECODERS[algorithm]
-    for k, matching in enumerate(matchings):
-        members = np.split(socket_items[list(matching)], np.cumsum(spec.test_degrees)[:-1])
+    estimate = decode_tables(*tables, words, algorithm)
+    defectives, wrong = decode_counts(tables, words.reshape(graphs, n, -1), algorithm, len(masks))
+    decode, kind = BITMASK_DECODERS[algorithm], 0 if algorithm is Algorithm.COMP else 1
+    for k in range(graphs):
+        members = np.split(items[k], np.cumsum(spec.test_degrees)[:-1])
         graph = PoolingGraph(n=n, m=m, adj=tuple(tuple(c.tolist()) for c in members))
         rows = estimate[k * n : (k + 1) * n]
         for p, mask in enumerate(masks):
             column = sum(1 << v for v in range(n) if int(rows[v, p // 64]) >> (p % 64) & 1)
             assert column == decode(graph, mask), (graph.adj, mask)
+            assert (defectives[k, p], wrong[k, p]) == (mask.bit_count(), errors(column, mask)[kind])

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poolgraph.detection import CHUNK_PATTERNS, Algorithm, decode_tables, graph_tables, wrong_items
+from poolgraph.detection import CHUNK_PATTERNS, Algorithm, decode_tables, union_tables
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, sample_graph, spec_hash
 from poolgraph.errors import LIMIT_SECONDS, SizeLimitError
 from pcg64_reference import raw_words
@@ -123,14 +123,16 @@ def test_word_draw_rate_is_delta(delta):
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
 def test_graph_tally_equals_bool_layout_count(algorithm):
     spec, delta, patterns, seed, graph = regular_spec(6, 2, 3), Fraction(1, 3), CHUNK_PATTERNS + 130, 9, 2
-    tables = graph_tables(sample_graph(spec, derive_seed(seed, graph, _GRAPH_KEY)))
+    adj = sample_graph(spec, derive_seed(seed, graph, _GRAPH_KEY)).adj
+    tables = union_tables(np.array([sum(adj, ())]), spec.n, spec.test_degrees)
     bits = np.random.PCG64(derive_seed(seed, graph, _PATTERN_KEY))
     expected = Counter()
     for start in range(0, patterns, CHUNK_PATTERNS):
         count = min(CHUNK_PATTERNS, patterns - start)
         words = _draw_words(bits, delta, spec.n, count).tolist()
         defective = np.array([[(row[p // 64] >> p % 64) & 1 for p in range(count)] for row in words], dtype=bool)
-        wrong = wrong_items(decode_tables(*tables, defective, algorithm), defective, algorithm)
+        estimate = decode_tables(*tables, defective, algorithm)
+        wrong = estimate & ~defective if algorithm is Algorithm.COMP else defective & ~estimate
         expected.update(zip(defective.sum(axis=0).tolist(), wrong.sum(axis=0).tolist()))
     sums, squares = _graph_tally(spec, algorithm, delta, patterns, seed, graph).tolist()
     assert any(sums)
@@ -367,6 +369,23 @@ def test_input_validation(monkeypatch):
         with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {seed}$"):
             simulate(SMALL, Algorithm.COMP, Fraction(1, 2), 2, 10, seed=seed)
     assert check_run(SMALL, iter(["1/2", 0]), 2, 10, 0) == [Fraction(1, 2), Fraction(0)]
+
+
+def _no_tally(*args):
+    raise AssertionError("a graph was tallied before the run sizes were checked")
+
+
+@pytest.mark.parametrize("size", [True, 2.0, 10.5], ids=repr)
+@pytest.mark.parametrize("name", ["graphs", "patterns_per_graph", "workers"])
+def test_run_sizes_must_be_ints(name, size, monkeypatch):
+    # sweep(..., True, True, 3) wrote True,True into the CSV; a float failed inside the first graph.
+    monkeypatch.setattr(montecarlo, "_graph_tally", _no_tally)
+    sizes = {"graphs": 2, "patterns_per_graph": 10, "workers": 1, name: size}
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {size!r}$"):
+        check_run(SMALL, [Fraction(1, 4)], sizes["graphs"], sizes["patterns_per_graph"], 3, workers=sizes["workers"])
+    for run, delta in ((simulate, Fraction(1, 4)), (sweep, [Fraction(1, 4)])):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            run(SMALL, Algorithm.COMP, delta, sizes["graphs"], sizes["patterns_per_graph"], 3, workers=sizes["workers"])
 
 
 def test_trials_csv_layout():

@@ -119,7 +119,7 @@ def test_error_blocks_equal_the_reference_on_canonical_graphs(name, algorithm, b
     _bound_blocks(monkeypatch, bound, spec.n)
     size = max(oracle.CHUNK_PATTERNS // -(-(1 << spec.n) // 64), 1)
     blocks = list(oracle._error_blocks(spec, algorithm))
-    assert {errors.dtype for _, errors in blocks} == {oracle._count_type(spec.n)}
+    assert {errors.dtype for _, errors in blocks} == {np.min_scalar_type(spec.n)}
     assert max(len(cells) for cells, _ in blocks) <= size
     for cells, errors in blocks:
         for matrix, row in zip(cells.tolist(), errors.tolist(), strict=True):
