@@ -37,7 +37,7 @@ from .errors import SizeLimitError, ValidationError, refuse_over_limit
 # refitted in BENCH_32.json on that walk itself; the weighted oracle
 # (oracle.py) costs the next two per (multigraph, word) decoded and per
 # multigraph enumerated, fitted in BENCH_31.json.
-_ORACLE_SECONDS_PER_WORD = 5.2e-6
+_ORACLE_SECONDS_PER_WORD = 6.8e-6
 _GRAPH_SECONDS_PER_WORD = 9.4e-7
 _GRAPH_SECONDS = 3.0e-6
 # Most items the oracle takes: one decode unpacks n x 2^n error bytes, 400 MB

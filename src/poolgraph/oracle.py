@@ -12,17 +12,17 @@ module is measured against. Every pass checks that the weights sum to E!.
 Each matrix is laid out as one canonical matching, test c's sockets
 holding its items in item order, item v on M_vc of them. A block of K of
 them, K the most with K * ceil(2^n / 64) <= CHUNK_PATTERNS, is laid out
-as one disjoint union by detection.union_tables, then decoded and counted
-on uint64 pattern words by detection.decode_counts: COMP and DD look only
-within a component and only at M. W(M)
-varies only through prod M_vc!, so one int64 bincount per block counts
-the keys (exact value of prod M_vc!, a (n + 1) + j), a the pattern's defective
-count and j its errors, and each value's counts are multiplied by its
-big-integer weight once, at the end. The table, source "oracle", is cached
-per (spec, decoder) in an lru_cache of 16 entries, and each call is sized
-first by ensemble.multigraph_count. exact_error_probability sums the
-table's rows itself, never through fa_probability or md_probability. The
-literal walk over all E! matchings is tests/oracle_reference.py.
+as one disjoint union by detection.union_tables, then decoded and
+counted on uint64 pattern words by detection.decode_counts: COMP and DD
+look only within a component and only at M. W(M) varies only through
+prod M_vc!, so one int64 bincount per block counts the keys (exact value
+of prod M_vc!, a (n + 1) + j), a the pattern's defective count and j its
+errors, and each value's counts are multiplied by its big-integer weight
+once, at the end. The table, source "oracle", is cached per (spec,
+decoder) in an lru_cache of 16 entries, and each call is sized first by
+ensemble.multigraph_count. exact_error_probability sums the table's rows
+itself, never through fa_probability or md_probability. The literal walk
+over all E! matchings is tests/oracle_reference.py.
 """
 
 from __future__ import annotations
