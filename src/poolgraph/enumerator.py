@@ -76,11 +76,13 @@ writer prints it. The tests check every cell against multiplied-out
 generating functions and the brute-force oracle. Tables for the same spec
 are cached, and each table keeps its row-sum check and its delta-independent
 row weights, so probability evaluations over a delta grid pay for
-enumeration, check and weights once. A
-probability is a Horner evaluation in delta = p / q over the integer row
-weights, reduced once per delta, and rendering reuses one fixed decimal
-context per precision. A build predicted (_table_units, one term per loop)
-to take over errors.LIMIT_SECONDS is refused before it starts.
+enumeration, check and weights once. The weights become power-basis
+coefficients c_k once per table, and a probability at delta = p / q is
+Horner's rule in p over c_n, c_(n-1) q, ..., c_0 q^n, a row cached per
+(table, q): n multiplications by the small p and one reduction per delta.
+Rendering reuses one fixed decimal context per precision. A build
+predicted (_table_units, one term per loop) to take over
+errors.LIMIT_SECONDS is refused before it starts.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice, product
-from operator import add, itemgetter, mul
+from itertools import accumulate, islice, product, repeat
+from operator import add, itemgetter, mul, sub
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, TextIO, Union
@@ -169,7 +171,7 @@ class EnumeratorTable:
 
         e_a = len(rows[a]) - 1 is the number of items that can err with a
         defectives. Rows with a = 0 or e_a = 0 weigh 0. The weights do not
-        depend on delta, so a grid of error probabilities pays for them once.
+        depend on delta: a grid of error probabilities pays once for them and for power_weights.
         """
         scale = math.lcm(*range(1, self.spec.n + 1))  # a multiple of every e_a
         weights = [0] * len(self.rows)
@@ -179,6 +181,15 @@ class EnumeratorTable:
         den = scale * self.denominator
         common = math.gcd(den, *weights)
         return tuple(w // common for w in weights), den // common
+
+    @cached_property
+    def power_weights(self) -> tuple[tuple[int, ...], int]:
+        """(c, den), sum_a w_a x^a (1 - x)^(n - a) = sum_k c_k x^k for error_weights (w, den), by O(n^2) additions."""
+        weights, den = self.error_weights
+        coeffs: list[int] = []
+        for w in weights:  # Q_a = (1 - x) Q_(a-1) + w_a x^a, from Q_0 = w_0 to Q_n = sum_k c_k x^k
+            coeffs = [*map(sub, [*coeffs, w], [0, *coeffs])]
+        return tuple(coeffs), den
 
     def coupling_violations(self) -> list[int]:
         """Every a where r_a = w_a / C(n, a) leaves [0, 1] or exceeds r_(a+1); empty for a sound table.
@@ -499,17 +510,29 @@ def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     return EnumeratorTable(algorithm, spec, rows, forms.fact[spec.edge_count])
 
 
+@lru_cache(maxsize=64)
+def _scaled_row(table: EnumeratorTable, q: int) -> tuple[tuple[int, ...], int]:
+    """(c_n, c_(n-1) q, ..., c_0 q^n) and den q^n for the table's power_weights (c, den).
+
+    Keyed on the table's identity and q. No integer up to 10,000 has more than
+    64 divisors, so the 64 entries hold every reduced denominator of a grid
+    whose common denominator is at most 10,000. Each scaled coefficient is
+    below den (q + 2)^n in size, so the worst case is 64 rows of n + 1 integers
+    of bits(den) + n log2(q + 2) bits, and an entry keeps its table alive.
+    """
+    coeffs, den = table.power_weights
+    powers = list(accumulate(repeat(q, table.spec.n), mul, initial=1))
+    return tuple(map(mul, reversed(coeffs), powers)), den * powers[-1]
+
+
 def _error_probability(table: EnumeratorTable, delta) -> Fraction:
-    # sum_a w_a delta^a (1 - delta)^(n - a) over q^n for delta = p / q, reduced once:
-    # Horner's rule in p from a = n down, with a running power of q - p.
-    numerators, den = table.error_weights
+    # sum_k c_k delta^k for delta = p / q: Horner's rule in p over the row scaled by powers of q, reduced once.
     d = exact_delta(delta)
-    p, q = d.numerator, d.denominator
-    total, power = numerators[-1], 1
-    for w in numerators[-2::-1]:
-        power *= q - p
-        total = total * p + w * power
-    return Fraction(total, den * q ** table.spec.n)
+    row, den = _scaled_row(table, d.denominator)
+    p, total = d.numerator, 0
+    for c in row:
+        total = total * p + c
+    return Fraction(total, den)
 
 
 def fa_probability(table: EnumeratorTable, delta) -> Fraction:

@@ -5,14 +5,22 @@ benchmark run; this test makes it fail the ordinary test suite instead. Its
 callbacks also read attributes of what the traced calls return (a table's
 cells, an oracle report's matchings, a sweep's grid and sizes), so one
 traced analyze, one traced verify and one traced sweep run here too, the
-sweep and its trials CSV called as perfbench/workloads.py calls them. It
-only reads files under perfbench/.
+sweep and its trials CSV called as perfbench/workloads.py calls them. The
+benchmark's analyze outputs over its delta grid are checked against
+perfbench/pinned.json here as well, so a change to evaluation that moves a
+byte fails the ordinary test suite and not only a benchmark run. It only
+reads files under perfbench/.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# The benchmark's 100-point delta grid, perfbench/workloads.py's GRID.
+GRID = "1/400:1/4:1/400"
 
 
 def test_traced_benchmark_names_install_and_restore(monkeypatch, capsys, tmp_path):
@@ -48,3 +56,26 @@ def test_traced_benchmark_names_install_and_restore(monkeypatch, capsys, tmp_pat
     assert tracer.attrs("montecarlo.sweep") == [{"patterns": 2 * 2 * 10}]
     assert [len(report.per_graph_rates) for report in reports] == [2, 2]
     assert len(trials.read_text(encoding="utf-8").splitlines()) == 2 + len(reports)
+
+
+@pytest.mark.parametrize("workload,source,algorithm", [
+    ("regular-30", "30,3,6", "comp"),
+    ("regular-30", "30,3,6", "dd"),
+    ("irregular-30", "irregular-30.json", "comp"),
+    ("irregular-30", "irregular-12.json", "dd"),
+])
+def test_analyze_over_the_benchmark_grid_writes_the_pinned_digest(monkeypatch, capsys, tmp_path, workload, source, algorithm):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    from poolgraph import cli
+
+    assert workloads.GRID == GRID
+    pinned = json.loads((PERFBENCH / "pinned.json").read_text(encoding="utf-8"))["digests"]
+    name = f"analyze-{source.removesuffix('.json')}-{algorithm}.csv"
+    ensemble = ["--spec", str(PERFBENCH / "specs" / source)] if source.endswith(".json") else ["--regular", source]
+    out = tmp_path / name
+    assert cli.main(["analyze", *ensemble, "--algorithm", algorithm, "--delta-grid", GRID, "--out", str(out)]) == 0
+    capsys.readouterr()
+    # Digested without its '#' comment lines, as the benchmark checks it.
+    assert workloads.csv_digest(out.read_bytes()) == pinned[f"{workload}/{name}"]

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gf_reference import reference_cell, reference_table
-from poolgraph import montecarlo, oracle
+from poolgraph import enumerator, montecarlo, oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
@@ -273,7 +273,6 @@ def one_test_degree_spec():
 
 
 def test_regular_route_builds_no_polynomial(monkeypatch):
-    import poolgraph.enumerator as enumerator
     import poolgraph.polynomial as polynomial
 
     # A regular spec, one test degree (one O^o row) and two test degrees
@@ -407,8 +406,6 @@ def test_table_units_follow_the_builders_loops():
 
 
 def test_runaway_degree_class_table_is_refused_before_it_starts(monkeypatch):
-    import poolgraph.enumerator as enumerator
-
     # Four item classes of 30: well over 10^10 role compositions alone.
     spec = EnsembleSpec(
         n=120,
@@ -471,11 +468,15 @@ def test_md_probability_half_anchor():
 def test_error_probability_is_the_direct_sum_over_row_weights(spec, algorithm, delta):
     # The Horner evaluation against sum_a Fraction(w_a, den) delta^a (1 - delta)^(n - a), term by term.
     table = build_table(spec, algorithm)
-    weights, den = table.error_weights
-    d, n = Fraction(delta), spec.n
-    direct = sum(Fraction(w, den) * d**a * (1 - d) ** (n - a) for a, w in enumerate(weights))
     prob = fa_probability if algorithm is Algorithm.COMP else md_probability
-    assert prob(table, delta) == direct
+    assert prob(table, delta) == direct_probability(table, delta)
+
+
+def direct_probability(table, delta):
+    """sum_a Fraction(w_a, den) delta^a (1 - delta)^(n - a) over the table's row weights."""
+    weights, den = table.error_weights
+    d, n = Fraction(delta), table.spec.n
+    return sum(Fraction(w, den) * d**a * (1 - d) ** (n - a) for a, w in enumerate(weights))
 
 
 def test_probability_rejects_wrong_algorithm():
@@ -566,6 +567,43 @@ def test_md_probability_matches_horner_form(delta):
         table = build_table(spec, Algorithm.DD)
         coeffs = polynomial_coefficients(table, Algorithm.DD)
         assert md_probability(table, delta) == horner(coeffs, delta)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_irregular_specs(), st.sampled_from(list(Algorithm)))
+@example(regular_spec(30, 3, 6), Algorithm.COMP)
+@example(regular_spec(30, 3, 6), Algorithm.DD)
+@example(regular_spec(60, 3, 6), Algorithm.COMP)
+@example(regular_spec(60, 3, 6), Algorithm.DD)
+def test_power_weights_are_the_literal_power_basis_coefficients(spec, algorithm):
+    table = build_table(spec, algorithm)
+    coeffs, den = table.power_weights
+    assert den == table.error_weights[1]
+    assert [Fraction(c, den) for c in coeffs] == polynomial_coefficients(table, algorithm)
+
+
+def test_scaled_rows_are_cached_per_table_and_denominator():
+    # Two tables of one spec with the same n: a row cached by q alone would
+    # answer one decoder with the other's polynomial.
+    spec = regular_spec(12, 3, 6)
+    tables = [build_table(spec, algorithm) for algorithm in Algorithm]
+    points = [Fraction(1, q) for q in range(2, 81)] + [Fraction(k, 400) for k in range(1, 101)]
+    assert len({d.denominator for d in points}) > enumerator._scaled_row.cache_info().maxsize
+    expected = {(table, d): direct_probability(table, d) for table in tables for d in points}
+
+    def check(name, order):
+        for table, d in order:
+            prob = fa_probability if table.algorithm is Algorithm.COMP else md_probability
+            assert prob(table, d) == expected[table, d], (name, table.algorithm, d)
+
+    enumerator._scaled_row.cache_clear()
+    forward = [(table, d) for table in tables for d in points]
+    check("forward", forward)
+    check("reversed", [(table, d) for table in tables for d in reversed(points)])
+    check("alternating", [(table, d) for d in points for table in tables])
+    enumerator._scaled_row.cache_clear()
+    check("forward after cache_clear", forward)
+    assert enumerator._scaled_row.cache_info().currsize == enumerator._scaled_row.cache_info().maxsize
 
 
 def test_table_domain_shapes():
