@@ -16,11 +16,12 @@ detection.decode_counts turns each chunk's words into each pattern's
 defective count a and error count j. Two np.bincount calls per chunk add
 j and j^2 into the graph's integer sums per a, 2 (n + 1) cells, so memory
 per graph is bounded by the chunk. Only the decoder's own error kind is
-counted; the other rate is reported as exactly 0.0. Every rate j/c(a)
-is an integer over a common multiple of the c(a) that occur, so each
-reported mean, pooled stderr and graph-clustered stderr is one correctly
-rounded quotient of exact integers, whatever order the tallies are
-merged in.
+counted; the other rate is reported as exactly 0.0. Each graph finishes
+its own sums: with L the lcm of the c(a) it met, its sum of rates j/c(a)
+is an integer over L and its sum of squared rates one over L^2. A report
+brings its graphs over one common multiple once, so each mean, pooled
+stderr and graph-clustered stderr is one correctly rounded quotient of
+exact integers, whatever order the graphs come in.
 
 Reproducibility contract (scheme RNG_SCHEME): every random draw descends
 from one 64-bit master seed through sha256-based splitting (derive_seed).
@@ -164,10 +165,12 @@ def _graph_tally(
     patterns: int,
     master_seed: int,
     graph_index: int,
-) -> np.ndarray:
-    """Sums of j and of j^2 over one graph's patterns with a defectives, in rows 0 and 1 at column a.
+) -> tuple[int, int, int]:
+    """One graph's (first, second, L): first / L sums its patterns' rates j / c(a), second / L^2 their squares.
 
-    j counts a pattern's decoder errors. The tally has 2 (n + 1) cells.
+    j counts a pattern's decoder errors, and c(a) is n - a under COMP and a
+    under DD for a pattern with a defectives; L is the lcm of the c(a) with
+    errors. The per-a sums of j and j^2 take 2 (n + 1) cells.
     """
     graph = sample_graph(spec, derive_seed(master_seed, graph_index, _GRAPH_KEY))
     tables = union_tables(np.array([list(itertools.chain.from_iterable(graph.adj))]), spec.n, spec.test_degrees)
@@ -181,7 +184,13 @@ def _graph_tally(
         # Float sums are exact while CHUNK_PATTERNS n^2 < 2^53, for n < 1.4e6; a larger n
         # would need over 11 GB to unpack one chunk.
         tally += np.array([np.bincount(a, weights=w, minlength=n + 1) for w in (j, j * j)], dtype=np.int64)
-    return tally
+    # Columns with c(a) = 0 hold no errors.
+    hit = np.flatnonzero(tally[0])
+    denominators = (n - hit if algorithm is Algorithm.COMP else hit).tolist()
+    scale = math.lcm(*denominators)
+    units = [scale // c for c in denominators]
+    first = sum(s * u for s, u in zip(tally[0, hit].tolist(), units))
+    return first, sum(s * u * u for s, u in zip(tally[1, hit].tolist(), units)), scale
 
 
 def _predicted_seconds(spec: EnsembleSpec, deltas: int, graphs: int, patterns_per_graph: int) -> float:
@@ -211,44 +220,21 @@ def check_run(
     return deltas
 
 
-def _rate_statistics(
-    algorithm: Algorithm,
-    n: int,
-    patterns: int,
-    tallies: Iterable[np.ndarray],
-) -> tuple[float, float, float, list[float]]:
-    """Mean, pooled stderr, graph-clustered stderr and per-graph means of the error rate j / c(a).
+def _rate_statistics(patterns: int, sums: Iterable[tuple[int, int, int]]) -> tuple[float, float, float, list[float]]:
+    """Mean, pooled stderr, graph-clustered stderr and per-graph means of the error rate, from _graph_tally's sums.
 
-    c(a) is n - a under COMP and a under DD; columns with c(a) = 0 hold no
-    errors. Rate sums are exact integers over `scale`, a common multiple of
-    every c(a) met so far, which grows (rescaling the sums) when a graph
-    brings a new c(a). So each float returned is one correctly rounded
-    quotient of integers.
+    Every graph's sums are brought over scale, the lcm of their L, once. So
+    each float returned is one correctly rounded quotient of integers.
     """
-    comp = algorithm is Algorithm.COMP
-    scale = 1
-    # Sums of the rates, of their squares and of the squared per-graph sums, over scale, scale^2, scale^2.
-    total = total_sq = graph_sq = 0
-    per_graph = []
-    for tally in tallies:
-        hit = np.flatnonzero(tally[0])
-        denominators = (n - hit if comp else hit).tolist()
-        grown = math.lcm(scale, *denominators)
-        if grown != scale:
-            factor, scale = grown // scale, grown
-            total, total_sq, graph_sq = total * factor, total_sq * factor**2, graph_sq * factor**2
-        graph_sum = 0
-        for c, first, second in zip(denominators, tally[0, hit].tolist(), tally[1, hit].tolist()):
-            unit = scale // c
-            graph_sum += first * unit
-            total_sq += second * unit * unit
-        total += graph_sum
-        graph_sq += graph_sum * graph_sum
-        per_graph.append(graph_sum / (scale * patterns))
-    graphs, count = len(per_graph), len(per_graph) * patterns
+    sums = list(sums)
+    scale = math.lcm(*(L for _, _, L in sums))
+    graph_sums = [first * (scale // L) for first, _, L in sums]
+    total, total_sq = sum(graph_sums), sum(second * (scale // L) ** 2 for _, second, L in sums)
+    graphs, count = len(sums), len(sums) * patterns
     pooled = (count * total_sq - total**2) / ((scale * count) ** 2 * (count - 1)) if count > 1 else 0.0
-    spread = graphs * graph_sq - total**2
+    spread = graphs * sum(s * s for s in graph_sums) - total**2
     clustered = spread / ((scale * patterns * graphs) ** 2 * (graphs - 1)) if graphs > 1 else 0.0
+    per_graph = [first / (L * patterns) for first, _, L in sums]
     return total / (scale * count), math.sqrt(pooled), math.sqrt(clustered), per_graph
 
 
@@ -272,11 +258,10 @@ def _reports(
     comp = algorithm is Algorithm.COMP
     reports = []
     with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else contextlib.nullcontext() as pool:
-        # Each tally is reduced as it arrives and then dropped.
-        tallies = (pool.map if pool else map)(_graph_tally, *zip(*args))
+        # Each graph's sums come back finished: three integers.
+        sums = (pool.map if pool else map)(_graph_tally, *zip(*args))
         for d, seed in points:
-            point_tallies = itertools.islice(tallies, graphs)
-            *rate, per_graph = _rate_statistics(algorithm, spec.n, patterns_per_graph, point_tallies)
+            *rate, per_graph = _rate_statistics(patterns_per_graph, itertools.islice(sums, graphs))
             # COMP never misses and DD never raises a false alarm: the other rate is exactly 0.
             far, mdr = (rate, (0.0, 0.0, 0.0)) if comp else ((0.0, 0.0, 0.0), rate)
             rates = tuple((r, 0.0) if comp else (0.0, r) for r in per_graph)

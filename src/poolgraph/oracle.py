@@ -17,12 +17,12 @@ counted on uint64 pattern words by detection.decode_counts: COMP and DD
 look only within a component and only at M. W(M) varies only through
 prod M_vc!, so one int64 bincount per block counts the keys (exact value
 of prod M_vc!, a (n + 1) + j), a the pattern's defective count and j its
-errors, and each value's counts are multiplied by its big-integer weight
-once, at the end. The table, source "oracle", is cached per (spec,
-decoder) in an lru_cache of 16 entries, and each call is sized first by
-ensemble.multigraph_count. exact_error_probability sums the table's rows
-itself, never through fa_probability or md_probability. The literal walk
-over all E! matchings is tests/oracle_reference.py.
+errors; the block's counts, times each value's big-integer weight, go
+straight into the table's Python-int totals. The table, source "oracle",
+is cached per (spec, decoder) in an lru_cache of 16 entries, and each call
+is sized first by ensemble.multigraph_count. exact_error_probability sums
+the table's rows itself, never through fa_probability or md_probability.
+The literal walk over all E! matchings is tests/oracle_reference.py.
 """
 
 from __future__ import annotations
@@ -118,21 +118,20 @@ def _oracle_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
     """The exhaustive table: cell (a, j) counts the (matching, a-defective pattern) pairs with j errors.
 
     One bincount per block of the keys i (n + 1)^2 + a (n + 1) + j, i the
-    index of the graph's prod M_vc! among the block's values. Callers size
-    the work first.
+    index of the graph's prod M_vc! among the block's values; each block is
+    weighted and added in before the next. Callers size the work first.
     """
     n, cells = spec.n, (spec.n + 1) ** 2
     keys = np.bitwise_count(np.arange(1 << n)).astype(_count_type(n)) * (n + 1)
     # Python ints, so prod M_vc! is exact at any degree.
     factorials = np.array([math.factorial(k) for k in range(max(spec.item_degrees) + 1)], dtype=object)
-    tally: dict[int, np.ndarray] = {}  # prod M_vc! -> the counts of its graphs
+    numerator = math.prod(map(math.factorial, (*spec.item_degrees, *spec.test_degrees)))
+    totals = np.zeros(cells, dtype=object)
     for matrices, errors in _error_blocks(spec, algorithm):
         products, kind = np.unique(factorials[matrices].prod(axis=1), return_inverse=True)
         counts = np.bincount((kind[:, None] * cells + (keys + errors)).ravel(), minlength=len(products) * cells)
-        for product, count in zip(products.tolist(), counts.reshape(-1, cells)):
-            tally[product] = tally.get(product, 0) + count
-    numerator = math.prod(map(math.factorial, (*spec.item_degrees, *spec.test_degrees)))
-    totals = [sum(numerator // p * c for p, c in zip(tally, column)) for column in np.array([*tally.values()]).T.tolist()]
+        # Each value's counts times its exact weight W(M), in Python ints.
+        totals += (numerator // products) @ counts.reshape(-1, cells).astype(object)
     rows = tuple(tuple(totals[a * (n + 1) : a * (n + 1) + len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
     # Row 0 holds one pattern per graph, so its sum is the sum of the weights W(M).
     assert sum(rows[0]) == math.factorial(spec.edge_count), "multigraph weights do not sum to E!"
@@ -157,9 +156,9 @@ def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> 
 
     Averages fa/(non-defective count) for COMP or md/(defective count) for
     DD over matchings and Bernoulli(delta) patterns; rows with no candidate
-    to err contribute 0. For delta = p / q, the integer terms
-    (L / e_a) p^a (q - p)^(n - a) sum_j j N_{a,j}, e_a = len(row a) - 1 and L
-    the lcm of the nonzero e_a, are summed and reduced over L M q^n once,
+    to err contribute 0. For delta = p / q, the terms
+    Fraction(sum_j j N_{a,j}, e_a) p^a (q - p)^(n - a), e_a = len(row a) - 1,
+    are summed over the rows with e_a >= 1 and divided once by M q^n,
     without the table's error_weights or fa/md_probability.
     """
     check_algorithm(algorithm)
@@ -167,7 +166,6 @@ def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> 
     multigraph_count(spec)
     table = _oracle_table(spec, algorithm)
     n, p, q = spec.n, d.numerator, d.denominator
-    rows = [(a, len(row) - 1, sum(j * c for j, c in enumerate(row))) for a, row in enumerate(table.rows)]
-    lcm = math.lcm(*(e for _, e, _ in rows if e))
-    total = sum(lcm // e * p**a * (q - p) ** (n - a) * errors for a, e, errors in rows if e)
-    return Fraction(total, lcm * table.denominator * q**n)
+    rows = ((a, len(row) - 1, sum(j * c for j, c in enumerate(row))) for a, row in enumerate(table.rows))
+    total = sum(Fraction(errors, e) * p**a * (q - p) ** (n - a) for a, e, errors in rows if e)
+    return total / (table.denominator * q**n)

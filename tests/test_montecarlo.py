@@ -120,25 +120,68 @@ def test_word_draw_rate_is_delta(delta):
     assert abs(hits / total - delta) <= 4 * math.sqrt(delta * (1 - delta) / total)
 
 
-@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
-def test_graph_tally_equals_bool_layout_count(algorithm):
-    spec, delta, patterns, seed, graph = regular_spec(6, 2, 3), Fraction(1, 3), CHUNK_PATTERNS + 130, 9, 2
+def _bool_layout_counts(spec, algorithm, delta, patterns, seed, graph):
+    """Counter of (a, j) over one graph's patterns, decoded one bool pattern at a time."""
     adj = sample_graph(spec, derive_seed(seed, graph, _GRAPH_KEY)).adj
     tables = union_tables(np.array([sum(adj, ())]), spec.n, spec.test_degrees)
     bits = np.random.PCG64(derive_seed(seed, graph, _PATTERN_KEY))
-    expected = Counter()
+    counts = Counter()
     for start in range(0, patterns, CHUNK_PATTERNS):
         count = min(CHUNK_PATTERNS, patterns - start)
         words = _draw_words(bits, delta, spec.n, count).tolist()
         defective = np.array([[(row[p // 64] >> p % 64) & 1 for p in range(count)] for row in words], dtype=bool)
         estimate = decode_tables(*tables, defective, algorithm)
         wrong = estimate & ~defective if algorithm is Algorithm.COMP else defective & ~estimate
-        expected.update(zip(defective.sum(axis=0).tolist(), wrong.sum(axis=0).tolist()))
-    sums, squares = _graph_tally(spec, algorithm, delta, patterns, seed, graph).tolist()
-    assert any(sums)
-    for a in range(spec.n + 1):
-        assert sums[a] == sum(count * j for (b, j), count in expected.items() if b == a)
-        assert squares[a] == sum(count * j * j for (b, j), count in expected.items() if b == a)
+        counts.update(zip(defective.sum(axis=0).tolist(), wrong.sum(axis=0).tolist()))
+    return counts
+
+
+def _exact_rates(spec, algorithm, counts):
+    """Counter of exact per-pattern rates j / c(a), c(a) = n - a for COMP and a for DD; c(a) = 0 gives 0."""
+    rates = Counter()
+    for (a, j), count in counts.items():
+        c = spec.n - a if algorithm is Algorithm.COMP else a
+        rates[Fraction(j, c) if c else Fraction(0)] += count
+    return rates
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_graph_tally_equals_bool_layout_count(algorithm):
+    spec, delta, patterns, seed, graph = regular_spec(6, 2, 3), Fraction(1, 3), CHUNK_PATTERNS + 130, 9, 2
+    rates = _exact_rates(spec, algorithm, _bool_layout_counts(spec, algorithm, delta, patterns, seed, graph))
+    first, second, scale = _graph_tally(spec, algorithm, delta, patterns, seed, graph)
+    assert first > 0
+    assert Fraction(first, scale) == sum(count * r for r, count in rates.items())
+    assert Fraction(second, scale**2) == sum(count * r * r for r, count in rates.items())
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_report_statistics_are_the_exact_values_rounded_once(algorithm):
+    spec, delta, graphs, patterns, seed = regular_spec(12, 3, 6), Fraction(1, 10), 6, 100, 1
+    report = simulate(spec, algorithm, delta, graphs, patterns, seed, keep_per_graph=True)
+    counts = [_bool_layout_counts(spec, algorithm, delta, patterns, seed, g) for g in range(graphs)]
+    # No one graph's lcm of the c(a) it met with errors is a multiple of every other's.
+    multiples = [math.lcm(*(spec.n - a if algorithm is Algorithm.COMP else a for a, j in c if j)) for c in counts]
+    assert math.lcm(*multiples) not in multiples
+    rates = [_exact_rates(spec, algorithm, graph_counts) for graph_counts in counts]
+    sums = [sum(r * count for r, count in graph_rates.items()) for graph_rates in rates]
+    squares = sum(r * r * count for graph_rates in rates for r, count in graph_rates.items())
+    total, count = sum(sums), graphs * patterns
+    pooled = (count * squares - total**2) / (count**2 * (count - 1))
+    clustered = (graphs * sum(s * s for s in sums) - total**2) / ((patterns * graphs) ** 2 * (graphs - 1))
+    expected = (float(total / count), math.sqrt(float(pooled)), math.sqrt(float(clustered)))
+    comp = algorithm is Algorithm.COMP
+    mean, stderr, graph_stderr = (
+        (report.far_mean, report.far_stderr, report.far_graph_stderr)
+        if comp else (report.mdr_mean, report.mdr_stderr, report.mdr_graph_stderr)
+    )
+    assert (mean, stderr, graph_stderr) == expected
+    per_graph = [float(s / patterns) for s in sums]
+    assert report.per_graph_rates == tuple((r, 0.0) if comp else (0.0, r) for r in per_graph)
+    graph_sums = [_graph_tally(spec, algorithm, delta, patterns, seed, g) for g in range(graphs)]
+    *reversed_rates, reversed_per_graph = montecarlo._rate_statistics(patterns, graph_sums[::-1])
+    assert tuple(reversed_rates) == expected
+    assert reversed_per_graph == per_graph[::-1]
 
 
 def test_large_graph_tally_memory_is_linear_in_n():
