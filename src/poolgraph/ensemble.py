@@ -26,26 +26,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import ContextManager, Iterable, Iterator, Mapping, Optional, TextIO, Union
 
-from .errors import SizeLimitError, ValidationError, refuse_over_limit
+from .errors import ValidationError, refuse_over_limit
 
-# One process on a 2-vCPU x86_64 host. A walk over all E! matchings
-# (enumerate_matchings) is predicted at this per (matching, 64-pattern word),
-# refitted in BENCH_32.json on that walk itself; the weighted oracle
-# (oracle.py) costs the next two per (multigraph, word) decoded and per
-# multigraph enumerated, fitted in BENCH_31.json.
+# One process on a 2-vCPU x86_64 host: enumerate_matchings' walk over all E! matchings
+# costs this per (matching, 64-pattern word), refitted in BENCH_32.json on that walk.
 _ORACLE_SECONDS_PER_WORD = 6.8e-6
-_GRAPH_SECONDS_PER_WORD = 9.4e-7
-_GRAPH_SECONDS = 3.0e-6
-# Most items the oracle takes: one decode unpacks n x 2^n error bytes, 400 MB
-# at n = 24, where a one-graph spec is cheap in time.
-ORACLE_MAX_ITEMS = 16
-# Most remainder entries multigraph_count visits to count the matrices
-# exactly, about 0.2 s (BENCH_31.json).
-_COUNT_ENTRIES = 300_000
 
 
 @dataclass(frozen=True)
@@ -240,83 +229,15 @@ def _predicted_seconds(spec: EnsembleSpec) -> float:
     return math.exp(math.lgamma(spec.edge_count + 1) + log_words) * _ORACLE_SECONDS_PER_WORD
 
 
-def matching_count(spec: EnsembleSpec) -> int:
-    """E!, the number of socket matchings; first SizeLimitError when walking them all would take too long."""
-    refuse_over_limit(f"the oracle over {spec.edge_count}! matchings", _predicted_seconds, spec)
-    return math.factorial(spec.edge_count)
-
-
-def _graph_seconds(spec: EnsembleSpec, graphs) -> float:
-    """The weighted oracle's seconds over `graphs` multigraphs, each enumerated and decoded on ceil(2^n / 64) words."""
-    return graphs * (2 ** max(spec.n - 6, 0) * _GRAPH_SECONDS_PER_WORD + _GRAPH_SECONDS)
-
-
-def _graph_bound(spec: EnsembleSpec) -> float:
-    """E! / (prod l_v! prod r_c!) from lgamma: no multigraph has more matchings, so there are at least this many."""
-    degrees = (*spec.item_classes, *spec.test_classes)
-    return math.exp(math.lgamma(spec.edge_count + 1) - sum(k * math.lgamma(d + 1) for d, k in degrees))
-
-
-def _fills(degree: int, left: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Each remainder of `left` after `degree` <= sum(left) edges take at most left[i] from each entry i, lazily."""
-    if len(left) == 1:
-        yield (left[0] - degree,)
-        return
-    for take in range(max(degree - sum(left[1:]), 0), min(degree, left[0]) + 1):
-        yield from ((left[0] - take, *rest) for rest in _fills(degree - take, left[1:]))
-
-
-@lru_cache(maxsize=16)
-def _matrix_count(spec: EnsembleSpec) -> int:
-    """The multiplicity matrices, counted line by line over the sorted nonzero remainders of the other side.
-
-    Transposing swaps the margins, so the lines are the side with fewer
-    unbounded placements, sum over its degrees d of C(d + k - 1, d), k the
-    other side's size.
-    """
-    sides = (spec.item_degrees, spec.test_degrees)
-    other, lines = min(sides, sides[::-1], key=lambda pair: sum(math.comb(d + len(pair[0]) - 1, d) for d in pair[1]))
-    ways, entries = {tuple(sorted(other)): 1}, 0
-    for degree in lines:
-        after: dict[tuple[int, ...], int] = {}
-        for left, count in ways.items():
-            for rest in _fills(degree, left):
-                entries += len(rest)
-                if entries > _COUNT_ENTRIES:
-                    work = f"the oracle over {spec.edge_count}! matchings"
-                    raise SizeLimitError(f"{work} counts its multigraphs over at most {_COUNT_ENTRIES:,} entries")
-                key = tuple(sorted(filter(None, rest)))
-                after[key] = after.get(key, 0) + count
-        ways = after
-    return ways[()]
-
-
-def multigraph_count(spec: EnsembleSpec) -> int:
-    """The oracle's graphs, one per multiplicity matrix; first SizeLimitError when the oracle would take too long.
-
-    Refused first on the lgamma bound of the count, then past
-    ORACLE_MAX_ITEMS items, and only then counted exactly, over at most
-    _COUNT_ENTRIES remainder entries.
-    """
-    work = f"the oracle over {spec.edge_count}! matchings"
-    refuse_over_limit(work, lambda: _graph_seconds(spec, _graph_bound(spec)))
-    if spec.n > ORACLE_MAX_ITEMS:
-        raise SizeLimitError(f"{work} takes at most {ORACLE_MAX_ITEMS} items, got n = {spec.n}")
-    graphs = _matrix_count(spec)
-    refuse_over_limit(work, _graph_seconds, spec, graphs)
-    return graphs
-
-
 def enumerate_matchings(spec: EnsembleSpec) -> Iterator[PoolingGraph]:
-    """Yield the graph of every one of the E! socket matchings, in a fixed order.
+    """The graph of every one of the E! socket matchings, in a fixed order.
 
     Repeated structures are intentional: the uniform-matching measure counts
-    them with multiplicity. Refuses with SizeLimitError what matching_count
-    refuses.
+    them with multiplicity. Refused with SizeLimitError at the call, before
+    any graph is made, when walking all E! matchings would take too long.
     """
-    matching_count(spec)
-    for assignment in itertools.permutations(range(spec.edge_count)):
-        yield _graph_from_assignment(spec, assignment)
+    refuse_over_limit(f"the oracle over {spec.edge_count}! matchings", _predicted_seconds, spec)
+    return (_graph_from_assignment(spec, assignment) for assignment in itertools.permutations(range(spec.edge_count)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ prod M_vc!, so one int64 bincount per block counts the keys (exact value
 of prod M_vc!, a (n + 1) + j), a the pattern's defective count and j its
 errors; the block's counts, times each value's big-integer weight, go
 straight into the table's Python-int totals. The table, source "oracle",
-is cached per (spec, decoder) in an lru_cache of 16 entries, and each call
-is sized first by ensemble.multigraph_count. exact_error_probability sums
-the table's rows itself, never through fa_probability or md_probability.
-The literal walk over all E! matchings is tests/oracle_reference.py.
+is cached per (spec, decoder) in an lru_cache of 16 entries, and each build
+is sized first by multigraph_count. exact_error_probability sums the table's
+rows itself, never through fa_probability or md_probability. The literal
+walk over all E! matchings is tests/oracle_reference.py.
 """
 
 from __future__ import annotations
@@ -37,14 +37,26 @@ import numpy as np
 
 from .combinatorics import exact_delta
 from .detection import CHUNK_PATTERNS, Algorithm, decode_counts, union_tables
-from .ensemble import EnsembleSpec, multigraph_count
+from .ensemble import EnsembleSpec
 from .enumerator import EnumeratorTable, check_algorithm, empty_rows
+from .errors import SizeLimitError, refuse_over_limit
 
 # perfbench/layers.py rebinds these names here to trace them; the oracle calls none of them.
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import enumerate_matchings  # noqa: F401
 
 __all__ = ["OracleReport", "exact_enumerators", "exact_error_probability"]
+
+# One process on a 2-vCPU x86_64 host: seconds per (multigraph, 64-pattern
+# word) decoded and per multigraph enumerated, fitted in BENCH_31.json.
+_GRAPH_SECONDS_PER_WORD = 9.4e-7
+_GRAPH_SECONDS = 3.0e-6
+# Most items the oracle takes: one decode unpacks n x 2^n error bytes, 400 MB
+# at n = 24, where a one-graph spec is cheap in time.
+ORACLE_MAX_ITEMS = 16
+# Most remainder entries multigraph_count visits to count the matrices
+# exactly, about 0.2 s (BENCH_31.json).
+_COUNT_ENTRIES = 300_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +70,66 @@ class OracleReport:
 def _count_type(n: int) -> np.dtype:
     """The smallest unsigned type holding every tally key a (n + 1) + j, at most (n + 1)^2 - 1, so none can wrap."""
     return np.min_scalar_type((n + 1) ** 2 - 1)
+
+
+def _graph_seconds(spec: EnsembleSpec, graphs) -> float:
+    """The weighted oracle's seconds over `graphs` multigraphs, each enumerated and decoded on ceil(2^n / 64) words."""
+    return graphs * (2 ** max(spec.n - 6, 0) * _GRAPH_SECONDS_PER_WORD + _GRAPH_SECONDS)
+
+
+def _graph_bound(spec: EnsembleSpec) -> float:
+    """E! / (prod l_v! prod r_c!) from lgamma: no multigraph has more matchings, so there are at least this many."""
+    degrees = (*spec.item_classes, *spec.test_classes)
+    return math.exp(math.lgamma(spec.edge_count + 1) - sum(k * math.lgamma(d + 1) for d, k in degrees))
+
+
+def _fills(degree: int, left: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each remainder of `left` after `degree` <= sum(left) edges take at most left[i] from each entry i, lazily."""
+    if len(left) == 1:
+        yield (left[0] - degree,)
+        return
+    for take in range(max(degree - sum(left[1:]), 0), min(degree, left[0]) + 1):
+        yield from ((left[0] - take, *rest) for rest in _fills(degree - take, left[1:]))
+
+
+def _matrix_count(spec: EnsembleSpec) -> int:
+    """The multiplicity matrices, counted line by line over the sorted nonzero remainders of the other side.
+
+    Transposing swaps the margins, so the lines are the side with fewer
+    unbounded placements, sum over its degrees d of C(d + k - 1, d), k the
+    other side's size.
+    """
+    sides = (spec.item_degrees, spec.test_degrees)
+    other, lines = min(sides, sides[::-1], key=lambda pair: sum(math.comb(d + len(pair[0]) - 1, d) for d in pair[1]))
+    ways, entries = {tuple(sorted(other)): 1}, 0
+    for degree in lines:
+        after: dict[tuple[int, ...], int] = {}
+        for left, count in ways.items():
+            for rest in _fills(degree, left):
+                entries += len(rest)
+                if entries > _COUNT_ENTRIES:
+                    work = f"the oracle over {spec.edge_count}! matchings"
+                    raise SizeLimitError(f"{work} counts its multigraphs over at most {_COUNT_ENTRIES:,} entries")
+                key = tuple(sorted(filter(None, rest)))
+                after[key] = after.get(key, 0) + count
+        ways = after
+    return ways[()]
+
+
+def multigraph_count(spec: EnsembleSpec) -> int:
+    """The oracle's graphs, one per multiplicity matrix; first SizeLimitError when the oracle would take too long.
+
+    Refused first on the lgamma bound of the count, then past
+    ORACLE_MAX_ITEMS items, and only then counted exactly, over at most
+    _COUNT_ENTRIES remainder entries.
+    """
+    work = f"the oracle over {spec.edge_count}! matchings"
+    refuse_over_limit(work, lambda: _graph_seconds(spec, _graph_bound(spec)))
+    if spec.n > ORACLE_MAX_ITEMS:
+        raise SizeLimitError(f"{work} takes at most {ORACLE_MAX_ITEMS} items, got n = {spec.n}")
+    graphs = _matrix_count(spec)
+    refuse_over_limit(work, _graph_seconds, spec, graphs)
+    return graphs
 
 
 def _matrix_blocks(spec: EnsembleSpec, size: int) -> Iterator[np.ndarray]:
@@ -91,19 +163,19 @@ def _matrix_blocks(spec: EnsembleSpec, size: int) -> Iterator[np.ndarray]:
     yield from extend(np.zeros((1, 0), np.min_scalar_type(-degrees[-1])), np.array([spec.test_degrees]), 0)
 
 
-def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _error_blocks(spec: EnsembleSpec, algorithm: Algorithm, graphs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every multiplicity matrix with its errors, as blocks (K x n m entries, K x 2^n errors).
 
     Entry [k, mask] of the errors is the false-alarm count (COMP) or
     misdetection count (DD) of pattern mask on the block's k-th graph, of
-    the smallest unsigned type holding n. Callers size the work first.
+    the smallest unsigned type holding n. `graphs`, the matrix count, caps K.
     """
     n, m, masks = spec.n, spec.m, np.arange(1 << spec.n)
     # Bit p % 64 of word p // 64 in row v is item v of pattern p; the padding is zero.
     patterns = np.zeros((n, -(-len(masks) // 64)), dtype=np.uint64)
     bits = np.packbits((masks >> np.arange(n)[:, None]) & 1, axis=1, bitorder="little")
     patterns.view(np.uint8)[:, : bits.shape[1]] = bits
-    size = min(max(CHUNK_PATTERNS // patterns.shape[1], 1), multigraph_count(spec))
+    size = min(max(CHUNK_PATTERNS // patterns.shape[1], 1), graphs)
     tiled = np.tile(patterns, (size, 1, 1))
     for cells in _matrix_blocks(spec, size):
         k = len(cells)
@@ -119,15 +191,16 @@ def _oracle_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
 
     One bincount per block of the keys i (n + 1)^2 + a (n + 1) + j, i the
     index of the graph's prod M_vc! among the block's values; each block is
-    weighted and added in before the next. Callers size the work first.
+    weighted and added in before the next. multigraph_count sizes the build first.
     """
+    graphs = multigraph_count(spec)
     n, cells = spec.n, (spec.n + 1) ** 2
     keys = np.bitwise_count(np.arange(1 << n)).astype(_count_type(n)) * (n + 1)
     # Python ints, so prod M_vc! is exact at any degree.
     factorials = np.array([math.factorial(k) for k in range(max(spec.item_degrees) + 1)], dtype=object)
     numerator = math.prod(map(math.factorial, (*spec.item_degrees, *spec.test_degrees)))
     totals = np.zeros(cells, dtype=object)
-    for matrices, errors in _error_blocks(spec, algorithm):
+    for matrices, errors in _error_blocks(spec, algorithm, graphs):
         products, kind = np.unique(factorials[matrices].prod(axis=1), return_inverse=True)
         counts = np.bincount((kind[:, None] * cells + (keys + errors)).ravel(), minlength=len(products) * cells)
         # Each value's counts times its exact weight W(M), in Python ints.
@@ -146,7 +219,6 @@ def exact_enumerators(spec: EnsembleSpec, algorithm: Algorithm) -> OracleReport:
     counts over the E! matchings.
     """
     check_algorithm(algorithm)
-    multigraph_count(spec)
     table = _oracle_table(spec, algorithm)
     return OracleReport(table, table.denominator)
 
@@ -163,7 +235,6 @@ def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> 
     """
     check_algorithm(algorithm)
     d = exact_delta(delta)
-    multigraph_count(spec)
     table = _oracle_table(spec, algorithm)
     n, p, q = spec.n, d.numerator, d.denominator
     rows = ((a, len(row) - 1, sum(j * c for j, c in enumerate(row))) for a, row in enumerate(table.rows))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from poolgraph.combinatorics import exact_delta
 from poolgraph.detection import Algorithm, comp_pd_mask, dd_certified_mask
-from poolgraph.ensemble import EnsembleSpec, enumerate_matchings, matching_count
+from poolgraph.ensemble import EnsembleSpec, enumerate_matchings
 from poolgraph.enumerator import EnumeratorTable, empty_rows
 from poolgraph.oracle import OracleReport
 
@@ -73,10 +73,10 @@ def exact_error_probability(spec: EnsembleSpec, algorithm: Algorithm, delta) -> 
     d = exact_delta(delta)
     n = spec.n
     # Refused like the library, before the 2^n sums are allocated.
-    matching_count(spec)
+    graphs = enumerate_matchings(spec)
     err_sums = [0] * (1 << n)
     matchings = 0
-    for graph in enumerate_matchings(spec):
+    for graph in graphs:
         matchings += 1
         for mask in range(1 << n):
             err_sums[mask] += _pattern_errors(graph, mask, algorithm)

@@ -311,6 +311,9 @@ def test_enumerate_matchings_yields_valid_graphs():
 def test_enumerate_matchings_refuses_oversized():
     with pytest.raises(SizeLimitError, match="90"):
         next(iter(enumerate_matchings(regular_spec(30, 3, 6))))
+    # Refused at the call, before anything is iterated.
+    with pytest.raises(SizeLimitError, match="90"):
+        enumerate_matchings(regular_spec(30, 3, 6))
 
 
 def test_spec_json_round_trip():

@@ -506,7 +506,7 @@ def _ensemble(n, m, left, right):
 
 
 def test_everyday_sizes_are_accepted():
-    from poolgraph import ensemble, enumerator
+    from poolgraph import enumerator, oracle
     from poolgraph.ensemble import load_spec
 
     case_study = regular_spec(30, 3, 6)
@@ -528,7 +528,7 @@ def test_everyday_sizes_are_accepted():
         _ensemble(6, 3, {2: Fraction(2, 3), 3: third}, {4: third, 5: Fraction(2, 3)}),
     ]
     for spec in oracle_specs + [regular_spec(8, 2, 4)]:
-        ensemble.multigraph_count(spec)
+        oracle.multigraph_count(spec)
     # Every table the CLI tests, the benchmark and the acceptance suite build, and
     # the multi-test-degree and irregular n = 60 DD tables that were refused before.
     tables = oracle_specs + bench[:2]

@@ -15,10 +15,10 @@ import oracle_reference
 from poolgraph import ensemble, errors, oracle
 from poolgraph.combinatorics import binomial
 from poolgraph.detection import Algorithm
-from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, PoolingGraph, load_spec, multigraph_count, regular_spec
+from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, PoolingGraph, load_spec, regular_spec
 from poolgraph.enumerator import build_table, fa_probability, md_probability
 from poolgraph.errors import SizeLimitError
-from poolgraph.oracle import exact_enumerators, exact_error_probability
+from poolgraph.oracle import exact_enumerators, exact_error_probability, multigraph_count
 
 DELTAS = (0, Fraction(1, 3), Fraction(1, 2), 1)
 
@@ -118,7 +118,7 @@ def test_error_blocks_equal_the_reference_on_canonical_graphs(name, algorithm, b
     spec = EQUALITY_SPECS[name]
     _bound_blocks(monkeypatch, bound, spec.n)
     size = max(oracle.CHUNK_PATTERNS // -(-(1 << spec.n) // 64), 1)
-    blocks = list(oracle._error_blocks(spec, algorithm))
+    blocks = list(oracle._error_blocks(spec, algorithm, multigraph_count(spec)))
     assert {errors.dtype for _, errors in blocks} == {np.min_scalar_type(spec.n)}
     assert max(len(cells) for cells, _ in blocks) <= size
     for cells, errors in blocks:
@@ -136,7 +136,7 @@ def test_error_blocks_follow_permutation_order(name, algorithm, bound, monkeypat
     # is the reference's errors of the i-th matching: they depend only on M.
     spec = EQUALITY_SPECS[name]
     _bound_blocks(monkeypatch, bound, spec.n)
-    blocks = list(oracle._error_blocks(spec, algorithm))
+    blocks = list(oracle._error_blocks(spec, algorithm, multigraph_count(spec)))
     rows = {tuple(matrix): row for cells, errors in blocks for matrix, row in zip(cells.tolist(), errors.tolist())}
     assert len(rows) == sum(len(cells) for cells, _ in blocks) == multigraph_count(spec)
     graphs = list(ensemble.enumerate_matchings(spec))
@@ -167,7 +167,7 @@ def test_matching_blocks_at_the_default_bound():
     # two blocks, in descending lexicographic order of their entries.
     spec = regular_spec(5, 2, 2)
     assert oracle.CHUNK_PATTERNS == 4096 and multigraph_count(spec) == 6210
-    blocks = list(oracle._error_blocks(spec, Algorithm.DD))
+    blocks = list(oracle._error_blocks(spec, Algorithm.DD, multigraph_count(spec)))
     assert [len(cells) for cells, _ in blocks] == [4096, 2114]
     matrices = np.concatenate([cells for cells, _ in blocks]).reshape(-1, spec.n, spec.m)
     assert (matrices.sum(axis=2) == 2).all() and (matrices.sum(axis=1) == 2).all()
@@ -185,7 +185,7 @@ def test_tally_keys_fit_their_type_at_the_largest_accepted_n():
             break
         n += 1
     # Each of these specs is one graph, so the item cap, not time, stops them.
-    assert n == ensemble.ORACLE_MAX_ITEMS
+    assert n == oracle.ORACLE_MAX_ITEMS
     for size in range(1, n + 1):
         # The largest key is a (n + 1) + j at a = j = n; form every key as _oracle_table does,
         # and hold it to the same key in int64. bitwise_count gives uint8, so a product
@@ -206,9 +206,9 @@ def test_one_pass_per_spec_and_decoder(monkeypatch):
     passes = []
     blocks = oracle._error_blocks
 
-    def counted(spec, algorithm):
+    def counted(spec, algorithm, graphs):
         passes.append((spec, algorithm))
-        return blocks(spec, algorithm)
+        return blocks(spec, algorithm, graphs)
 
     monkeypatch.setattr(oracle, "_error_blocks", counted)
     spec, other = regular_spec(4, 2, 2), regular_spec(4, 1, 2)
@@ -231,22 +231,37 @@ def _predicted(spec: EnsembleSpec) -> float:
     """The weighted oracle's predicted seconds for spec, read with the limit lifted."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(errors, "LIMIT_SECONDS", math.inf)
-        return ensemble._graph_seconds(spec, multigraph_count(spec))
+        return oracle._graph_seconds(spec, multigraph_count(spec))
 
 
-def test_cached_counts_are_refused_like_fresh_ones(monkeypatch):
-    # Every call sizes its spec before it reads the cache: just under (4,2,2)'s
-    # prediction, both entry points refuse it although its counts are cached.
+def test_each_oracle_table_is_sized_once(monkeypatch):
+    # A build counts its multigraphs once, before its first block; reading a
+    # cached table counts nothing, whichever entry point built it.
+    events, count, blocks = [], oracle._matrix_count, oracle._matrix_blocks
+
+    def counted(spec):
+        events.append("count")
+        return count(spec)
+
+    def blocked(spec, size):
+        events.append("first block")
+        yield from blocks(spec, size)
+
+    monkeypatch.setattr(oracle, "_matrix_count", counted)
+    monkeypatch.setattr(oracle, "_matrix_blocks", blocked)
     spec = regular_spec(4, 2, 2)
-    exact_enumerators(spec, Algorithm.DD)
-    assert oracle._oracle_table.cache_info().currsize == 1
-    monkeypatch.setattr(errors, "LIMIT_SECONDS", math.nextafter(_predicted(spec), 0))
-    for call in (
+    for build in (
         lambda: exact_enumerators(spec, Algorithm.DD),
         lambda: exact_error_probability(spec, Algorithm.DD, Fraction(1, 2)),
     ):
-        with pytest.raises(SizeLimitError, match="^the oracle over 8! matchings"):
-            call()
+        oracle._oracle_table.cache_clear()
+        events.clear()
+        build()
+        assert events == ["count", "first block"]
+        for delta in (0, Fraction(1, 3), Fraction(1, 2)):
+            exact_error_probability(spec, Algorithm.DD, delta)
+        exact_enumerators(spec, Algorithm.DD)
+        assert events == ["count", "first block"]
 
 
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
@@ -318,7 +333,7 @@ def irregular_specs(draw):
     assume(len(set(items)) > 1 or len(set(tests)) > 1)
     spec = EnsembleSpec(n=n, m=m, left=_distribution(items), right=_distribution(tests))
     # The count itself: multigraph_count refuses some of these specs on time (667 s at 16! matchings).
-    assume(ensemble._matrix_count(spec) <= 20_000)
+    assume(oracle._matrix_count(spec) <= 20_000)
     return spec
 
 
@@ -433,15 +448,15 @@ def test_refuses_oversized_ensembles():
     ids=["8,1,2", "4,2,2-at", "4,2,2-over", "9,1,3-over", "10,1,2", "12,1,2"],
 )
 def test_entry_points_accept_and_refuse_the_same_specs(spec, limit, monkeypatch):
-    # Both entry points read the same pass, so they size it alike. The pass
-    # is swapped for a stub that only says it was reached: only the size checks run.
+    # Both entry points read the same pass, so they size it alike. Its blocks
+    # are swapped for a stub that only says they were reached: only the size checks run.
     class Accepted(Exception):
         pass
 
     def reached(*args):
         raise Accepted
 
-    monkeypatch.setattr(oracle, "_oracle_table", reached)
+    monkeypatch.setattr(oracle, "_error_blocks", reached)
     seconds = _predicted(spec)
     if limit is not None:
         monkeypatch.setattr(errors, "LIMIT_SECONDS", seconds if limit == "at" else math.nextafter(seconds, 0))
@@ -480,9 +495,9 @@ def test_oracle_work_is_graphs_times_pattern_words(shape, graphs):
     spec = regular_spec(*shape)
     words = -(-(1 << spec.n) // 64)
     assert multigraph_count(spec) == graphs
-    assert ensemble._graph_bound(spec) <= graphs * (1 + 1e-9)
-    cost = words * ensemble._GRAPH_SECONDS_PER_WORD + ensemble._GRAPH_SECONDS
-    assert math.isclose(ensemble._graph_seconds(spec, graphs), graphs * cost, rel_tol=1e-12)
+    assert oracle._graph_bound(spec) <= graphs * (1 + 1e-9)
+    cost = words * oracle._GRAPH_SECONDS_PER_WORD + oracle._GRAPH_SECONDS
+    assert math.isclose(oracle._graph_seconds(spec, graphs), graphs * cost, rel_tol=1e-12)
     assert math.isclose(_predicted(spec), graphs * cost, rel_tol=1e-12)
 
 
@@ -510,7 +525,7 @@ def test_large_degrees_are_refused_while_counting(shape, edges):
     # exact count is reached; it stops at its entry budget, long before the
     # C(75, 15) rows of one degree-60 line or the ~10^9 steps of a full count.
     spec = regular_spec(*shape)
-    assert ensemble._graph_bound(spec) < 1 and spec.n <= ensemble.ORACLE_MAX_ITEMS
+    assert oracle._graph_bound(spec) < 1 and spec.n <= oracle.ORACLE_MAX_ITEMS
     message = f"^the oracle over {edges}! matchings counts its multigraphs over at most 300,000 entries$"
     for call in (
         lambda: multigraph_count(spec),
@@ -534,14 +549,14 @@ def test_large_degrees_are_refused_while_counting(shape, edges):
 )
 def test_exact_count_fills_the_cheaper_side(spec, other, monkeypatch):
     # Either side gives the matrix count, as the matrix walk enumerates it.
-    fills, calls = ensemble._fills, []
+    fills, calls = oracle._fills, []
 
     def recorded(degree, left):
         calls.append(len(left))
         return fills(degree, left)
 
-    monkeypatch.setattr(ensemble, "_fills", recorded)
-    assert ensemble._matrix_count.__wrapped__(spec) == sum(map(len, oracle._matrix_blocks(spec, 4096)))
+    monkeypatch.setattr(oracle, "_fills", recorded)
+    assert oracle._matrix_count(spec) == sum(map(len, oracle._matrix_blocks(spec, 4096)))
     assert max(calls) == other
 
 def test_literal_reference_refuses_like_the_library(monkeypatch):
