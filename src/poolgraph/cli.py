@@ -160,12 +160,12 @@ def _exact_values(args: argparse.Namespace) -> Optional[list[Fraction]]:
     table = build_table(args.spec, args.algorithm)
     if not _row_sum_check(table):
         return None
-    falling = table.coupling_violations()
-    if falling:
-        print(f"coupling self-check: FAIL at a={falling}", file=sys.stderr)
+    weights = table.error_weights
+    if weights.coupling_violations:
+        print(f"coupling self-check: FAIL at a={weights.coupling_violations}", file=sys.stderr)
         return None
     prob = fa_probability if args.algorithm is Algorithm.COMP else md_probability
-    return [prob(table, delta) for delta in args.deltas]
+    return [prob(weights, delta) for delta in args.deltas]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -70,16 +70,16 @@ collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
 for DD. A cell is an integer N_{a,j} over the common denominator E!, and a
 table keeps exactly those integers and that one denominator, row a holding
 j = 0..e_a for the e_a items that can err (the triangle empty_rows, checked
-once when a table is made). The row-sum check and the row weights are
-integer arithmetic, and a cell is reduced to lowest terms only when the CSV
-writer prints it. The tests check every cell against multiplied-out
-generating functions and the brute-force oracle. Tables for the same spec
-are cached, and each table keeps its row-sum check and its delta-independent
-row weights, so probability evaluations over a delta grid pay for
-enumeration, check and weights once. The weights become power-basis
-coefficients c_k once per table, and a probability at delta = p / q is
-Horner's rule in p over c_n, c_(n-1) q, ..., c_0 q^n, a row cached per
-(table, q): n multiplications by the small p and one reduction per delta.
+once when a table is made). The row-sum check is integer arithmetic, and a
+cell is reduced to lowest terms only when the CSV writer prints it. The
+tests check every cell against multiplied-out generating functions and the
+brute-force oracle. A table counts; its RowWeights evaluate: an error
+probability reads only the n + 1 delta-independent row weights. Tables are
+cached per spec, each with its row-sum check and its weights, whose
+power-basis coefficients c_k and coupling check are made once, so a delta
+grid pays for enumeration, check and weights once. A probability at
+delta = p / q is Horner's rule in p over c_n, c_(n-1) q, ..., c_0 q^n, a row
+cached per (weights, q): n multiplications by the small p and one reduction.
 Rendering reuses one fixed decimal context per precision. A build
 predicted (_table_units, one term per loop) to take over
 errors.LIMIT_SECONDS is refused before it starts.
@@ -109,6 +109,7 @@ from .polynomial import poly_add, poly_mul, poly_pow, poly_product_of_powers  # 
 __all__ = [
     "Algorithm",
     "EnumeratorTable",
+    "RowWeights",
     "build_table",
     "check_algorithm",
     "fa_probability",
@@ -166,46 +167,45 @@ class EnumeratorTable:
         return [a for a, row in enumerate(self.rows) if sum(row) != binomial(n, a) * den]
 
     @cached_property
-    def error_weights(self) -> tuple[tuple[int, ...], int]:
-        """Row weights w_a = sum_j (j / e_a) A_{a,j} as numerators over one denominator, in lowest terms.
+    def error_weights(self) -> RowWeights:
+        """The table's RowWeights: w_a = sum_j (j / e_a) A_{a,j} with e_a = len(rows[a]) - 1, 0 where a = 0 or e_a = 0."""
+        return RowWeights(self.spec, self.algorithm, tuple(
+            Fraction(sum(map(mul, range(len(row)), row)), (len(row) - 1) * self.denominator) if a and len(row) > 1 else Fraction(0)
+            for a, row in enumerate(self.rows)))
 
-        e_a = len(rows[a]) - 1 is the number of items that can err with a
-        defectives. Rows with a = 0 or e_a = 0 weigh 0. The weights do not
-        depend on delta: a grid of error probabilities pays once for them and for power_weights.
-        """
-        scale = math.lcm(*range(1, self.spec.n + 1))  # a multiple of every e_a
-        weights = [0] * len(self.rows)
-        for a, row in enumerate(self.rows):
-            if a and len(row) > 1:
-                weights[a] = scale // (len(row) - 1) * sum(j * c for j, c in enumerate(row))
-        den = scale * self.denominator
-        common = math.gcd(den, *weights)
-        return tuple(w // common for w in weights), den // common
+
+@dataclass(frozen=True, eq=False)
+class RowWeights:
+    """Row weights w_a = sum_j (j / e_a) A_{a,j}, a = 0..n, as Fractions: P(delta) = sum_a w_a delta^a (1 - delta)^(n - a)."""
+
+    spec: EnsembleSpec
+    algorithm: Algorithm
+    weights: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.weights) != self.spec.n + 1:
+            raise ValueError(f"row weights need n + 1 = {self.spec.n + 1} entries, got {len(self.weights)}")
 
     @cached_property
     def power_weights(self) -> tuple[tuple[int, ...], int]:
-        """(c, den), sum_a w_a x^a (1 - x)^(n - a) = sum_k c_k x^k for error_weights (w, den), by O(n^2) additions."""
-        weights, den = self.error_weights
+        """(c, den), sum_a w_a x^a (1 - x)^(n - a) = sum_k c_k x^k / den over the weights' least common denominator."""
+        den = math.lcm(*(w.denominator for w in self.weights))
         coeffs: list[int] = []
-        for w in weights:  # Q_a = (1 - x) Q_(a-1) + w_a x^a, from Q_0 = w_0 to Q_n = sum_k c_k x^k
-            coeffs = [*map(sub, [*coeffs, w], [0, *coeffs])]
+        for w in self.weights:  # Q_a = (1 - x) Q_(a-1) + w_a x^a, from Q_0 = w_0 to Q_n = sum_k c_k x^k
+            coeffs = [*map(sub, [*coeffs, w.numerator * (den // w.denominator)], [0, *coeffs])]
         return tuple(coeffs), den
 
+    @cached_property
     def coupling_violations(self) -> list[int]:
-        """Every a where r_a = w_a / C(n, a) leaves [0, 1] or exceeds r_(a+1); empty for a sound table.
+        """Every live a (1 <= a < n under COMP, 1 <= a <= n under DD) where r_a = w_a / C(n, a) leaves [0, 1] or exceeds r_(a+1).
 
-        r_a is the chance that a fixed candidate errs with a defectives. With
-        S inside S' = S + one item, PD(S) is inside PD(S'), so on every graph a
-        COMP false alarm or a DD miss of that item under S stays one under S':
-        r_a does not fall over the rows a >= 1 with e_a >= 1.
+        r_a is the chance that a fixed candidate errs with a defectives. With S inside S' = S + one item, PD(S)
+        is inside PD(S'), so on every graph a COMP false alarm or a DD miss of that item under S stays one under S'.
         """
-        (weights, den), n = self.error_weights, self.spec.n
-        live = dict.fromkeys(a for a, row in enumerate(self.rows) if a and len(row) > 1)  # ordered, O(1) lookups
-        return [
-            a for a in live
-            if not 0 <= weights[a] <= binomial(n, a) * den
-            or a + 1 in live and weights[a] * binomial(n, a + 1) > weights[a + 1] * binomial(n, a)
-        ]
+        n = self.spec.n
+        live = range(1, n if self.algorithm is Algorithm.COMP else n + 1)
+        rates = [w / binomial(n, a) for a, w in enumerate(self.weights)]
+        return [a for a in live if not 0 <= rates[a] <= 1 or a + 1 in live and rates[a] > rates[a + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -511,42 +511,42 @@ def build_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
 
 
 @lru_cache(maxsize=64)
-def _scaled_row(table: EnumeratorTable, q: int) -> tuple[tuple[int, ...], int]:
-    """(c_n, c_(n-1) q, ..., c_0 q^n) and den q^n for the table's power_weights (c, den).
+def _scaled_row(weights: RowWeights, q: int) -> tuple[tuple[int, ...], int]:
+    """(c_n, c_(n-1) q, ..., c_0 q^n) and den q^n for the weights' power_weights (c, den).
 
-    Keyed on the table's identity and q. No integer up to 10,000 has more than
+    Keyed on the weights' identity and q. No integer up to 10,000 has more than
     64 divisors, so the 64 entries hold every reduced denominator of a grid
     whose common denominator is at most 10,000. Each scaled coefficient is
     below den (q + 2)^n in size, so the worst case is 64 rows of n + 1 integers
-    of bits(den) + n log2(q + 2) bits, and an entry keeps its table alive.
+    of bits(den) + n log2(q + 2) bits, and an entry keeps its weights alive.
     """
-    coeffs, den = table.power_weights
-    powers = list(accumulate(repeat(q, table.spec.n), mul, initial=1))
+    coeffs, den = weights.power_weights
+    powers = list(accumulate(repeat(q, weights.spec.n), mul, initial=1))
     return tuple(map(mul, reversed(coeffs), powers)), den * powers[-1]
 
 
-def _error_probability(table: EnumeratorTable, delta) -> Fraction:
+def _error_probability(source: Union[EnumeratorTable, RowWeights], algorithm: Algorithm, delta) -> Fraction:
     # sum_k c_k delta^k for delta = p / q: Horner's rule in p over the row scaled by powers of q, reduced once.
+    weights = source.error_weights if isinstance(source, EnumeratorTable) else source
+    if weights.algorithm is not algorithm:
+        rate = "false-alarm" if algorithm is Algorithm.COMP else "misdetection"
+        raise ValueError(f"{rate} probability is defined on {algorithm.name} tables")
     d = exact_delta(delta)
-    row, den = _scaled_row(table, d.denominator)
+    row, den = _scaled_row(weights, d.denominator)
     p, total = d.numerator, 0
     for c in row:
         total = total * p + c
     return Fraction(total, den)
 
 
-def fa_probability(table: EnumeratorTable, delta) -> Fraction:
-    """Expected per-item false-alarm rate E[fa / (n - defectives)] under i.i.d. Bernoulli(delta)."""
-    if table.algorithm is not Algorithm.COMP:
-        raise ValueError("false-alarm probability is defined on COMP tables")
-    return _error_probability(table, delta)
+def fa_probability(source: Union[EnumeratorTable, RowWeights], delta) -> Fraction:
+    """Expected per-item false-alarm rate E[fa / (n - defectives)] under i.i.d. Bernoulli(delta), from a COMP table or its weights."""
+    return _error_probability(source, Algorithm.COMP, delta)
 
 
-def md_probability(table: EnumeratorTable, delta) -> Fraction:
-    """Expected per-item misdetection rate E[md / defectives] under i.i.d. Bernoulli(delta)."""
-    if table.algorithm is not Algorithm.DD:
-        raise ValueError("misdetection probability is defined on DD tables")
-    return _error_probability(table, delta)
+def md_probability(source: Union[EnumeratorTable, RowWeights], delta) -> Fraction:
+    """Expected per-item misdetection rate E[md / defectives] under i.i.d. Bernoulli(delta), from a DD table or its weights."""
+    return _error_probability(source, Algorithm.DD, delta)
 
 
 def write_table_csv(

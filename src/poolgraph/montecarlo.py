@@ -203,6 +203,8 @@ def check_run(
     spec: EnsembleSpec, delta_grid: Iterable, graphs: int, patterns_per_graph: int, seed: int, *, workers: int = 1
 ) -> list[Fraction]:
     """A run's exact deltas once every input is checked: bad values raise first, then a run over the limit."""
+    if isinstance(delta_grid, (str, bytes)):  # a string would be read one character at a time
+        raise TypeError(f"delta_grid must be a collection of deltas, not a string: {delta_grid!r}")
     deltas = [exact_delta(delta) for delta in delta_grid]
     if not deltas:
         raise ValueError("delta grid must be non-empty")

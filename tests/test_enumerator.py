@@ -15,6 +15,7 @@ from poolgraph.detection import Algorithm
 from poolgraph.ensemble import DegreeDistribution, EnsembleSpec, regular_spec, spec_hash
 from poolgraph.enumerator import (
     EnumeratorTable,
+    RowWeights,
     _ClosedForms,
     _comp_class_table,
     _dd_class_table,
@@ -366,8 +367,32 @@ def test_comp_memoizes_no_spread():
 @example(regular_spec(1, 1, 1), Algorithm.COMP)
 @example(regular_spec(1, 1, 1), Algorithm.DD)
 def test_per_item_error_rate_is_a_probability_that_grows_with_defectives(spec, algorithm):
-    # The coupling invariant of EnumeratorTable.coupling_violations, which the CLI also runs.
-    assert build_table(spec, algorithm).coupling_violations() == []
+    # The coupling invariant of RowWeights.coupling_violations, which the CLI also runs.
+    assert build_table(spec, algorithm).error_weights.coupling_violations == []
+
+
+def weights_from_rates(spec, algorithm, rates):
+    """Hand-built RowWeights with w_a = r_a C(n, a), r_a = rates[a] and 0 past the list."""
+    n = spec.n
+    rates = [Fraction(r) for r in rates] + [Fraction(0)] * (n + 1 - len(rates))
+    return RowWeights(spec, algorithm, tuple(r * binomial(n, a) for a, r in enumerate(rates)))
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_coupling_check_reports_exactly_the_edge_row(algorithm):
+    # Live rows, where some item can err: 1 <= a < n under COMP, 1 <= a <= n under DD.
+    spec = regular_spec(4, 1, 2)
+    last = spec.n - 1 if algorithm is Algorithm.COMP else spec.n
+    sound = [Fraction(a, 10) for a in range(last + 1)]  # rising, and 0 at a = 0 and past the last live row
+    assert weights_from_rates(spec, algorithm, sound).coupling_violations == []
+    above = sound[:last] + [Fraction(3, 2)]
+    assert weights_from_rates(spec, algorithm, above).coupling_violations == [last]
+    fall = sound[:last] + [sound[last - 1] / 2]
+    assert weights_from_rates(spec, algorithm, fall).coupling_violations == [last - 1]
+    first = [0, 2] + sound[2:]  # above 1 and falling at a = 1: one report
+    assert weights_from_rates(spec, algorithm, first).coupling_violations == [1]
+    negative = [0, Fraction(-1, 10)] + sound[2:]
+    assert weights_from_rates(spec, algorithm, negative).coupling_violations == [1]
 
 
 def test_table_units_follow_the_builders_loops():
@@ -466,26 +491,28 @@ def test_md_probability_half_anchor():
 @example(regular_spec(12, 3, 6), Algorithm.COMP, Fraction(1, 7))
 @example(regular_spec(12, 3, 6), Algorithm.DD, "2/4")
 def test_error_probability_is_the_direct_sum_over_row_weights(spec, algorithm, delta):
-    # The Horner evaluation against sum_a Fraction(w_a, den) delta^a (1 - delta)^(n - a), term by term.
+    # The Horner evaluation against sum_a w_a delta^a (1 - delta)^(n - a), term by term,
+    # from the table and from its RowWeights alike.
     table = build_table(spec, algorithm)
     prob = fa_probability if algorithm is Algorithm.COMP else md_probability
-    assert prob(table, delta) == direct_probability(table, delta)
+    assert prob(table, delta) == prob(table.error_weights, delta) == direct_probability(table, delta)
 
 
 def direct_probability(table, delta):
-    """sum_a Fraction(w_a, den) delta^a (1 - delta)^(n - a) over the table's row weights."""
-    weights, den = table.error_weights
+    """sum_a w_a delta^a (1 - delta)^(n - a) over the table's row weights."""
     d, n = Fraction(delta), table.spec.n
-    return sum(Fraction(w, den) * d**a * (1 - d) ** (n - a) for a, w in enumerate(weights))
+    return sum(w * d**a * (1 - d) ** (n - a) for a, w in enumerate(table.error_weights.weights))
 
 
 def test_probability_rejects_wrong_algorithm():
     comp = build_table(regular_spec(4, 1, 2), Algorithm.COMP)
     dd = build_table(regular_spec(4, 1, 2), Algorithm.DD)
-    with pytest.raises(ValueError):
-        fa_probability(dd, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        md_probability(comp, Fraction(1, 2))
+    for source in (dd, dd.error_weights):
+        with pytest.raises(ValueError, match="^false-alarm probability is defined on COMP tables$"):
+            fa_probability(source, Fraction(1, 2))
+    for source in (comp, comp.error_weights):
+        with pytest.raises(ValueError, match="^misdetection probability is defined on DD tables$"):
+            md_probability(source, Fraction(1, 2))
 
 
 # Every entry point would refuse this spec for size, so only a check made first can answer.
@@ -523,6 +550,10 @@ def test_incomplete_table_rejected():
         rows[2] = rows[2][:1] + rows[2][2:]  # row 2 loses its cell j = 1
         with pytest.raises(ValueError, match="incomplete"):
             EnumeratorTable(algorithm=algorithm, spec=spec, rows=tuple(rows), denominator=full.denominator)
+        # Row weights of any other length would be evaluated as a polynomial of the wrong degree.
+        for length in (spec.n, spec.n + 2):
+            with pytest.raises(ValueError, match=f"^row weights need n \\+ 1 = 5 entries, got {length}$"):
+                RowWeights(spec, algorithm, full.error_weights.weights[:length] + (Fraction(0),) * (length - spec.n - 1))
 
 
 def polynomial_coefficients(table, algorithm):
@@ -577,9 +608,41 @@ def test_md_probability_matches_horner_form(delta):
 @example(regular_spec(60, 3, 6), Algorithm.DD)
 def test_power_weights_are_the_literal_power_basis_coefficients(spec, algorithm):
     table = build_table(spec, algorithm)
-    coeffs, den = table.power_weights
-    assert den == table.error_weights[1]
+    coeffs, den = table.error_weights.power_weights
+    assert den == math.lcm(*(w.denominator for w in table.error_weights.weights))
     assert [Fraction(c, den) for c in coeffs] == polynomial_coefficients(table, algorithm)
+
+
+def lcm_gcd_power_weights(table):
+    """The power basis (c, den) by scaling the row sums by lcm(1..n) and dividing out one gcd."""
+    scale = math.lcm(*range(1, table.spec.n + 1))
+    weights = [0] * len(table.rows)
+    for a, row in enumerate(table.rows):
+        if a and len(row) > 1:
+            weights[a] = scale // (len(row) - 1) * sum(j * c for j, c in enumerate(row))
+    den = scale * table.denominator
+    common = math.gcd(den, *weights)
+    coeffs = []
+    for w in weights:
+        coeffs = [x - y for x, y in zip([*coeffs, w // common], [0, *coeffs])]
+    return tuple(coeffs), den // common
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_irregular_specs(), st.sampled_from(list(Algorithm)))
+@example(regular_spec(30, 3, 6), Algorithm.COMP)
+@example(regular_spec(30, 3, 6), Algorithm.DD)
+@example(regular_spec(60, 3, 6), Algorithm.COMP)
+@example(regular_spec(60, 3, 6), Algorithm.DD)
+def test_row_weights_are_the_row_sums_and_keep_the_power_basis(spec, algorithm):
+    # w_a from the reduced cells, and the Horner rows' (c, den) exactly as the lcm(1..n)/gcd route made them.
+    table = build_table(spec, algorithm)
+    weights = table.error_weights
+    assert (weights.spec, weights.algorithm, len(weights.weights)) == (spec, algorithm, spec.n + 1)
+    for a, w in enumerate(weights.weights):
+        errs = len(table.rows[a]) - 1
+        assert w == (sum(Fraction(j, errs) * table.values[(a, j)] for j in range(errs + 1)) if a and errs else 0)
+    assert weights.power_weights == lcm_gcd_power_weights(table)
 
 
 def test_scaled_rows_are_cached_per_table_and_denominator():
@@ -594,7 +657,8 @@ def test_scaled_rows_are_cached_per_table_and_denominator():
     def check(name, order):
         for table, d in order:
             prob = fa_probability if table.algorithm is Algorithm.COMP else md_probability
-            assert prob(table, d) == expected[table, d], (name, table.algorithm, d)
+            source = table if d.numerator % 2 else table.error_weights  # both read one cached row
+            assert prob(source, d) == expected[table, d], (name, table.algorithm, d)
 
     enumerator._scaled_row.cache_clear()
     forward = [(table, d) for table in tables for d in points]

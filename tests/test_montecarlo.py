@@ -418,6 +418,20 @@ def _no_tally(*args):
     raise AssertionError("a graph was tallied before the run sizes were checked")
 
 
+@pytest.mark.parametrize("grid", ["10", "1/2", b"10"], ids=repr)
+def test_a_string_delta_grid_is_refused_before_any_work(grid, monkeypatch):
+    # "10" was read one character at a time and ran delta = 1 and delta = 0; "1/2" failed on '/'.
+    def never(*args, **kwargs):
+        raise AssertionError("a pool or a graph was made for a string grid")
+
+    for name in ("ProcessPoolExecutor", "sample_graph", "_graph_tally"):
+        monkeypatch.setattr(montecarlo, name, never)
+    with pytest.raises(TypeError, match="^delta_grid must be a collection of deltas, not a string"):
+        montecarlo.sweep(regular_spec(4, 1, 2), Algorithm.COMP, grid, 2, 10, 1)
+    with pytest.raises(TypeError, match="^delta_grid must be a collection of deltas, not a string"):
+        check_run(regular_spec(4, 1, 2), grid, 2, 10, 1, workers=2)
+
+
 @pytest.mark.parametrize("size", [True, 2.0, 10.5], ids=repr)
 @pytest.mark.parametrize("name", ["graphs", "patterns_per_graph", "workers"])
 def test_run_sizes_must_be_ints(name, size, monkeypatch):
