@@ -44,7 +44,7 @@ coefficient lists (written *):
         index D - e1 - e2 = D - E + Q does not depend on the defective
         split: one dot product, taken on first use, serves every split with
         the same (q, e1). The defective splits of one q are one flat list of
-        (e1, i, small weight), the split walk built class by class from Pascal
+        (e1, i, small weight) from walk, built class by class from Pascal
         rows, and each adds weight x dot into its cell. The slack residue that
         the dots read, D a multiple of the test degrees' gcd, is computed once per q.
     DD, items: i_d certified, j_d missed, k_d covered, q_d dismissed;
@@ -62,8 +62,9 @@ coefficient lists (written *):
         over K per (classes, E2), from the closed form above whatever the number
         of test degrees, its sole terms taken in ascending A up to A = E2.
         The certified splits of one q are one flat list built like COMP's, and
-        each meets the sums over its missed splits once per J: per rest, COMP's
-        split walk with its small weights summed per (J, j).
+        each meets the sums over its missed splits once per J: per rest, walk's
+        entries with their small weights summed per (J, j). Every other split
+        loop reads splits: each split vector with walk's entry for it.
 
 M is a multinomial and E the edge count. Variables that only appear summed
 collapse to one exponent and a binomial: x2+x3 for COMP, x1+x5 and s2+s3
@@ -258,6 +259,10 @@ class _ClosedForms:
             out = [(e + d * t, v + t, w * x) for e, v, w in out for t, x in enumerate(self.choose(top))]
         return out
 
+    def splits(self, degrees, tops, base: int = 1) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int]]]:
+        """Each split t, 0 <= t_d <= top_d in itertools.product order, paired with walk's entry for it."""
+        return zip(product(*(range(top + 1) for top in tops)), self.walk(degrees, tops, base))
+
     def spread(self, classes: tuple[tuple[int, int], ...]) -> list[int]:
         """[x^w] prod_d ((1 + x)^d - 1)^(q_d), (d, q_d) in `classes`; memoized."""
         row = self._spreads.get(classes)
@@ -284,10 +289,9 @@ class _ClosedForms:
                 terms = self._sole.get(classes)
                 if terms is None:
                     terms = self._sole[classes] = sorted((
-                        (sum((d - 1) * p for (d, _), p in zip(classes, picks)), sum(picks),
-                         math.prod(self.choose(o)[p] * (-d) ** p for (d, o), p in zip(classes, picks)),
+                        (sockets - picked, picked, weight * math.prod((-d) ** p for (d, _), p in zip(classes, picks)),
                          self.spread(tuple((d, o - p) for (d, o), p in zip(classes, picks))))
-                        for picks in _splits([o for _, o in classes])
+                        for picks, (sockets, picked, weight) in self.splits([d for d, _ in classes], [o for _, o in classes])
                     ), key=itemgetter(0))
                 self.choose(a + live[-1])
                 pascal = self._pascal
@@ -377,37 +381,30 @@ def _residue(lists, start: int, step: int) -> list[int]:
     return out
 
 
-def _splits(counts) -> Iterator[tuple[int, ...]]:
-    """Every vector v with 0 <= v[c] <= counts[c]."""
-    return product(*(range(c + 1) for c in counts))
-
-
 def _comp_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     # The COMP formula of the module docstring; returns numerators over edges!.
     # D = sockets on positive tests; y = D - E + Q of them hold dismissed items.
     degrees, counts = zip(*spec.item_classes)
     test_degrees, test_counts = zip(*spec.test_classes)
-    fact, edges, choose = forms.fact, spec.edge_count, forms.choose
+    fact, edges = forms.fact, spec.edge_count
     step = math.gcd(*test_degrees)  # D is a multiple of it
     # by_e1[e1][D / step]: every split with D positive-test sockets, e1 of them on
     # defectives: prod C(R_d, b_d) [x^e1] prod ((1 + x)^d - 1)^(b_d), times pairings.
     by_e1: dict[int, list[int]] = {}
-    for split in _splits(test_counts):
-        sockets = sum(d * b for d, b in zip(test_degrees, split))
-        weight = math.prod(choose(count)[b] for count, b in zip(test_counts, split)) * fact[edges - sockets]
+    for split, (sockets, _, weight) in forms.splits(test_degrees, test_counts):
+        weight *= fact[edges - sockets]
         # Each split's spread is read once, so none is memoized: all of them would outlive the loop.
         for e1, t in enumerate(_convolve(forms.powers(d, b) for d, b in zip(test_degrees, split) if b)):
             if t:
                 row = by_e1.setdefault(e1, [0] * (edges // step + 1))
                 row[sockets // step] += weight * t * fact[e1] * fact[sockets - e1]
     values = empty_rows(spec.n, Algorithm.COMP)
-    for dismissed in _splits(counts):
-        shift = edges - sum(d * q for d, q in zip(degrees, dismissed))
+    for dismissed, (dismissed_sockets, dismissed_items, base) in forms.splits(degrees, counts):
+        shift = edges - dismissed_sockets
         first = -(-shift // step)  # the least D / step with y = D - shift >= 0
         slack = _residue([forms.slack_powers(d, q) for d, q in zip(degrees, dismissed)], first * step - shift, step)
         # Every defective split: (e1, i, prod C(c_d, q_d) C(c_d - q_d, i_d)).
-        base = math.prod(choose(c)[q] for c, q in zip(counts, dismissed))
-        left, dots = spec.n - sum(dismissed), {}
+        left, dots = spec.n - dismissed_items, {}
         for e1, i, w in forms.walk(degrees, [c - q for c, q in zip(counts, dismissed)], base):
             dot = dots.get(e1)
             if dot is None:
@@ -432,23 +429,19 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     fact, edges, choose = forms.fact, spec.edge_count, forms.choose
     step = math.gcd(*degrees)  # K and J are multiples of it
     by_b: dict[int, list] = {}
-    for certifying in _splits(test_counts):
-        b = sum(certifying)
-        dismissed_edges = sum((d - 1) * c for d, c in zip(test_degrees, certifying))
-        for positive in _splits([count - c for count, c in zip(test_counts, certifying)]):
+    for certifying, (certifying_sockets, b, weight) in forms.splits(test_degrees, test_counts):
+        dismissed_edges = certifying_sockets - b
+        base = weight * math.prod(d**c for d, c in zip(test_degrees, certifying)) * fact[b]
+        for positive, (sockets, _, weight) in forms.splits(test_degrees, [count - c for count, c in zip(test_counts, certifying)], base):
             classes = tuple((d, o) for d, o in zip(test_degrees, positive) if o)
-            sockets = sum(d * o for d, o in classes)
-            weight = math.prod(
-                choose(count)[c] * choose(count - c)[o] * d**c
-                for d, count, c, o in zip(test_degrees, test_counts, certifying, positive)
-            ) * fact[b] * fact[edges - sockets - b - dismissed_edges]
+            weight *= fact[edges - sockets - b - dismissed_edges]
             by_b.setdefault(b, []).append((dismissed_edges, sockets, weight, classes))
     # Per rest r_d (missed or covered items per class), per J: (R - J) / step, R = sum d r_d, and
     # [(j, sum prod C(r_d, j_d))], the sum over the missed splits j_d with that J and j.
     missed_splits: dict[tuple[int, ...], tuple[list[int], list[list[tuple[int, int]]]]] = {}
     values = empty_rows(spec.n, Algorithm.DD)
-    for dismissed in _splits(counts):
-        free = edges - sum(d * q for d, q in zip(degrees, dismissed))
+    for dismissed, (dismissed_sockets, _, base) in forms.splits(degrees, counts):
+        free = edges - dismissed_sockets
         slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
         # by_k: (B, row), row[K / step] = W! K! sum pre H(W, E2) over the tests with B certifying.
         by_k: list[tuple[int, list[int]]] = []
@@ -468,7 +461,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
                 covers = range(0, top + 1, step)
                 by_k.append((b, [t * fact[top - cover] * fact[cover] for cover, t in zip(covers, sums)]))
         # Every certified split, class by class: (spread classes, rest r_d, R, i, prod C(c_d, q_d) C(c_d - q_d, i_d)).
-        splits = [((), (), 0, 0, math.prod(choose(c)[q] for c, q in zip(counts, dismissed)))]
+        splits = [((), (), 0, 0, base)]
         for d, c, q in zip(degrees, counts, dismissed):
             splits = [(classes + ((d, t),), rest + (c - q - t,), r_deg + d * (c - q - t), i + t, base * x)
                       for classes, rest, r_deg, i, base in splits for t, x in enumerate(choose(c - q))]

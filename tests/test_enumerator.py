@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -194,6 +195,20 @@ def test_bracket_rows_equal_the_literal_signed_sum():
                 assert (row[w] if 0 <= w < len(row) else 0) == expected
                 y = d * q - w
                 assert (slack[y] if 0 <= y < len(slack) else 0) == expected
+
+
+@pytest.mark.parametrize("degrees,tops", [
+    ((), ()), ((3,), (0,)), ((2,), (4,)), ((2, 5), (0, 3)), ((1, 2, 4), (2, 0, 3)), ((3, 3), (2, 1)),
+])
+def test_splits_pair_each_product_vector_with_its_literal_sums_and_weight(degrees, tops):
+    # An empty class list and zero tops each leave one split; base scales every weight.
+    forms = _ClosedForms(0)
+    for base, pairs in ((1, forms.splits(degrees, tops)), (-7, forms.splits(degrees, tops, -7))):
+        pairs = list(pairs)
+        assert [t for t, _ in pairs] == list(itertools.product(*(range(top + 1) for top in tops)))
+        for t, entry in pairs:
+            weight = base * math.prod(math.comb(top, x) for top, x in zip(tops, t))
+            assert entry == (sum(d * x for d, x in zip(degrees, t)), sum(t), weight)
 
 
 @pytest.mark.parametrize("d,o", [(1, 3), (2, 9), (3, 12), (6, 10)])
