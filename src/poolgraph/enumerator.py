@@ -94,6 +94,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product, repeat
+from numbers import Rational
 from operator import add, itemgetter, mul, sub
 from pathlib import Path
 from types import MappingProxyType
@@ -177,7 +178,10 @@ class EnumeratorTable:
 
 @dataclass(frozen=True, eq=False)
 class RowWeights:
-    """Row weights w_a = sum_j (j / e_a) A_{a,j}, a = 0..n, as Fractions: P(delta) = sum_a w_a delta^a (1 - delta)^(n - a)."""
+    """Row weights w_a = sum_j (j / e_a) A_{a,j}, a = 0..n, as Fractions: P(delta) = sum_a w_a delta^a (1 - delta)^(n - a).
+
+    Each weight must be an exact rational, a Fraction or an int: a float or a bool raises TypeError, as in exact_delta.
+    """
 
     spec: EnsembleSpec
     algorithm: Algorithm
@@ -186,6 +190,9 @@ class RowWeights:
     def __post_init__(self):
         if len(self.weights) != self.spec.n + 1:
             raise ValueError(f"row weights need n + 1 = {self.spec.n + 1} entries, got {len(self.weights)}")
+        for w in self.weights:
+            if isinstance(w, bool) or not isinstance(w, Rational):
+                raise TypeError(f"row weights must be exact rationals (int or Fraction), got {w!r}")
 
     @cached_property
     def power_weights(self) -> tuple[tuple[int, ...], int]:
@@ -205,7 +212,7 @@ class RowWeights:
         """
         n = self.spec.n
         live = range(1, n if self.algorithm is Algorithm.COMP else n + 1)
-        rates = [w / binomial(n, a) for a, w in enumerate(self.weights)]
+        rates = [Fraction(w, binomial(n, a)) for a, w in enumerate(self.weights)]
         return [a for a in live if not 0 <= rates[a] <= 1 or a + 1 in live and rates[a] > rates[a + 1]]
 
 

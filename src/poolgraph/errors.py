@@ -6,6 +6,8 @@ from typing import Callable
 # Most seconds one table build, Monte Carlo call or oracle run is predicted to
 # take; each route predicts from counts that follow its loops (BENCH_19.json).
 LIMIT_SECONDS = 600
+# Most bytes a Monte Carlo run is predicted to hold at once (BENCH_37.json).
+LIMIT_BYTES = 2**32
 
 
 class ValidationError(ValueError):
@@ -13,7 +15,7 @@ class ValidationError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """Work refused before it started: predicted to take over LIMIT_SECONDS, or an input over a size limit."""
+    """Work refused before it started: predicted to take over LIMIT_SECONDS or need over LIMIT_BYTES, or an input over a size limit."""
 
 
 def refuse_over_limit(work: str, predicted_seconds: Callable[..., float], *args) -> None:

@@ -33,7 +33,8 @@ every (delta, graph) tally through one process pool.
 
 check_run checks a run's inputs in full, and refuses one predicted to
 take over errors.LIMIT_SECONDS (decoding plus each graph's sampling and
-set-up) with SizeLimitError; simulate and sweep call it before any pool
+set-up), or to hold over errors.LIMIT_BYTES (one chunk in flight per busy
+worker), with SizeLimitError; simulate and sweep call it before any pool
 or graph is made, and the CLI before any exact table is built.
 """
 
@@ -57,7 +58,7 @@ from .detection import CHUNK_PATTERNS, Algorithm, decode_counts, union_tables
 from .detection import comp_pd_mask, dd_certified_mask  # noqa: F401
 from .ensemble import EnsembleSpec, sample_graph, write_csv
 from .enumerator import check_algorithm
-from .errors import refuse_over_limit
+from .errors import LIMIT_BYTES, SizeLimitError, refuse_over_limit
 
 __all__ = ["RNG_SCHEME", "TrialReport", "check_run", "derive_seed", "simulate", "sweep", "write_trials_csv"]
 
@@ -73,6 +74,10 @@ _ITEM_PATTERN_SECONDS = 3.7e-9
 _PATTERN_ITEMS = 13
 _GRAPH_SECONDS = 3.2e-4
 _GRAPH_EDGE_SECONDS = 1.6e-6
+# Peak bytes per item-pattern of a chunk in flight, the decoder's working
+# arrays; the largest slope of peak RSS over n at n <= 48,000, rounded up.
+# One 2-vCPU x86_64 host; fitted in BENCH_37.json.
+_ITEM_PATTERN_BYTES = 3.1
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -219,6 +224,12 @@ def check_run(
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     work = f"{len(deltas)} deltas x {graphs} graphs x {patterns_per_graph} patterns on n={spec.n}"
     refuse_over_limit(work, _predicted_seconds, spec, len(deltas), graphs, patterns_per_graph)
+    # One chunk in flight per worker that has a (delta, graph) task to run.
+    needed = _ITEM_PATTERN_BYTES * spec.n * min(patterns_per_graph, CHUNK_PATTERNS) * min(workers, len(deltas) * graphs)
+    if needed > LIMIT_BYTES:
+        raise SizeLimitError(
+            f"{work} with {workers} workers is predicted to need {needed:.3g} bytes, over the limit of {LIMIT_BYTES} bytes"
+        )
     return deltas
 
 

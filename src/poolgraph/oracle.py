@@ -206,8 +206,9 @@ def _oracle_table(spec: EnsembleSpec, algorithm: Algorithm) -> EnumeratorTable:
         # Each value's counts times its exact weight W(M), in Python ints.
         totals += (numerator // products) @ counts.reshape(-1, cells).astype(object)
     rows = tuple(tuple(totals[a * (n + 1) : a * (n + 1) + len(row)]) for a, row in enumerate(empty_rows(n, algorithm)))
-    # Row 0 holds one pattern per graph, so its sum is the sum of the weights W(M).
-    assert sum(rows[0]) == math.factorial(spec.edge_count), "multigraph weights do not sum to E!"
+    # Row 0 holds one pattern per graph, so its sum is the sum of the weights W(M); checked under python -O too.
+    if sum(rows[0]) != math.factorial(spec.edge_count):
+        raise AssertionError("multigraph weights do not sum to E!")
     return EnumeratorTable(algorithm, spec, rows, sum(rows[0]), source="oracle")
 
 

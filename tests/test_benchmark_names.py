@@ -6,9 +6,10 @@ callbacks also read attributes of what the traced calls return (a table's
 cells, an oracle report's matchings, a sweep's grid and sizes), so one
 traced analyze, one traced verify and one traced sweep run here too, the
 sweep and its trials CSV called as perfbench/workloads.py calls them. The
-benchmark's analyze outputs over its delta grid are checked against
-perfbench/pinned.json here as well, so a change to evaluation that moves a
-byte fails the ordinary test suite and not only a benchmark run. It only
+benchmark's enumerate tables and analyze outputs over its delta grid are
+checked against perfbench/pinned.json here as well, so a change to a table
+or to evaluation that moves a byte fails the ordinary test suite and not
+only a benchmark run. It only
 reads files under perfbench/.
 """
 
@@ -58,24 +59,40 @@ def test_traced_benchmark_names_install_and_restore(monkeypatch, capsys, tmp_pat
     assert len(trials.read_text(encoding="utf-8").splitlines()) == 2 + len(reports)
 
 
-@pytest.mark.parametrize("workload,source,algorithm", [
+# The benchmark's exact outputs: (workload, ensemble, decoder).
+OUTPUTS = [
     ("regular-30", "30,3,6", "comp"),
     ("regular-30", "30,3,6", "dd"),
     ("irregular-30", "irregular-30.json", "comp"),
     ("irregular-30", "irregular-12.json", "dd"),
-])
-def test_analyze_over_the_benchmark_grid_writes_the_pinned_digest(monkeypatch, capsys, tmp_path, workload, source, algorithm):
+]
+
+
+def _assert_pinned(monkeypatch, capsys, tmp_path, command, workload, source, algorithm, *options):
+    # The CLI's CSV, digested without its '#' comment lines as the benchmark checks it.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     from poolgraph import cli
 
-    assert workloads.GRID == GRID
     pinned = json.loads((PERFBENCH / "pinned.json").read_text(encoding="utf-8"))["digests"]
-    name = f"analyze-{source.removesuffix('.json')}-{algorithm}.csv"
+    name = f"{command}-{source.removesuffix('.json')}-{algorithm}.csv"
     ensemble = ["--spec", str(PERFBENCH / "specs" / source)] if source.endswith(".json") else ["--regular", source]
     out = tmp_path / name
-    assert cli.main(["analyze", *ensemble, "--algorithm", algorithm, "--delta-grid", GRID, "--out", str(out)]) == 0
+    assert cli.main([command, *ensemble, "--algorithm", algorithm, *options, "--out", str(out)]) == 0
     capsys.readouterr()
-    # Digested without its '#' comment lines, as the benchmark checks it.
     assert workloads.csv_digest(out.read_bytes()) == pinned[f"{workload}/{name}"]
+
+
+@pytest.mark.parametrize("workload,source,algorithm", OUTPUTS)
+def test_analyze_over_the_benchmark_grid_writes_the_pinned_digest(monkeypatch, capsys, tmp_path, workload, source, algorithm):
+    _assert_pinned(monkeypatch, capsys, tmp_path, "analyze", workload, source, algorithm, "--delta-grid", GRID)
+    import workloads
+
+    assert workloads.GRID == GRID
+
+
+@pytest.mark.parametrize("workload,source,algorithm", OUTPUTS)
+def test_enumerate_writes_the_pinned_table_digest(monkeypatch, capsys, tmp_path, workload, source, algorithm):
+    # analyze reads only row weights; the table's digest also pins how each row's counts split over j.
+    _assert_pinned(monkeypatch, capsys, tmp_path, "enumerate", workload, source, algorithm)

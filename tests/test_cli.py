@@ -323,6 +323,23 @@ def test_runaway_simulation_exits_two(capsys):
     assert err.endswith(" s, over the limit of 600 s\n")
 
 
+def test_simulation_over_the_memory_limit_exits_two(capsys, monkeypatch):
+    from poolgraph import montecarlo
+
+    def refuse(*args):
+        raise AssertionError("a graph was sampled")
+
+    monkeypatch.setattr(montecarlo, "sample_graph", refuse)
+    code, out, err = run(
+        ["simulate", "--regular", "400000,3,6", "--algorithm", "dd", "--delta", "1/10",
+         "--graphs", "1", "--patterns", "4096"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == ("refused: 1 deltas x 1 graphs x 4096 patterns on n=400000 with 1 workers is predicted"
+                   " to need 5.08e+09 bytes, over the limit of 4294967296 bytes\n")
+
+
 def test_runaway_degree_class_table_exits_two(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({

@@ -571,6 +571,19 @@ def test_incomplete_table_rejected():
                 RowWeights(spec, algorithm, full.error_weights.weights[:length] + (Fraction(0),) * (length - spec.n - 1))
 
 
+def test_row_weights_must_be_exact_rationals():
+    # A float weight would pass the coupling check and fail only when evaluated; a bool would count as 0 or 1.
+    spec = regular_spec(4, 1, 2)
+    exact = build_table(spec, Algorithm.COMP).error_weights.weights
+    for bad in (0.5, True, False, "1/2", None):
+        message = f"^row weights must be exact rationals \\(int or Fraction\\), got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            RowWeights(spec, Algorithm.COMP, exact[:2] + (bad,) + exact[3:])
+    ints = RowWeights(spec, Algorithm.COMP, (0, 1, 3, 3, 0))
+    assert ints.coupling_violations == []
+    assert fa_probability(ints, Fraction(1, 2)) == Fraction(7, 16)
+
+
 def polynomial_coefficients(table, algorithm):
     # P(delta) = sum_a delta^a (1-delta)^(n-a) * w_a with w_a the weighted row mass.
     n = table.spec.n

@@ -580,6 +580,32 @@ def test_runaway_simulation_is_refused_before_sampling(monkeypatch):
         simulate(regular_spec(2, 1, 2), Algorithm.DD, Fraction(1, 10), 10**400, 1, seed=0)
 
 
+def test_a_run_over_the_memory_limit_is_refused_before_sampling(monkeypatch):
+    # One chunk of (400000,3,6) holds about 5 GB; it fits the time limit, so only the byte limit refuses it.
+    def refuse(*args):
+        raise AssertionError("a graph was sampled")
+
+    monkeypatch.setattr("poolgraph.montecarlo.sample_graph", refuse)
+    large = regular_spec(400_000, 3, 6)
+    assert _predicted_seconds(large, 1, 1, 4096) <= LIMIT_SECONDS
+    message = "^1 deltas x 1 graphs x 4096 patterns on n=400000 with 1 workers is predicted to need 5.08e\\+09 bytes"
+    with pytest.raises(SizeLimitError, match=message):
+        simulate(large, Algorithm.DD, Fraction(1, 10), 1, 4096, seed=0)
+    with pytest.raises(SizeLimitError, match="over the limit of 4294967296 bytes$"):
+        sweep(large, Algorithm.COMP, [Fraction(1, 10)], 1, 4096, seed=0)
+    # A graph holds one chunk of at most CHUNK_PATTERNS patterns at a time, and each busy worker one graph.
+    half = regular_spec(200_000, 3, 6)
+    _checked(half, 1, 1, 10 * CHUNK_PATTERNS)
+    check_run(half, [Fraction(1, 10)], 1, 4096, 0, workers=2)
+    with pytest.raises(SizeLimitError, match="with 2 workers"):
+        check_run(half, [Fraction(1, 10)], 2, 4096, 0, workers=2)
+    with pytest.raises(SizeLimitError, match="with 2 workers"):
+        check_run(half, [Fraction(1, 10), Fraction(1, 5)], 1, 4096, 0, workers=2)
+    # Sizes far below it stay accepted.
+    _checked(regular_spec(2000, 3, 6), 3, 40, 10_000)
+    check_run(regular_spec(2000, 3, 6), [Fraction(1, 10)], 40, 10_000, 0, workers=8)
+
+
 @pytest.mark.parametrize(
     "graph, key, state",
     [

@@ -1,6 +1,9 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -393,6 +396,30 @@ def test_direct_expectation_agrees_with_table_route(delta):
     report = exact_enumerators(spec, Algorithm.DD)
     direct = exact_error_probability(spec, Algorithm.DD, delta)
     assert direct == md_probability(report.table, delta)
+
+
+def test_a_lost_block_fails_the_weight_check_under_python_optimize():
+    # python -O strips assert statements; the oracle's only self-check must survive it.
+    code = """
+import itertools
+from poolgraph import oracle
+from poolgraph.detection import Algorithm
+from poolgraph.ensemble import regular_spec
+
+blocks = oracle._error_blocks
+def one_lost(spec, algorithm, graphs):
+    found = list(blocks(spec, algorithm, graphs))
+    assert len(found) == 5
+    return itertools.islice(found, 4)
+oracle._error_blocks = one_lost
+try:
+    oracle.exact_enumerators(regular_spec(6, 2, 3), Algorithm.COMP)
+except AssertionError as error:
+    print(error)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "multigraph weights do not sum to E!\n", "")
 
 
 def test_frozen_error_probabilities():
