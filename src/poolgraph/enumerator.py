@@ -178,10 +178,7 @@ class EnumeratorTable:
 
 @dataclass(frozen=True, eq=False)
 class RowWeights:
-    """Row weights w_a = sum_j (j / e_a) A_{a,j}, a = 0..n, as Fractions: P(delta) = sum_a w_a delta^a (1 - delta)^(n - a).
-
-    Each weight must be an exact rational, a Fraction or an int: a float or a bool raises TypeError, as in exact_delta.
-    """
+    """Row weights w_a = sum_j (j / e_a) A_{a,j}, a = 0..n, as Fractions: P(delta) = sum_a w_a delta^a (1 - delta)^(n - a)."""
 
     spec: EnsembleSpec
     algorithm: Algorithm
@@ -436,9 +433,9 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     fact, edges, choose = forms.fact, spec.edge_count, forms.choose
     step = math.gcd(*degrees)  # K and J are multiples of it
     by_b: dict[int, list] = {}
-    for certifying, (certifying_sockets, b, weight) in forms.splits(test_degrees, test_counts):
+    for certifying, (certifying_sockets, b, ways) in forms.splits(test_degrees, test_counts):
         dismissed_edges = certifying_sockets - b
-        base = weight * math.prod(d**c for d, c in zip(test_degrees, certifying)) * fact[b]
+        base = ways * math.prod(d**c for d, c in zip(test_degrees, certifying)) * fact[b]
         for positive, (sockets, _, weight) in forms.splits(test_degrees, [count - c for count, c in zip(test_counts, certifying)], base):
             classes = tuple((d, o) for d, o in zip(test_degrees, positive) if o)
             weight *= fact[edges - sockets - b - dismissed_edges]

@@ -9,8 +9,7 @@ sweep and its trials CSV called as perfbench/workloads.py calls them. The
 benchmark's enumerate tables and analyze outputs over its delta grid are
 checked against perfbench/pinned.json here as well, so a change to a table
 or to evaluation that moves a byte fails the ordinary test suite and not
-only a benchmark run. It only
-reads files under perfbench/.
+only a benchmark run. It only reads files under perfbench/.
 """
 
 import json
