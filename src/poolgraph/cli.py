@@ -10,7 +10,7 @@ self-check (row sums, coupling), 2 size refusal, 3 I/O failure. A table
 build, a Monte Carlo run and an oracle run are each refused before they
 start when predicted to take over errors.LIMIT_SECONDS, and a Monte Carlo
 run also when predicted to hold over errors.LIMIT_BYTES (4 GiB: one chunk
-of patterns per busy worker, about 3 bytes per item-pattern). The oracle predicts
+of patterns per worker process, about 3 bytes per item-pattern). The oracle predicts
 from its multigraph count, bounded below from lgamma first, so a spec of
 any size is refused at once; it takes at most 16 items, and counts its
 graphs exactly within a fixed budget of about 0.2 s.

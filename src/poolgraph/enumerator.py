@@ -94,7 +94,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product, repeat
-from numbers import Rational
 from operator import add, itemgetter, mul, sub
 from pathlib import Path
 from types import MappingProxyType
@@ -188,7 +187,7 @@ class RowWeights:
         if len(self.weights) != self.spec.n + 1:
             raise ValueError(f"row weights need n + 1 = {self.spec.n + 1} entries, got {len(self.weights)}")
         for w in self.weights:
-            if isinstance(w, bool) or not isinstance(w, Rational):
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
                 raise TypeError(f"row weights must be exact rationals (int or Fraction), got {w!r}")
 
     @cached_property
@@ -444,7 +443,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
     # [(j, sum prod C(r_d, j_d))], the sum over the missed splits j_d with that J and j.
     missed_splits: dict[tuple[int, ...], tuple[list[int], list[list[tuple[int, int]]]]] = {}
     values = empty_rows(spec.n, Algorithm.DD)
-    for dismissed, (dismissed_sockets, _, base) in forms.splits(degrees, counts):
+    for dismissed, (dismissed_sockets, _, ways) in forms.splits(degrees, counts):
         free = edges - dismissed_sockets
         slack = _convolve(forms.slack_powers(d, q) for d, q in zip(degrees, dismissed))
         # by_k: (B, row), row[K / step] = W! K! sum pre H(W, E2) over the tests with B certifying.
@@ -465,11 +464,11 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
                 covers = range(0, top + 1, step)
                 by_k.append((b, [t * fact[top - cover] * fact[cover] for cover, t in zip(covers, sums)]))
         # Every certified split, class by class: (spread classes, rest r_d, R, i, prod C(c_d, q_d) C(c_d - q_d, i_d)).
-        splits = [((), (), 0, 0, base)]
+        certified = [((), (), 0, 0, ways)]
         for d, c, q in zip(degrees, counts, dismissed):
-            splits = [(classes + ((d, t),), rest + (c - q - t,), r_deg + d * (c - q - t), i + t, base * x)
-                      for classes, rest, r_deg, i, base in splits for t, x in enumerate(choose(c - q))]
-        for classes, rest, r_deg, i, base in splits:
+            certified = [(classes + ((d, t),), rest + (c - q - t,), r_deg + d * (c - q - t), i + t, split_ways * x)
+                         for classes, rest, r_deg, i, split_ways in certified for t, x in enumerate(choose(c - q))]
+        for classes, rest, r_deg, i, split_ways in certified:
             spread = forms.spread(classes)
             if rest not in missed_splits:
                 by_e: dict[int, dict[int, int]] = {}  # small weights, summed before acc's big ones
@@ -485,7 +484,7 @@ def _dd_class_table(spec: EnsembleSpec, forms: _ClosedForms) -> list[list[int]]:
                     acc = [s + x * row[k] for s, k in zip(acc, ks)]
             for total, js in zip(acc, by_j):
                 if total:
-                    total *= base
+                    total *= split_ways
                     for j, weight in js:
                         values[i + j][j] += weight * total
     return values

@@ -33,8 +33,8 @@ every (delta, graph) tally through one process pool.
 
 check_run checks a run's inputs in full, and refuses one predicted to
 take over errors.LIMIT_SECONDS (decoding plus each graph's sampling and
-set-up), or to hold over errors.LIMIT_BYTES (one chunk in flight per busy
-worker), with SizeLimitError; simulate and sweep call it before any pool
+set-up), or to hold over errors.LIMIT_BYTES (one chunk in flight per
+worker process, as many as _pool_size starts), with SizeLimitError; simulate and sweep call it before any pool
 or graph is made, and the CLI before any exact table is built.
 """
 
@@ -76,7 +76,8 @@ _GRAPH_SECONDS = 3.2e-4
 _GRAPH_EDGE_SECONDS = 1.6e-6
 # Peak bytes per item-pattern of a chunk in flight, the decoder's working
 # arrays; the largest slope of peak RSS over n at n <= 48,000, rounded up.
-# One 2-vCPU x86_64 host; fitted in BENCH_37.json.
+# Each of two worker processes peaked at the same slope. One 2-vCPU x86_64
+# host; fitted in BENCH_37.json.
 _ITEM_PATTERN_BYTES = 3.1
 
 
@@ -224,11 +225,12 @@ def check_run(
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     work = f"{len(deltas)} deltas x {graphs} graphs x {patterns_per_graph} patterns on n={spec.n}"
     refuse_over_limit(work, _predicted_seconds, spec, len(deltas), graphs, patterns_per_graph)
-    # One chunk in flight per worker that has a (delta, graph) task to run.
-    needed = _ITEM_PATTERN_BYTES * spec.n * min(patterns_per_graph, CHUNK_PATTERNS) * min(workers, len(deltas) * graphs)
+    # One chunk in flight per worker process that _reports starts.
+    busy = _pool_size(workers, len(deltas) * graphs, os.cpu_count())
+    needed = _ITEM_PATTERN_BYTES * spec.n * min(patterns_per_graph, CHUNK_PATTERNS) * busy
     if needed > LIMIT_BYTES:
         raise SizeLimitError(
-            f"{work} with {workers} workers is predicted to need {needed:.3g} bytes, over the limit of {LIMIT_BYTES} bytes"
+            f"{work} with {busy} workers is predicted to need {needed:.3g} bytes, over the limit of {LIMIT_BYTES} bytes"
         )
     return deltas
 

@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -572,10 +573,11 @@ def test_incomplete_table_rejected():
 
 
 def test_row_weights_must_be_exact_rationals():
-    # A float weight would pass the coupling check and fail only when evaluated; a bool would count as 0 or 1.
+    # A float weight would pass the coupling check and fail only when evaluated; a bool would count as 0 or 1;
+    # a numpy integer would overflow its fixed width in the power basis.
     spec = regular_spec(4, 1, 2)
     exact = build_table(spec, Algorithm.COMP).error_weights.weights
-    for bad in (0.5, True, False, "1/2", None):
+    for bad in (0.5, True, False, "1/2", None, np.int64(1)):
         message = f"^row weights must be exact rationals \\(int or Fraction\\), got {re.escape(repr(bad))}$"
         with pytest.raises(TypeError, match=message):
             RowWeights(spec, Algorithm.COMP, exact[:2] + (bad,) + exact[3:])

@@ -586,6 +586,7 @@ def test_a_run_over_the_memory_limit_is_refused_before_sampling(monkeypatch):
         raise AssertionError("a graph was sampled")
 
     monkeypatch.setattr("poolgraph.montecarlo.sample_graph", refuse)
+    monkeypatch.setattr("poolgraph.montecarlo.os.cpu_count", lambda: 2)
     large = regular_spec(400_000, 3, 6)
     assert _predicted_seconds(large, 1, 1, 4096) <= LIMIT_SECONDS
     message = "^1 deltas x 1 graphs x 4096 patterns on n=400000 with 1 workers is predicted to need 5.08e\\+09 bytes"
@@ -593,7 +594,7 @@ def test_a_run_over_the_memory_limit_is_refused_before_sampling(monkeypatch):
         simulate(large, Algorithm.DD, Fraction(1, 10), 1, 4096, seed=0)
     with pytest.raises(SizeLimitError, match="over the limit of 4294967296 bytes$"):
         sweep(large, Algorithm.COMP, [Fraction(1, 10)], 1, 4096, seed=0)
-    # A graph holds one chunk of at most CHUNK_PATTERNS patterns at a time, and each busy worker one graph.
+    # A graph holds one chunk of at most CHUNK_PATTERNS patterns at a time, and each worker process one graph.
     half = regular_spec(200_000, 3, 6)
     _checked(half, 1, 1, 10 * CHUNK_PATTERNS)
     check_run(half, [Fraction(1, 10)], 1, 4096, 0, workers=2)
@@ -604,6 +605,20 @@ def test_a_run_over_the_memory_limit_is_refused_before_sampling(monkeypatch):
     # Sizes far below it stay accepted.
     _checked(regular_spec(2000, 3, 6), 3, 40, 10_000)
     check_run(regular_spec(2000, 3, 6), [Fraction(1, 10)], 40, 10_000, 0, workers=8)
+
+
+def test_the_memory_limit_counts_the_worker_processes_started(monkeypatch):
+    # (42300,3,6) x 4096 patterns: about 537 MB a chunk, so eight chunks are over the limit and two are not.
+    spec, grid = regular_spec(42_300, 3, 6), [Fraction(1, 10)]
+    for cpus in (2, 1, None):
+        monkeypatch.setattr("poolgraph.montecarlo.os.cpu_count", lambda: cpus)
+        assert _pool_size(8, 8, cpus) <= 2
+        check_run(spec, grid, 8, 4096, 0, workers=8)
+    monkeypatch.setattr("poolgraph.montecarlo.os.cpu_count", lambda: 8)
+    with pytest.raises(SizeLimitError, match="with 8 workers is predicted to need 4.3e\\+09 bytes"):
+        check_run(spec, grid, 8, 4096, 0, workers=8)
+    # Fewer (delta, graph) tasks than workers start fewer processes.
+    check_run(spec, grid, 2, 4096, 0, workers=8)
 
 
 @pytest.mark.parametrize(
