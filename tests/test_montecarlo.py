@@ -605,20 +605,16 @@ def test_a_run_over_the_memory_limit_is_refused_before_sampling(monkeypatch):
     # Sizes far below it stay accepted.
     _checked(regular_spec(2000, 3, 6), 3, 40, 10_000)
     check_run(regular_spec(2000, 3, 6), [Fraction(1, 10)], 40, 10_000, 0, workers=8)
-
-
-def test_the_memory_limit_counts_the_worker_processes_started(monkeypatch):
-    # (42300,3,6) x 4096 patterns: about 537 MB a chunk, so eight chunks are over the limit and two are not.
-    spec, grid = regular_spec(42_300, 3, 6), [Fraction(1, 10)]
+    # Only the processes the pool starts count: workers past the CPUs, or past the (delta, graph) tasks, add none.
+    # (42300,3,6) x 4096 patterns holds about 537 MB a chunk: eight chunks are over the limit, two are not.
+    middle = regular_spec(42_300, 3, 6)
     for cpus in (2, 1, None):
         monkeypatch.setattr("poolgraph.montecarlo.os.cpu_count", lambda: cpus)
-        assert _pool_size(8, 8, cpus) <= 2
-        check_run(spec, grid, 8, 4096, 0, workers=8)
+        check_run(middle, [Fraction(1, 10)], 8, 4096, 0, workers=8)
     monkeypatch.setattr("poolgraph.montecarlo.os.cpu_count", lambda: 8)
     with pytest.raises(SizeLimitError, match="with 8 workers is predicted to need 4.3e\\+09 bytes"):
-        check_run(spec, grid, 8, 4096, 0, workers=8)
-    # Fewer (delta, graph) tasks than workers start fewer processes.
-    check_run(spec, grid, 2, 4096, 0, workers=8)
+        check_run(middle, [Fraction(1, 10)], 8, 4096, 0, workers=8)
+    check_run(middle, [Fraction(1, 10)], 2, 4096, 0, workers=8)
 
 
 @pytest.mark.parametrize(
