@@ -22,6 +22,7 @@ in `enumerator`); simulate and verify import montecarlo and oracle on use.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -125,9 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The checked command line: --spec/--regular resolved to `spec`, the deltas to `deltas`, a missing --out to stdout."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.out = sys.stdout if args.out is None else args.out
     args.spec = load_spec(args.spec) if args.spec else _parse_regular(args.regular)
     if args.command in ("analyze", "simulate"):
