@@ -1,16 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from poolgraph.cli import _GRID_LIMIT, _PRECISION_LIMIT, _parse_delta_grid, main
+from poolgraph.cli import _GRID_LIMIT, _PRECISION_LIMIT, _parse_delta_grid, build_parser, main
 from poolgraph.errors import SizeLimitError
 from poolgraph.ensemble import regular_spec, spec_hash
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Help text wraps to the terminal width; fix it so a run is the same in and out of a terminal.
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
 
 
 def run(argv, capsys):
@@ -263,6 +269,14 @@ def test_missing_spec_file_is_io_error(tmp_path, capsys):
     assert "i/o error" in err
 
 
+def test_empty_spec_path_is_io_error(capsys):
+    # An empty path is a path like any other, not a missing --spec.
+    code, out, err = run(["enumerate", "--spec", "", "--algorithm", "comp"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error: [Errno 2]")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -307,6 +321,65 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "1/2,7,12," in result.stdout
+
+
+def test_main_builds_the_parser_on_its_first_call_only():
+    # A fresh interpreter, so that importing poolgraph.cli is counted too.
+    counts = subprocess.run(
+        [sys.executable, "-c", """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from poolgraph import cli
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["--version"], ["analyze", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2"],
+                 ["enumerate", "--regular", "4,1,2", "--algorithm", "dd"], ["enumerate"]):
+        cli.main(argv)
+        counts.append(len(built))
+print(*counts)
+"""],
+        env=FRESH_ENV, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.split()
+    assert counts[0] == "0"  # import builds nothing
+    assert counts[1] != "0"
+    assert set(counts[1:]) == {counts[1]}
+    assert build_parser() is not build_parser()
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """A sequence of main calls in one process, each equal to the same command run alone."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "n": 3, "m": 2,
+        "lambda": [{"degree": 1, "num": 2, "den": 3}, {"degree": 2, "num": 1, "den": 3}],
+        "rho": [{"degree": 2, "num": 1, "den": 1}],
+    }))
+    commands = [
+        ["--help"],
+        ["--version"],
+        ["enumerate", "--regular", "4,1,2"],
+        ["analyze", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "3/2"],
+        ["verify", "--regular", "4,2,2", "--algorithm", "dd"],
+        ["analyze", "--regular", "30,3,6", "--algorithm", "dd", "--delta-grid", "1/400:1/4:1/400"],
+        ["enumerate", "--spec", str(spec_path), "--algorithm", "comp"],
+        ["simulate", "--regular", "4,1,2", "--algorithm", "comp", "--delta", "1/2",
+         "--graphs", "2", "--patterns", "8"],
+    ]
+    fresh = [
+        subprocess.Popen([sys.executable, "-m", "poolgraph", *argv], env=FRESH_ENV,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for argv in commands
+    ]
+    monkeypatch.setenv("COLUMNS", FRESH_ENV["COLUMNS"])
+    in_process = [run(argv, capsys) for argv in commands]
+    for argv, proc, result in zip(commands, fresh, in_process):
+        out, err = proc.communicate(timeout=60)
+        assert result == (proc.returncode, out.decode(), err.decode()), argv
 
 
 def test_runaway_simulation_exits_two(capsys):

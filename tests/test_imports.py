@@ -17,6 +17,8 @@ import poolgraph.enumerator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "poolgraph"
+# A general-form spec file of the benchmark's, read through load_spec.
+SPEC_FILE = SRC.parent / "perfbench" / "specs" / "irregular-12.json"
 
 
 def run_fresh(code: str) -> str:
@@ -31,7 +33,7 @@ def run_fresh(code: str) -> str:
 
 def test_exact_commands_do_not_import_numpy():
     out = run_fresh(
-        """
+        f"""
 import contextlib, io, sys
 
 def numpy_loaded():
@@ -46,9 +48,12 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         assert cli.main(["enumerate", "--regular", "30,3,6", "--algorithm", algorithm]) == 0
         assert cli.main(["analyze", "--regular", "30,3,6", "--algorithm", algorithm,
                          "--delta-grid", "1/40:1/4:1/40"]) == 0
+        assert cli.main(["enumerate", "--spec", {str(SPEC_FILE)!r}, "--algorithm", algorithm]) == 0
+        assert cli.main(["analyze", "--spec", {str(SPEC_FILE)!r}, "--algorithm", algorithm,
+                         "--delta-grid", "1/40:1/4:1/40"]) == 0
     assert cli.main(["--help"]) == 0
     assert cli.main(["--version"]) == 0
-assert not numpy_loaded(), "enumerate, analyze, --help, --version"
+assert not numpy_loaded(), "enumerate, analyze (--regular and --spec), --help, --version"
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["simulate", "--regular", "30,3,6", "--algorithm", "dd", "--delta", "1/10",
                      "--graphs", "2", "--patterns", "50", "--analytic"]) == 0
